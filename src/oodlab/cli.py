@@ -65,22 +65,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    cfg = preset_config(args.preset) if args.preset else ExperimentConfig()
+    cfg = preset_config(args.preset) if args.preset else None
     if args.config:
-        text = Path(args.config).read_text(encoding="utf-8")
-        if args.preset:
-            # File keys override the preset, so parse the file with the
-            # preset injected as the base (unless the file names its own).
-            lines = text.splitlines()
-            if not any(line.strip().startswith("preset") for line in lines):
-                try:
-                    at = next(i for i, line in enumerate(lines)
-                              if line.strip() == "[method]")
-                    lines.insert(at + 1, f"preset = {args.preset}")
-                except StopIteration:
-                    lines = ["[method]", f"preset = {args.preset}"] + lines
-                text = "\n".join(lines) + "\n"
-        cfg = parse_config(text)
+        cfg = parse_config(Path(args.config).read_text(encoding="utf-8"), base=cfg)
+    elif cfg is None:
+        cfg = ExperimentConfig()
     if args.seed is not None:
         cfg = replace(cfg, train=replace(cfg.train, seed=args.seed))
     return cfg

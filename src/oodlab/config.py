@@ -37,9 +37,11 @@ training points and 3 replications.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import get_type_hints
 
 from .detection import GridSpec
+from .nets import fmt_float
 from .training import TrainConfig
 
 __all__ = [
@@ -121,20 +123,42 @@ def preset_config(name: str) -> ExperimentConfig:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}") from None
 
 
+def _int_tuple(value: str) -> tuple[int, ...]:
+    parts = value.replace(",", " ").split()
+    if not parts:
+        raise ValueError("empty list")
+    return tuple(int(p) for p in parts)
+
+
+def _float_tuple(value: str) -> tuple[float, ...]:
+    parts = value.replace(",", " ").split()
+    if not parts:
+        raise ValueError("empty list")
+    return tuple(float(p) for p in parts)
+
+
+# Parser and formatter for each field type of TrainConfig and GridSpec.
+_FIELD_KINDS = {
+    float: (float, fmt_float),
+    int: (int, str),
+    tuple[int, ...]: (_int_tuple, lambda value: " ".join(str(s) for s in value)),
+}
+
+
+def _field_keys(cls, prefix: str = "") -> dict[str, tuple[str, object, object]]:
+    """Config key -> (field name, parser, formatter), in the dataclass's field order."""
+    hints = get_type_hints(cls)
+    return {prefix + f.name: (f.name, *_FIELD_KINDS[hints[f.name]]) for f in fields(cls)}
+
+
+_TRAIN_KEYS = _field_keys(TrainConfig)
+_GRID_KEYS = _field_keys(GridSpec, "grid_")
+
 _SECTION_KEYS = {
     "method": ("method", "preset"),
-    "train": (
-        "beta_ood", "beta_z", "n_d", "n_g", "lr_d", "lr_g",
-        "batch_ind", "batch_ood", "batch_gen", "noise_dim", "iterations", "seed",
-        "discriminator_arch", "generator_arch",
-        "adam_beta1", "adam_beta2", "adam_epsilon",
-    ),
+    "train": tuple(_TRAIN_KEYS),
     "data": ("source", "path", "ood_subsample", "cost_matrix"),
-    "eval": (
-        "tnr_targets", "replications",
-        "grid_x_min", "grid_x_max", "grid_y_min", "grid_y_max", "grid_resolution",
-        "output_dir",
-    ),
+    "eval": ("tnr_targets", "replications", *_GRID_KEYS, "output_dir"),
 }
 
 
@@ -173,33 +197,25 @@ def _convert(kind, key: str, value: str, line_no: int):
         ) from None
 
 
-def _int_tuple(value: str) -> tuple[int, ...]:
-    parts = value.replace(",", " ").split()
-    if not parts:
-        raise ValueError("empty list")
-    return tuple(int(p) for p in parts)
+def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
+    """Parse and validate a config file; all defaults filled.
 
-
-def _float_tuple(value: str) -> tuple[float, ...]:
-    parts = value.replace(",", " ").split()
-    if not parts:
-        raise ValueError("empty list")
-    return tuple(float(p) for p in parts)
-
-
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a config file; all defaults filled."""
+    Keys in the file override `base`, and a ``preset`` named in the file
+    replaces it. Without either, the file must set ``method`` and the
+    remaining defaults are those of :class:`ExperimentConfig`.
+    """
     table = _scan(text)
 
-    base = ExperimentConfig()
     if "preset" in table["method"]:
         name, line_no = table["method"]["preset"]
         try:
             base = preset_config(name)
         except ConfigError as exc:
             raise ConfigError(f"line {line_no}: {exc}") from None
-    elif "method" not in table["method"]:
-        raise ConfigError("missing required key 'method' in section [method]")
+    elif base is None:
+        if "method" not in table["method"]:
+            raise ConfigError("missing required key 'method' in section [method]")
+        base = ExperimentConfig()
 
     if "method" in table["method"]:
         value, line_no = table["method"]["method"]
@@ -207,16 +223,10 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {line_no}: method must be one of {METHODS}, got {value!r}")
         base = replace(base, method=value)
 
-    train_kinds = {
-        "beta_ood": float, "beta_z": float, "lr_d": float, "lr_g": float,
-        "adam_beta1": float, "adam_beta2": float, "adam_epsilon": float,
-        "n_d": int, "n_g": int, "batch_ind": int, "batch_ood": int, "batch_gen": int,
-        "noise_dim": int, "iterations": int, "seed": int,
-        "discriminator_arch": _int_tuple, "generator_arch": _int_tuple,
-    }
     train_updates = {}
     for key, (value, line_no) in table["train"].items():
-        train_updates[key] = _convert(train_kinds[key], key, value, line_no)
+        name, parse, _ = _TRAIN_KEYS[key]
+        train_updates[name] = _convert(parse, key, value, line_no)
     if train_updates:
         try:
             base = replace(base, train=replace(base.train, **train_updates))
@@ -243,10 +253,9 @@ def parse_config(text: str) -> ExperimentConfig:
             eval_updates["replications"] = _convert(int, key, value, line_no)
         elif key == "output_dir":
             eval_updates["output_dir"] = value
-        elif key == "grid_resolution":
-            grid_updates["resolution"] = _convert(int, key, value, line_no)
         else:
-            grid_updates[key.removeprefix("grid_")] = _convert(float, key, value, line_no)
+            name, parse, _ = _GRID_KEYS[key]
+            grid_updates[name] = _convert(parse, key, value, line_no)
     if grid_updates:
         try:
             eval_updates["grid"] = replace(base.grid, **grid_updates)
@@ -261,35 +270,18 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(str(exc)) from None
 
 
-def _fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
+def _field_lines(obj, keys) -> list[str]:
+    return [f"{key} = {fmt(getattr(obj, name))}" for key, (name, _, fmt) in keys.items()]
 
 
 def serialize_config(config: ExperimentConfig) -> str:
     """Canonical full text form; parse(serialize(c)) == c."""
-    t = config.train
     lines = [
         "[method]",
         f"method = {config.method}",
         "",
         "[train]",
-        f"beta_ood = {_fmt_float(t.beta_ood)}",
-        f"beta_z = {_fmt_float(t.beta_z)}",
-        f"n_d = {t.n_d}",
-        f"n_g = {t.n_g}",
-        f"lr_d = {_fmt_float(t.lr_d)}",
-        f"lr_g = {_fmt_float(t.lr_g)}",
-        f"batch_ind = {t.batch_ind}",
-        f"batch_ood = {t.batch_ood}",
-        f"batch_gen = {t.batch_gen}",
-        f"noise_dim = {t.noise_dim}",
-        f"iterations = {t.iterations}",
-        f"seed = {t.seed}",
-        f"discriminator_arch = {' '.join(str(s) for s in t.discriminator_arch)}",
-        f"generator_arch = {' '.join(str(s) for s in t.generator_arch)}",
-        f"adam_beta1 = {_fmt_float(t.adam_beta1)}",
-        f"adam_beta2 = {_fmt_float(t.adam_beta2)}",
-        f"adam_epsilon = {_fmt_float(t.adam_epsilon)}",
+        *_field_lines(config.train, _TRAIN_KEYS),
         "",
         "[data]",
         f"source = {config.data_source}",
@@ -300,17 +292,12 @@ def serialize_config(config: ExperimentConfig) -> str:
         lines.append(f"cost_matrix = {config.cost_matrix_path}")
     if config.ood_subsample is not None:
         lines.append(f"ood_subsample = {config.ood_subsample}")
-    g = config.grid
     lines += [
         "",
         "[eval]",
-        f"tnr_targets = {' '.join(_fmt_float(x) for x in config.tnr_targets)}",
+        f"tnr_targets = {' '.join(fmt_float(x) for x in config.tnr_targets)}",
         f"replications = {config.replications}",
-        f"grid_x_min = {_fmt_float(g.x_min)}",
-        f"grid_x_max = {_fmt_float(g.x_max)}",
-        f"grid_y_min = {_fmt_float(g.y_min)}",
-        f"grid_y_max = {_fmt_float(g.y_max)}",
-        f"grid_resolution = {g.resolution}",
+        *_field_lines(config.grid, _GRID_KEYS),
         f"output_dir = {config.output_dir}",
     ]
     return "\n".join(lines) + "\n"

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .nets import fmt_float
 from .rng import Rng
 
 __all__ = [
@@ -157,10 +158,6 @@ def sample_noise(n: int, count: int, rng: Rng) -> np.ndarray:
 # CSV round trip
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_dataset_csv(dataset: Dataset, path) -> None:
     """Rows of x1..xd, label, split; OoD rows carry label -1."""
     header = [f"x{i + 1}" for i in range(dataset.d)] + ["label", "split"]
@@ -176,7 +173,7 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
         for xs, ys, split in blocks:
             for i in range(xs.shape[0]):
                 label = OOD_LABEL if ys is None else int(ys[i])
-                writer.writerow([_fmt(v) for v in xs[i]] + [label, split])
+                writer.writerow([fmt_float(v) for v in xs[i]] + [label, split])
 
 
 def read_dataset_csv(path) -> Dataset:

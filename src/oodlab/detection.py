@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .nets import Head, MlpParams, mlp_forward
+from .nets import Head, MlpParams, fmt_float, mlp_forward
 from .wasserstein import score_batch, validate_cost_matrix
 
 __all__ = [
@@ -77,14 +77,12 @@ def select_threshold(ind_scores, target_tnr: float) -> Threshold:
     if not 0.0 < target_tnr <= 1.0:
         raise ValueError(f"target TNR must lie in (0, 1], got {target_tnr}")
     ordered = np.sort(scores)
-    n = scores.size
     # Scores equal to eta count as in-distribution, so candidate c admits
-    # searchsorted(ordered, c, side="right") of the n points.
-    for candidate in ordered:
-        admitted = np.searchsorted(ordered, candidate, side="right")
-        if admitted / n >= target_tnr:
-            return Threshold(float(candidate), target_tnr)
-    return Threshold(float(ordered[-1]), target_tnr)
+    # searchsorted(ordered, c, side="right") of the n points. The largest
+    # score admits all n, so some candidate always qualifies.
+    admitted = np.searchsorted(ordered, ordered, side="right")
+    first = int(np.argmax(admitted / scores.size >= target_tnr))
+    return Threshold(float(ordered[first]), target_tnr)
 
 
 def detect(score: float, threshold: Threshold) -> Decision:
@@ -150,15 +148,11 @@ def rejection_region_area(heatmap: np.ndarray, threshold: Threshold) -> float:
     return float(np.mean(cells > threshold.eta))
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_heatmap_csv(heatmap: np.ndarray, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         for row in np.asarray(heatmap, dtype=float):
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([fmt_float(v) for v in row])
 
 
 def read_heatmap_csv(path) -> np.ndarray:

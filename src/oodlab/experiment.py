@@ -37,7 +37,7 @@ from .detection import (
     write_heatmap_csv,
     write_heatmap_pgm,
 )
-from .nets import NumericError, write_params
+from .nets import NumericError, fmt_float, write_params
 from .rng import Rng
 from .training import TrainHistory, train_see_ood, train_wood, write_history_csv
 from .wasserstein import binary_cost_matrix, load_cost_matrix_csv, score_batch
@@ -84,6 +84,11 @@ def _build_dataset(config: ExperimentConfig, rng: Rng) -> Dataset:
     else:
         data = read_dataset_csv(config.data_path)
     if config.ood_subsample is not None:
+        pool = data.ood_train.shape[0]
+        if config.ood_subsample > pool:
+            raise ConfigError(
+                f"ood_subsample {config.ood_subsample} exceeds the {pool} OoD training points"
+            )
         data = subsample_ood(data, config.ood_subsample, rng)
     return data
 
@@ -134,10 +139,6 @@ def run_replication(config: ExperimentConfig, index: int) -> ReplicationResult:
     )
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _target_label(t: float) -> str:
     return format(t, "g")
 
@@ -152,19 +153,19 @@ def _write_report_csv(path: Path, config: ExperimentConfig,
         header += [f"tpr_at_{label}", f"eta_at_{label}"]
     rows = []
     for rep in reps:
-        row = [rep.index, rep.seed, _fmt(rep.accuracy),
-               _fmt(rep.mean_ind_score), _fmt(rep.mean_ood_score)]
+        row = [rep.index, rep.seed, fmt_float(rep.accuracy),
+               fmt_float(rep.mean_ind_score), fmt_float(rep.mean_ood_score)]
         for tpr, eta in zip(rep.tprs, rep.etas):
-            row += [_fmt(tpr), _fmt(eta)]
+            row += [fmt_float(tpr), fmt_float(eta)]
         rows.append(row)
 
     def aggregate_row(name: str, acc: float, tpr_values: tuple[float, ...],
                       stat) -> list:
-        row = [name, "", _fmt(acc),
-               _fmt(stat([r.mean_ind_score for r in reps])),
-               _fmt(stat([r.mean_ood_score for r in reps]))]
+        row = [name, "", fmt_float(acc),
+               fmt_float(stat([r.mean_ind_score for r in reps])),
+               fmt_float(stat([r.mean_ood_score for r in reps]))]
         for j, tpr in enumerate(tpr_values):
-            row += [_fmt(tpr), _fmt(stat([r.etas[j] for r in reps]))]
+            row += [fmt_float(tpr), fmt_float(stat([r.etas[j] for r in reps]))]
         return row
 
     rows.append(aggregate_row("mean", mean_acc, mean_tprs, lambda v: float(np.mean(v))))
@@ -341,8 +342,8 @@ def write_comparison_csv(record: ComparisonRecord, path) -> None:
         writer.writerow(["replication", "area_a", "area_b", "difference"])
         for i, (a, b, diff) in enumerate(zip(record.areas_a, record.areas_b,
                                              record.differences)):
-            writer.writerow([i, _fmt(a), _fmt(b), _fmt(diff)])
+            writer.writerow([i, fmt_float(a), fmt_float(b), fmt_float(diff)])
         writer.writerow(["mean",
-                         _fmt(float(np.mean(record.areas_a))),
-                         _fmt(float(np.mean(record.areas_b))),
-                         _fmt(record.mean_difference)])
+                         fmt_float(float(np.mean(record.areas_a))),
+                         fmt_float(float(np.mean(record.areas_b))),
+                         fmt_float(record.mean_difference)])

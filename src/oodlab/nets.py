@@ -36,6 +36,7 @@ __all__ = [
     "mlp_backward",
     "adam_step",
     "finite_difference_gradient",
+    "fmt_float",
     "params_to_text",
     "params_from_text",
     "write_params",
@@ -396,7 +397,8 @@ def finite_difference_gradient(loss, params: MlpParams, step: float) -> Gradient
 # Text serialization
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
+def fmt_float(x: float) -> str:
+    """Text form of a float with 17 significant digits, so it round-trips exactly."""
     return format(float(x), ".17g")
 
 
@@ -416,8 +418,8 @@ def params_to_text(params: MlpParams) -> str:
         )
     ]
     for w, b in zip(params.weights, params.biases):
-        lines.append(" ".join(_fmt(x) for x in w.ravel(order="C")))
-        lines.append(" ".join(_fmt(x) for x in b))
+        lines.append(" ".join(fmt_float(x) for x in w.ravel(order="C")))
+        lines.append(" ".join(fmt_float(x) for x in b))
     return "\n".join(lines) + "\n"
 
 

@@ -12,15 +12,17 @@ scores, so the generated batch acts as beta_z-weighted augmentation of the
 observed pool. The generator ascends ``beta_z * mean score(D(G(z)))``,
 steering its samples toward regions the discriminator still finds uncertain;
 the two updates together let the pair stake out out-of-distribution
-territory beyond the observed points. `train_see_ood` alternates n_d
-discriminator steps with n_g generator steps per outer iteration;
-`train_wood` drops the generator entirely and takes one descent step per
-iteration.
+territory beyond the observed points. Both trainers run one loop: per outer
+iteration, n_d discriminator steps, then n_g generator steps. `train_wood`
+runs it without a generator, as the paper's baseline is SEE-OoD minus the
+generator: an empty generated batch, beta_z = 0, and one discriminator step
+per iteration whatever n_d says.
 
 Minibatches are drawn uniformly with replacement from each pool, with the
 OoD batch size clamped to the pool size. Runs are deterministic functions of
 (config, data, seed): the discriminator is initialized first, then the
-generator, then the loop consumes draws in sampling order.
+generator; each discriminator step then draws InD indices, OoD indices and
+noise, and each generator step draws noise.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .nets import (
     MlpParams,
     NumericError,
     adam_step,
+    fmt_float,
     init_adam,
     init_mlp,
     log_softmax,
@@ -46,7 +49,7 @@ from .nets import (
     mlp_forward,
 )
 from .rng import Rng
-from .wasserstein import binary_cost_matrix, validate_cost_matrix
+from .wasserstein import binary_cost_matrix, score_rows, validate_cost_matrix
 
 __all__ = [
     "TrainConfig",
@@ -104,7 +107,7 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Loss breakdown at the end of one outer iteration.
+    """Loss breakdown of an iteration's last D step and objective of its last G step.
 
     Generator fields are None for runs without a generator.
     """
@@ -137,9 +140,7 @@ def _score_values_and_logit_grads(probs: np.ndarray,
     With cost column g of the (smallest-index) argmin target, the chain rule
     through the softmax gives d(score)/dz_i = p_i * (g_i - p.g).
     """
-    costs = probs @ M
-    k_star = np.argmin(costs, axis=1)
-    scores = costs[np.arange(costs.shape[0]), k_star]
+    scores, k_star = score_rows(probs, M)
     g = M[:, k_star].T
     inner = np.sum(probs * g, axis=1, keepdims=True)
     return scores, probs * (g - inner)
@@ -269,97 +270,71 @@ def _check_architectures(config: TrainConfig, data: Dataset, with_generator: boo
             )
 
 
-def train_see_ood(config: TrainConfig, data: Dataset, rng: Rng | None = None) -> TrainHistory:
-    """Alternating adversarial training; requires at least one observed OoD point.
-
-    Per outer iteration: n_d discriminator descent steps, each on fresh InD,
-    OoD and generated minibatches, then n_g generator ascent steps on fresh
-    noise. The recorded loss breakdown comes from the iteration's last
-    discriminator step, the objective from its last generator step.
-    """
+def _train(config: TrainConfig, data: Dataset, rng: Rng | None,
+           with_generator: bool) -> TrainHistory:
+    """The one loop behind `train_see_ood` and `train_wood`; see the module docstring."""
     if data.ood_train.shape[0] == 0:
-        raise ValueError("adversarial training requires at least one observed OoD sample")
+        raise ValueError("training requires at least one observed OoD sample")
     if rng is None:
         rng = Rng(config.seed)
-    _check_architectures(config, data, with_generator=True)
+    _check_architectures(config, data, with_generator)
 
     M = binary_cost_matrix(data.K)
     D = init_mlp(config.discriminator_arch, Activation.RELU, Head.SOFTMAX, rng)
-    G = init_mlp(config.generator_arch, Activation.RELU, Head.IDENTITY, rng)
     adam_d = init_adam(D, config.adam_beta1, config.adam_beta2, config.adam_epsilon)
-    adam_g = init_adam(G, config.adam_beta1, config.adam_beta2, config.adam_epsilon)
+    G = adam_g = None
+    if with_generator:
+        G = init_mlp(config.generator_arch, Activation.RELU, Head.IDENTITY, rng)
+        adam_g = init_adam(G, config.adam_beta1, config.adam_beta2, config.adam_epsilon)
 
     n_ind = data.ind_train_x.shape[0]
     n_ood_pool = data.ood_train.shape[0]
     b_ood = config.effective_batch_ood(n_ood_pool)
+    n_d = config.n_d if with_generator else 1
+    beta_z = config.beta_z if with_generator else 0.0
+    gen_x = np.empty((0, data.d))
 
     records = []
     for it in range(1, config.iterations + 1):
-        loss = ce = mean_ood = mean_gen = 0.0
-        for _ in range(config.n_d):
+        for _ in range(n_d):
             ind_idx = rng.indices_below(n_ind, config.batch_ind)
             ood_idx = rng.indices_below(n_ood_pool, b_ood)
-            noise = sample_noise(config.noise_dim, config.batch_gen, rng)
-            fake, _ = mlp_forward(G, noise)
+            if with_generator:
+                noise = sample_noise(config.noise_dim, config.batch_gen, rng)
+                gen_x, _ = mlp_forward(G, noise)
             loss, (ce, mean_ood, mean_gen), grads = discriminator_loss_and_grads(
                 D,
                 data.ind_train_x[ind_idx],
                 data.ind_train_y[ind_idx],
                 data.ood_train[ood_idx],
-                fake,
+                gen_x,
                 config.beta_ood,
-                config.beta_z,
+                beta_z,
                 M,
             )
             D, adam_d = adam_step(D, grads, adam_d, config.lr_d)
 
-        objective = 0.0
+        if not with_generator:
+            records.append(IterationRecord(it, loss, ce, mean_ood, None, None))
+            continue
         for _ in range(config.n_g):
             noise = sample_noise(config.noise_dim, config.batch_gen, rng)
             objective, g_grads = generator_objective_and_grads(D, G, noise, config.beta_z, M)
             # Ascent: feed Adam the negated gradient.
             G, adam_g = adam_step(G, g_grads.scaled(-1.0), adam_g, config.lr_g)
-
         records.append(IterationRecord(it, loss, ce, mean_ood, mean_gen, objective))
 
     return TrainHistory(tuple(records), D, G)
 
 
+def train_see_ood(config: TrainConfig, data: Dataset, rng: Rng | None = None) -> TrainHistory:
+    """Alternating adversarial training; requires at least one observed OoD point."""
+    return _train(config, data, rng, with_generator=True)
+
+
 def train_wood(config: TrainConfig, data: Dataset, rng: Rng | None = None) -> TrainHistory:
     """Generator-free baseline: descend ``mean CE - beta_ood * mean score(OoD)``."""
-    if data.ood_train.shape[0] == 0:
-        raise ValueError("training requires at least one observed OoD sample")
-    if rng is None:
-        rng = Rng(config.seed)
-    _check_architectures(config, data, with_generator=False)
-
-    M = binary_cost_matrix(data.K)
-    D = init_mlp(config.discriminator_arch, Activation.RELU, Head.SOFTMAX, rng)
-    adam_d = init_adam(D, config.adam_beta1, config.adam_beta2, config.adam_epsilon)
-
-    n_ind = data.ind_train_x.shape[0]
-    n_ood_pool = data.ood_train.shape[0]
-    b_ood = config.effective_batch_ood(n_ood_pool)
-    empty_gen = np.empty((0, data.d))
-
-    records = []
-    for it in range(1, config.iterations + 1):
-        ind_idx = rng.indices_below(n_ind, config.batch_ind)
-        ood_idx = rng.indices_below(n_ood_pool, b_ood)
-        loss, (ce, mean_ood, _), grads = discriminator_loss_and_grads(
-            D,
-            data.ind_train_x[ind_idx],
-            data.ind_train_y[ind_idx],
-            data.ood_train[ood_idx],
-            empty_gen,
-            config.beta_ood,
-            0.0,
-            M,
-        )
-        D, adam_d = adam_step(D, grads, adam_d, config.lr_d)
-        records.append(IterationRecord(it, loss, ce, mean_ood, None, None))
-
-    return TrainHistory(tuple(records), D, None)
+    return _train(config, data, rng, with_generator=False)
 
 
 def sample_generator(G: MlpParams, count: int, n: int, rng: Rng) -> np.ndarray:
@@ -373,10 +348,6 @@ def sample_generator(G: MlpParams, count: int, n: int, rng: Rng) -> np.ndarray:
     return out
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_history_csv(history: TrainHistory, path) -> None:
     """One row per iteration; generator columns stay empty when absent."""
     with open(path, "w", encoding="utf-8", newline="") as f:
@@ -387,9 +358,9 @@ def write_history_csv(history: TrainHistory, path) -> None:
         for rec in history.records:
             writer.writerow([
                 rec.iteration,
-                _fmt(rec.loss),
-                _fmt(rec.ce),
-                _fmt(rec.ood_score_mean),
-                "" if rec.gen_score_mean is None else _fmt(rec.gen_score_mean),
-                "" if rec.gen_objective is None else _fmt(rec.gen_objective),
+                fmt_float(rec.loss),
+                fmt_float(rec.ce),
+                fmt_float(rec.ood_score_mean),
+                "" if rec.gen_score_mean is None else fmt_float(rec.gen_score_mean),
+                "" if rec.gen_objective is None else fmt_float(rec.gen_objective),
             ])

@@ -25,9 +25,9 @@ __all__ = [
     "binary_cost_matrix",
     "load_cost_matrix_csv",
     "wasserstein_to_onehot",
+    "score_rows",
     "wasserstein_score",
     "score_gradient",
-    "scores_for_probs",
     "score_batch",
 ]
 
@@ -95,6 +95,16 @@ def wasserstein_to_onehot(p, k: int, M) -> float:
     return float(vec @ mat[:, k - 1])
 
 
+def score_rows(probs: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scores of the rows of a (batch, K) probability matrix and their argmin columns.
+
+    Columns are 0-based, the smallest winning ties; inputs are not validated.
+    """
+    costs = probs @ M
+    k_star = np.argmin(costs, axis=1)
+    return costs[np.arange(costs.shape[0]), k_star], k_star
+
+
 def wasserstein_score(p, M) -> tuple[float, int]:
     """Minimum transport cost to any one-hot target.
 
@@ -104,9 +114,8 @@ def wasserstein_score(p, M) -> tuple[float, int]:
     mat = validate_cost_matrix(M)
     if vec.size != mat.shape[0]:
         raise ValueError(f"p has {vec.size} classes but M is {mat.shape[0]}x{mat.shape[0]}")
-    costs = vec @ mat
-    k_star = int(np.argmin(costs))  # argmin takes the first minimum
-    return float(costs[k_star]), k_star + 1
+    scores, k_star = score_rows(vec[None, :], mat)
+    return float(scores[0]), int(k_star[0]) + 1
 
 
 def score_gradient(p, M) -> np.ndarray:
@@ -116,13 +125,7 @@ def score_gradient(p, M) -> np.ndarray:
     a valid subgradient choice consistent with :func:`wasserstein_score`.
     """
     _, k_star = wasserstein_score(p, M)
-    mat = validate_cost_matrix(M)
-    return mat[:, k_star - 1].copy()
-
-
-def scores_for_probs(probs: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Row-wise scores for a (batch, K) matrix of probability vectors."""
-    return np.min(probs @ M, axis=1)
+    return validate_cost_matrix(M)[:, k_star - 1].copy()
 
 
 def score_batch(net: MlpParams, inputs, M) -> np.ndarray:
@@ -138,4 +141,4 @@ def score_batch(net: MlpParams, inputs, M) -> np.ndarray:
     if x.size == 0:
         return np.empty(0)
     probs, _ = mlp_forward(net, x)
-    return scores_for_probs(np.atleast_2d(probs), mat)
+    return score_rows(np.atleast_2d(probs), mat)[0]

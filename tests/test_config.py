@@ -1,5 +1,7 @@
 """Config parsing: defaults, precise errors, presets, round trip."""
 
+from dataclasses import fields
+
 import pytest
 
 from oodlab.config import (
@@ -10,6 +12,8 @@ from oodlab.config import (
     preset_config,
     serialize_config,
 )
+from oodlab.detection import GridSpec
+from oodlab.training import TrainConfig
 
 
 MINIMAL = "[method]\nmethod = see_ood\n"
@@ -135,6 +139,26 @@ class TestRoundTrip:
     def test_all_presets_round_trip(self, name):
         original = preset_config(name)
         assert parse_config(serialize_config(original)) == original
+
+    def test_every_train_and_grid_key_round_trips(self):
+        text = MINIMAL + (
+            "[train]\n"
+            "beta_ood = 2.5\nbeta_z = 0.125\nn_d = 3\nn_g = 4\nlr_d = 0.003\nlr_g = 0.007\n"
+            "batch_ind = 17\nbatch_ood = 9\nbatch_gen = 33\nnoise_dim = 3\n"
+            "iterations = 11\nseed = 42\n"
+            "discriminator_arch = 2 16 8 3\ngenerator_arch = 3 24 2\n"
+            "adam_beta1 = 0.8\nadam_beta2 = 0.99\nadam_epsilon = 1e-6\n"
+            "[eval]\n"
+            "grid_x_min = -2.5\ngrid_x_max = 6.25\ngrid_y_min = 0.1\ngrid_y_max = 9\n"
+            "grid_resolution = 37\n"
+        )
+        cfg = parse_config(text)
+        defaults = ExperimentConfig()
+        for f in fields(TrainConfig):
+            assert getattr(cfg.train, f.name) != getattr(defaults.train, f.name), f.name
+        for f in fields(GridSpec):
+            assert getattr(cfg.grid, f.name) != getattr(defaults.grid, f.name), f.name
+        assert parse_config(serialize_config(cfg)) == cfg
 
     def test_custom_config_round_trips(self):
         cfg = parse_config(MINIMAL + (

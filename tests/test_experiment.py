@@ -194,6 +194,24 @@ class TestCli:
                      "--out", str(out)]) == 0
         assert parse_config((out / "config.ini").read_text()).train.n_d == 2
 
+    @pytest.mark.parametrize("text, line", [
+        ("[method]\nmethod = see_ood\n[train]\nbogus = 1\n", 4),
+        ("[train]\niterations = 10\nbogus = 1\n", 3),
+    ], ids=["method-section", "no-method-section"])
+    def test_preset_flag_keeps_config_line_numbers(self, tmp_path, capsys, text, line):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(text)
+        assert main(["train", "--preset", "setting1", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"line {line}: unknown key 'bogus'" in capsys.readouterr().err
+
+    def test_oversized_ood_subsample_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.ini"
+        write_tiny_config(cfg)
+        cfg.write_text(cfg.read_text().replace("ood_subsample = 2", "ood_subsample = 5000"))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "ood_subsample" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[method]\nmethod = nonsense\n")

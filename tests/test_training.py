@@ -264,6 +264,14 @@ class TestTrainWood:
         with pytest.raises(ValueError):
             train_wood(quick_config(), small_dataset(n_ood=0))
 
+    def test_ignores_n_d(self):
+        # The baseline takes one discriminator step per iteration whatever n_d says.
+        data = small_dataset()
+        one = train_wood(quick_config(lr_d=1e-3, n_d=1), data, Rng(0))
+        three = train_wood(quick_config(lr_d=1e-3, n_d=3), data, Rng(0))
+        assert one.records == three.records
+        assert params_to_text(one.discriminator) == params_to_text(three.discriminator)
+
 
 class TestSampleGenerator:
     def test_empty(self):
