@@ -1,0 +1,36 @@
+#!/usr/bin/env bash
+# Byte-compare what two oodlab checkouts write for a fixed command list.
+#
+#   scripts/byte_check.sh PARENT CHANGE
+#
+# PARENT and CHANGE are source checkouts (each with src/oodlab). Each runs in
+# its own fresh directory under $TMPDIR with one BLAS thread: `replicate` on
+# the three full presets; `train`, `evaluate` and `heatmap` on setting2 with
+# 200 iterations; `gen-data --seed 7`; and two `compare` runs. Then `diff -r`
+# compares every output file and the collected stdout. Exit status 0 means
+# no difference. Takes a few minutes per checkout.
+set -euo pipefail
+[ $# -eq 2 ] || { echo "usage: $0 PARENT CHANGE" >&2; exit 2; }
+export OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1
+work=$(mktemp -d)
+
+run() {  # run CHECKOUT OUTDIR
+    local src
+    src="$(cd "$1" && pwd)/src"
+    cd "$2"
+    oodlab() { PYTHONPATH="$src" python3 -m oodlab.cli "$@"; }
+    printf '[train]\niterations = 200\n' > it200.ini
+    for p in wood2d setting1 setting2; do oodlab replicate --preset "$p" --out "$p"; done
+    for c in train evaluate heatmap; do
+        oodlab "$c" --preset setting2 --config it200.ini --out "$c"
+    done
+    oodlab gen-data --seed 7 --out gen-data
+    oodlab compare --a setting1 --b wood2d --tnr 0.95 --out compare1
+    oodlab compare --a setting2 --b wood2d --tnr 0.99 --out compare2
+}
+
+mkdir "$work/parent" "$work/change"
+(run "$1" "$work/parent") > "$work/parent/stdout.txt"
+(run "$2" "$work/change") > "$work/change/stdout.txt"
+diff -r "$work/parent" "$work/change"
+echo "no difference in $(find "$work/parent" -type f | wc -l) files ($work)"

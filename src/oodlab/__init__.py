@@ -25,7 +25,6 @@ from .experiment import compare_rejection_regions, load_report, run_experiment, 
 from .nets import (
     Activation,
     AdamState,
-    Gradients,
     Head,
     MlpParams,
     NumericError,

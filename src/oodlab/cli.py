@@ -77,9 +77,9 @@ def _resolve_config(args) -> ExperimentConfig:
 
 def _cmd_gen_data(args) -> int:
     cfg = _resolve_config(args)
+    data = make_simulation_dataset(Rng(cfg.train.seed))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    data = make_simulation_dataset(Rng(cfg.train.seed))
     path = out / "dataset.csv"
     write_dataset_csv(data, path)
     print(f"wrote {path}")
@@ -87,10 +87,9 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = _resolve_config(args)
+    rep = run_replication(_resolve_config(args), 0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rep = run_replication(cfg, 0)
     write_history_csv(rep.history, out / "history.csv")
     write_params(rep.history.discriminator, out / "weights_discriminator.txt")
     if rep.history.generator is not None:
@@ -115,12 +114,11 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_heatmap(args) -> int:
-    cfg = _resolve_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rep = run_replication(cfg, 0)
+    rep = run_replication(_resolve_config(args), 0)
     if rep.heatmap is None:
         raise ValueError("heatmaps require 2-D data")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_heatmap_csv(rep.heatmap, out / "heatmap.csv")
     write_heatmap_pgm(rep.heatmap, rep.history.discriminator.output_dim,
                       out / "heatmap.pgm")

@@ -208,18 +208,23 @@ def _write_summary(path: Path, report: ExperimentReport) -> None:
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
-    """Run every replication, write the output directory, aggregate metrics."""
+    """Run every replication, then write the output directory and aggregate metrics.
+
+    No file or directory is created before the last replication finishes, so
+    a run that fails in training or evaluation leaves nothing behind.
+    """
+    reps = []
+    for index in range(config.replications):
+        try:
+            reps.append(run_replication(config, index))
+        except NumericError as exc:
+            raise NumericError(f"replication {index}: {exc}") from exc
+
     out = Path(out_dir if out_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = ["config.ini", "report.csv", "summary.txt"]
     (out / "config.ini").write_text(serialize_config(config), encoding="utf-8")
-
-    reps = []
-    for index in range(config.replications):
-        try:
-            rep = run_replication(config, index)
-        except NumericError as exc:
-            raise NumericError(f"replication {index}: {exc}") from exc
+    for index, rep in enumerate(reps):
         rep_dir = out / f"rep{index:03d}"
         rep_dir.mkdir(exist_ok=True)
         write_history_csv(rep.history, rep_dir / "history.csv")
@@ -235,7 +240,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
             write_heatmap_pgm(rep.heatmap, K, rep_dir / "heatmap.pgm")
             files.append(f"rep{index:03d}/heatmap.csv")
             files.append(f"rep{index:03d}/heatmap.pgm")
-        reps.append(rep)
 
     reps = tuple(reps)
     accs = [r.accuracy for r in reps]

@@ -6,6 +6,12 @@ weights. Everything is float64 and pure: functions return new values and
 never mutate their arguments, so two calls with equal inputs give bitwise
 equal outputs.
 
+Parameter layout: a network's parameters live in one 1-D float64 vector,
+``w0 (row-major), b0, w1, b1, ...``, the order the text format writes them.
+Gradients from :func:`mlp_backward` and :func:`finite_difference_gradient`
+and the Adam moments are plain vectors in the same layout, so Adam and the
+finite-difference oracle each run over one array.
+
 Gradient convention: for a ``Softmax`` head, :func:`mlp_backward` expects the
 upstream gradient with respect to the pre-head logits (the loss layer folds
 the softmax Jacobian in; see :mod:`oodlab.training`). For ``Tanh`` and
@@ -15,8 +21,9 @@ output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +33,6 @@ __all__ = [
     "Activation",
     "Head",
     "MlpParams",
-    "Gradients",
     "AdamState",
     "ForwardCache",
     "NumericError",
@@ -59,18 +65,35 @@ class Head(Enum):
     IDENTITY = "Identity"
 
 
+def _n_scalars(sizes: tuple[int, ...]) -> int:
+    return sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes, sizes[1:]))
+
+
+def _layer_views(sizes: tuple[int, ...],
+                 flat: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Per-layer (weights, biases) views into a vector laid out w0, b0, w1, b1, ..."""
+    weights, biases, start = [], [], 0
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        end = start + fan_out * fan_in
+        weights.append(flat[start:end].reshape(fan_out, fan_in))
+        biases.append(flat[end:end + fan_out])
+        start = end + fan_out
+    return tuple(weights), tuple(biases)
+
+
 @dataclass(frozen=True)
 class MlpParams:
-    """Weights and biases of a dense network.
+    """Parameters of a dense network, stored as one flat float64 vector.
 
-    ``weights[l]`` has shape (layer_sizes[l+1], layer_sizes[l]) and
-    ``biases[l]`` has length layer_sizes[l+1]. The hidden activation is
-    applied after every layer except the last, which gets `head`.
+    `flat` holds ``w0 (row-major), b0, w1, b1, ...``; gradients and Adam
+    moments share this layout. ``weights[l]``, of shape (layer_sizes[l+1],
+    layer_sizes[l]), and ``biases[l]``, of length layer_sizes[l+1], are
+    read-only tuples of views into `flat`. The hidden activation is applied
+    after every layer except the last, which gets `head`.
     """
 
     layer_sizes: tuple[int, ...]
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
+    flat: np.ndarray
     hidden: Activation
     head: Head
 
@@ -78,17 +101,19 @@ class MlpParams:
         sizes = self.layer_sizes
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise ValueError(f"need at least two positive layer sizes, got {sizes}")
-        if len(self.weights) != len(sizes) - 1 or len(self.biases) != len(sizes) - 1:
-            raise ValueError("one weight matrix and one bias vector per layer required")
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (sizes[l + 1], sizes[l]):
-                raise ValueError(
-                    f"layer {l} weights have shape {w.shape}, expected {(sizes[l + 1], sizes[l])}"
-                )
-            if b.shape != (sizes[l + 1],):
-                raise ValueError(f"layer {l} bias has shape {b.shape}, expected {(sizes[l + 1],)}")
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ValueError(f"layer {l} has non-finite entries")
+        n = _n_scalars(sizes)
+        if self.flat.shape != (n,):
+            raise ValueError(f"parameter vector has shape {self.flat.shape}, expected ({n},)")
+        if not np.isfinite(self.flat).all():
+            raise ValueError("parameter vector has non-finite entries")
+
+    @cached_property
+    def weights(self) -> tuple[np.ndarray, ...]:
+        return _layer_views(self.layer_sizes, self.flat)[0]
+
+    @cached_property
+    def biases(self) -> tuple[np.ndarray, ...]:
+        return _layer_views(self.layer_sizes, self.flat)[1]
 
     @property
     def input_dim(self) -> int:
@@ -99,46 +124,15 @@ class MlpParams:
         return self.layer_sizes[-1]
 
     def n_scalars(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
-
-@dataclass(frozen=True)
-class Gradients:
-    """Per-parameter gradients, shape-mirroring the MlpParams they came from."""
-
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
-
-    def scaled(self, factor: float) -> "Gradients":
-        return Gradients(
-            tuple(factor * w for w in self.weights),
-            tuple(factor * b for b in self.biases),
-        )
-
-    def plus(self, other: "Gradients") -> "Gradients":
-        return Gradients(
-            tuple(a + b for a, b in zip(self.weights, other.weights)),
-            tuple(a + b for a, b in zip(self.biases, other.biases)),
-        )
-
-    def max_abs(self) -> float:
-        parts = [np.max(np.abs(a)) if a.size else 0.0 for a in self.weights + self.biases]
-        return float(max(parts))
-
-
-def zero_gradients(params: MlpParams) -> Gradients:
-    return Gradients(
-        tuple(np.zeros_like(w) for w in params.weights),
-        tuple(np.zeros_like(b) for b in params.biases),
-    )
+        return self.flat.size
 
 
 @dataclass(frozen=True)
 class AdamState:
     """First/second moment accumulators plus the shared step counter."""
 
-    m: Gradients
-    v: Gradients
+    m: np.ndarray
+    v: np.ndarray
     t: int
     beta1: float
     beta2: float
@@ -155,7 +149,8 @@ class AdamState:
 
 def init_adam(params: MlpParams, beta1: float = 0.5, beta2: float = 0.999,
               epsilon: float = 1e-8) -> AdamState:
-    return AdamState(zero_gradients(params), zero_gradients(params), 0, beta1, beta2, epsilon)
+    return AdamState(np.zeros_like(params.flat), np.zeros_like(params.flat), 0,
+                     beta1, beta2, epsilon)
 
 
 def init_mlp(layer_sizes: list[int] | tuple[int, ...], hidden: Activation, head: Head,
@@ -167,15 +162,12 @@ def init_mlp(layer_sizes: list[int] | tuple[int, ...], hidden: Activation, head:
     draws. The draw order is part of the reproducibility contract.
     """
     sizes = tuple(int(s) for s in layer_sizes)
-    weights = []
-    biases = []
-    for l in range(len(sizes) - 1):
-        fan_in, fan_out = sizes[l], sizes[l + 1]
+    flat = np.zeros(_n_scalars(sizes))
+    for w in _layer_views(sizes, flat)[0]:
+        fan_out, fan_in = w.shape
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        u = rng.uniform(fan_out * fan_in).reshape(fan_out, fan_in)
-        weights.append((2.0 * u - 1.0) * bound)
-        biases.append(np.zeros(fan_out))
-    return MlpParams(sizes, tuple(weights), tuple(biases), hidden, head)
+        w[...] = ((2.0 * rng.uniform(w.size) - 1.0) * bound).reshape(w.shape)
+    return MlpParams(sizes, flat, hidden, head)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -259,14 +251,14 @@ def mlp_forward(params: MlpParams, inputs: np.ndarray) -> tuple[np.ndarray, Forw
 
 
 def mlp_backward(params: MlpParams, cache: ForwardCache,
-                 output_gradient: np.ndarray) -> tuple[Gradients, np.ndarray]:
+                 output_gradient: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Backpropagate an upstream gradient through the cached forward pass.
 
     For a Softmax head `output_gradient` must already be with respect to the
     pre-head logits; for Tanh and Identity heads it is with respect to the
     output itself. Batched caches take a (batch, output_dim) gradient and the
     per-sample contributions are summed, so any 1/batch averaging belongs in
-    the loss layer.
+    the loss layer. Returns the flat parameter gradient and the input gradient.
     """
     if cache.layer_sizes != params.layer_sizes:
         raise ValueError(
@@ -288,12 +280,12 @@ def mlp_backward(params: MlpParams, cache: ForwardCache,
         # Identity head, or Softmax with the Jacobian folded in upstream.
         delta = g
 
-    grad_w = [np.empty(0)] * len(params.weights)
-    grad_b = [np.empty(0)] * len(params.biases)
+    grad = np.empty_like(params.flat)
+    grad_w, grad_b = _layer_views(params.layer_sizes, grad)
     for l in range(last, -1, -1):
         below = cache.inputs if l == 0 else cache.activations[l - 1]
-        grad_w[l] = delta.T @ below
-        grad_b[l] = delta.sum(axis=0)
+        grad_w[l][...] = delta.T @ below
+        grad_b[l][...] = delta.sum(axis=0)
         delta = delta @ params.weights[l]
         if l > 0:
             z = cache.pre_activations[l - 1]
@@ -304,67 +296,29 @@ def mlp_backward(params: MlpParams, cache: ForwardCache,
                 delta = delta * (1.0 - np.tanh(z) ** 2)
 
     input_gradient = delta[0] if cache.single else delta
-    return Gradients(tuple(grad_w), tuple(grad_b)), input_gradient
+    return grad, input_gradient
 
 
-def adam_step(params: MlpParams, grads: Gradients, state: AdamState,
+def adam_step(params: MlpParams, grad: np.ndarray, state: AdamState,
               lr: float) -> tuple[MlpParams, AdamState]:
-    """One bias-corrected Adam update; returns new params and state."""
+    """One bias-corrected Adam update over the flat vector; returns new params and state."""
     if lr <= 0.0:
         raise ValueError(f"learning rate must be > 0, got {lr}")
-    if len(grads.weights) != len(params.weights):
-        raise ValueError("gradient layer count does not match params")
-    for gw, w in zip(grads.weights, params.weights):
-        if gw.shape != w.shape:
-            raise ValueError(f"gradient shape {gw.shape} does not match weights {w.shape}")
+    if grad.shape != params.flat.shape:
+        raise ValueError(
+            f"gradient shape {grad.shape} does not match parameters {params.flat.shape}"
+        )
 
     t = state.t + 1
     b1, b2, eps = state.beta1, state.beta2, state.epsilon
-    corr1 = 1.0 - b1 ** t
-    corr2 = 1.0 - b2 ** t
-
-    new_w, new_b, m_w, m_b, v_w, v_b = [], [], [], [], [], []
-    parts = (
-        (params.weights, grads.weights, state.m.weights, state.v.weights, new_w, m_w, v_w),
-        (params.biases, grads.biases, state.m.biases, state.v.biases, new_b, m_b, v_b),
-    )
-    for values, gs, ms, vs, out_vals, out_m, out_v in parts:
-        for p, g, m, v in zip(values, gs, ms, vs):
-            m1 = b1 * m + (1.0 - b1) * g
-            v1 = b2 * v + (1.0 - b2) * g * g
-            step = lr * (m1 / corr1) / (np.sqrt(v1 / corr2) + eps)
-            out_vals.append(p - step)
-            out_m.append(m1)
-            out_v.append(v1)
-
-    updated = MlpParams(params.layer_sizes, tuple(new_w), tuple(new_b),
-                        params.hidden, params.head)
-    new_state = AdamState(
-        Gradients(tuple(m_w), tuple(m_b)),
-        Gradients(tuple(v_w), tuple(v_b)),
-        t, b1, b2, eps,
-    )
-    return updated, new_state
+    m = b1 * state.m + (1.0 - b1) * grad
+    v = b2 * state.v + (1.0 - b2) * grad * grad
+    step = lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+    return replace(params, flat=params.flat - step), AdamState(m, v, t, b1, b2, eps)
 
 
-def _with_scalar(params: MlpParams, layer: int, kind: str, index: tuple[int, ...],
-                 value: float) -> MlpParams:
-    weights = list(params.weights)
-    biases = list(params.biases)
-    if kind == "w":
-        w = weights[layer].copy()
-        w[index] = value
-        weights[layer] = w
-    else:
-        b = biases[layer].copy()
-        b[index] = value
-        biases[layer] = b
-    return MlpParams(params.layer_sizes, tuple(weights), tuple(biases),
-                     params.hidden, params.head)
-
-
-def finite_difference_gradient(loss, params: MlpParams, step: float) -> Gradients:
-    """Central-difference gradient of ``loss(params)`` over every scalar.
+def finite_difference_gradient(loss, params: MlpParams, step: float) -> np.ndarray:
+    """Central-difference gradient of ``loss(params)`` over every scalar of `flat`.
 
     Test oracle only: O(n_scalars) loss evaluations. `loss` must be a
     deterministic function of the parameters.
@@ -372,25 +326,18 @@ def finite_difference_gradient(loss, params: MlpParams, step: float) -> Gradient
     if step <= 0.0:
         raise ValueError(f"step must be > 0, got {step}")
 
-    def probe(layer: int, kind: str, index: tuple[int, ...], base: float) -> float:
-        up = loss(_with_scalar(params, layer, kind, index, base + step))
-        down = loss(_with_scalar(params, layer, kind, index, base - step))
+    def loss_at(i: int, value: float) -> float:
+        flat = params.flat.copy()
+        flat[i] = value
+        return loss(replace(params, flat=flat))
+
+    grad = np.zeros_like(params.flat)
+    for i, base in enumerate(params.flat):
+        up, down = loss_at(i, base + step), loss_at(i, base - step)
         if not (np.isfinite(up) and np.isfinite(down)):
             raise NumericError("loss returned a non-finite value during probing")
-        return (up - down) / (2.0 * step)
-
-    grad_w = []
-    grad_b = []
-    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        gw = np.zeros_like(w)
-        for idx in np.ndindex(w.shape):
-            gw[idx] = probe(l, "w", idx, w[idx])
-        gb = np.zeros_like(b)
-        for idx in np.ndindex(b.shape):
-            gb[idx] = probe(l, "b", idx, b[idx])
-        grad_w.append(gw)
-        grad_b.append(gb)
-    return Gradients(tuple(grad_w), tuple(grad_b))
+        grad[i] = (up - down) / (2.0 * step)
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -441,19 +388,15 @@ def params_from_text(text: str) -> MlpParams:
         raise ValueError(
             f"expected {1 + 2 * n_layers} lines for {n_layers} layers, got {len(lines)}"
         )
-    weights = []
-    biases = []
-    for l in range(n_layers):
-        rows, cols = sizes[l + 1], sizes[l]
-        w_vals = np.array([float(tok) for tok in lines[1 + 2 * l].split()])
-        if w_vals.size != rows * cols:
-            raise ValueError(f"layer {l} expects {rows * cols} weights, got {w_vals.size}")
-        b_vals = np.array([float(tok) for tok in lines[2 + 2 * l].split()])
-        if b_vals.size != rows:
-            raise ValueError(f"layer {l} expects {rows} biases, got {b_vals.size}")
-        weights.append(w_vals.reshape(rows, cols))
-        biases.append(b_vals)
-    return MlpParams(sizes, tuple(weights), tuple(biases), hidden, head)
+    values = []
+    for i, line in enumerate(lines[1:]):
+        rows, cols = sizes[i // 2 + 1], sizes[i // 2]
+        kind, expected = ("biases", rows) if i % 2 else ("weights", rows * cols)
+        row = [float(tok) for tok in line.split()]
+        if len(row) != expected:
+            raise ValueError(f"layer {i // 2} expects {expected} {kind}, got {len(row)}")
+        values += row
+    return MlpParams(sizes, np.array(values), hidden, head)
 
 
 def write_params(params: MlpParams, path) -> None:

@@ -35,8 +35,6 @@ import numpy as np
 from .data import Dataset, sample_noise
 from .nets import (
     Activation,
-    AdamState,
-    Gradients,
     Head,
     MlpParams,
     NumericError,
@@ -155,7 +153,7 @@ def discriminator_loss_and_grads(
     beta_ood: float,
     beta_z: float,
     M: np.ndarray,
-) -> tuple[float, tuple[float, float, float], Gradients]:
+) -> tuple[float, tuple[float, float, float], np.ndarray]:
     """Full three-term loss and its gradient over the discriminator.
 
     ``loss = ce - beta_ood * mean_ood_score - beta_z * mean_gen_score``;
@@ -191,7 +189,7 @@ def discriminator_loss_and_grads(
     ood_scores, ood_logit_grads = _score_values_and_logit_grads(probs_ood, mat)
     mean_ood = float(ood_scores.mean())
     g_ood, _ = mlp_backward(D, cache_ood, (-beta_ood / n_ood) * ood_logit_grads)
-    grads = grads.plus(g_ood)
+    grads = grads + g_ood
 
     mean_gen = 0.0
     if gen_x.shape[0] > 0:
@@ -200,7 +198,7 @@ def discriminator_loss_and_grads(
         gen_scores, gen_logit_grads = _score_values_and_logit_grads(probs_gen, mat)
         mean_gen = float(gen_scores.mean())
         g_gen, _ = mlp_backward(D, cache_gen, (-beta_z / n_gen) * gen_logit_grads)
-        grads = grads.plus(g_gen)
+        grads = grads + g_gen
 
     loss = ce - beta_ood * mean_ood - beta_z * mean_gen
     if not np.isfinite(loss):
@@ -214,7 +212,7 @@ def generator_objective_and_grads(
     noise_batch: np.ndarray,
     beta_z: float,
     M: np.ndarray,
-) -> tuple[float, Gradients]:
+) -> tuple[float, np.ndarray]:
     """``beta_z * mean score(D(G(z)))`` and its gradient over the generator.
 
     The discriminator is treated as frozen; its input gradient chains the
@@ -321,7 +319,7 @@ def _train(config: TrainConfig, data: Dataset, rng: Rng | None,
             noise = sample_noise(config.noise_dim, config.batch_gen, rng)
             objective, g_grads = generator_objective_and_grads(D, G, noise, config.beta_z, M)
             # Ascent: feed Adam the negated gradient.
-            G, adam_g = adam_step(G, g_grads.scaled(-1.0), adam_g, config.lr_g)
+            G, adam_g = adam_step(G, -g_grads, adam_g, config.lr_g)
         records.append(IterationRecord(it, loss, ce, mean_ood, mean_gen, objective))
 
     return TrainHistory(tuple(records), D, G)

@@ -115,13 +115,13 @@ class TestTprAtTnr:
 
 class TestAccuracy:
     def test_confident_correct_point(self):
-        net = MlpParams((2, 3), (np.array([[5.0, 0.0], [0.0, 0.0], [-5.0, 0.0]]),),
-                        (np.zeros(3),), Activation.RELU, Head.SOFTMAX)
+        w = np.array([[5.0, 0.0], [0.0, 0.0], [-5.0, 0.0]])
+        net = MlpParams((2, 3), np.concatenate([w.ravel(), np.zeros(3)]),
+                        Activation.RELU, Head.SOFTMAX)
         assert classification_accuracy(net, [[1.0, 0.0]], [1]) == 1.0
 
     def test_uniform_net_breaks_ties_to_first_class(self):
-        net = MlpParams((2, 3), (np.zeros((3, 2)),), (np.zeros(3),),
-                        Activation.RELU, Head.SOFTMAX)
+        net = MlpParams((2, 3), np.zeros(9), Activation.RELU, Head.SOFTMAX)
         labels = np.array([1, 2, 3, 1])
         acc = classification_accuracy(net, np.zeros((4, 2)), labels)
         assert acc == np.mean(labels == 1)
@@ -155,8 +155,7 @@ class TestMad:
 
 
 def uniform_score_net(K=3):
-    return MlpParams((2, K), (np.zeros((K, 2)),), (np.zeros(K),),
-                     Activation.RELU, Head.SOFTMAX)
+    return MlpParams((2, K), np.zeros(3 * K), Activation.RELU, Head.SOFTMAX)
 
 
 class TestHeatmap:
@@ -173,8 +172,9 @@ class TestHeatmap:
 
     def test_resolution_one_samples_center(self):
         # Logit gap grows with x, so the score at the center is predictable.
-        net = MlpParams((2, 2), (np.array([[1.0, 0.0], [-1.0, 0.0]]),),
-                        (np.zeros(2),), Activation.RELU, Head.SOFTMAX)
+        w = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        net = MlpParams((2, 2), np.concatenate([w.ravel(), np.zeros(2)]),
+                        Activation.RELU, Head.SOFTMAX)
         grid = GridSpec(0.0, 2.0, -3.0, 5.0, 1)
         hm = score_heatmap(net, grid, binary_cost_matrix(2))
         from oodlab.nets import mlp_forward
@@ -186,8 +186,9 @@ class TestHeatmap:
 
     def test_orientation_rows_are_y_columns_are_x(self):
         # Score decreases as x grows (confidence rises with x), flat in y.
-        net = MlpParams((2, 2), (np.array([[1.0, 0.0], [-1.0, 0.0]]),),
-                        (np.zeros(2),), Activation.RELU, Head.SOFTMAX)
+        w = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        net = MlpParams((2, 2), np.concatenate([w.ravel(), np.zeros(2)]),
+                        Activation.RELU, Head.SOFTMAX)
         hm = score_heatmap(net, GridSpec(0, 4, 0, 4, 8), binary_cost_matrix(2))
         assert (np.diff(hm[0]) < 0).all()
         npt.assert_allclose(hm[:, 3], hm[0, 3], atol=1e-12)

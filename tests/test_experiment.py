@@ -205,12 +205,14 @@ class TestCli:
                      "--out", str(tmp_path / "o")]) == 2
         assert f"line {line}: unknown key 'bogus'" in capsys.readouterr().err
 
-    def test_oversized_ood_subsample_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["train", "evaluate", "replicate"])
+    def test_oversized_ood_subsample_is_config_error(self, tmp_path, capsys, command):
         cfg = tmp_path / "c.ini"
         write_tiny_config(cfg)
         cfg.write_text(cfg.read_text().replace("ood_subsample = 2", "ood_subsample = 5000"))
-        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "ood_subsample" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.ini"

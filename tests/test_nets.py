@@ -25,19 +25,17 @@ from oodlab.rng import Rng
 def linear_net(w, b, head=Head.IDENTITY, hidden=Activation.RELU):
     w = np.atleast_2d(np.asarray(w, dtype=float))
     b = np.asarray(b, dtype=float)
-    return MlpParams((w.shape[1], w.shape[0]), (w,), (b,), hidden, head)
+    return MlpParams((w.shape[1], w.shape[0]), np.concatenate([w.ravel(), b]), hidden, head)
 
 
 def relative_error(analytic, numeric):
     """Per-entry comparison: relative where the scale allows, absolute below it."""
     worst = 0.0
-    for a_arr, n_arr in zip(analytic.weights + analytic.biases,
-                            numeric.weights + numeric.biases):
-        for a, n in zip(a_arr.ravel(), n_arr.ravel()):
-            if abs(a) < 1e-8:
-                assert abs(n - a) < 1e-7
-            else:
-                worst = max(worst, abs(n - a) / abs(a))
+    for a, n in zip(analytic, numeric):
+        if abs(a) < 1e-8:
+            assert abs(n - a) < 1e-7
+        else:
+            worst = max(worst, abs(n - a) / abs(a))
     return worst
 
 
@@ -108,7 +106,7 @@ class TestBackward:
         net = init_mlp((2, 8, 3), Activation.RELU, Head.IDENTITY, Rng(1))
         out, cache = mlp_forward(net, [0.5, -0.2])
         grads, dx = mlp_backward(net, cache, np.zeros(3))
-        assert grads.max_abs() == 0.0
+        assert np.abs(grads).max() == 0.0
         npt.assert_array_equal(dx, [0.0, 0.0])
 
     def test_single_linear_layer(self):
@@ -117,7 +115,7 @@ class TestBackward:
         x = np.array([0.7, 1.1])
         _, cache = mlp_forward(net, x)
         grads, dx = mlp_backward(net, cache, np.array([1.0]))
-        npt.assert_allclose(grads.weights[0], x[None, :])
+        npt.assert_allclose(grads[:2], x)
         npt.assert_allclose(dx, w[0])
 
     @pytest.mark.parametrize("hidden", [Activation.RELU, Activation.TANH])
@@ -175,7 +173,7 @@ class TestAdam:
         # so the update is -0.1 / (1 + 1e-8).
         net = linear_net([[1.0]], [0.0])
         state = init_adam(net, beta1=0.5, beta2=0.999, epsilon=1e-8)
-        grads = type(state.m)((np.array([[1.0]]),), (np.array([0.0]),))
+        grads = np.array([1.0, 0.0])
         updated, new_state = adam_step(net, grads, state, 0.1)
         expected = 1.0 - 0.1 / (1.0 + 1e-8)
         npt.assert_allclose(updated.weights[0][0, 0], expected, rtol=1e-15)
@@ -185,7 +183,7 @@ class TestAdam:
     def test_moves_against_gradient_sign(self, g):
         net = linear_net([[0.7]], [0.0])
         state = init_adam(net)
-        grads = type(state.m)((np.array([[g]]),), (np.array([0.0]),))
+        grads = np.array([g, 0.0])
         updated, _ = adam_step(net, grads, state, 0.05)
         delta = updated.weights[0][0, 0] - 0.7
         assert np.sign(delta) == -np.sign(g)
@@ -199,13 +197,12 @@ class TestAdam:
         b_params, b_state = adam_step(net, grads, state, 0.01)
         for wa, wb in zip(a_params.weights, b_params.weights):
             npt.assert_array_equal(wa, wb)
-        for ma, mb in zip(a_state.m.weights, b_state.m.weights):
-            npt.assert_array_equal(ma, mb)
+        npt.assert_array_equal(a_state.m, b_state.m)
 
     def test_shape_mismatch_rejected(self):
         net = linear_net([[1.0]], [0.0])
         state = init_adam(net)
-        bad = type(state.m)((np.zeros((2, 2)),), (np.zeros(2),))
+        bad = np.zeros(6)
         with pytest.raises(ValueError):
             adam_step(net, bad, state, 0.1)
 
@@ -214,12 +211,12 @@ class TestFiniteDifferences:
     def test_constant_loss(self):
         net = init_mlp((2, 3, 2), Activation.RELU, Head.IDENTITY, Rng(0))
         grads = finite_difference_gradient(lambda p: 4.2, net, 1e-5)
-        assert grads.max_abs() == 0.0
+        assert np.abs(grads).max() == 0.0
 
     def test_quadratic_scalar(self):
         net = linear_net([[3.0]], [0.0])
         grads = finite_difference_gradient(lambda p: p.weights[0][0, 0] ** 2, net, 1e-5)
-        npt.assert_allclose(grads.weights[0][0, 0], 6.0, rtol=1e-9)
+        npt.assert_allclose(grads[0], 6.0, rtol=1e-9)
 
     def test_nonfinite_loss_rejected(self):
         net = linear_net([[1.0]], [0.0])
@@ -237,6 +234,34 @@ class TestTextFormat:
             for a, b in zip(net.weights + net.biases, restored.weights + restored.biases):
                 npt.assert_array_equal(a, b)
             assert params_to_text(restored) == params_to_text(net)
+
+    def test_flat_layout_is_text_order(self):
+        net = init_mlp((3, 7, 2), Activation.TANH, Head.SOFTMAX, Rng(6))
+        (w0, w1), (b0, b1) = net.weights, net.biases
+        npt.assert_array_equal(net.flat, np.concatenate([w0.ravel(), b0, w1.ravel(), b1]))
+        lines = params_to_text(net).splitlines()[1:]
+        npt.assert_array_equal(net.flat, [float(tok) for ln in lines for tok in ln.split()])
+
+    def test_views_share_memory_with_flat(self):
+        net = init_mlp((3, 7, 2), Activation.RELU, Head.SOFTMAX, Rng(7))
+        assert isinstance(net.weights, tuple) and isinstance(net.biases, tuple)
+        for part in net.weights + net.biases:
+            assert np.shares_memory(part, net.flat)
+
+    def test_round_trip_preserves_flat_bitwise(self):
+        net = init_mlp((2, 9, 4), Activation.RELU, Head.SOFTMAX, Rng(8))
+        restored = params_from_text(params_to_text(net))
+        assert restored.flat.dtype == np.float64
+        assert restored.flat.tobytes() == net.flat.tobytes()
+
+    def test_wrong_vector_length_rejected(self):
+        with pytest.raises(ValueError, match="parameter vector"):
+            MlpParams((2, 3), np.zeros(8), Activation.RELU, Head.SOFTMAX)
+
+    def test_nonfinite_weight_rejected(self):
+        text = "layers: 2 1; hidden: ReLU; head: Identity\n1 nan\n0.5\n"
+        with pytest.raises(ValueError, match="non-finite"):
+            params_from_text(text)
 
     def test_header_contents(self):
         net = init_mlp((2, 4, 3), Activation.RELU, Head.SOFTMAX, Rng(1))

@@ -193,8 +193,7 @@ class TestScoreBatch:
         assert out.shape == (0,)
 
     def test_zero_weight_net_scores_uniform(self):
-        net = MlpParams((2, 3), (np.zeros((3, 2)),), (np.zeros(3),),
-                        Activation.RELU, Head.SOFTMAX)
+        net = MlpParams((2, 3), np.zeros(9), Activation.RELU, Head.SOFTMAX)
         scores = score_batch(net, [[0.0, 0.0], [5.0, -2.0]], binary_cost_matrix(3))
         npt.assert_allclose(scores, 2 / 3, atol=1e-15)
 
