@@ -39,7 +39,8 @@ from .detection import (
 )
 from .nets import NumericError, fmt_float, write_params
 from .rng import Rng
-from .training import TrainHistory, train_see_ood, train_wood, write_history_csv
+from .training import (TrainHistory, check_architectures, train_see_ood, train_wood,
+                       write_history_csv)
 from .wasserstein import binary_cost_matrix, load_cost_matrix_csv, score_batch
 
 __all__ = [
@@ -107,12 +108,14 @@ def run_replication(config: ExperimentConfig, index: int) -> ReplicationResult:
     seed = config.train.seed + index
     rng = Rng(seed)
     data = _build_dataset(config, rng)
-    if config.method == "see_ood":
-        history = train_see_ood(config.train, data, rng)
-    else:
-        history = train_wood(config.train, data, rng)
-
+    # Config/data mismatches fail here, before any training.
     M = _evaluation_cost_matrix(config, data.K)
+    see_ood = config.method == "see_ood"
+    try:
+        check_architectures(config.train, data, with_generator=see_ood)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    history = (train_see_ood if see_ood else train_wood)(config.train, data, rng)
     D = history.discriminator
     ind_scores = score_batch(D, data.ind_test_x, M)
     ood_scores = score_batch(D, data.ood_test, M)

@@ -108,12 +108,16 @@ class MlpParams:
             raise ValueError("parameter vector has non-finite entries")
 
     @cached_property
-    def weights(self) -> tuple[np.ndarray, ...]:
-        return _layer_views(self.layer_sizes, self.flat)[0]
+    def _views(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        return _layer_views(self.layer_sizes, self.flat)
 
-    @cached_property
+    @property
+    def weights(self) -> tuple[np.ndarray, ...]:
+        return self._views[0]
+
+    @property
     def biases(self) -> tuple[np.ndarray, ...]:
-        return _layer_views(self.layer_sizes, self.flat)[1]
+        return self._views[1]
 
     @property
     def input_dim(self) -> int:
@@ -122,9 +126,6 @@ class MlpParams:
     @property
     def output_dim(self) -> int:
         return self.layer_sizes[-1]
-
-    def n_scalars(self) -> int:
-        return self.flat.size
 
 
 @dataclass(frozen=True)
@@ -250,15 +251,17 @@ def mlp_forward(params: MlpParams, inputs: np.ndarray) -> tuple[np.ndarray, Forw
     return out, cache
 
 
-def mlp_backward(params: MlpParams, cache: ForwardCache,
-                 output_gradient: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def mlp_backward(params: MlpParams, cache: ForwardCache, output_gradient: np.ndarray,
+                 param_grad: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
     """Backpropagate an upstream gradient through the cached forward pass.
 
     For a Softmax head `output_gradient` must already be with respect to the
     pre-head logits; for Tanh and Identity heads it is with respect to the
     output itself. Batched caches take a (batch, output_dim) gradient and the
     per-sample contributions are summed, so any 1/batch averaging belongs in
-    the loss layer. Returns the flat parameter gradient and the input gradient.
+    the loss layer. Returns the flat parameter gradient and the input gradient;
+    with ``param_grad=False`` the parameter gradient is skipped and returned as
+    None, for callers that only chain through a frozen network.
     """
     if cache.layer_sizes != params.layer_sizes:
         raise ValueError(
@@ -280,12 +283,15 @@ def mlp_backward(params: MlpParams, cache: ForwardCache,
         # Identity head, or Softmax with the Jacobian folded in upstream.
         delta = g
 
-    grad = np.empty_like(params.flat)
-    grad_w, grad_b = _layer_views(params.layer_sizes, grad)
+    grad = None
+    if param_grad:
+        grad = np.empty_like(params.flat)
+        grad_w, grad_b = _layer_views(params.layer_sizes, grad)
     for l in range(last, -1, -1):
-        below = cache.inputs if l == 0 else cache.activations[l - 1]
-        grad_w[l][...] = delta.T @ below
-        grad_b[l][...] = delta.sum(axis=0)
+        if grad is not None:
+            below = cache.inputs if l == 0 else cache.activations[l - 1]
+            grad_w[l][...] = delta.T @ below
+            grad_b[l][...] = delta.sum(axis=0)
         delta = delta @ params.weights[l]
         if l > 0:
             z = cache.pre_activations[l - 1]

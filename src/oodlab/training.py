@@ -18,6 +18,12 @@ runs it without a generator, as the paper's baseline is SEE-OoD minus the
 generator: an empty generated batch, beta_z = 0, and one discriminator step
 per iteration whatever n_d says.
 
+A discriminator step is one forward and one backward pass over the stacked
+``[InD; observed OoD; generated]`` batch; a generator step backpropagates
+through the frozen discriminator for its input gradient only. The loop checks
+architectures and labels once per run, then calls the unchecked step kernels
+behind `discriminator_loss_and_grads` and `generator_objective_and_grads`.
+
 Minibatches are drawn uniformly with replacement from each pool, with the
 OoD batch size clamped to the pool size. Runs are deterministic functions of
 (config, data, seed): the discriminator is initialized first, then the
@@ -55,6 +61,7 @@ __all__ = [
     "TrainHistory",
     "discriminator_loss_and_grads",
     "generator_objective_and_grads",
+    "check_architectures",
     "train_see_ood",
     "train_wood",
     "sample_generator",
@@ -144,16 +151,39 @@ def _score_values_and_logit_grads(probs: np.ndarray,
     return scores, probs * (g - inner)
 
 
-def discriminator_loss_and_grads(
-    D: MlpParams,
-    ind_x: np.ndarray,
-    ind_y: np.ndarray,
-    ood_x: np.ndarray,
-    gen_x: np.ndarray,
-    beta_ood: float,
-    beta_z: float,
-    M: np.ndarray,
-) -> tuple[float, tuple[float, float, float], np.ndarray]:
+def _discriminator_step(D: MlpParams, ind_x: np.ndarray, targets: np.ndarray,
+                        ood_x: np.ndarray, gen_x: np.ndarray, beta_ood: float, beta_z: float,
+                        M: np.ndarray) -> tuple[float, tuple[float, float, float], np.ndarray]:
+    """Unchecked kernel of `discriminator_loss_and_grads`; `targets` is one-hot.
+
+    One forward and one backward pass over the stacked ``[ind; ood; gen]``
+    batch, with each block's loss weight folded into its rows of the upstream
+    logit gradient.
+    """
+    n_ind, n_ood, n_gen = ind_x.shape[0], ood_x.shape[0], gen_x.shape[0]
+    probs, cache = mlp_forward(D, np.concatenate([ind_x, ood_x, gen_x]))
+    ce = float(-np.sum(log_softmax(cache.pre_activations[-1][:n_ind]) * targets) / n_ind)
+    scores, g = _score_values_and_logit_grads(probs[n_ind:], M)
+    mean_ood = float(scores[:n_ood].mean())
+    mean_gen = float(scores[n_ood:].mean()) if n_gen else 0.0
+
+    up = np.empty_like(probs)
+    up[:n_ind] = (probs[:n_ind] - targets) / n_ind
+    up[n_ind:n_ind + n_ood] = (-beta_ood / n_ood) * g[:n_ood]
+    if n_gen:
+        up[n_ind + n_ood:] = (-beta_z / n_gen) * g[n_ood:]
+    grads, _ = mlp_backward(D, cache, up)
+
+    loss = ce - beta_ood * mean_ood - beta_z * mean_gen
+    if not np.isfinite(loss):
+        raise NumericError(f"discriminator loss is not finite: {loss}")
+    return loss, (ce, mean_ood, mean_gen), grads
+
+
+def discriminator_loss_and_grads(D: MlpParams, ind_x: np.ndarray, ind_y: np.ndarray,
+                                 ood_x: np.ndarray, gen_x: np.ndarray, beta_ood: float,
+                                 beta_z: float, M: np.ndarray
+                                 ) -> tuple[float, tuple[float, float, float], np.ndarray]:
     """Full three-term loss and its gradient over the discriminator.
 
     ``loss = ce - beta_ood * mean_ood_score - beta_z * mean_gen_score``;
@@ -167,43 +197,30 @@ def discriminator_loss_and_grads(
     if D.head is not Head.SOFTMAX:
         raise ValueError("the discriminator needs a Softmax head")
     ind_x = np.asarray(ind_x, dtype=float)
-    ind_y = np.asarray(ind_y)
     if ind_x.ndim != 2 or ind_x.shape[0] == 0:
         raise ValueError("the labeled batch must be a nonempty (n, d) array")
     ood_x = np.asarray(ood_x, dtype=float)
     if ood_x.ndim != 2 or ood_x.shape[0] == 0:
         raise ValueError("the observed OoD batch must be a nonempty (n, d) array")
     gen_x = np.asarray(gen_x, dtype=float)
+    targets = _one_hot(np.asarray(ind_y), D.output_dim)
+    return _discriminator_step(D, ind_x, targets, ood_x, gen_x, beta_ood, beta_z, mat)
 
-    K = D.output_dim
-    targets = _one_hot(ind_y, K)
 
-    probs_ind, cache_ind = mlp_forward(D, ind_x)
-    n_ind = ind_x.shape[0]
-    logits_ind = cache_ind.pre_activations[-1]
-    ce = float(-np.sum(log_softmax(logits_ind) * targets) / n_ind)
-    grads, _ = mlp_backward(D, cache_ind, (probs_ind - targets) / n_ind)
+def _generator_step(D: MlpParams, G: MlpParams, noise: np.ndarray, beta_z: float,
+                    M: np.ndarray) -> tuple[float, np.ndarray]:
+    """Unchecked kernel of `generator_objective_and_grads`."""
+    fake, cache_g = mlp_forward(G, noise)
+    probs, cache_d = mlp_forward(D, fake)
+    scores, logit_grads = _score_values_and_logit_grads(probs, M)
+    objective = float(beta_z * scores.mean())
+    if not np.isfinite(objective):
+        raise NumericError(f"generator objective is not finite: {objective}")
 
-    probs_ood, cache_ood = mlp_forward(D, ood_x)
-    n_ood = ood_x.shape[0]
-    ood_scores, ood_logit_grads = _score_values_and_logit_grads(probs_ood, mat)
-    mean_ood = float(ood_scores.mean())
-    g_ood, _ = mlp_backward(D, cache_ood, (-beta_ood / n_ood) * ood_logit_grads)
-    grads = grads + g_ood
-
-    mean_gen = 0.0
-    if gen_x.shape[0] > 0:
-        probs_gen, cache_gen = mlp_forward(D, gen_x)
-        n_gen = gen_x.shape[0]
-        gen_scores, gen_logit_grads = _score_values_and_logit_grads(probs_gen, mat)
-        mean_gen = float(gen_scores.mean())
-        g_gen, _ = mlp_backward(D, cache_gen, (-beta_z / n_gen) * gen_logit_grads)
-        grads = grads + g_gen
-
-    loss = ce - beta_ood * mean_ood - beta_z * mean_gen
-    if not np.isfinite(loss):
-        raise NumericError(f"discriminator loss is not finite: {loss}")
-    return loss, (ce, mean_ood, mean_gen), grads
+    _, d_fake = mlp_backward(D, cache_d, (beta_z / noise.shape[0]) * logit_grads,
+                             param_grad=False)
+    grads, _ = mlp_backward(G, cache_g, d_fake)
+    return objective, grads
 
 
 def generator_objective_and_grads(
@@ -230,21 +247,11 @@ def generator_objective_and_grads(
         )
     if D.head is not Head.SOFTMAX:
         raise ValueError("the discriminator needs a Softmax head")
-
-    fake, cache_g = mlp_forward(G, noise)
-    probs, cache_d = mlp_forward(D, fake)
-    n = noise.shape[0]
-    scores, logit_grads = _score_values_and_logit_grads(probs, mat)
-    objective = float(beta_z * scores.mean())
-    if not np.isfinite(objective):
-        raise NumericError(f"generator objective is not finite: {objective}")
-
-    _, d_fake = mlp_backward(D, cache_d, (beta_z / n) * logit_grads)
-    grads, _ = mlp_backward(G, cache_g, d_fake)
-    return objective, grads
+    return _generator_step(D, G, noise, beta_z, mat)
 
 
-def _check_architectures(config: TrainConfig, data: Dataset, with_generator: bool) -> None:
+def check_architectures(config: TrainConfig, data: Dataset, with_generator: bool) -> None:
+    """Raise ValueError unless the configured layer sizes fit the data and noise."""
     if config.discriminator_arch[0] != data.d:
         raise ValueError(
             f"discriminator input dimension {config.discriminator_arch[0]} "
@@ -275,7 +282,7 @@ def _train(config: TrainConfig, data: Dataset, rng: Rng | None,
         raise ValueError("training requires at least one observed OoD sample")
     if rng is None:
         rng = Rng(config.seed)
-    _check_architectures(config, data, with_generator)
+    check_architectures(config, data, with_generator)
 
     M = binary_cost_matrix(data.K)
     D = init_mlp(config.discriminator_arch, Activation.RELU, Head.SOFTMAX, rng)
@@ -285,6 +292,7 @@ def _train(config: TrainConfig, data: Dataset, rng: Rng | None,
         G = init_mlp(config.generator_arch, Activation.RELU, Head.IDENTITY, rng)
         adam_g = init_adam(G, config.adam_beta1, config.adam_beta2, config.adam_epsilon)
 
+    targets = _one_hot(data.ind_train_y, data.K)
     n_ind = data.ind_train_x.shape[0]
     n_ood_pool = data.ood_train.shape[0]
     b_ood = config.effective_batch_ood(n_ood_pool)
@@ -300,16 +308,9 @@ def _train(config: TrainConfig, data: Dataset, rng: Rng | None,
             if with_generator:
                 noise = sample_noise(config.noise_dim, config.batch_gen, rng)
                 gen_x, _ = mlp_forward(G, noise)
-            loss, (ce, mean_ood, mean_gen), grads = discriminator_loss_and_grads(
-                D,
-                data.ind_train_x[ind_idx],
-                data.ind_train_y[ind_idx],
-                data.ood_train[ood_idx],
-                gen_x,
-                config.beta_ood,
-                beta_z,
-                M,
-            )
+            loss, (ce, mean_ood, mean_gen), grads = _discriminator_step(
+                D, data.ind_train_x[ind_idx], targets[ind_idx], data.ood_train[ood_idx],
+                gen_x, config.beta_ood, beta_z, M)
             D, adam_d = adam_step(D, grads, adam_d, config.lr_d)
 
         if not with_generator:
@@ -317,7 +318,7 @@ def _train(config: TrainConfig, data: Dataset, rng: Rng | None,
             continue
         for _ in range(config.n_g):
             noise = sample_noise(config.noise_dim, config.batch_gen, rng)
-            objective, g_grads = generator_objective_and_grads(D, G, noise, config.beta_z, M)
+            objective, g_grads = _generator_step(D, G, noise, config.beta_z, M)
             # Ascent: feed Adam the negated gradient.
             G, adam_g = adam_step(G, -g_grads, adam_g, config.lr_g)
         records.append(IterationRecord(it, loss, ce, mean_ood, mean_gen, objective))

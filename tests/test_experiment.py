@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+import oodlab.experiment as experiment
 from oodlab.cli import main
 from oodlab.config import ExperimentConfig, parse_config
 from oodlab.detection import GridSpec
@@ -212,6 +213,29 @@ class TestCli:
         cfg.write_text(cfg.read_text().replace("ood_subsample = 2", "ood_subsample = 5000"))
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "ood_subsample" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_wrong_size_cost_matrix_fails_before_training(self, tmp_path, capsys,
+                                                           monkeypatch):
+        trained = []
+        monkeypatch.setattr(experiment, "train_see_ood", lambda *a: trained.append(a))
+        (tmp_path / "m.csv").write_text("\n".join(["0,1,1,1", "1,0,1,1",
+                                                   "1,1,0,1", "1,1,1,0"]) + "\n")
+        cfg = tmp_path / "c.ini"
+        write_tiny_config(cfg, extra=f"[data]\ncost_matrix = {tmp_path / 'm.csv'}\n")
+        assert main(["replicate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "cost matrix is 4x4 but data has 3 classes" in capsys.readouterr().err
+        assert trained == []
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["train", "replicate"])
+    def test_architecture_mismatch_is_config_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "c.ini"
+        write_tiny_config(cfg)
+        cfg.write_text(cfg.read_text().replace(
+            "[train]\n", "[train]\ndiscriminator_arch = 2 128 4\n"))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "does not match class count 3" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_config_error_exit_code(self, tmp_path):

@@ -133,6 +133,17 @@ class TestBackward:
         numeric = finite_difference_gradient(scalar_loss, net, 1e-5)
         assert relative_error(analytic, numeric) < 1e-4
 
+    @pytest.mark.parametrize("hidden", [Activation.RELU, Activation.TANH])
+    @pytest.mark.parametrize("head", [Head.SOFTMAX, Head.TANH])
+    def test_input_only_matches_full_backward_bitwise(self, hidden, head):
+        rng = Rng(23)
+        net = init_mlp((2, 128, 3), hidden, head, rng)
+        _, cache = mlp_forward(net, rng.standard_normal(128).reshape(64, 2))
+        upstream = rng.standard_normal(192).reshape(64, 3)
+        grads, dx = mlp_backward(net, cache, upstream, param_grad=False)
+        assert grads is None
+        npt.assert_array_equal(dx, mlp_backward(net, cache, upstream)[1])
+
     def test_mismatched_cache_rejected(self):
         net_a = init_mlp((2, 8, 3), Activation.RELU, Head.IDENTITY, Rng(1))
         net_b = init_mlp((2, 6, 3), Activation.RELU, Head.IDENTITY, Rng(2))

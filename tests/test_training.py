@@ -15,6 +15,8 @@ from oodlab.nets import (
     MlpParams,
     finite_difference_gradient,
     init_mlp,
+    log_softmax,
+    mlp_backward,
     mlp_forward,
     params_to_text,
 )
@@ -130,8 +132,56 @@ class TestDiscriminatorLoss:
         _assert_gradients_close(grads, numeric, rtol=1e-4)
 
 
+def three_pass_loss_and_grads(D, ind_x, ind_y, ood_x, gen_x, beta_ood, beta_z, M):
+    """Reference discriminator loss: one forward and backward pass per batch."""
+    targets = np.eye(D.output_dim)[np.asarray(ind_y) - 1]
+    probs_ind, cache_ind = mlp_forward(D, ind_x)
+    n_ind = ind_x.shape[0]
+    ce = float(-np.sum(log_softmax(cache_ind.pre_activations[-1]) * targets) / n_ind)
+    grads, _ = mlp_backward(D, cache_ind, (probs_ind - targets) / n_ind)
+
+    probs_ood, cache_ood = mlp_forward(D, ood_x)
+    n_ood = ood_x.shape[0]
+    ood_scores, ood_logit_grads = training._score_values_and_logit_grads(probs_ood, M)
+    mean_ood = float(ood_scores.mean())
+    g_ood, _ = mlp_backward(D, cache_ood, (-beta_ood / n_ood) * ood_logit_grads)
+    grads = grads + g_ood
+
+    mean_gen = 0.0
+    if gen_x.shape[0] > 0:
+        probs_gen, cache_gen = mlp_forward(D, gen_x)
+        n_gen = gen_x.shape[0]
+        gen_scores, gen_logit_grads = training._score_values_and_logit_grads(probs_gen, M)
+        mean_gen = float(gen_scores.mean())
+        g_gen, _ = mlp_backward(D, cache_gen, (-beta_z / n_gen) * gen_logit_grads)
+        grads = grads + g_gen
+
+    loss = ce - beta_ood * mean_ood - beta_z * mean_gen
+    return loss, (ce, mean_ood, mean_gen), grads
+
+
+class TestStackedDiscriminatorStep:
+    @pytest.mark.parametrize("n_ood", [1, 2, 32])
+    @pytest.mark.parametrize("n_gen", [0, 5, 64])
+    def test_matches_three_pass_reference(self, n_ood, n_gen):
+        M = binary_cost_matrix(3)
+        ind_x, ind_y, ood_x, gen_x = tiny_batches(
+            100 * n_ood + n_gen, n_ind=64, n_ood=n_ood, n_gen=n_gen)
+        # Off-center inputs and nonzero biases, so ReLUs are mixed and no row is uniform.
+        D = init_mlp((2, 128, 3), Activation.RELU, Head.SOFTMAX, Rng(n_ood + n_gen))
+        D = replace(D, flat=D.flat + 0.1 * Rng(7).standard_normal(D.flat.size))
+        for beta_ood, beta_z in ((1.0, 0.001), (0.3, 2.0)):
+            args = (D, 3.0 * ind_x, ind_y, 3.0 * ood_x, 3.0 * gen_x, beta_ood, beta_z, M)
+            loss, parts, grads = discriminator_loss_and_grads(*args)
+            ref_loss, ref_parts, ref_grads = three_pass_loss_and_grads(*args)
+            for value, ref in zip((loss, *parts), (ref_loss, *ref_parts)):
+                assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
+            scale = np.abs(ref_grads).max()
+            assert scale > 0.0
+            assert np.abs(grads - ref_grads).max() <= 1e-12 * scale
+
+
 def _ce_value(params, ind_x, ind_y):
-    from oodlab.nets import log_softmax
     out, cache = mlp_forward(params, ind_x)
     logits = cache.pre_activations[-1]
     targets = np.eye(params.output_dim)[np.asarray(ind_y) - 1]
@@ -229,13 +279,13 @@ class TestTrainSeeOod:
 
     def test_oversized_ood_batch_clamped(self, monkeypatch):
         seen = []
-        original = training.discriminator_loss_and_grads
+        original = training._discriminator_step
 
-        def spy(D, ind_x, ind_y, ood_x, gen_x, beta_ood, beta_z, M):
+        def spy(D, ind_x, targets, ood_x, gen_x, beta_ood, beta_z, M):
             seen.append(ood_x.shape[0])
-            return original(D, ind_x, ind_y, ood_x, gen_x, beta_ood, beta_z, M)
+            return original(D, ind_x, targets, ood_x, gen_x, beta_ood, beta_z, M)
 
-        monkeypatch.setattr(training, "discriminator_loss_and_grads", spy)
+        monkeypatch.setattr(training, "_discriminator_step", spy)
         cfg = quick_config(iterations=5, batch_ood=32)
         train_see_ood(cfg, small_dataset(n_ood=2), Rng(0))
         assert seen and all(size == 2 for size in seen)
