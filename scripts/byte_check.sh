@@ -6,9 +6,11 @@
 # PARENT and CHANGE are source checkouts (each with src/oodlab). Each runs in
 # its own fresh directory under $TMPDIR with one BLAS thread: `replicate` on
 # the three full presets; `train`, `evaluate` and `heatmap` on setting2 with
-# 200 iterations; `gen-data --seed 7`; and two `compare` runs. Then `diff -r`
-# compares every output file and the collected stdout. Exit status 0 means
-# no difference. Takes a few minutes per checkout.
+# 200 iterations; `gen-data --seed 7`; `replicate --config full.ini`, a short
+# see_ood run on that CSV with a written 3x3 cost matrix and every [data] key
+# set; and two `compare` runs. Then `diff -r` compares every output file and
+# the collected stdout. Exit status 0 means no difference. Takes a few
+# minutes per checkout.
 set -euo pipefail
 [ $# -eq 2 ] || { echo "usage: $0 PARENT CHANGE" >&2; exit 2; }
 export OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1
@@ -25,6 +27,13 @@ run() {  # run CHECKOUT OUTDIR
         oodlab "$c" --preset setting2 --config it200.ini --out "$c"
     done
     oodlab gen-data --seed 7 --out gen-data
+    printf '0,1,2\n1,0,1\n2,1,0\n' > cost.csv
+    printf '%s\n' '[method]' 'method = see_ood' \
+        '[train]' 'iterations = 50' 'lr_d = 0.01' \
+        '[data]' 'source = csv' 'path = gen-data/dataset.csv' 'cost_matrix = cost.csv' \
+        'ood_subsample = 3' \
+        '[eval]' 'replications = 1' 'grid_resolution = 20' > full.ini
+    oodlab replicate --config full.ini --out full
     oodlab compare --a setting1 --b wood2d --tnr 0.95 --out compare1
     oodlab compare --a setting2 --b wood2d --tnr 0.99 --out compare2
 }

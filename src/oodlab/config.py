@@ -2,7 +2,9 @@
 
 A config file has four sections; every key is optional except
 ``[method] method`` (a preset supplies it too). Unknown sections or keys are
-rejected with the offending name and line number.
+rejected with the offending name and line number. Every value is checked
+when the file is parsed: a bad value is a configuration error (exit 2) that
+names its key or section, and its line if the value does not parse.
 
     [method]
     method = see_ood | wood
@@ -17,8 +19,8 @@ rejected with the offending name and line number.
     [data]
     source = builtin | csv
     path = <dataset csv, required for source=csv>
-    ood_subsample = <keep this many OoD training points>
     cost_matrix = <cost matrix csv; evaluation defaults to the binary matrix>
+    ood_subsample = <keep this many OoD training points>
 
     [eval]
     tnr_targets = 0.95 0.99
@@ -26,6 +28,9 @@ rejected with the offending name and line number.
     grid_x_min = -1   grid_x_max = 8   grid_y_min = -1   grid_y_max = 8
     grid_resolution = 200
     output_dir = out
+
+Checks that need the data (the OoD pool left by ``ood_subsample``, the cost
+matrix file, layer sizes against the data) also exit 2, before any training.
 
 Presets pin the 2-D benchmark runs: `setting1` is the discriminator-heavy
 adversarial run (beta_ood 1, beta_z 0.001, n_d 2, n_g 1, both learning rates
@@ -38,7 +43,7 @@ training points and 3 replications.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import get_type_hints
+from typing import Literal, get_args, get_type_hints
 
 from .detection import GridSpec
 from .nets import fmt_float
@@ -53,7 +58,10 @@ __all__ = [
     "serialize_config",
 ]
 
-METHODS = ("see_ood", "wood")
+Method = Literal["see_ood", "wood"]
+Source = Literal["builtin", "csv"]
+METHODS = get_args(Method)
+SOURCES = get_args(Source)
 
 
 class ConfigError(ValueError):
@@ -62,9 +70,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    method: str = "see_ood"
+    method: Method = "see_ood"
     train: TrainConfig = field(default_factory=TrainConfig)
-    data_source: str = "builtin"
+    data_source: Source = "builtin"
     data_path: str | None = None
     cost_matrix_path: str | None = None
     ood_subsample: int | None = None
@@ -76,7 +84,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.data_source not in ("builtin", "csv"):
+        if self.data_source not in SOURCES:
             raise ConfigError(f"data source must be builtin or csv, got {self.data_source!r}")
         if self.data_source == "csv" and not self.data_path:
             raise ConfigError("data source csv requires a path")
@@ -95,24 +103,13 @@ class ExperimentConfig:
 # steps for >=99% accuracy and a settled threshold, not so many that the
 # 95%-TNR cutoff degenerates to the noise floor. The baseline's 10x larger
 # learning rate is why its budget is smallest.
-def _setting1_train() -> TrainConfig:
-    return TrainConfig(beta_ood=1.0, beta_z=0.001, n_d=2, n_g=1, lr_d=1e-4, lr_g=1e-4,
-                       iterations=5000)
-
-
-def _setting2_train() -> TrainConfig:
-    return TrainConfig(beta_ood=1.0, beta_z=100.0, n_d=1, n_g=3, lr_d=1e-4, lr_g=1e-3,
-                       iterations=13000)
-
-
-def _wood2d_train() -> TrainConfig:
-    return TrainConfig(beta_ood=1.0, lr_d=1e-3, iterations=400)
-
-
 PRESETS = {
-    "setting1": ExperimentConfig(method="see_ood", train=_setting1_train(), ood_subsample=2),
-    "setting2": ExperimentConfig(method="see_ood", train=_setting2_train(), ood_subsample=2),
-    "wood2d": ExperimentConfig(method="wood", train=_wood2d_train(), ood_subsample=2),
+    "setting1": ExperimentConfig(method="see_ood", ood_subsample=2, train=TrainConfig(
+        beta_ood=1.0, beta_z=0.001, n_d=2, n_g=1, lr_d=1e-4, lr_g=1e-4, iterations=5000)),
+    "setting2": ExperimentConfig(method="see_ood", ood_subsample=2, train=TrainConfig(
+        beta_ood=1.0, beta_z=100.0, n_d=1, n_g=3, lr_d=1e-4, lr_g=1e-3, iterations=13000)),
+    "wood2d": ExperimentConfig(method="wood", ood_subsample=2, train=TrainConfig(
+        beta_ood=1.0, lr_d=1e-3, iterations=400)),
 }
 
 
@@ -123,48 +120,66 @@ def preset_config(name: str) -> ExperimentConfig:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}") from None
 
 
-def _int_tuple(value: str) -> tuple[int, ...]:
-    parts = value.replace(",", " ").split()
-    if not parts:
-        raise ValueError("empty list")
-    return tuple(int(p) for p in parts)
+def _tuple_of(kind):
+    def parse(value: str) -> tuple:
+        parts = value.replace(",", " ").split()
+        if not parts:
+            raise ValueError("empty list")
+        return tuple(kind(p) for p in parts)
+    return parse
 
 
-def _float_tuple(value: str) -> tuple[float, ...]:
-    parts = value.replace(",", " ").split()
-    if not parts:
-        raise ValueError("empty list")
-    return tuple(float(p) for p in parts)
+def _choice(literal):
+    def parse(value: str) -> str:
+        if value not in get_args(literal):
+            raise ValueError(f"choose from {', '.join(get_args(literal))}")
+        return value
+    return parse
 
 
-# Parser and formatter for each field type of TrainConfig and GridSpec.
+# Parser and formatter for each field type. An optional field parses as its
+# non-None type; a None value is left out of the written file.
 _FIELD_KINDS = {
     float: (float, fmt_float),
     int: (int, str),
-    tuple[int, ...]: (_int_tuple, lambda value: " ".join(str(s) for s in value)),
+    int | None: (int, str),
+    str: (str, str),
+    str | None: (str, str),
+    Method: (_choice(Method), str),
+    Source: (_choice(Source), str),
+    tuple[int, ...]: (_tuple_of(int), lambda values: " ".join(map(str, values))),
+    tuple[float, ...]: (_tuple_of(float), lambda values: " ".join(map(fmt_float, values))),
 }
 
 
-def _field_keys(cls, prefix: str = "") -> dict[str, tuple[str, object, object]]:
-    """Config key -> (field name, parser, formatter), in the dataclass's field order."""
+def _keys(cls, owner: str | None, names: dict[str, str] | None = None,
+          prefix: str = "") -> dict[str, tuple]:
+    """Key -> (owner, field, parser, formatter) for `names` (key -> field) or every field."""
     hints = get_type_hints(cls)
-    return {prefix + f.name: (f.name, *_FIELD_KINDS[hints[f.name]]) for f in fields(cls)}
+    names = names or {prefix + f.name: f.name for f in fields(cls)}
+    return {key: (owner, name, *_FIELD_KINDS[hints[name]]) for key, name in names.items()}
 
 
-_TRAIN_KEYS = _field_keys(TrainConfig)
-_GRID_KEYS = _field_keys(GridSpec, "grid_")
-
-_SECTION_KEYS = {
-    "method": ("method", "preset"),
-    "train": tuple(_TRAIN_KEYS),
-    "data": ("source", "path", "ood_subsample", "cost_matrix"),
-    "eval": ("tnr_targets", "replications", *_GRID_KEYS, "output_dir"),
+# Section -> key -> (owner, field, parser, formatter), in written order.
+# ``[method] preset`` is the one key outside it: it selects the base config.
+_KEYS = {
+    "method": _keys(ExperimentConfig, None, {"method": "method"}),
+    "train": _keys(TrainConfig, "train"),
+    "data": _keys(ExperimentConfig, None, {"source": "data_source", "path": "data_path",
+                                           "cost_matrix": "cost_matrix_path",
+                                           "ood_subsample": "ood_subsample"}),
+    "eval": {
+        **_keys(ExperimentConfig, None, {"tnr_targets": "tnr_targets",
+                                         "replications": "replications"}),
+        **_keys(GridSpec, "grid", prefix="grid_"),
+        **_keys(ExperimentConfig, None, {"output_dir": "output_dir"}),
+    },
 }
 
 
 def _scan(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     """Raw section/key/value table with line numbers; structural errors only."""
-    table: dict[str, dict[str, tuple[str, int]]] = {name: {} for name in _SECTION_KEYS}
+    table: dict[str, dict[str, tuple[str, int]]] = {name: {} for name in _KEYS}
     section = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -172,7 +187,7 @@ def _scan(text: str) -> dict[str, dict[str, tuple[str, int]]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SECTION_KEYS:
+            if section not in _KEYS:
                 raise ConfigError(f"line {line_no}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -180,21 +195,12 @@ def _scan(text: str) -> dict[str, dict[str, tuple[str, int]]]:
         if section is None:
             raise ConfigError(f"line {line_no}: key outside any section")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _SECTION_KEYS[section]:
+        if key not in _KEYS[section] and (section, key) != ("method", "preset"):
             raise ConfigError(f"line {line_no}: unknown key {key!r} in section [{section}]")
         if key in table[section]:
             raise ConfigError(f"line {line_no}: duplicate key {key!r}")
         table[section][key] = (value, line_no)
     return table
-
-
-def _convert(kind, key: str, value: str, line_no: int):
-    try:
-        return kind(value)
-    except ValueError:
-        raise ConfigError(
-            f"line {line_no}: invalid value {value!r} for key {key!r}"
-        ) from None
 
 
 def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
@@ -207,7 +213,7 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
     table = _scan(text)
 
     if "preset" in table["method"]:
-        name, line_no = table["method"]["preset"]
+        name, line_no = table["method"].pop("preset")
         try:
             base = preset_config(name)
         except ConfigError as exc:
@@ -217,87 +223,31 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
             raise ConfigError("missing required key 'method' in section [method]")
         base = ExperimentConfig()
 
-    if "method" in table["method"]:
-        value, line_no = table["method"]["method"]
-        if value not in METHODS:
-            raise ConfigError(f"line {line_no}: method must be one of {METHODS}, got {value!r}")
-        base = replace(base, method=value)
-
-    train_updates = {}
-    for key, (value, line_no) in table["train"].items():
-        name, parse, _ = _TRAIN_KEYS[key]
-        train_updates[name] = _convert(parse, key, value, line_no)
-    if train_updates:
-        try:
-            base = replace(base, train=replace(base.train, **train_updates))
-        except ValueError as exc:
-            raise ConfigError(f"section [train]: {exc}") from None
-
-    data_updates = {}
-    for key, (value, line_no) in table["data"].items():
-        if key == "source":
-            data_updates["data_source"] = value
-        elif key == "path":
-            data_updates["data_path"] = value
-        elif key == "cost_matrix":
-            data_updates["cost_matrix_path"] = value
-        else:
-            data_updates["ood_subsample"] = _convert(int, key, value, line_no)
-
-    eval_updates = {}
-    grid_updates = {}
-    for key, (value, line_no) in table["eval"].items():
-        if key == "tnr_targets":
-            eval_updates["tnr_targets"] = _convert(_float_tuple, key, value, line_no)
-        elif key == "replications":
-            eval_updates["replications"] = _convert(int, key, value, line_no)
-        elif key == "output_dir":
-            eval_updates["output_dir"] = value
-        else:
-            name, parse, _ = _GRID_KEYS[key]
-            grid_updates[name] = _convert(parse, key, value, line_no)
-    if grid_updates:
-        try:
-            eval_updates["grid"] = replace(base.grid, **grid_updates)
-        except ValueError as exc:
-            raise ConfigError(f"section [eval]: {exc}") from None
-
-    try:
-        return replace(base, **data_updates, **eval_updates)
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from None
-
-
-def _field_lines(obj, keys) -> list[str]:
-    return [f"{key} = {fmt(getattr(obj, name))}" for key, (name, _, fmt) in keys.items()]
+    updates = {None: {}, "train": {}, "grid": {}}
+    for section, entries in table.items():
+        for key, (value, line_no) in entries.items():
+            owner, name, parse, _ = _KEYS[section][key]
+            try:
+                updates[owner][name] = parse(value)
+            except ValueError as exc:
+                raise ConfigError(f"line {line_no}: invalid value {value!r} for key {key!r} "
+                                  f"({exc})") from None
+    for owner, section in (("train", "train"), ("grid", "eval")):
+        if updates[owner]:
+            try:
+                updates[None][owner] = replace(getattr(base, owner), **updates[owner])
+            except ValueError as exc:
+                raise ConfigError(f"section [{section}]: {exc}") from None
+    return replace(base, **updates[None])
 
 
 def serialize_config(config: ExperimentConfig) -> str:
     """Canonical full text form; parse(serialize(c)) == c."""
-    lines = [
-        "[method]",
-        f"method = {config.method}",
-        "",
-        "[train]",
-        *_field_lines(config.train, _TRAIN_KEYS),
-        "",
-        "[data]",
-        f"source = {config.data_source}",
-    ]
-    if config.data_path is not None:
-        lines.append(f"path = {config.data_path}")
-    if config.cost_matrix_path is not None:
-        lines.append(f"cost_matrix = {config.cost_matrix_path}")
-    if config.ood_subsample is not None:
-        lines.append(f"ood_subsample = {config.ood_subsample}")
-    lines += [
-        "",
-        "[eval]",
-        f"tnr_targets = {' '.join(fmt_float(x) for x in config.tnr_targets)}",
-        f"replications = {config.replications}",
-        *_field_lines(config.grid, _GRID_KEYS),
-        f"output_dir = {config.output_dir}",
-    ]
-    return "\n".join(lines) + "\n"
+    lines = []
+    for section, entries in _KEYS.items():
+        lines += ["", f"[{section}]"]
+        for key, (owner, name, _, fmt) in entries.items():
+            value = getattr(getattr(config, owner) if owner else config, name)
+            if value is not None:
+                lines.append(f"{key} = {fmt(value)}")
+    return "\n".join(lines[1:]) + "\n"

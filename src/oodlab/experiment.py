@@ -91,6 +91,9 @@ def _build_dataset(config: ExperimentConfig, rng: Rng) -> Dataset:
                 f"ood_subsample {config.ood_subsample} exceeds the {pool} OoD training points"
             )
         data = subsample_ood(data, config.ood_subsample, rng)
+    if data.ood_train.shape[0] == 0:
+        raise ConfigError("training needs at least one observed OoD point; the data has none"
+                          f" (source {config.data_source}, ood_subsample {config.ood_subsample})")
     return data
 
 

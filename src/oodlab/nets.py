@@ -202,7 +202,6 @@ class ForwardCache:
     """
 
     layer_sizes: tuple[int, ...]
-    single: bool
     inputs: np.ndarray
     pre_activations: tuple[np.ndarray, ...]
     activations: tuple[np.ndarray, ...]
@@ -215,18 +214,15 @@ def _apply_hidden(z: np.ndarray, activation: Activation) -> np.ndarray:
 
 
 def mlp_forward(params: MlpParams, inputs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network on one vector or a (batch, input_dim) matrix.
+    """Run the network on a (batch, input_dim) matrix.
 
-    Returns the output (same batch arrangement as the input) and the cache
-    required by :func:`mlp_backward`.
+    Returns the (batch, output_dim) output and the cache required by
+    :func:`mlp_backward`. A single point is a (1, input_dim) batch.
     """
     x = np.asarray(inputs, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ValueError(
-            f"input has shape {np.shape(inputs)}, expected vectors of length {params.input_dim}"
+            f"input has shape {np.shape(inputs)}, expected (batch, {params.input_dim})"
         )
 
     a = x
@@ -246,9 +242,7 @@ def mlp_forward(params: MlpParams, inputs: np.ndarray) -> tuple[np.ndarray, Forw
             a = z
         acts.append(a)
 
-    cache = ForwardCache(params.layer_sizes, single, x, tuple(pres), tuple(acts))
-    out = acts[-1][0] if single else acts[-1]
-    return out, cache
+    return acts[-1], ForwardCache(params.layer_sizes, x, tuple(pres), tuple(acts))
 
 
 def mlp_backward(params: MlpParams, cache: ForwardCache, output_gradient: np.ndarray,
@@ -257,7 +251,7 @@ def mlp_backward(params: MlpParams, cache: ForwardCache, output_gradient: np.nda
 
     For a Softmax head `output_gradient` must already be with respect to the
     pre-head logits; for Tanh and Identity heads it is with respect to the
-    output itself. Batched caches take a (batch, output_dim) gradient and the
+    output itself. The gradient is a (batch, output_dim) matrix and the
     per-sample contributions are summed, so any 1/batch averaging belongs in
     the loss layer. Returns the flat parameter gradient and the input gradient;
     with ``param_grad=False`` the parameter gradient is skipped and returned as
@@ -268,8 +262,6 @@ def mlp_backward(params: MlpParams, cache: ForwardCache, output_gradient: np.nda
             f"cache built for layers {cache.layer_sizes}, params have {params.layer_sizes}"
         )
     g = np.asarray(output_gradient, dtype=float)
-    if cache.single:
-        g = g[None, :]
     if g.shape != cache.activations[-1].shape:
         raise ValueError(
             f"output gradient has shape {np.shape(output_gradient)}, "
@@ -301,8 +293,7 @@ def mlp_backward(params: MlpParams, cache: ForwardCache, output_gradient: np.nda
             else:
                 delta = delta * (1.0 - np.tanh(z) ** 2)
 
-    input_gradient = delta[0] if cache.single else delta
-    return grad, input_gradient
+    return grad, delta
 
 
 def adam_step(params: MlpParams, grad: np.ndarray, state: AdamState,

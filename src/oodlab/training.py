@@ -104,6 +104,15 @@ class TrainConfig:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not self.adam_epsilon > 0.0:
+            raise ValueError(f"adam_epsilon must be > 0, got {self.adam_epsilon}")
+        for name in ("discriminator_arch", "generator_arch"):
+            if len(getattr(self, name)) < 2 or min(getattr(self, name)) < 1:
+                raise ValueError(f"{name} needs at least two layer sizes, each >= 1, "
+                                 f"got {getattr(self, name)}")
 
     def effective_batch_ood(self, pool_size: int) -> int:
         """OoD minibatches never exceed the observed pool."""

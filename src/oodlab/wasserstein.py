@@ -129,7 +129,7 @@ def score_gradient(p, M) -> np.ndarray:
 
 
 def score_batch(net: MlpParams, inputs, M) -> np.ndarray:
-    """Scores of ``net``'s predictions for each input point, order preserved."""
+    """Scores of ``net``'s predictions for the rows of an (n, d) array, order preserved."""
     mat = validate_cost_matrix(M)
     if net.head is not Head.SOFTMAX:
         raise ValueError("scoring requires a Softmax output head")
@@ -141,4 +141,4 @@ def score_batch(net: MlpParams, inputs, M) -> np.ndarray:
     if x.size == 0:
         return np.empty(0)
     probs, _ = mlp_forward(net, x)
-    return score_rows(np.atleast_2d(probs), mat)[0]
+    return score_rows(probs, mat)[0]

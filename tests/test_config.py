@@ -4,6 +4,7 @@ from dataclasses import fields
 
 import pytest
 
+from oodlab import config as config_mod
 from oodlab.config import (
     ConfigError,
     ExperimentConfig,
@@ -90,6 +91,10 @@ class TestParsing:
         with pytest.raises(ConfigError, match="method"):
             parse_config("[method]\nmethod = extra\n")
 
+    def test_bad_source_value_names_line(self):
+        with pytest.raises(ConfigError, match=r"line 4.*'source'"):
+            parse_config(MINIMAL + "[data]\nsource = ftp\n")
+
 
 class TestPresets:
     def test_known_names(self):
@@ -162,10 +167,33 @@ class TestRoundTrip:
 
     def test_custom_config_round_trips(self):
         cfg = parse_config(MINIMAL + (
-            "[data]\nsource = builtin\nood_subsample = 5\n"
-            "[eval]\ntnr_targets = 0.9\nreplications = 2\noutput_dir = results\n"
+            "[data]\nsource = csv\npath = data/points.csv\ncost_matrix = data/cost.csv\n"
+            "ood_subsample = 5\n"
+            "[eval]\ntnr_targets = 0.9, 0.95,0.5\nreplications = 2\noutput_dir = results\n"
         ))
+        assert serialize_config(cfg) == (
+            "[method]\nmethod = see_ood\n\n"
+            "[train]\nbeta_ood = 1\nbeta_z = 0.001\nn_d = 2\nn_g = 1\nlr_d = 0.0001\n"
+            "lr_g = 0.0001\nbatch_ind = 64\nbatch_ood = 32\nbatch_gen = 64\nnoise_dim = 2\n"
+            "iterations = 2000\nseed = 0\ndiscriminator_arch = 2 128 3\n"
+            "generator_arch = 2 128 2\nadam_beta1 = 0.5\nadam_beta2 = 0.999\n"
+            "adam_epsilon = 1e-08\n\n"
+            "[data]\nsource = csv\npath = data/points.csv\ncost_matrix = data/cost.csv\n"
+            "ood_subsample = 5\n\n"
+            "[eval]\ntnr_targets = 0.90000000000000002 0.94999999999999996 0.5\n"
+            "replications = 2\ngrid_x_min = -1\ngrid_x_max = 8\ngrid_y_min = -1\n"
+            "grid_y_max = 8\ngrid_resolution = 200\noutput_dir = results\n"
+        )
         assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_docstring_names_every_key(self):
+        cfg = ExperimentConfig(data_source="csv", data_path="d.csv", cost_matrix_path="c.csv",
+                               ood_subsample=1)
+        keys = [line.split(" = ")[0] for line in serialize_config(cfg).splitlines()
+                if " = " in line]
+        assert len(keys) == 30
+        for key in keys + ["preset"]:
+            assert key in config_mod.__doc__.split(), key
 
 
 class TestExperimentConfigValidation:

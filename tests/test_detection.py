@@ -179,8 +179,8 @@ class TestHeatmap:
         hm = score_heatmap(net, grid, binary_cost_matrix(2))
         from oodlab.nets import mlp_forward
         from oodlab.wasserstein import wasserstein_score
-        out, _ = mlp_forward(net, np.array([1.0, 1.0]))
-        expected, _ = wasserstein_score(out, binary_cost_matrix(2))
+        out, _ = mlp_forward(net, np.array([[1.0, 1.0]]))
+        expected, _ = wasserstein_score(out[0], binary_cost_matrix(2))
         assert hm.shape == (1, 1)
         assert hm[0, 0] == pytest.approx(expected, abs=1e-12)
 

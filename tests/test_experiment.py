@@ -238,6 +238,20 @@ class TestCli:
         assert "does not match class count 3" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key, value, section", [
+        ("adam_beta1", "1.5", "train"),
+        ("adam_epsilon", "0", "train"),
+        ("discriminator_arch", "2 0 3", "train"),
+        ("ood_subsample", "0", "data"),
+    ])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, key, value, section):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        assert main(["train", "--preset", "wood2d", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_config_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[method]\nmethod = nonsense\n")

@@ -63,18 +63,18 @@ class TestSoftmax:
 class TestForward:
     def test_identity_network(self):
         net = linear_net(np.eye(2), np.zeros(2))
-        out, _ = mlp_forward(net, [1.0, 2.0])
-        npt.assert_array_equal(out, [1.0, 2.0])
+        out, _ = mlp_forward(net, [[1.0, 2.0]])
+        npt.assert_array_equal(out, [[1.0, 2.0]])
 
     def test_zero_logits_give_uniform(self):
         net = linear_net(np.zeros((3, 2)), np.zeros(3), head=Head.SOFTMAX)
-        out, _ = mlp_forward(net, [4.2, -1.3])
-        npt.assert_allclose(out, np.full(3, 1 / 3), atol=1e-15)
+        out, _ = mlp_forward(net, [[4.2, -1.3]])
+        npt.assert_allclose(out[0], np.full(3, 1 / 3), atol=1e-15)
 
     def test_random_nets_emit_probability_vectors(self):
         for seed in range(100):
             net = init_mlp((2, 16, 3), Activation.RELU, Head.SOFTMAX, Rng(seed))
-            out, _ = mlp_forward(net, Rng(seed + 1000).standard_normal(2))
+            out, _ = mlp_forward(net, Rng(seed + 1000).standard_normal(2).reshape(1, 2))
             assert abs(out.sum() - 1.0) < 1e-12
             assert (out > 0).all()
 
@@ -83,14 +83,14 @@ class TestForward:
         x = Rng(4).standard_normal(10).reshape(5, 2)
         batch_out, _ = mlp_forward(net, x)
         for i in range(5):
-            single, _ = mlp_forward(net, x[i])
-            # Batched and single paths may use different BLAS kernels; agree
+            single, _ = mlp_forward(net, x[i:i + 1])
+            # Batches of 5 and of 1 may use different BLAS kernels; agree
             # to floating-point noise, not necessarily bit-exactly.
-            npt.assert_allclose(batch_out[i], single, rtol=1e-12, atol=1e-15)
+            npt.assert_allclose(batch_out[i], single[0], rtol=1e-12, atol=1e-15)
 
     def test_forward_is_pure(self):
         net = init_mlp((2, 8, 3), Activation.RELU, Head.SOFTMAX, Rng(5))
-        x = np.array([0.3, -0.7])
+        x = np.array([[0.3, -0.7]])
         a, _ = mlp_forward(net, x)
         b, _ = mlp_forward(net, x)
         npt.assert_array_equal(a, b)
@@ -98,25 +98,33 @@ class TestForward:
     def test_dimension_mismatch(self):
         net = init_mlp((2, 4, 3), Activation.RELU, Head.SOFTMAX, Rng(0))
         with pytest.raises(ValueError):
-            mlp_forward(net, [1.0, 2.0, 3.0])
+            mlp_forward(net, [[1.0, 2.0, 3.0]])
+
+    def test_vector_input_rejected(self):
+        net = init_mlp((2, 4, 3), Activation.RELU, Head.SOFTMAX, Rng(0))
+        with pytest.raises(ValueError):
+            mlp_forward(net, [1.0, 2.0])
+        _, cache = mlp_forward(net, [[1.0, 2.0]])
+        with pytest.raises(ValueError):
+            mlp_backward(net, cache, np.zeros(3))
 
 
 class TestBackward:
     def test_zero_output_gradient(self):
         net = init_mlp((2, 8, 3), Activation.RELU, Head.IDENTITY, Rng(1))
-        out, cache = mlp_forward(net, [0.5, -0.2])
-        grads, dx = mlp_backward(net, cache, np.zeros(3))
+        out, cache = mlp_forward(net, [[0.5, -0.2]])
+        grads, dx = mlp_backward(net, cache, np.zeros((1, 3)))
         assert np.abs(grads).max() == 0.0
-        npt.assert_array_equal(dx, [0.0, 0.0])
+        npt.assert_array_equal(dx, [[0.0, 0.0]])
 
     def test_single_linear_layer(self):
         w = np.array([[2.0, -3.0]])
         net = linear_net(w, [0.0])
-        x = np.array([0.7, 1.1])
+        x = np.array([[0.7, 1.1]])
         _, cache = mlp_forward(net, x)
-        grads, dx = mlp_backward(net, cache, np.array([1.0]))
-        npt.assert_allclose(grads[:2], x)
-        npt.assert_allclose(dx, w[0])
+        grads, dx = mlp_backward(net, cache, np.array([[1.0]]))
+        npt.assert_allclose(grads[:2], x[0])
+        npt.assert_allclose(dx[0], w[0])
 
     @pytest.mark.parametrize("hidden", [Activation.RELU, Activation.TANH])
     @pytest.mark.parametrize("head", [Head.IDENTITY, Head.TANH])
@@ -124,12 +132,12 @@ class TestBackward:
         direction = Rng(99).standard_normal(3)
 
         def scalar_loss(params):
-            out, _ = mlp_forward(params, np.array([0.37, -0.81]))
-            return float(direction @ out)
+            out, _ = mlp_forward(params, np.array([[0.37, -0.81]]))
+            return float(direction @ out[0])
 
         net = init_mlp((2, 8, 3), hidden, head, Rng(11))
-        _, cache = mlp_forward(net, np.array([0.37, -0.81]))
-        analytic, _ = mlp_backward(net, cache, direction)
+        _, cache = mlp_forward(net, np.array([[0.37, -0.81]]))
+        analytic, _ = mlp_backward(net, cache, direction[None, :])
         numeric = finite_difference_gradient(scalar_loss, net, 1e-5)
         assert relative_error(analytic, numeric) < 1e-4
 
@@ -147,9 +155,9 @@ class TestBackward:
     def test_mismatched_cache_rejected(self):
         net_a = init_mlp((2, 8, 3), Activation.RELU, Head.IDENTITY, Rng(1))
         net_b = init_mlp((2, 6, 3), Activation.RELU, Head.IDENTITY, Rng(2))
-        _, cache = mlp_forward(net_a, [0.1, 0.2])
+        _, cache = mlp_forward(net_a, [[0.1, 0.2]])
         with pytest.raises(ValueError):
-            mlp_backward(net_b, cache, np.zeros(3))
+            mlp_backward(net_b, cache, np.zeros((1, 3)))
 
     def test_gradient_correctness_over_random_nets(self):
         """20 seeded nets and batches: analytic vs central differences."""
@@ -173,7 +181,7 @@ class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         net = init_mlp((2, 4, 2), Activation.RELU, Head.IDENTITY, Rng(0))
         state = init_adam(net)
-        grads, _ = mlp_backward(net, mlp_forward(net, [0.0, 0.0])[1], np.zeros(2))
+        grads, _ = mlp_backward(net, mlp_forward(net, [[0.0, 0.0]])[1], np.zeros((1, 2)))
         updated, new_state = adam_step(net, grads, state, 0.1)
         assert new_state.t == 1
         for old, new in zip(net.weights, updated.weights):
@@ -202,8 +210,8 @@ class TestAdam:
     def test_bitwise_deterministic(self):
         net = init_mlp((2, 5, 2), Activation.RELU, Head.IDENTITY, Rng(8))
         state = init_adam(net)
-        _, cache = mlp_forward(net, [0.4, 0.6])
-        grads, _ = mlp_backward(net, cache, np.array([1.0, -2.0]))
+        _, cache = mlp_forward(net, [[0.4, 0.6]])
+        grads, _ = mlp_backward(net, cache, np.array([[1.0, -2.0]]))
         a_params, a_state = adam_step(net, grads, state, 0.01)
         b_params, b_state = adam_step(net, grads, state, 0.01)
         for wa, wb in zip(a_params.weights, b_params.weights):

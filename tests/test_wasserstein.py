@@ -208,8 +208,8 @@ class TestScoreBatch:
         pts = Rng(3).standard_normal(10).reshape(5, 2)
         batch = score_batch(net, pts, binary_cost_matrix(3))
         for i, p in enumerate(pts):
-            out, _ = mlp_forward(net, p)
-            single, _ = wasserstein_score(out, binary_cost_matrix(3))
+            out, _ = mlp_forward(net, p[None, :])
+            single, _ = wasserstein_score(out[0], binary_cost_matrix(3))
             assert abs(batch[i] - single) < 1e-12
 
     def test_identity_head_rejected(self):
