@@ -6,7 +6,8 @@
 # PARENT and CHANGE are source checkouts (each with src/oodlab). Each runs in
 # its own fresh directory under $TMPDIR with one BLAS thread: `replicate` on
 # the three full presets; `train`, `evaluate` and `heatmap` on setting2 with
-# 200 iterations; `gen-data --seed 7`; `replicate --config full.ini`, a short
+# 200 iterations; `train` on wood2d with 200 iterations, which writes no
+# generator weights; `gen-data --seed 7`; `replicate --config full.ini`, a short
 # see_ood run on that CSV with a written 3x3 cost matrix and every [data] key
 # set; and two `compare` runs. Then `diff -r` compares every output file and
 # the collected stdout. Exit status 0 means no difference. Takes a few
@@ -26,6 +27,7 @@ run() {  # run CHECKOUT OUTDIR
     for c in train evaluate heatmap; do
         oodlab "$c" --preset setting2 --config it200.ini --out "$c"
     done
+    oodlab train --preset wood2d --config it200.ini --out train-wood
     oodlab gen-data --seed 7 --out gen-data
     printf '0,1,2\n1,0,1\n2,1,0\n' > cost.csv
     printf '%s\n' '[method]' 'method = see_ood' \

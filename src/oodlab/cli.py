@@ -22,11 +22,10 @@ from .experiment import (
     run_experiment,
     run_replication,
     write_comparison_csv,
+    write_heatmap_files,
+    write_training_files,
 )
-from .nets import write_params
 from .rng import Rng
-from .training import write_history_csv
-from .detection import write_heatmap_csv, write_heatmap_pgm
 
 __all__ = ["main"]
 
@@ -89,11 +88,7 @@ def _cmd_gen_data(args) -> int:
 def _cmd_train(args) -> int:
     rep = run_replication(_resolve_config(args), 0)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_history_csv(rep.history, out / "history.csv")
-    write_params(rep.history.discriminator, out / "weights_discriminator.txt")
-    if rep.history.generator is not None:
-        write_params(rep.history.generator, out / "weights_generator.txt")
+    write_training_files(rep, out)
     final = rep.history.records[-1] if rep.history.records else None
     if final is not None:
         print(f"final loss {final.loss:.6f} (ce {final.ce:.6f}, "
@@ -115,13 +110,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_heatmap(args) -> int:
     rep = run_replication(_resolve_config(args), 0)
-    if rep.heatmap is None:
-        raise ValueError("heatmaps require 2-D data")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_heatmap_csv(rep.heatmap, out / "heatmap.csv")
-    write_heatmap_pgm(rep.heatmap, rep.history.discriminator.output_dim,
-                      out / "heatmap.pgm")
+    write_heatmap_files(rep, out)
     print(f"wrote {out}/heatmap.csv and {out}/heatmap.pgm")
     return 0
 

@@ -4,7 +4,7 @@ A config file has four sections; every key is optional except
 ``[method] method`` (a preset supplies it too). Unknown sections or keys are
 rejected with the offending name and line number. Every value is checked
 when the file is parsed: a bad value is a configuration error (exit 2) that
-names its key or section, and its line if the value does not parse.
+names its section and key, and its line if the value does not parse.
 
     [method]
     method = see_ood | wood
@@ -82,21 +82,24 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.data_source not in SOURCES:
-            raise ConfigError(f"data source must be builtin or csv, got {self.data_source!r}")
-        if self.data_source == "csv" and not self.data_path:
-            raise ConfigError("data source csv requires a path")
-        if self.ood_subsample is not None and self.ood_subsample < 0:
-            raise ConfigError(f"ood_subsample must be >= 0, got {self.ood_subsample}")
-        if self.replications < 1:
-            raise ConfigError(f"replications must be >= 1, got {self.replications}")
-        if not self.tnr_targets:
-            raise ConfigError("at least one TNR target is required")
+        def require(ok: bool, section: str, message: str) -> None:
+            # Messages name the section and key as a config file spells them.
+            if not ok:
+                raise ConfigError(f"section [{section}]: {message}")
+
+        require(self.method in METHODS, "method",
+                f"method must be one of {METHODS}, got {self.method!r}")
+        require(self.data_source in SOURCES, "data",
+                f"source must be one of {SOURCES}, got {self.data_source!r}")
+        require(self.data_source != "csv" or bool(self.data_path), "data",
+                "source = csv requires path")
+        require(self.ood_subsample is None or self.ood_subsample >= 0, "data",
+                f"ood_subsample must be >= 0, got {self.ood_subsample}")
+        require(self.replications >= 1, "eval",
+                f"replications must be >= 1, got {self.replications}")
+        require(len(self.tnr_targets) > 0, "eval", "tnr_targets needs at least one value")
         for t in self.tnr_targets:
-            if not 0.0 < t <= 1.0:
-                raise ConfigError(f"TNR targets must lie in (0, 1], got {t}")
+            require(0.0 < t <= 1.0, "eval", f"tnr_targets must lie in (0, 1], got {t}")
 
 
 # Per-preset budgets put each method in the same calibration regime: enough

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .nets import fmt_float
+from .nets import write_csv
 from .rng import Rng
 
 __all__ = [
@@ -167,13 +167,11 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
         (dataset.ood_train, None, "ood_train"),
         (dataset.ood_test, None, "ood_test"),
     )
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for xs, ys, split in blocks:
-            for i in range(xs.shape[0]):
-                label = OOD_LABEL if ys is None else int(ys[i])
-                writer.writerow([fmt_float(v) for v in xs[i]] + [label, split])
+    rows = []
+    for xs, ys, split in blocks:
+        labels = [OOD_LABEL] * xs.shape[0] if ys is None else ys.tolist()
+        rows += [x + [label, split] for x, label in zip(xs.tolist(), labels)]
+    write_csv(path, header, rows)
 
 
 def read_dataset_csv(path) -> Dataset:

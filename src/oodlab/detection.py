@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .nets import Head, MlpParams, fmt_float, mlp_forward
+from .nets import Head, MlpParams, mlp_forward, write_csv
 from .wasserstein import score_batch, validate_cost_matrix
 
 __all__ = [
@@ -63,10 +63,12 @@ class GridSpec:
     resolution: int
 
     def __post_init__(self):
-        if not (self.x_max > self.x_min and self.y_max > self.y_min):
-            raise ValueError("grid extents must satisfy max > min on both axes")
+        # Messages name the config keys, grid_ plus the field name.
+        for axis, lo, hi in (("x", self.x_min, self.x_max), ("y", self.y_min, self.y_max)):
+            if not hi > lo:
+                raise ValueError(f"grid_{axis}_max must be > grid_{axis}_min, got {hi} <= {lo}")
         if self.resolution < 1:
-            raise ValueError(f"resolution must be >= 1, got {self.resolution}")
+            raise ValueError(f"grid_resolution must be >= 1, got {self.resolution}")
 
 
 def select_threshold(ind_scores, target_tnr: float) -> Threshold:
@@ -149,10 +151,8 @@ def rejection_region_area(heatmap: np.ndarray, threshold: Threshold) -> float:
 
 
 def write_heatmap_csv(heatmap: np.ndarray, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        for row in np.asarray(heatmap, dtype=float):
-            writer.writerow([fmt_float(v) for v in row])
+    """One CSV row per heatmap row, without a header."""
+    write_csv(path, None, np.asarray(heatmap, dtype=float).tolist())
 
 
 def read_heatmap_csv(path) -> np.ndarray:

@@ -5,8 +5,14 @@ A run writes a self-contained output directory:
     config.ini            canonical serialized configuration
     report.csv            one row per replication plus mean and mad rows
     summary.txt           human-readable digest
-    rep000/ rep001/ ...   per-replication history.csv, weights, heatmap.csv,
-                          heatmap.pgm (heatmaps only for 2-D data)
+    rep000/ rep001/ ...   history.csv, weights_discriminator.txt, and for
+                          see_ood weights_generator.txt (write_training_files);
+                          for 2-D data heatmap.csv, heatmap.pgm (write_heatmap_files)
+
+CLI commands: `replicate` writes this directory, `evaluate` the same with one
+replication; `train` and `heatmap` write replication 0's training or heatmap
+files straight into --out, byte-equal to `evaluate`'s rep000/; `compare`
+writes comparison.csv and `gen-data` dataset.csv.
 
 Replication r runs on seed `base_seed + r` with a single random stream used
 for dataset generation, subsampling, initialization and training, so (config,
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +44,7 @@ from .detection import (
     write_heatmap_csv,
     write_heatmap_pgm,
 )
-from .nets import NumericError, fmt_float, write_params
+from .nets import NumericError, write_csv, write_params
 from .rng import Rng
 from .training import (TrainHistory, check_architectures, train_see_ood, train_wood,
                        write_history_csv)
@@ -48,6 +55,8 @@ __all__ = [
     "ExperimentReport",
     "ComparisonRecord",
     "run_replication",
+    "write_training_files",
+    "write_heatmap_files",
     "run_experiment",
     "load_report",
     "compare_rejection_regions",
@@ -70,13 +79,29 @@ class ReplicationResult:
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """A finished run; `means` and `mads` follow report.csv's metric columns."""
+
     config: ExperimentConfig
     replications: tuple[ReplicationResult, ...]
-    mean_accuracy: float
-    mad_accuracy: float
-    mean_tprs: tuple[float, ...]
-    mad_tprs: tuple[float, ...]
+    means: tuple[float, ...]
+    mads: tuple[float, ...]
     files: tuple[str, ...]
+
+    @property
+    def mean_accuracy(self) -> float:
+        return self.means[0]
+
+    @property
+    def mad_accuracy(self) -> float:
+        return self.mads[0]
+
+    @property
+    def mean_tprs(self) -> tuple[float, ...]:
+        return self.means[3::2]
+
+    @property
+    def mad_tprs(self) -> tuple[float, ...]:
+        return self.mads[3::2]
 
 
 def _build_dataset(config: ExperimentConfig, rng: Rng) -> Dataset:
@@ -124,13 +149,7 @@ def run_replication(config: ExperimentConfig, index: int) -> ReplicationResult:
     ood_scores = score_batch(D, data.ood_test, M)
     accuracy = classification_accuracy(D, data.ind_test_x, data.ind_test_y)
 
-    tprs = []
-    etas = []
-    for target in config.tnr_targets:
-        tpr, threshold = tpr_at_tnr(ind_scores, ood_scores, target)
-        tprs.append(tpr)
-        etas.append(threshold.eta)
-
+    calibrated = [tpr_at_tnr(ind_scores, ood_scores, t) for t in config.tnr_targets]
     heatmap = score_heatmap(D, config.grid, M) if data.d == 2 else None
     return ReplicationResult(
         index=index,
@@ -138,8 +157,8 @@ def run_replication(config: ExperimentConfig, index: int) -> ReplicationResult:
         accuracy=accuracy,
         mean_ind_score=float(ind_scores.mean()),
         mean_ood_score=float(ood_scores.mean()),
-        tprs=tuple(tprs),
-        etas=tuple(etas),
+        tprs=tuple(tpr for tpr, _ in calibrated),
+        etas=tuple(threshold.eta for _, threshold in calibrated),
         history=history,
         heatmap=heatmap,
     )
@@ -149,38 +168,22 @@ def _target_label(t: float) -> str:
     return format(t, "g")
 
 
-def _write_report_csv(path: Path, config: ExperimentConfig,
-                      reps: tuple[ReplicationResult, ...],
-                      mean_acc: float, mad_acc: float,
-                      mean_tprs: tuple[float, ...], mad_tprs: tuple[float, ...]) -> None:
-    header = ["replication", "seed", "accuracy", "mean_ind_score", "mean_ood_score"]
-    for t in config.tnr_targets:
-        label = _target_label(t)
-        header += [f"tpr_at_{label}", f"eta_at_{label}"]
-    rows = []
-    for rep in reps:
-        row = [rep.index, rep.seed, fmt_float(rep.accuracy),
-               fmt_float(rep.mean_ind_score), fmt_float(rep.mean_ood_score)]
-        for tpr, eta in zip(rep.tprs, rep.etas):
-            row += [fmt_float(tpr), fmt_float(eta)]
-        rows.append(row)
+def _metric_columns(config: ExperimentConfig) -> tuple[str, ...]:
+    targets = [_target_label(t) for t in config.tnr_targets]
+    return ("accuracy", "mean_ind_score", "mean_ood_score",
+            *chain.from_iterable((f"tpr_at_{t}", f"eta_at_{t}") for t in targets))
 
-    def aggregate_row(name: str, acc: float, tpr_values: tuple[float, ...],
-                      stat) -> list:
-        row = [name, "", fmt_float(acc),
-               fmt_float(stat([r.mean_ind_score for r in reps])),
-               fmt_float(stat([r.mean_ood_score for r in reps]))]
-        for j, tpr in enumerate(tpr_values):
-            row += [fmt_float(tpr), fmt_float(stat([r.etas[j] for r in reps]))]
-        return row
 
-    rows.append(aggregate_row("mean", mean_acc, mean_tprs, lambda v: float(np.mean(v))))
-    rows.append(aggregate_row("mad", mad_acc, mad_tprs, mad))
+def _metric_row(rep: ReplicationResult) -> tuple[float, ...]:
+    """One replication's values in :func:`_metric_columns` order."""
+    return (rep.accuracy, rep.mean_ind_score, rep.mean_ood_score,
+            *chain.from_iterable(zip(rep.tprs, rep.etas)))
 
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows(rows)
+
+def _write_report_csv(path: Path, report: ExperimentReport) -> None:
+    rows = [[rep.index, rep.seed, *_metric_row(rep)] for rep in report.replications]
+    rows += [["mean", None, *report.means], ["mad", None, *report.mads]]
+    write_csv(path, ["replication", "seed", *_metric_columns(report.config)], rows)
 
 
 def _write_summary(path: Path, report: ExperimentReport) -> None:
@@ -209,8 +212,32 @@ def _write_summary(path: Path, report: ExperimentReport) -> None:
     lines.append("")
     lines.append("files:")
     lines.extend(f"  {name}" for name in report.files)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_training_files(rep: ReplicationResult, out_dir) -> tuple[str, ...]:
+    """Write a replication's history and weights into `out_dir`; return the file names."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_history_csv(rep.history, out / "history.csv")
+    names = ["history.csv"]
+    for role, params in (("discriminator", rep.history.discriminator),
+                         ("generator", rep.history.generator)):
+        if params is not None:
+            write_params(params, out / f"weights_{role}.txt")
+            names.append(f"weights_{role}.txt")
+    return tuple(names)
+
+
+def write_heatmap_files(rep: ReplicationResult, out_dir) -> tuple[str, ...]:
+    """Write a replication's score heatmap as CSV and PGM into `out_dir`; return the names."""
+    if rep.heatmap is None:
+        raise ValueError("heatmaps require 2-D data")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_heatmap_csv(rep.heatmap, out / "heatmap.csv")
+    write_heatmap_pgm(rep.heatmap, rep.history.discriminator.output_dim, out / "heatmap.pgm")
+    return ("heatmap.csv", "heatmap.pgm")
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
@@ -230,40 +257,23 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     out.mkdir(parents=True, exist_ok=True)
     files = ["config.ini", "report.csv", "summary.txt"]
     (out / "config.ini").write_text(serialize_config(config), encoding="utf-8")
-    for index, rep in enumerate(reps):
-        rep_dir = out / f"rep{index:03d}"
-        rep_dir.mkdir(exist_ok=True)
-        write_history_csv(rep.history, rep_dir / "history.csv")
-        write_params(rep.history.discriminator, rep_dir / "weights_discriminator.txt")
-        files.append(f"rep{index:03d}/history.csv")
-        files.append(f"rep{index:03d}/weights_discriminator.txt")
-        if rep.history.generator is not None:
-            write_params(rep.history.generator, rep_dir / "weights_generator.txt")
-            files.append(f"rep{index:03d}/weights_generator.txt")
+    for rep in reps:
+        rep_dir = f"rep{rep.index:03d}"
+        names = write_training_files(rep, out / rep_dir)
         if rep.heatmap is not None:
-            write_heatmap_csv(rep.heatmap, rep_dir / "heatmap.csv")
-            K = rep.history.discriminator.output_dim
-            write_heatmap_pgm(rep.heatmap, K, rep_dir / "heatmap.pgm")
-            files.append(f"rep{index:03d}/heatmap.csv")
-            files.append(f"rep{index:03d}/heatmap.pgm")
+            names += write_heatmap_files(rep, out / rep_dir)
+        files += [f"{rep_dir}/{name}" for name in names]
 
-    reps = tuple(reps)
-    accs = [r.accuracy for r in reps]
-    mean_tprs = tuple(float(np.mean([r.tprs[j] for r in reps]))
-                      for j in range(len(config.tnr_targets)))
-    mad_tprs = tuple(mad([r.tprs[j] for r in reps]) for j in range(len(config.tnr_targets)))
+    # Mean and MAD of each metric column, each over a 1-D column of replications.
+    table = list(zip(*(_metric_row(rep) for rep in reps)))
     report = ExperimentReport(
         config=config,
-        replications=reps,
-        mean_accuracy=float(np.mean(accs)),
-        mad_accuracy=mad(accs),
-        mean_tprs=mean_tprs,
-        mad_tprs=mad_tprs,
+        replications=tuple(reps),
+        means=tuple(float(np.mean(column)) for column in table),
+        mads=tuple(mad(column) for column in table),
         files=tuple(sorted(files)),
     )
-    _write_report_csv(out / "report.csv", config, reps,
-                      report.mean_accuracy, report.mad_accuracy,
-                      report.mean_tprs, report.mad_tprs)
+    _write_report_csv(out / "report.csv", report)
     _write_summary(out / "summary.txt", report)
     return report
 
@@ -347,13 +357,8 @@ def compare_rejection_regions(run_a: LoadedRun, run_b: LoadedRun,
 
 
 def write_comparison_csv(record: ComparisonRecord, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["replication", "area_a", "area_b", "difference"])
-        for i, (a, b, diff) in enumerate(zip(record.areas_a, record.areas_b,
-                                             record.differences)):
-            writer.writerow([i, fmt_float(a), fmt_float(b), fmt_float(diff)])
-        writer.writerow(["mean",
-                         fmt_float(float(np.mean(record.areas_a))),
-                         fmt_float(float(np.mean(record.areas_b))),
-                         fmt_float(record.mean_difference)])
+    rows = [[i, *values] for i, values in enumerate(zip(record.areas_a, record.areas_b,
+                                                         record.differences))]
+    rows.append(["mean", float(np.mean(record.areas_a)), float(np.mean(record.areas_b)),
+                 record.mean_difference])
+    write_csv(path, ["replication", "area_a", "area_b", "difference"], rows)

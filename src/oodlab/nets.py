@@ -1,16 +1,16 @@
 """Minimal dense feed-forward network engine.
 
 Forward pass, analytic backpropagation, bias-corrected Adam, a central
-finite-difference gradient oracle for tests, and a flat text format for
-weights. Everything is float64 and pure: functions return new values and
-never mutate their arguments, so two calls with equal inputs give bitwise
-equal outputs.
+finite-difference gradient oracle for tests, a flat text format for weights
+and the one CSV writer. Everything is float64 and pure: functions return new
+values and never mutate their arguments, so equal inputs give equal bits.
 
 Parameter layout: a network's parameters live in one 1-D float64 vector,
 ``w0 (row-major), b0, w1, b1, ...``, the order the text format writes them.
-Gradients from :func:`mlp_backward` and :func:`finite_difference_gradient`
+Gradients from :func:`finite_difference_gradient` and :func:`mlp_backward`
 and the Adam moments are plain vectors in the same layout, so Adam and the
-finite-difference oracle each run over one array.
+finite-difference oracle each run over one array. :func:`mlp_backward`
+returns one gradient: that vector, or the input gradient when asked.
 
 Gradient convention: for a ``Softmax`` head, :func:`mlp_backward` expects the
 upstream gradient with respect to the pre-head logits (the loss layer folds
@@ -21,9 +21,11 @@ output.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -43,6 +45,7 @@ __all__ = [
     "adam_step",
     "finite_difference_gradient",
     "fmt_float",
+    "write_csv",
     "params_to_text",
     "params_from_text",
     "write_params",
@@ -246,16 +249,17 @@ def mlp_forward(params: MlpParams, inputs: np.ndarray) -> tuple[np.ndarray, Forw
 
 
 def mlp_backward(params: MlpParams, cache: ForwardCache, output_gradient: np.ndarray,
-                 param_grad: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
+                 param_grad: bool = True) -> np.ndarray:
     """Backpropagate an upstream gradient through the cached forward pass.
 
     For a Softmax head `output_gradient` must already be with respect to the
     pre-head logits; for Tanh and Identity heads it is with respect to the
     output itself. The gradient is a (batch, output_dim) matrix and the
     per-sample contributions are summed, so any 1/batch averaging belongs in
-    the loss layer. Returns the flat parameter gradient and the input gradient;
-    with ``param_grad=False`` the parameter gradient is skipped and returned as
-    None, for callers that only chain through a frozen network.
+    the loss layer. Returns one array: the flat parameter gradient, skipping
+    layer 0's ``delta @ W0`` that only the input gradient needs; or, with
+    ``param_grad=False``, the (batch, input_dim) input gradient, skipping
+    every parameter product, for callers that chain through a frozen network.
     """
     if cache.layer_sizes != params.layer_sizes:
         raise ValueError(
@@ -275,15 +279,16 @@ def mlp_backward(params: MlpParams, cache: ForwardCache, output_gradient: np.nda
         # Identity head, or Softmax with the Jacobian folded in upstream.
         delta = g
 
-    grad = None
     if param_grad:
         grad = np.empty_like(params.flat)
         grad_w, grad_b = _layer_views(params.layer_sizes, grad)
     for l in range(last, -1, -1):
-        if grad is not None:
+        if param_grad:
             below = cache.inputs if l == 0 else cache.activations[l - 1]
             grad_w[l][...] = delta.T @ below
             grad_b[l][...] = delta.sum(axis=0)
+            if l == 0:
+                return grad
         delta = delta @ params.weights[l]
         if l > 0:
             z = cache.pre_activations[l - 1]
@@ -292,8 +297,7 @@ def mlp_backward(params: MlpParams, cache: ForwardCache, output_gradient: np.nda
                 delta = delta * (z > 0.0)
             else:
                 delta = delta * (1.0 - np.tanh(z) ** 2)
-
-    return grad, delta
+    return delta
 
 
 def adam_step(params: MlpParams, grad: np.ndarray, state: AdamState,
@@ -344,6 +348,20 @@ def finite_difference_gradient(loss, params: MlpParams, step: float) -> np.ndarr
 def fmt_float(x: float) -> str:
     """Text form of a float with 17 significant digits, so it round-trips exactly."""
     return format(float(x), ".17g")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write `rows` as CSV, after `header` unless it is None, with ``\\r\\n`` line ends.
+
+    A float cell, numpy floats included, goes through :func:`fmt_float`; None
+    becomes an empty cell; ints and strings are written as they are.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows([fmt_float(v) if isinstance(v, float) else "" if v is None else v
+                          for v in row] for row in rows)
 
 
 def params_to_text(params: MlpParams) -> str:
@@ -397,10 +415,8 @@ def params_from_text(text: str) -> MlpParams:
 
 
 def write_params(params: MlpParams, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(params_to_text(params))
+    Path(path).write_text(params_to_text(params), encoding="utf-8")
 
 
 def read_params(path) -> MlpParams:
-    with open(path, "r", encoding="utf-8") as f:
-        return params_from_text(f.read())
+    return params_from_text(Path(path).read_text(encoding="utf-8"))

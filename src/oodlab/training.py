@@ -33,8 +33,7 @@ noise, and each generator step draws noise.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,12 +44,12 @@ from .nets import (
     MlpParams,
     NumericError,
     adam_step,
-    fmt_float,
     init_adam,
     init_mlp,
     log_softmax,
     mlp_backward,
     mlp_forward,
+    write_csv,
 )
 from .rng import Rng
 from .wasserstein import binary_cost_matrix, score_rows, validate_cost_matrix
@@ -181,7 +180,7 @@ def _discriminator_step(D: MlpParams, ind_x: np.ndarray, targets: np.ndarray,
     up[n_ind:n_ind + n_ood] = (-beta_ood / n_ood) * g[:n_ood]
     if n_gen:
         up[n_ind + n_ood:] = (-beta_z / n_gen) * g[n_ood:]
-    grads, _ = mlp_backward(D, cache, up)
+    grads = mlp_backward(D, cache, up)
 
     loss = ce - beta_ood * mean_ood - beta_z * mean_gen
     if not np.isfinite(loss):
@@ -226,9 +225,9 @@ def _generator_step(D: MlpParams, G: MlpParams, noise: np.ndarray, beta_z: float
     if not np.isfinite(objective):
         raise NumericError(f"generator objective is not finite: {objective}")
 
-    _, d_fake = mlp_backward(D, cache_d, (beta_z / noise.shape[0]) * logit_grads,
-                             param_grad=False)
-    grads, _ = mlp_backward(G, cache_g, d_fake)
+    d_fake = mlp_backward(D, cache_d, (beta_z / noise.shape[0]) * logit_grads,
+                          param_grad=False)
+    grads = mlp_backward(G, cache_g, d_fake)
     return objective, grads
 
 
@@ -357,18 +356,6 @@ def sample_generator(G: MlpParams, count: int, n: int, rng: Rng) -> np.ndarray:
 
 
 def write_history_csv(history: TrainHistory, path) -> None:
-    """One row per iteration; generator columns stay empty when absent."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(
-            ["iteration", "loss", "ce", "ood_score_mean", "gen_score_mean", "gen_objective"]
-        )
-        for rec in history.records:
-            writer.writerow([
-                rec.iteration,
-                fmt_float(rec.loss),
-                fmt_float(rec.ce),
-                fmt_float(rec.ood_score_mean),
-                "" if rec.gen_score_mean is None else fmt_float(rec.gen_score_mean),
-                "" if rec.gen_objective is None else fmt_float(rec.gen_objective),
-            ])
+    """One row per iteration and column per `IterationRecord` field; None stays empty."""
+    names = [f.name for f in fields(IterationRecord)]
+    write_csv(path, names, ([getattr(rec, name) for name in names] for rec in history.records))

@@ -243,14 +243,33 @@ class TestCli:
         ("adam_epsilon", "0", "train"),
         ("discriminator_arch", "2 0 3", "train"),
         ("ood_subsample", "0", "data"),
+        ("tnr_targets", "1.5", "eval"),
+        ("grid_x_min", "9", "eval"),
+        ("replications", "0", "eval"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, key, value, section):
         cfg = tmp_path / "c.ini"
         cfg.write_text(f"[{section}]\n{key} = {value}\n")
         assert main(["train", "--preset", "wood2d", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert key in err
+        if section == "eval":
+            assert "[eval]" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("method", ["see_ood", "wood"])
+    def test_single_run_commands_match_evaluate(self, tmp_path, method):
+        cfg = tmp_path / "c.ini"
+        write_tiny_config(cfg, method=method)
+        for command in ("train", "heatmap", "evaluate"):
+            assert main([command, "--config", str(cfg), "--seed", "5",
+                         "--out", str(tmp_path / command)]) == 0
+        rep_dir = tmp_path / "evaluate" / "rep000"
+        single = {p.name: p.read_bytes()
+                  for command in ("train", "heatmap") for p in (tmp_path / command).iterdir()}
+        assert single == {p.name: p.read_bytes() for p in rep_dir.iterdir()}
+        assert ("weights_generator.txt" in single) == (method == "see_ood")
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.ini"

@@ -113,8 +113,9 @@ class TestBackward:
     def test_zero_output_gradient(self):
         net = init_mlp((2, 8, 3), Activation.RELU, Head.IDENTITY, Rng(1))
         out, cache = mlp_forward(net, [[0.5, -0.2]])
-        grads, dx = mlp_backward(net, cache, np.zeros((1, 3)))
+        grads = mlp_backward(net, cache, np.zeros((1, 3)))
         assert np.abs(grads).max() == 0.0
+        dx = mlp_backward(net, cache, np.zeros((1, 3)), param_grad=False)
         npt.assert_array_equal(dx, [[0.0, 0.0]])
 
     def test_single_linear_layer(self):
@@ -122,7 +123,8 @@ class TestBackward:
         net = linear_net(w, [0.0])
         x = np.array([[0.7, 1.1]])
         _, cache = mlp_forward(net, x)
-        grads, dx = mlp_backward(net, cache, np.array([[1.0]]))
+        grads = mlp_backward(net, cache, np.array([[1.0]]))
+        dx = mlp_backward(net, cache, np.array([[1.0]]), param_grad=False)
         npt.assert_allclose(grads[:2], x[0])
         npt.assert_allclose(dx[0], w[0])
 
@@ -137,20 +139,36 @@ class TestBackward:
 
         net = init_mlp((2, 8, 3), hidden, head, Rng(11))
         _, cache = mlp_forward(net, np.array([[0.37, -0.81]]))
-        analytic, _ = mlp_backward(net, cache, direction[None, :])
+        analytic = mlp_backward(net, cache, direction[None, :])
         numeric = finite_difference_gradient(scalar_loss, net, 1e-5)
         assert relative_error(analytic, numeric) < 1e-4
 
     @pytest.mark.parametrize("hidden", [Activation.RELU, Activation.TANH])
-    @pytest.mark.parametrize("head", [Head.SOFTMAX, Head.TANH])
-    def test_input_only_matches_full_backward_bitwise(self, hidden, head):
+    @pytest.mark.parametrize("head", [Head.SOFTMAX, Head.TANH, Head.IDENTITY])
+    @pytest.mark.parametrize("sizes", [(2, 16, 3), (2, 8, 6, 3)])
+    def test_input_gradient_matches_finite_differences(self, hidden, head, sizes):
         rng = Rng(23)
-        net = init_mlp((2, 128, 3), hidden, head, rng)
-        _, cache = mlp_forward(net, rng.standard_normal(128).reshape(64, 2))
-        upstream = rng.standard_normal(192).reshape(64, 3)
-        grads, dx = mlp_backward(net, cache, upstream, param_grad=False)
-        assert grads is None
-        npt.assert_array_equal(dx, mlp_backward(net, cache, upstream)[1])
+        net = init_mlp(sizes, hidden, head, rng)
+        x = rng.standard_normal(8).reshape(4, 2)
+        direction = rng.standard_normal(12).reshape(4, 3)
+
+        def input_loss(points):
+            out, cache = mlp_forward(net, points)
+            # A Softmax head takes its upstream gradient with respect to the logits.
+            return float(np.sum(direction * (cache.pre_activations[-1]
+                                             if head is Head.SOFTMAX else out)))
+
+        _, cache = mlp_forward(net, x)
+        analytic = mlp_backward(net, cache, direction, param_grad=False)
+        assert analytic.shape == x.shape
+        step = 1e-5
+        numeric = np.zeros_like(x)
+        for i in np.ndindex(x.shape):
+            up, down = x.copy(), x.copy()
+            up[i] += step
+            down[i] -= step
+            numeric[i] = (input_loss(up) - input_loss(down)) / (2.0 * step)
+        assert relative_error(analytic.ravel(), numeric.ravel()) < 1e-4
 
     def test_mismatched_cache_rejected(self):
         net_a = init_mlp((2, 8, 3), Activation.RELU, Head.IDENTITY, Rng(1))
@@ -172,7 +190,7 @@ class TestBackward:
                 return float(np.sum(direction * out))
 
             _, cache = mlp_forward(net, batch)
-            analytic, _ = mlp_backward(net, cache, direction)
+            analytic = mlp_backward(net, cache, direction)
             numeric = finite_difference_gradient(batch_loss, net, 1e-5)
             assert relative_error(analytic, numeric) < 1e-4
 
@@ -181,7 +199,7 @@ class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         net = init_mlp((2, 4, 2), Activation.RELU, Head.IDENTITY, Rng(0))
         state = init_adam(net)
-        grads, _ = mlp_backward(net, mlp_forward(net, [[0.0, 0.0]])[1], np.zeros((1, 2)))
+        grads = mlp_backward(net, mlp_forward(net, [[0.0, 0.0]])[1], np.zeros((1, 2)))
         updated, new_state = adam_step(net, grads, state, 0.1)
         assert new_state.t == 1
         for old, new in zip(net.weights, updated.weights):
@@ -211,7 +229,7 @@ class TestAdam:
         net = init_mlp((2, 5, 2), Activation.RELU, Head.IDENTITY, Rng(8))
         state = init_adam(net)
         _, cache = mlp_forward(net, [[0.4, 0.6]])
-        grads, _ = mlp_backward(net, cache, np.array([[1.0, -2.0]]))
+        grads = mlp_backward(net, cache, np.array([[1.0, -2.0]]))
         a_params, a_state = adam_step(net, grads, state, 0.01)
         b_params, b_state = adam_step(net, grads, state, 0.01)
         for wa, wb in zip(a_params.weights, b_params.weights):

@@ -138,13 +138,13 @@ def three_pass_loss_and_grads(D, ind_x, ind_y, ood_x, gen_x, beta_ood, beta_z, M
     probs_ind, cache_ind = mlp_forward(D, ind_x)
     n_ind = ind_x.shape[0]
     ce = float(-np.sum(log_softmax(cache_ind.pre_activations[-1]) * targets) / n_ind)
-    grads, _ = mlp_backward(D, cache_ind, (probs_ind - targets) / n_ind)
+    grads = mlp_backward(D, cache_ind, (probs_ind - targets) / n_ind)
 
     probs_ood, cache_ood = mlp_forward(D, ood_x)
     n_ood = ood_x.shape[0]
     ood_scores, ood_logit_grads = training._score_values_and_logit_grads(probs_ood, M)
     mean_ood = float(ood_scores.mean())
-    g_ood, _ = mlp_backward(D, cache_ood, (-beta_ood / n_ood) * ood_logit_grads)
+    g_ood = mlp_backward(D, cache_ood, (-beta_ood / n_ood) * ood_logit_grads)
     grads = grads + g_ood
 
     mean_gen = 0.0
@@ -153,7 +153,7 @@ def three_pass_loss_and_grads(D, ind_x, ind_y, ood_x, gen_x, beta_ood, beta_z, M
         n_gen = gen_x.shape[0]
         gen_scores, gen_logit_grads = training._score_values_and_logit_grads(probs_gen, M)
         mean_gen = float(gen_scores.mean())
-        g_gen, _ = mlp_backward(D, cache_gen, (-beta_z / n_gen) * gen_logit_grads)
+        g_gen = mlp_backward(D, cache_gen, (-beta_z / n_gen) * gen_logit_grads)
         grads = grads + g_gen
 
     loss = ce - beta_ood * mean_ood - beta_z * mean_gen
