@@ -17,6 +17,7 @@ from . import config as config_mod
 from .config import ConfigError, ExperimentConfig, parse_config, preset_config
 from .data import make_simulation_dataset, write_dataset_csv
 from .experiment import (
+    _train_replication,
     compare_rejection_regions,
     load_report,
     run_experiment,
@@ -86,10 +87,10 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    rep = run_replication(_resolve_config(args), 0)
+    _, _, _, history = _train_replication(_resolve_config(args), 0)
     out = Path(args.out)
-    write_training_files(rep, out)
-    final = rep.history.records[-1] if rep.history.records else None
+    write_training_files(history, out)
+    final = history.records[-1] if history.records else None
     if final is not None:
         print(f"final loss {final.loss:.6f} (ce {final.ce:.6f}, "
               f"ood score {final.ood_score_mean:.6f})")

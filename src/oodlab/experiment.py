@@ -11,8 +11,9 @@ A run writes a self-contained output directory:
 
 CLI commands: `replicate` writes this directory, `evaluate` the same with one
 replication; `train` and `heatmap` write replication 0's training or heatmap
-files straight into --out, byte-equal to `evaluate`'s rep000/; `compare`
-writes comparison.csv and `gen-data` dataset.csv.
+files straight into --out, byte-equal to `evaluate`'s rep000/ (`train` only
+trains; it scores nothing); `compare` writes comparison.csv and `gen-data`
+dataset.csv.
 
 Replication r runs on seed `base_seed + r` with a single random stream used
 for dataset generation, subsampling, initialization and training, so (config,
@@ -131,8 +132,12 @@ def _evaluation_cost_matrix(config: ExperimentConfig, K: int) -> np.ndarray:
     return binary_cost_matrix(K)
 
 
-def run_replication(config: ExperimentConfig, index: int) -> ReplicationResult:
-    """Train and evaluate one replication on seed ``base_seed + index``."""
+def _train_replication(config: ExperimentConfig,
+                       index: int) -> tuple[int, Dataset, np.ndarray, TrainHistory]:
+    """Build replication `index`'s data and train on it; returns (seed, data, M, history).
+
+    The training half of :func:`run_replication`, which CLI `train` runs alone.
+    """
     seed = config.train.seed + index
     rng = Rng(seed)
     data = _build_dataset(config, rng)
@@ -144,6 +149,12 @@ def run_replication(config: ExperimentConfig, index: int) -> ReplicationResult:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     history = (train_see_ood if see_ood else train_wood)(config.train, data, rng)
+    return seed, data, M, history
+
+
+def run_replication(config: ExperimentConfig, index: int) -> ReplicationResult:
+    """Train and evaluate one replication on seed ``base_seed + index``."""
+    seed, data, M, history = _train_replication(config, index)
     D = history.discriminator
     ind_scores = score_batch(D, data.ind_test_x, M)
     ood_scores = score_batch(D, data.ood_test, M)
@@ -215,14 +226,14 @@ def _write_summary(path: Path, report: ExperimentReport) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_training_files(rep: ReplicationResult, out_dir) -> tuple[str, ...]:
-    """Write a replication's history and weights into `out_dir`; return the file names."""
+def write_training_files(history: TrainHistory, out_dir) -> tuple[str, ...]:
+    """Write a training run's history and weights into `out_dir`; return the file names."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_history_csv(rep.history, out / "history.csv")
+    write_history_csv(history, out / "history.csv")
     names = ["history.csv"]
-    for role, params in (("discriminator", rep.history.discriminator),
-                         ("generator", rep.history.generator)):
+    for role, params in (("discriminator", history.discriminator),
+                         ("generator", history.generator)):
         if params is not None:
             write_params(params, out / f"weights_{role}.txt")
             names.append(f"weights_{role}.txt")
@@ -259,7 +270,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     (out / "config.ini").write_text(serialize_config(config), encoding="utf-8")
     for rep in reps:
         rep_dir = f"rep{rep.index:03d}"
-        names = write_training_files(rep, out / rep_dir)
+        names = write_training_files(rep.history, out / rep_dir)
         if rep.heatmap is not None:
             names += write_heatmap_files(rep, out / rep_dir)
         files += [f"{rep_dir}/{name}" for name in names]

@@ -2,8 +2,17 @@
 
 Forward pass, analytic backpropagation, bias-corrected Adam, a central
 finite-difference gradient oracle for tests, a flat text format for weights
-and the one CSV writer. Everything is float64 and pure: functions return new
-values and never mutate their arguments, so equal inputs give equal bits.
+and the one CSV writer. Everything is float64.
+
+Each of softmax, forward, backward and Adam has one in-place kernel:
+`_softmax`, `_forward`, `_backward` and `_adam`. They write into
+caller-owned arrays (`_Buffers` from `_forward_buffers` or `_buffers`, and
+flat vectors) with ``out=`` and in-place ufuncs, and check nothing, so a
+training loop or a blocked scorer can run them without allocating. The
+public :func:`softmax`, :func:`mlp_forward`, :func:`mlp_backward` and
+:func:`adam_step` are the checked, pure wrappers: they run the same kernels
+on fresh arrays, return new values and never mutate their arguments, so
+equal inputs give equal bits either way.
 
 Parameter layout: a network's parameters live in one 1-D float64 vector,
 ``w0 (row-major), b0, w1, b1, ...``, the order the text format writes them.
@@ -180,13 +189,25 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     Accepts a vector or a (batch, K) matrix; normalizes along the last axis.
     """
     z = np.asarray(logits, dtype=float)
+    out = np.empty_like(z)
+    _softmax(z, out, np.empty(z.shape[:-1] + (1,)))
+    return out
+
+
+def _softmax(z: np.ndarray, out: np.ndarray, col: np.ndarray) -> None:
+    """Softmax kernel: :func:`softmax` of `z` into `out`; `col` takes the per-row max and sum."""
     if z.size == 0:
         raise ValueError("softmax of an empty vector is undefined")
-    if not np.isfinite(z).all():
+    # Both extremes are finite exactly when every entry is.
+    if not (np.isfinite(np.maximum.reduce(z, axis=None))
+            and np.isfinite(np.minimum.reduce(z, axis=None))):
         raise ValueError("softmax requires finite logits")
-    shifted = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    # The ufunc reductions behind np.max and np.sum, without their Python wrappers.
+    np.maximum.reduce(z, axis=-1, keepdims=True, out=col)
+    np.subtract(z, col, out=out)
+    np.exp(out, out=out)
+    np.add.reduce(out, axis=-1, keepdims=True, out=col)
+    np.divide(out, col, out=out)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -210,10 +231,150 @@ class ForwardCache:
     activations: tuple[np.ndarray, ...]
 
 
-def _apply_hidden(z: np.ndarray, activation: Activation) -> np.ndarray:
-    if activation is Activation.RELU:
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+def _empty_rows(rows: int, widths) -> tuple[np.ndarray, ...]:
+    return tuple(np.empty((rows, w)) for w in widths)
+
+
+@dataclass(frozen=True)
+class _Buffers:
+    """Arrays the forward and backward kernels write for one network and row count.
+
+    ``pres[l]`` and ``acts[l]`` take layer l's pre-activation and activation;
+    an Identity head's output array is ``pres[-1]`` itself. ``col`` is the
+    Softmax head's (rows, 1) work column. ``deltas[l]`` takes the gradient
+    with respect to ``pres[l]``: the caller writes the upstream gradient into
+    ``deltas[-1]``, which a Tanh head's backward pass overwrites. ``scratch[l]``
+    is a work array shaped like ``deltas[l]``. `grad` takes the flat parameter
+    gradient, through its per-layer (weights, biases) views `grad_views`.
+    """
+
+    pres: tuple[np.ndarray, ...]
+    acts: tuple[np.ndarray, ...]
+    col: np.ndarray | None
+    deltas: tuple[np.ndarray, ...] = ()
+    scratch: tuple[np.ndarray, ...] = ()
+    grad: np.ndarray | None = None
+    grad_views: tuple | None = None
+
+    def first_rows(self, rows: int) -> _Buffers:
+        """Forward buffers: views onto the first `rows` rows of each forward array."""
+        def cut(arrays):
+            return tuple(a[:rows] for a in arrays)
+        return _Buffers(cut(self.pres), cut(self.acts), self.col[:rows])
+
+
+def _as_batch(params: MlpParams, inputs) -> np.ndarray:
+    """`inputs` as a float (batch, input_dim) array; ValueError for any other shape."""
+    x = np.asarray(inputs, dtype=float)
+    if x.ndim != 2 or x.shape[1] != params.input_dim:
+        raise ValueError(
+            f"input has shape {np.shape(inputs)}, expected (batch, {params.input_dim})"
+        )
+    return x
+
+
+def _forward_buffers(params: MlpParams, rows: int) -> _Buffers:
+    """Forward buffers of `params` for `rows` inputs."""
+    widths = params.layer_sizes[1:]
+    pres = _empty_rows(rows, widths)
+    head = (pres[-1],) if params.head is Head.IDENTITY else _empty_rows(rows, widths[-1:])
+    return _Buffers(pres, _empty_rows(rows, widths[:-1]) + head, np.empty((rows, 1)))
+
+
+def _buffers(params: MlpParams, rows: int) -> _Buffers:
+    """Forward and backward buffers of `params` for `rows` inputs."""
+    widths = params.layer_sizes[1:]
+    grad = np.empty_like(params.flat)
+    return replace(_forward_buffers(params, rows), deltas=_empty_rows(rows, widths),
+                   scratch=_empty_rows(rows, widths), grad=grad,
+                   grad_views=_layer_views(params.layer_sizes, grad))
+
+
+def _forward(params: MlpParams, x: np.ndarray, buf: _Buffers) -> np.ndarray:
+    """Forward kernel: run the network on the rows of `x` into `buf`; returns the output array.
+
+    Unchecked: `x` must be a (rows, input_dim) float array matching `buf`.
+    """
+    a = x
+    last = len(params.weights) - 1
+    for l, (w, b, z, out) in enumerate(zip(params.weights, params.biases, buf.pres, buf.acts)):
+        np.matmul(a, w.T, out=z)
+        np.add(z, b, out=z)
+        if l < last:
+            if params.hidden is Activation.RELU:
+                np.maximum(z, 0.0, out=out)
+            else:
+                np.tanh(z, out=out)
+        elif params.head is Head.SOFTMAX:
+            _softmax(z, out, buf.col)
+        elif params.head is Head.TANH:
+            np.tanh(z, out=out)
+        a = out
+    return a
+
+
+def _backward(params: MlpParams, x: np.ndarray, buf: _Buffers,
+              dx: np.ndarray | None = None) -> None:
+    """Backward kernel: backpropagate ``buf.deltas[-1]`` through the pass `_forward` left in `buf`.
+
+    Writes the parameter gradient into ``buf.grad``, skipping layer 0's
+    ``delta @ W0``; or, given `dx`, only the input gradient into `dx`.
+    Unchecked, like `_forward`.
+    """
+    last = len(params.weights) - 1
+    delta = buf.deltas[last]
+    # Identity and Softmax heads (Jacobian folded in upstream) take it as is.
+    if params.head is Head.TANH:
+        t = buf.scratch[last]
+        np.square(buf.acts[last], out=t)
+        np.subtract(1.0, t, out=t)
+        np.multiply(delta, t, out=delta)
+
+    grad_w, grad_b = buf.grad_views
+    for l in range(last, -1, -1):
+        if dx is None:
+            below = x if l == 0 else buf.acts[l - 1]
+            np.matmul(delta.T, below, out=grad_w[l])
+            np.add.reduce(delta, axis=0, out=grad_b[l])
+            if l == 0:
+                return
+        below_delta = dx if l == 0 else buf.deltas[l - 1]
+        np.matmul(delta, params.weights[l], out=below_delta)
+        delta = below_delta
+        if l > 0:
+            z, t = buf.pres[l - 1], buf.scratch[l - 1]
+            if params.hidden is Activation.RELU:
+                # Subgradient 0 at the kink.
+                np.greater(z, 0.0, out=t)
+            else:
+                np.tanh(z, out=t)
+                np.square(t, out=t)
+                np.subtract(1.0, t, out=t)
+            np.multiply(delta, t, out=delta)
+
+
+def _adam(flat: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, t: int,
+          lr: float, beta1: float, beta2: float, epsilon: float,
+          scratch: tuple[np.ndarray, np.ndarray]) -> None:
+    """Adam kernel: the t-th bias-corrected update of `flat`, `m` and `v`, in place.
+
+    `scratch` is two work vectors shaped like `flat`. Unchecked.
+    """
+    s, r = scratch
+    np.multiply(grad, 1.0 - beta1, out=s)
+    np.multiply(m, beta1, out=m)
+    np.add(m, s, out=m)
+    np.multiply(grad, 1.0 - beta2, out=s)
+    np.multiply(s, grad, out=s)
+    np.multiply(v, beta2, out=v)
+    np.add(v, s, out=v)
+    np.divide(m, 1.0 - beta1 ** t, out=s)
+    np.multiply(s, lr, out=s)
+    np.divide(v, 1.0 - beta2 ** t, out=r)
+    np.sqrt(r, out=r)
+    np.add(r, epsilon, out=r)
+    np.divide(s, r, out=s)
+    np.subtract(flat, s, out=flat)
 
 
 def mlp_forward(params: MlpParams, inputs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -222,30 +383,10 @@ def mlp_forward(params: MlpParams, inputs: np.ndarray) -> tuple[np.ndarray, Forw
     Returns the (batch, output_dim) output and the cache required by
     :func:`mlp_backward`. A single point is a (1, input_dim) batch.
     """
-    x = np.asarray(inputs, dtype=float)
-    if x.ndim != 2 or x.shape[1] != params.input_dim:
-        raise ValueError(
-            f"input has shape {np.shape(inputs)}, expected (batch, {params.input_dim})"
-        )
-
-    a = x
-    pres = []
-    acts = []
-    last = len(params.weights) - 1
-    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w.T + b
-        pres.append(z)
-        if l < last:
-            a = _apply_hidden(z, params.hidden)
-        elif params.head is Head.SOFTMAX:
-            a = softmax(z)
-        elif params.head is Head.TANH:
-            a = np.tanh(z)
-        else:
-            a = z
-        acts.append(a)
-
-    return acts[-1], ForwardCache(params.layer_sizes, x, tuple(pres), tuple(acts))
+    x = _as_batch(params, inputs)
+    buf = _forward_buffers(params, x.shape[0])
+    out = _forward(params, x, buf)
+    return out, ForwardCache(params.layer_sizes, x, buf.pres, buf.acts)
 
 
 def mlp_backward(params: MlpParams, cache: ForwardCache, output_gradient: np.ndarray,
@@ -272,32 +413,15 @@ def mlp_backward(params: MlpParams, cache: ForwardCache, output_gradient: np.nda
             f"expected {cache.activations[-1].shape}"
         )
 
-    last = len(params.weights) - 1
-    if params.head is Head.TANH:
-        delta = g * (1.0 - cache.activations[last] ** 2)
-    else:
-        # Identity head, or Softmax with the Jacobian folded in upstream.
-        delta = g
-
+    buf = replace(_buffers(params, g.shape[0]), pres=cache.pre_activations,
+                  acts=cache.activations)
+    buf.deltas[-1][...] = g
     if param_grad:
-        grad = np.empty_like(params.flat)
-        grad_w, grad_b = _layer_views(params.layer_sizes, grad)
-    for l in range(last, -1, -1):
-        if param_grad:
-            below = cache.inputs if l == 0 else cache.activations[l - 1]
-            grad_w[l][...] = delta.T @ below
-            grad_b[l][...] = delta.sum(axis=0)
-            if l == 0:
-                return grad
-        delta = delta @ params.weights[l]
-        if l > 0:
-            z = cache.pre_activations[l - 1]
-            if params.hidden is Activation.RELU:
-                # Subgradient 0 at the kink.
-                delta = delta * (z > 0.0)
-            else:
-                delta = delta * (1.0 - np.tanh(z) ** 2)
-    return delta
+        _backward(params, cache.inputs, buf)
+        return buf.grad
+    dx = np.empty_like(cache.inputs)
+    _backward(params, cache.inputs, buf, dx)
+    return dx
 
 
 def adam_step(params: MlpParams, grad: np.ndarray, state: AdamState,
@@ -311,11 +435,12 @@ def adam_step(params: MlpParams, grad: np.ndarray, state: AdamState,
         )
 
     t = state.t + 1
-    b1, b2, eps = state.beta1, state.beta2, state.epsilon
-    m = b1 * state.m + (1.0 - b1) * grad
-    v = b2 * state.v + (1.0 - b2) * grad * grad
-    step = lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
-    return replace(params, flat=params.flat - step), AdamState(m, v, t, b1, b2, eps)
+    flat = params.flat.astype(float)
+    m, v = state.m.astype(float), state.v.astype(float)
+    _adam(flat, grad, m, v, t, lr, state.beta1, state.beta2, state.epsilon,
+          (np.empty_like(flat), np.empty_like(flat)))
+    return (replace(params, flat=flat),
+            AdamState(m, v, t, state.beta1, state.beta2, state.epsilon))
 
 
 def finite_difference_gradient(loss, params: MlpParams, step: float) -> np.ndarray:

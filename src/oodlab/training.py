@@ -24,6 +24,19 @@ through the frozen discriminator for its input gradient only. The loop checks
 architectures and labels once per run, then calls the unchecked step kernels
 behind `discriminator_loss_and_grads` and `generator_objective_and_grads`.
 
+The loop allocates no array that grows with the networks. Before the first
+step it sizes one workspace from the config: `_DiscriminatorWorkspace` holds
+the stacked batch (filled by ``np.take`` and the generator's forward pass),
+its one-hot targets and D's buffers over it (pre-activations, activations,
+deltas, flat gradient); the generator step has G's buffers and D's over
+G's output, and writes D's input gradient straight into G's upstream
+gradient. D's and G's parameter vectors and Adam moments are private to the
+run and updated in place by the `oodlab.nets` kernels; `TrainHistory` gets
+fresh copies at the end, whose construction checks the trained weights are
+finite. Each step still checks that the logits, the loss and the objective
+are finite. What still allocates per step is small: the index and noise
+draws and the (batch, K) arrays of the loss layer.
+
 Minibatches are drawn uniformly with replacement from each pool, with the
 OoD batch size clamped to the pool size. Runs are deterministic functions of
 (config, data, seed): the discriminator is initialized first, then the
@@ -33,7 +46,7 @@ noise, and each generator step draws noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -43,11 +56,13 @@ from .nets import (
     Head,
     MlpParams,
     NumericError,
-    adam_step,
-    init_adam,
+    _adam,
+    _backward,
+    _Buffers,
+    _buffers,
+    _forward,
     init_mlp,
     log_softmax,
-    mlp_backward,
     mlp_forward,
     write_csv,
 )
@@ -159,33 +174,50 @@ def _score_values_and_logit_grads(probs: np.ndarray,
     return scores, probs * (g - inner)
 
 
-def _discriminator_step(D: MlpParams, ind_x: np.ndarray, targets: np.ndarray,
-                        ood_x: np.ndarray, gen_x: np.ndarray, beta_ood: float, beta_z: float,
-                        M: np.ndarray) -> tuple[float, tuple[float, float, float], np.ndarray]:
-    """Unchecked kernel of `discriminator_loss_and_grads`; `targets` is one-hot.
+class _DiscriminatorWorkspace:
+    """Arrays of a discriminator step over stacked ``[InD; observed OoD; generated]`` rows.
 
-    One forward and one backward pass over the stacked ``[ind; ood; gen]``
-    batch, with each block's loss weight folded into its rows of the upstream
-    logit gradient.
+    `x` holds the batch, with `ind`, `ood` and `gen` views onto its blocks,
+    and `targets` the InD rows' one-hot labels; `buffers` holds D's pass over
+    `x`, its gradient included, and `up` views onto the blocks of its
+    upstream gradient.
     """
-    n_ind, n_ood, n_gen = ind_x.shape[0], ood_x.shape[0], gen_x.shape[0]
-    probs, cache = mlp_forward(D, np.concatenate([ind_x, ood_x, gen_x]))
-    ce = float(-np.sum(log_softmax(cache.pre_activations[-1][:n_ind]) * targets) / n_ind)
+
+    def __init__(self, D: MlpParams, n_ind: int, n_ood: int, n_gen: int):
+        self.x = np.empty((n_ind + n_ood + n_gen, D.input_dim))
+        self.ind, self.ood, self.gen = np.split(self.x, [n_ind, n_ind + n_ood])
+        self.targets = np.empty((n_ind, D.output_dim))
+        self.buffers = _buffers(D, self.x.shape[0])
+        self.up = np.split(self.buffers.deltas[-1], [n_ind, n_ind + n_ood])
+
+
+def _discriminator_step(D: MlpParams, ws: _DiscriminatorWorkspace, beta_ood: float,
+                        beta_z: float, M: np.ndarray) -> tuple[float, tuple[float, float, float]]:
+    """Unchecked kernel of `discriminator_loss_and_grads` over the batch filled into `ws`.
+
+    One forward and one backward pass over the stacked batch, with each
+    block's loss weight folded into its rows of the upstream logit gradient.
+    The gradient lands in ``ws.buffers.grad``.
+    """
+    n_ind, n_ood, n_gen = ws.ind.shape[0], ws.ood.shape[0], ws.gen.shape[0]
+    probs = _forward(D, ws.x, ws.buffers)
+    ce = float(-np.sum(log_softmax(ws.buffers.pres[-1][:n_ind]) * ws.targets) / n_ind)
     scores, g = _score_values_and_logit_grads(probs[n_ind:], M)
     mean_ood = float(scores[:n_ood].mean())
     mean_gen = float(scores[n_ood:].mean()) if n_gen else 0.0
 
-    up = np.empty_like(probs)
-    up[:n_ind] = (probs[:n_ind] - targets) / n_ind
-    up[n_ind:n_ind + n_ood] = (-beta_ood / n_ood) * g[:n_ood]
+    up_ind, up_ood, up_gen = ws.up
+    np.subtract(probs[:n_ind], ws.targets, out=up_ind)
+    np.divide(up_ind, n_ind, out=up_ind)
+    np.multiply(-beta_ood / n_ood, g[:n_ood], out=up_ood)
     if n_gen:
-        up[n_ind + n_ood:] = (-beta_z / n_gen) * g[n_ood:]
-    grads = mlp_backward(D, cache, up)
+        np.multiply(-beta_z / n_gen, g[n_ood:], out=up_gen)
+    _backward(D, ws.x, ws.buffers)
 
     loss = ce - beta_ood * mean_ood - beta_z * mean_gen
     if not np.isfinite(loss):
         raise NumericError(f"discriminator loss is not finite: {loss}")
-    return loss, (ce, mean_ood, mean_gen), grads
+    return loss, (ce, mean_ood, mean_gen)
 
 
 def discriminator_loss_and_grads(D: MlpParams, ind_x: np.ndarray, ind_y: np.ndarray,
@@ -212,23 +244,31 @@ def discriminator_loss_and_grads(D: MlpParams, ind_x: np.ndarray, ind_y: np.ndar
         raise ValueError("the observed OoD batch must be a nonempty (n, d) array")
     gen_x = np.asarray(gen_x, dtype=float)
     targets = _one_hot(np.asarray(ind_y), D.output_dim)
-    return _discriminator_step(D, ind_x, targets, ood_x, gen_x, beta_ood, beta_z, mat)
+    ws = _DiscriminatorWorkspace(D, ind_x.shape[0], ood_x.shape[0], gen_x.shape[0])
+    np.concatenate([ind_x, ood_x, gen_x], out=ws.x)
+    ws.targets[...] = targets
+    loss, parts = _discriminator_step(D, ws, beta_ood, beta_z, mat)
+    return loss, parts, ws.buffers.grad
 
 
-def _generator_step(D: MlpParams, G: MlpParams, noise: np.ndarray, beta_z: float,
-                    M: np.ndarray) -> tuple[float, np.ndarray]:
-    """Unchecked kernel of `generator_objective_and_grads`."""
-    fake, cache_g = mlp_forward(G, noise)
-    probs, cache_d = mlp_forward(D, fake)
+def _generator_step(D: MlpParams, G: MlpParams, noise: np.ndarray, g_buf: _Buffers,
+                    d_buf: _Buffers, beta_z: float, M: np.ndarray) -> float:
+    """Unchecked kernel of `generator_objective_and_grads`, through G's and D's buffers.
+
+    D's input gradient is written straight into G's upstream gradient; G's
+    gradient lands in ``g_buf.grad``.
+    """
+    fake = _forward(G, noise, g_buf)
+    probs = _forward(D, fake, d_buf)
     scores, logit_grads = _score_values_and_logit_grads(probs, M)
     objective = float(beta_z * scores.mean())
     if not np.isfinite(objective):
         raise NumericError(f"generator objective is not finite: {objective}")
 
-    d_fake = mlp_backward(D, cache_d, (beta_z / noise.shape[0]) * logit_grads,
-                          param_grad=False)
-    grads = mlp_backward(G, cache_g, d_fake)
-    return objective, grads
+    np.multiply(beta_z / noise.shape[0], logit_grads, out=d_buf.deltas[-1])
+    _backward(D, fake, d_buf, dx=g_buf.deltas[-1])
+    _backward(G, noise, g_buf)
+    return objective
 
 
 def generator_objective_and_grads(
@@ -255,7 +295,9 @@ def generator_objective_and_grads(
         )
     if D.head is not Head.SOFTMAX:
         raise ValueError("the discriminator needs a Softmax head")
-    return _generator_step(D, G, noise, beta_z, mat)
+    g_buf = _buffers(G, noise.shape[0])
+    objective = _generator_step(D, G, noise, g_buf, _buffers(D, noise.shape[0]), beta_z, mat)
+    return objective, g_buf.grad
 
 
 def check_architectures(config: TrainConfig, data: Dataset, with_generator: bool) -> None:
@@ -283,6 +325,21 @@ def check_architectures(config: TrainConfig, data: Dataset, with_generator: bool
             )
 
 
+class _Adam:
+    """Adam moments of one network, updating its parameter vector in place."""
+
+    def __init__(self, params: MlpParams, config: TrainConfig):
+        self.flat = params.flat
+        self.m, self.v = np.zeros_like(self.flat), np.zeros_like(self.flat)
+        self.scratch = (np.empty_like(self.flat), np.empty_like(self.flat))
+        self.t = 0
+        self.hyper = (config.adam_beta1, config.adam_beta2, config.adam_epsilon)
+
+    def step(self, grad: np.ndarray, lr: float) -> None:
+        self.t += 1
+        _adam(self.flat, grad, self.m, self.v, self.t, lr, *self.hyper, self.scratch)
+
+
 def _train(config: TrainConfig, data: Dataset, rng: Rng | None,
            with_generator: bool) -> TrainHistory:
     """The one loop behind `train_see_ood` and `train_wood`; see the module docstring."""
@@ -293,12 +350,15 @@ def _train(config: TrainConfig, data: Dataset, rng: Rng | None,
     check_architectures(config, data, with_generator)
 
     M = binary_cost_matrix(data.K)
+    # D and G stay private to the run: their flat vectors are updated in place.
     D = init_mlp(config.discriminator_arch, Activation.RELU, Head.SOFTMAX, rng)
-    adam_d = init_adam(D, config.adam_beta1, config.adam_beta2, config.adam_epsilon)
-    G = adam_g = None
+    adam_d = _Adam(D, config)
+    G = None
     if with_generator:
         G = init_mlp(config.generator_arch, Activation.RELU, Head.IDENTITY, rng)
-        adam_g = init_adam(G, config.adam_beta1, config.adam_beta2, config.adam_epsilon)
+        adam_g = _Adam(G, config)
+        # G's pass, and D's pass over G's output, over one noise batch.
+        g_buf, dg_buf = _buffers(G, config.batch_gen), _buffers(D, config.batch_gen)
 
     targets = _one_hot(data.ind_train_y, data.K)
     n_ind = data.ind_train_x.shape[0]
@@ -306,32 +366,39 @@ def _train(config: TrainConfig, data: Dataset, rng: Rng | None,
     b_ood = config.effective_batch_ood(n_ood_pool)
     n_d = config.n_d if with_generator else 1
     beta_z = config.beta_z if with_generator else 0.0
-    gen_x = np.empty((0, data.d))
+    d_ws = _DiscriminatorWorkspace(D, config.batch_ind, b_ood,
+                                   config.batch_gen if with_generator else 0)
 
     records = []
     for it in range(1, config.iterations + 1):
         for _ in range(n_d):
             ind_idx = rng.indices_below(n_ind, config.batch_ind)
             ood_idx = rng.indices_below(n_ood_pool, b_ood)
+            # The indices are in range; mode "raise" would copy through a temporary.
+            np.take(data.ind_train_x, ind_idx, axis=0, out=d_ws.ind, mode="clip")
+            np.take(targets, ind_idx, axis=0, out=d_ws.targets, mode="clip")
+            np.take(data.ood_train, ood_idx, axis=0, out=d_ws.ood, mode="clip")
             if with_generator:
                 noise = sample_noise(config.noise_dim, config.batch_gen, rng)
-                gen_x, _ = mlp_forward(G, noise)
-            loss, (ce, mean_ood, mean_gen), grads = _discriminator_step(
-                D, data.ind_train_x[ind_idx], targets[ind_idx], data.ood_train[ood_idx],
-                gen_x, config.beta_ood, beta_z, M)
-            D, adam_d = adam_step(D, grads, adam_d, config.lr_d)
+                d_ws.gen[...] = _forward(G, noise, g_buf)
+            loss, (ce, mean_ood, mean_gen) = _discriminator_step(
+                D, d_ws, config.beta_ood, beta_z, M)
+            adam_d.step(d_ws.buffers.grad, config.lr_d)
 
         if not with_generator:
             records.append(IterationRecord(it, loss, ce, mean_ood, None, None))
             continue
         for _ in range(config.n_g):
             noise = sample_noise(config.noise_dim, config.batch_gen, rng)
-            objective, g_grads = _generator_step(D, G, noise, config.beta_z, M)
+            objective = _generator_step(D, G, noise, g_buf, dg_buf, config.beta_z, M)
             # Ascent: feed Adam the negated gradient.
-            G, adam_g = adam_step(G, -g_grads, adam_g, config.lr_g)
+            np.negative(g_buf.grad, out=g_buf.grad)
+            adam_g.step(g_buf.grad, config.lr_g)
         records.append(IterationRecord(it, loss, ce, mean_ood, mean_gen, objective))
 
-    return TrainHistory(tuple(records), D, G)
+    # Fresh copies; constructing them checks that the trained weights are finite.
+    return TrainHistory(tuple(records), replace(D, flat=D.flat.copy()),
+                        None if G is None else replace(G, flat=G.flat.copy()))
 
 
 def train_see_ood(config: TrainConfig, data: Dataset, rng: Rng | None = None) -> TrainHistory:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nets import Head, MlpParams, mlp_forward
+from .nets import Head, MlpParams, _as_batch, _forward, _forward_buffers
 
 __all__ = [
     "validate_prob_vector",
@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 PROB_SUM_TOL = 1e-9
+# Rows per forward pass in `score_batch`, so a large grid reuses one set of
+# buffers. 4096-row blocks score bitwise like one pass over every row;
+# 777-row blocks do not, so change this only with the blocked-scoring tests.
+SCORE_BLOCK_ROWS = 4096
 
 
 def validate_prob_vector(p) -> np.ndarray:
@@ -129,7 +133,11 @@ def score_gradient(p, M) -> np.ndarray:
 
 
 def score_batch(net: MlpParams, inputs, M) -> np.ndarray:
-    """Scores of ``net``'s predictions for the rows of an (n, d) array, order preserved."""
+    """Scores of ``net``'s predictions for the rows of an (n, d) array, order preserved.
+
+    The forward pass runs over blocks of `SCORE_BLOCK_ROWS` rows through one
+    set of buffers.
+    """
     mat = validate_cost_matrix(M)
     if net.head is not Head.SOFTMAX:
         raise ValueError("scoring requires a Softmax output head")
@@ -140,5 +148,11 @@ def score_batch(net: MlpParams, inputs, M) -> np.ndarray:
     x = np.asarray(inputs, dtype=float)
     if x.size == 0:
         return np.empty(0)
-    probs, _ = mlp_forward(net, x)
-    return score_rows(probs, mat)[0]
+    x = _as_batch(net, x)
+    scores = np.empty(x.shape[0])
+    buf = _forward_buffers(net, min(x.shape[0], SCORE_BLOCK_ROWS))
+    for start in range(0, x.shape[0], SCORE_BLOCK_ROWS):
+        block = x[start:start + SCORE_BLOCK_ROWS]
+        probs = _forward(net, block, buf.first_rows(block.shape[0]))
+        scores[start:start + block.shape[0]] = score_rows(probs, mat)[0]
+    return scores

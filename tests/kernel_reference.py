@@ -1,0 +1,115 @@
+"""Reference forward, backward and Adam: the allocating bodies the in-place kernels replaced.
+
+`oodlab.nets` runs one in-place kernel per operation. These are the earlier
+pure bodies of `softmax`, `mlp_forward`, `mlp_backward` and `adam_step`, kept
+unchanged, so the tests can require the kernels to match them bit for bit.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+
+from oodlab.nets import Activation, AdamState, ForwardCache, Head, MlpParams, _layer_views
+
+
+def reference_softmax(logits: np.ndarray) -> np.ndarray:
+    z = np.asarray(logits, dtype=float)
+    if z.size == 0:
+        raise ValueError("softmax of an empty vector is undefined")
+    if not np.isfinite(z).all():
+        raise ValueError("softmax requires finite logits")
+    shifted = z - np.max(z, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def _apply_hidden(z: np.ndarray, activation: Activation) -> np.ndarray:
+    if activation is Activation.RELU:
+        return np.maximum(z, 0.0)
+    return np.tanh(z)
+
+
+def reference_forward(params: MlpParams,
+                      inputs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    x = np.asarray(inputs, dtype=float)
+    if x.ndim != 2 or x.shape[1] != params.input_dim:
+        raise ValueError(
+            f"input has shape {np.shape(inputs)}, expected (batch, {params.input_dim})"
+        )
+
+    a = x
+    pres = []
+    acts = []
+    last = len(params.weights) - 1
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = a @ w.T + b
+        pres.append(z)
+        if l < last:
+            a = _apply_hidden(z, params.hidden)
+        elif params.head is Head.SOFTMAX:
+            a = reference_softmax(z)
+        elif params.head is Head.TANH:
+            a = np.tanh(z)
+        else:
+            a = z
+        acts.append(a)
+
+    return acts[-1], ForwardCache(params.layer_sizes, x, tuple(pres), tuple(acts))
+
+
+def reference_backward(params: MlpParams, cache: ForwardCache, output_gradient: np.ndarray,
+                       param_grad: bool = True) -> np.ndarray:
+    if cache.layer_sizes != params.layer_sizes:
+        raise ValueError(
+            f"cache built for layers {cache.layer_sizes}, params have {params.layer_sizes}"
+        )
+    g = np.asarray(output_gradient, dtype=float)
+    if g.shape != cache.activations[-1].shape:
+        raise ValueError(
+            f"output gradient has shape {np.shape(output_gradient)}, "
+            f"expected {cache.activations[-1].shape}"
+        )
+
+    last = len(params.weights) - 1
+    if params.head is Head.TANH:
+        delta = g * (1.0 - cache.activations[last] ** 2)
+    else:
+        # Identity head, or Softmax with the Jacobian folded in upstream.
+        delta = g
+
+    if param_grad:
+        grad = np.empty_like(params.flat)
+        grad_w, grad_b = _layer_views(params.layer_sizes, grad)
+    for l in range(last, -1, -1):
+        if param_grad:
+            below = cache.inputs if l == 0 else cache.activations[l - 1]
+            grad_w[l][...] = delta.T @ below
+            grad_b[l][...] = delta.sum(axis=0)
+            if l == 0:
+                return grad
+        delta = delta @ params.weights[l]
+        if l > 0:
+            z = cache.pre_activations[l - 1]
+            if params.hidden is Activation.RELU:
+                # Subgradient 0 at the kink.
+                delta = delta * (z > 0.0)
+            else:
+                delta = delta * (1.0 - np.tanh(z) ** 2)
+    return delta
+
+
+def reference_adam(params: MlpParams, grad: np.ndarray, state: AdamState,
+                   lr: float) -> tuple[MlpParams, AdamState]:
+    if lr <= 0.0:
+        raise ValueError(f"learning rate must be > 0, got {lr}")
+    if grad.shape != params.flat.shape:
+        raise ValueError(
+            f"gradient shape {grad.shape} does not match parameters {params.flat.shape}"
+        )
+
+    t = state.t + 1
+    b1, b2, eps = state.beta1, state.beta2, state.epsilon
+    m = b1 * state.m + (1.0 - b1) * grad
+    v = b2 * state.v + (1.0 - b2) * grad * grad
+    step = lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+    return replace(params, flat=params.flat - step), AdamState(m, v, t, b1, b2, eps)

@@ -1,14 +1,26 @@
 """Network engine: forward, backprop vs finite differences, Adam, text I/O."""
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from kernel_reference import (
+    reference_adam,
+    reference_backward,
+    reference_forward,
+    reference_softmax,
+)
 
 from oodlab.nets import (
     Activation,
     Head,
     MlpParams,
     NumericError,
+    _adam,
+    _backward,
+    _buffers,
+    _forward,
     adam_step,
     finite_difference_gradient,
     init_adam,
@@ -59,6 +71,17 @@ class TestSoftmax:
         with pytest.raises(ValueError):
             softmax(np.array([]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_logits_rejected(self, bad):
+        for logits in ([0.0, bad, 1.0], [[0.0, 1.0], [bad, 2.0]]):
+            with pytest.raises(ValueError, match="finite logits"):
+                softmax(logits)
+
+    def test_matches_reference_bitwise(self):
+        z = 30.0 * Rng(3).standard_normal(60).reshape(20, 3)
+        assert np.array_equal(softmax(z), reference_softmax(z))
+        assert np.array_equal(softmax(z[4]), reference_softmax(z[4]))
+
 
 class TestForward:
     def test_identity_network(self):
@@ -89,11 +112,32 @@ class TestForward:
             npt.assert_allclose(batch_out[i], single[0], rtol=1e-12, atol=1e-15)
 
     def test_forward_is_pure(self):
+        """The pure wrappers give equal bits twice and never mutate an argument."""
         net = init_mlp((2, 8, 3), Activation.RELU, Head.SOFTMAX, Rng(5))
         x = np.array([[0.3, -0.7]])
         a, _ = mlp_forward(net, x)
         b, _ = mlp_forward(net, x)
         npt.assert_array_equal(a, b)
+
+        # A Tanh head's kernel rewrites its upstream gradient in place.
+        net = init_mlp((2, 8, 3), Activation.TANH, Head.TANH, Rng(6))
+        x = Rng(7).standard_normal(8).reshape(4, 2)
+        up = Rng(8).standard_normal(12).reshape(4, 3)
+        _, cache = mlp_forward(net, x)
+        _, state = adam_step(net, np.ones_like(net.flat), init_adam(net), 0.1)
+        grad = mlp_backward(net, cache, up)
+        arguments = [net.flat, x, up, grad, state.m, state.v, cache.inputs,
+                     *cache.pre_activations, *cache.activations]
+        before = [arg.copy() for arg in arguments]
+        for param_grad in (True, False):
+            npt.assert_array_equal(mlp_backward(net, cache, up, param_grad),
+                                   mlp_backward(net, cache, up, param_grad))
+        a_params, a_state = adam_step(net, grad, state, 0.1)
+        b_params, b_state = adam_step(net, grad, state, 0.1)
+        npt.assert_array_equal(a_params.flat, b_params.flat)
+        assert state.t == 1 and a_state.t == 2
+        for arg, copy in zip(arguments, before):
+            npt.assert_array_equal(arg, copy)
 
     def test_dimension_mismatch(self):
         net = init_mlp((2, 4, 3), Activation.RELU, Head.SOFTMAX, Rng(0))
@@ -242,6 +286,64 @@ class TestAdam:
         bad = np.zeros(6)
         with pytest.raises(ValueError):
             adam_step(net, bad, state, 0.1)
+
+
+def perturbed_net(sizes, hidden, head, seed):
+    """A Glorot net plus noise, so biases are nonzero and ReLUs are mixed."""
+    net = init_mlp(sizes, hidden, head, Rng(seed))
+    return replace(net, flat=net.flat + 0.1 * Rng(seed + 1).standard_normal(net.flat.size))
+
+
+class TestKernelsBitwise:
+    """The in-place kernels and the pure wrappers against the reference bodies, bit for bit."""
+
+    @pytest.mark.parametrize("param_grad", [True, False])
+    @pytest.mark.parametrize("rows", [1, 7, 130])
+    @pytest.mark.parametrize("head", [Head.SOFTMAX, Head.TANH, Head.IDENTITY])
+    @pytest.mark.parametrize("hidden", [Activation.RELU, Activation.TANH])
+    @pytest.mark.parametrize("sizes", [(2, 128, 3), (2, 8, 6, 3)])
+    def test_forward_and_backward(self, sizes, hidden, head, rows, param_grad):
+        net = perturbed_net(sizes, hidden, head, rows)
+        rng = Rng(100 + rows)
+        x = 3.0 * rng.standard_normal(2 * rows).reshape(rows, 2)
+        up = rng.standard_normal(3 * rows).reshape(rows, 3)
+        ref_out, ref_cache = reference_forward(net, x)
+        ref = reference_backward(net, ref_cache, up, param_grad)
+
+        buf = _buffers(net, rows)
+        assert np.array_equal(_forward(net, x, buf), ref_out)
+        for got, want in zip(buf.pres + buf.acts,
+                             ref_cache.pre_activations + ref_cache.activations):
+            assert np.array_equal(got, want)
+        buf.deltas[-1][...] = up
+        if param_grad:
+            _backward(net, x, buf)
+            got = buf.grad
+        else:
+            got = np.empty_like(x)
+            _backward(net, x, buf, dx=got)
+        assert np.array_equal(got, ref)
+
+        out, cache = mlp_forward(net, x)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(mlp_backward(net, cache, up, param_grad), ref)
+
+    def test_adam_over_several_steps(self):
+        net = perturbed_net((2, 128, 3), Activation.RELU, Head.SOFTMAX, 4)
+        ref_params, ref_state = net, init_adam(net, 0.5, 0.999, 1e-8)
+        params, state = ref_params, ref_state
+        flat, m, v = net.flat.copy(), np.zeros_like(net.flat), np.zeros_like(net.flat)
+        scratch = (np.empty_like(flat), np.empty_like(flat))
+        for t in range(1, 7):
+            # Gradients of changing sign and scale, the kind the ascent step negates.
+            grad = (-2.0) ** (t - 3) * Rng(t).standard_normal(flat.size)
+            ref_params, ref_state = reference_adam(ref_params, grad, ref_state, 0.01)
+            params, state = adam_step(params, grad, state, 0.01)
+            _adam(flat, grad, m, v, t, 0.01, 0.5, 0.999, 1e-8, scratch)
+            for got in ((flat, m, v), (params.flat, state.m, state.v)):
+                for a, b in zip(got, (ref_params.flat, ref_state.m, ref_state.v)):
+                    assert np.array_equal(a, b)
+        assert state.t == ref_state.t == 6
 
 
 class TestFiniteDifferences:

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from kernel_reference import reference_adam, reference_backward, reference_forward
 
 import oodlab.training as training
 from oodlab.data import make_simulation_dataset, sample_noise, subsample_ood
@@ -13,7 +14,9 @@ from oodlab.nets import (
     Activation,
     Head,
     MlpParams,
+    NumericError,
     finite_difference_gradient,
+    init_adam,
     init_mlp,
     log_softmax,
     mlp_backward,
@@ -22,7 +25,9 @@ from oodlab.nets import (
 )
 from oodlab.rng import Rng
 from oodlab.training import (
+    IterationRecord,
     TrainConfig,
+    TrainHistory,
     discriminator_loss_and_grads,
     generator_objective_and_grads,
     sample_generator,
@@ -281,9 +286,9 @@ class TestTrainSeeOod:
         seen = []
         original = training._discriminator_step
 
-        def spy(D, ind_x, targets, ood_x, gen_x, beta_ood, beta_z, M):
-            seen.append(ood_x.shape[0])
-            return original(D, ind_x, targets, ood_x, gen_x, beta_ood, beta_z, M)
+        def spy(D, ws, beta_ood, beta_z, M):
+            seen.append(ws.ood.shape[0])
+            return original(D, ws, beta_ood, beta_z, M)
 
         monkeypatch.setattr(training, "_discriminator_step", spy)
         cfg = quick_config(iterations=5, batch_ood=32)
@@ -318,6 +323,134 @@ class TestTrainWood:
         three = train_wood(quick_config(lr_d=1e-3, n_d=3), data, Rng(0))
         assert one.records == three.records
         assert params_to_text(one.discriminator) == params_to_text(three.discriminator)
+
+
+def reference_discriminator_step(D, ind_x, targets, ood_x, gen_x, beta_ood, beta_z, M):
+    """The allocating discriminator step the workspace replaced, on the reference kernels."""
+    n_ind, n_ood, n_gen = ind_x.shape[0], ood_x.shape[0], gen_x.shape[0]
+    probs, cache = reference_forward(D, np.concatenate([ind_x, ood_x, gen_x]))
+    ce = float(-np.sum(log_softmax(cache.pre_activations[-1][:n_ind]) * targets) / n_ind)
+    scores, g = training._score_values_and_logit_grads(probs[n_ind:], M)
+    mean_ood = float(scores[:n_ood].mean())
+    mean_gen = float(scores[n_ood:].mean()) if n_gen else 0.0
+
+    up = np.empty_like(probs)
+    up[:n_ind] = (probs[:n_ind] - targets) / n_ind
+    up[n_ind:n_ind + n_ood] = (-beta_ood / n_ood) * g[:n_ood]
+    if n_gen:
+        up[n_ind + n_ood:] = (-beta_z / n_gen) * g[n_ood:]
+    grads = reference_backward(D, cache, up)
+
+    loss = ce - beta_ood * mean_ood - beta_z * mean_gen
+    if not np.isfinite(loss):
+        raise NumericError(f"discriminator loss is not finite: {loss}")
+    return loss, (ce, mean_ood, mean_gen), grads
+
+
+def reference_generator_step(D, G, noise, beta_z, M):
+    """The allocating generator step the workspace replaced, on the reference kernels."""
+    fake, cache_g = reference_forward(G, noise)
+    probs, cache_d = reference_forward(D, fake)
+    scores, logit_grads = training._score_values_and_logit_grads(probs, M)
+    objective = float(beta_z * scores.mean())
+    if not np.isfinite(objective):
+        raise NumericError(f"generator objective is not finite: {objective}")
+
+    d_fake = reference_backward(D, cache_d, (beta_z / noise.shape[0]) * logit_grads,
+                                param_grad=False)
+    grads = reference_backward(G, cache_g, d_fake)
+    return objective, grads
+
+
+def reference_train(config, data, rng, with_generator):
+    """The allocating training loop the workspace replaced, on the reference kernels."""
+    M = binary_cost_matrix(data.K)
+    D = init_mlp(config.discriminator_arch, Activation.RELU, Head.SOFTMAX, rng)
+    adam_d = init_adam(D, config.adam_beta1, config.adam_beta2, config.adam_epsilon)
+    G = adam_g = None
+    if with_generator:
+        G = init_mlp(config.generator_arch, Activation.RELU, Head.IDENTITY, rng)
+        adam_g = init_adam(G, config.adam_beta1, config.adam_beta2, config.adam_epsilon)
+
+    targets = training._one_hot(data.ind_train_y, data.K)
+    n_ind = data.ind_train_x.shape[0]
+    n_ood_pool = data.ood_train.shape[0]
+    b_ood = config.effective_batch_ood(n_ood_pool)
+    n_d = config.n_d if with_generator else 1
+    beta_z = config.beta_z if with_generator else 0.0
+    gen_x = np.empty((0, data.d))
+
+    records = []
+    for it in range(1, config.iterations + 1):
+        for _ in range(n_d):
+            ind_idx = rng.indices_below(n_ind, config.batch_ind)
+            ood_idx = rng.indices_below(n_ood_pool, b_ood)
+            if with_generator:
+                noise = sample_noise(config.noise_dim, config.batch_gen, rng)
+                gen_x, _ = reference_forward(G, noise)
+            loss, (ce, mean_ood, mean_gen), grads = reference_discriminator_step(
+                D, data.ind_train_x[ind_idx], targets[ind_idx], data.ood_train[ood_idx],
+                gen_x, config.beta_ood, beta_z, M)
+            D, adam_d = reference_adam(D, grads, adam_d, config.lr_d)
+
+        if not with_generator:
+            records.append(IterationRecord(it, loss, ce, mean_ood, None, None))
+            continue
+        for _ in range(config.n_g):
+            noise = sample_noise(config.noise_dim, config.batch_gen, rng)
+            objective, g_grads = reference_generator_step(D, G, noise, config.beta_z, M)
+            # Ascent: feed Adam the negated gradient.
+            G, adam_g = reference_adam(G, -g_grads, adam_g, config.lr_g)
+        records.append(IterationRecord(it, loss, ce, mean_ood, mean_gen, objective))
+
+    return TrainHistory(tuple(records), D, G)
+
+
+class TestWorkspaceMatchesReference:
+    """The in-place trainer and steps against the allocating loop, bit for bit."""
+
+    @pytest.mark.parametrize("method, with_generator",
+                             [(train_see_ood, True), (train_wood, False)])
+    @pytest.mark.parametrize("pool, settings", [
+        (40, dict(n_d=2, n_g=1)),
+        (40, dict(n_d=1, n_g=3)),
+        (5, dict(batch_ood=32)),
+        (40, dict(batch_ind=24, batch_gen=40)),
+    ], ids=["d-heavy-mix", "g-heavy-mix", "ood-clamped", "batch-gen-differs"])
+    def test_trainer(self, method, with_generator, pool, settings):
+        cfg = TrainConfig(iterations=12, lr_d=1e-3, lr_g=1e-3, beta_z=0.5, seed=9, **settings)
+        data = small_dataset(seed=4, n_ood=pool)
+        got = method(cfg, data, Rng(cfg.seed))
+        want = reference_train(cfg, data, Rng(cfg.seed), with_generator)
+        assert got.records == want.records
+        assert got.discriminator.flat.tobytes() == want.discriminator.flat.tobytes()
+        if with_generator:
+            assert got.generator.flat.tobytes() == want.generator.flat.tobytes()
+        else:
+            assert got.generator is None
+
+    @pytest.mark.parametrize("n_gen", [0, 5])
+    def test_discriminator_step(self, n_gen):
+        M = binary_cost_matrix(3)
+        ind_x, ind_y, ood_x, gen_x = tiny_batches(11, n_ind=16, n_ood=4, n_gen=n_gen)
+        D = init_mlp((2, 32, 3), Activation.RELU, Head.SOFTMAX, Rng(12))
+        args = (3.0 * ind_x, ind_y, 3.0 * ood_x, 3.0 * gen_x, 1.3, 0.7, M)
+        loss, parts, grads = discriminator_loss_and_grads(D, *args)
+        targets = np.eye(3)[ind_y - 1]
+        ref_loss, ref_parts, ref_grads = reference_discriminator_step(
+            D, args[0], targets, *args[2:])
+        assert (loss, parts) == (ref_loss, ref_parts)
+        assert grads.tobytes() == ref_grads.tobytes()
+
+    def test_generator_step(self):
+        M = binary_cost_matrix(3)
+        D = init_mlp((2, 32, 3), Activation.RELU, Head.SOFTMAX, Rng(13))
+        G = init_mlp((2, 16, 2), Activation.RELU, Head.IDENTITY, Rng(14))
+        noise = sample_noise(2, 9, Rng(15))
+        objective, grads = generator_objective_and_grads(D, G, noise, 0.4, M)
+        ref_objective, ref_grads = reference_generator_step(D, G, noise, 0.4, M)
+        assert objective == ref_objective
+        assert grads.tobytes() == ref_grads.tobytes()
 
 
 class TestSampleGenerator:

@@ -7,10 +7,12 @@ import pytest
 from oodlab.nets import Activation, Head, MlpParams, init_mlp, mlp_forward
 from oodlab.rng import Rng
 from oodlab.wasserstein import (
+    SCORE_BLOCK_ROWS,
     binary_cost_matrix,
     load_cost_matrix_csv,
     score_batch,
     score_gradient,
+    score_rows,
     validate_cost_matrix,
     validate_prob_vector,
     wasserstein_score,
@@ -216,6 +218,21 @@ class TestScoreBatch:
         net = init_mlp((2, 4, 3), Activation.RELU, Head.IDENTITY, Rng(0))
         with pytest.raises(ValueError):
             score_batch(net, [[0.0, 0.0]], binary_cost_matrix(3))
+
+    @pytest.mark.parametrize("rows", [SCORE_BLOCK_ROWS + 1, 40_000])
+    def test_blocked_scores_match_one_pass(self, rows):
+        # 40 000 rows is a 200x200 heatmap grid; both sizes end in a short block.
+        net = init_mlp((2, 128, 3), Activation.RELU, Head.SOFTMAX, Rng(4))
+        net = MlpParams(net.layer_sizes, net.flat + 0.1 * Rng(5).standard_normal(net.flat.size),
+                        net.hidden, net.head)
+        points = 4.0 * Rng(6).standard_normal(2 * rows).reshape(rows, 2)
+        M = binary_cost_matrix(3)
+        probs, _ = mlp_forward(net, points)
+        assert np.array_equal(score_batch(net, points, M), score_rows(probs, M)[0])
+
+    def test_vector_input_rejected(self):
+        with pytest.raises(ValueError, match="expected \\(batch, 2\\)"):
+            score_batch(self.make_net(), [1.0, 2.0], binary_cost_matrix(3))
 
 
 class TestValidation:
