@@ -17,11 +17,11 @@ from . import config as config_mod
 from .config import ConfigError, ExperimentConfig, parse_config, preset_config
 from .data import make_simulation_dataset, write_dataset_csv
 from .experiment import (
+    _replication_heatmap,
     _train_replication,
     compare_rejection_regions,
     load_report,
     run_experiment,
-    run_replication,
     write_comparison_csv,
     write_heatmap_files,
     write_training_files,
@@ -110,9 +110,11 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_heatmap(args) -> int:
-    rep = run_replication(_resolve_config(args), 0)
+    cfg = _resolve_config(args)
+    _, data, M, history = _train_replication(cfg, 0)
+    heatmap = _replication_heatmap(cfg, data, M, history)
     out = Path(args.out)
-    write_heatmap_files(rep, out)
+    write_heatmap_files(heatmap, history.discriminator.output_dim, out)
     print(f"wrote {out}/heatmap.csv and {out}/heatmap.pgm")
     return 0
 

@@ -9,14 +9,14 @@ calibration is parameter-free and exactly reproducible from the score list.
 
 from __future__ import annotations
 
-import csv
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .nets import Head, MlpParams, mlp_forward, write_csv
-from .wasserstein import score_batch, validate_cost_matrix
+from .nets import Head, MlpParams, _as_batch, mlp_forward, write_csv
+from .wasserstein import _score_blocks, _scoring_cost_matrix, score_batch, validate_cost_matrix
 
 __all__ = [
     "Threshold",
@@ -26,6 +26,7 @@ __all__ = [
     "detect",
     "tpr_at_tnr",
     "classification_accuracy",
+    "scores_and_accuracy",
     "mad",
     "score_heatmap",
     "rejection_region_area",
@@ -103,6 +104,23 @@ def tpr_at_tnr(ind_scores, ood_scores, target_tnr: float) -> tuple[float, Thresh
 
 def classification_accuracy(D: MlpParams, points, labels) -> float:
     """Fraction of points whose argmax class (smallest index on ties) matches the label."""
+    x, y = _labeled_points(D, points, labels)
+    probs, _ = mlp_forward(D, x)
+    predicted = np.argmax(probs, axis=1) + 1
+    return float(np.mean(predicted == y))
+
+
+def scores_and_accuracy(D: MlpParams, points, labels, M) -> tuple[np.ndarray, float]:
+    """``score_batch(D, points, M)`` and :func:`classification_accuracy` from one forward pass."""
+    mat = _scoring_cost_matrix(D, M)
+    x, y = _labeled_points(D, points, labels)
+    predicted = np.empty(x.shape[0], dtype=np.intp)
+    scores = _score_blocks(D, _as_batch(D, x), mat, predicted)
+    return scores, float(np.mean(predicted + 1 == y))
+
+
+def _labeled_points(D: MlpParams, points, labels) -> tuple[np.ndarray, np.ndarray]:
+    """`points` and `labels` as arrays, checked as a nonempty labeled batch for `D`."""
     x = np.asarray(points, dtype=float)
     y = np.asarray(labels)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -111,9 +129,7 @@ def classification_accuracy(D: MlpParams, points, labels) -> float:
         raise ValueError("labels must align one-to-one with points")
     if D.head is not Head.SOFTMAX:
         raise ValueError("classification requires a Softmax head")
-    probs, _ = mlp_forward(D, x)
-    predicted = np.argmax(probs, axis=1) + 1
-    return float(np.mean(predicted == y))
+    return x, y
 
 
 def mad(values) -> float:
@@ -156,11 +172,14 @@ def write_heatmap_csv(heatmap: np.ndarray, path) -> None:
 
 
 def read_heatmap_csv(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        rows = [[float(v) for v in row] for row in csv.reader(f) if row]
-    if not rows:
+    """The rows :func:`write_heatmap_csv` wrote, as a 2-D array; ValueError if empty or ragged."""
+    with warnings.catch_warnings():
+        # An empty file warns before it returns an empty array, checked below.
+        warnings.simplefilter("ignore", UserWarning)
+        cells = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8")
+    if cells.size == 0:
         raise ValueError(f"heatmap file {path} is empty")
-    return np.array(rows)
+    return cells
 
 
 def write_heatmap_pgm(heatmap: np.ndarray, K: int, path) -> None:

@@ -12,8 +12,8 @@ A run writes a self-contained output directory:
 CLI commands: `replicate` writes this directory, `evaluate` the same with one
 replication; `train` and `heatmap` write replication 0's training or heatmap
 files straight into --out, byte-equal to `evaluate`'s rep000/ (`train` only
-trains; it scores nothing); `compare` writes comparison.csv and `gen-data`
-dataset.csv.
+trains, `heatmap` only trains and scores the grid); `compare` writes
+comparison.csv and `gen-data` dataset.csv.
 
 Replication r runs on seed `base_seed + r` with a single random stream used
 for dataset generation, subsampling, initialization and training, so (config,
@@ -36,11 +36,11 @@ from .data import Dataset, make_simulation_dataset, read_dataset_csv, subsample_
 from .detection import (
     GridSpec,
     Threshold,
-    classification_accuracy,
     mad,
     read_heatmap_csv,
     rejection_region_area,
     score_heatmap,
+    scores_and_accuracy,
     tpr_at_tnr,
     write_heatmap_csv,
     write_heatmap_pgm,
@@ -136,7 +136,8 @@ def _train_replication(config: ExperimentConfig,
                        index: int) -> tuple[int, Dataset, np.ndarray, TrainHistory]:
     """Build replication `index`'s data and train on it; returns (seed, data, M, history).
 
-    The training half of :func:`run_replication`, which CLI `train` runs alone.
+    The training half of :func:`run_replication`, which CLI `train` runs alone
+    and CLI `heatmap` before :func:`_replication_heatmap`.
     """
     seed = config.train.seed + index
     rng = Rng(seed)
@@ -152,16 +153,21 @@ def _train_replication(config: ExperimentConfig,
     return seed, data, M, history
 
 
+def _replication_heatmap(config: ExperimentConfig, data: Dataset, M: np.ndarray,
+                         history: TrainHistory) -> np.ndarray | None:
+    """The trained discriminator's score heatmap over the config's grid; None unless 2-D."""
+    return score_heatmap(history.discriminator, config.grid, M) if data.d == 2 else None
+
+
 def run_replication(config: ExperimentConfig, index: int) -> ReplicationResult:
     """Train and evaluate one replication on seed ``base_seed + index``."""
     seed, data, M, history = _train_replication(config, index)
     D = history.discriminator
-    ind_scores = score_batch(D, data.ind_test_x, M)
+    ind_scores, accuracy = scores_and_accuracy(D, data.ind_test_x, data.ind_test_y, M)
     ood_scores = score_batch(D, data.ood_test, M)
-    accuracy = classification_accuracy(D, data.ind_test_x, data.ind_test_y)
 
     calibrated = [tpr_at_tnr(ind_scores, ood_scores, t) for t in config.tnr_targets]
-    heatmap = score_heatmap(D, config.grid, M) if data.d == 2 else None
+    heatmap = _replication_heatmap(config, data, M, history)
     return ReplicationResult(
         index=index,
         seed=seed,
@@ -240,14 +246,14 @@ def write_training_files(history: TrainHistory, out_dir) -> tuple[str, ...]:
     return tuple(names)
 
 
-def write_heatmap_files(rep: ReplicationResult, out_dir) -> tuple[str, ...]:
-    """Write a replication's score heatmap as CSV and PGM into `out_dir`; return the names."""
-    if rep.heatmap is None:
+def write_heatmap_files(heatmap: np.ndarray | None, K: int, out_dir) -> tuple[str, ...]:
+    """Write a K-class score heatmap as CSV and PGM into `out_dir`; return the names."""
+    if heatmap is None:
         raise ValueError("heatmaps require 2-D data")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_heatmap_csv(rep.heatmap, out / "heatmap.csv")
-    write_heatmap_pgm(rep.heatmap, rep.history.discriminator.output_dim, out / "heatmap.pgm")
+    write_heatmap_csv(heatmap, out / "heatmap.csv")
+    write_heatmap_pgm(heatmap, K, out / "heatmap.pgm")
     return ("heatmap.csv", "heatmap.pgm")
 
 
@@ -272,7 +278,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
         rep_dir = f"rep{rep.index:03d}"
         names = write_training_files(rep.history, out / rep_dir)
         if rep.heatmap is not None:
-            names += write_heatmap_files(rep, out / rep_dir)
+            names += write_heatmap_files(rep.heatmap, rep.history.discriminator.output_dim,
+                                         out / rep_dir)
         files += [f"{rep_dir}/{name}" for name in names]
 
     # Mean and MAD of each metric column, each over a 1-D column of replications.

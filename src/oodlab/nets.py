@@ -190,12 +190,18 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     """
     z = np.asarray(logits, dtype=float)
     out = np.empty_like(z)
-    _softmax(z, out, np.empty(z.shape[:-1] + (1,)))
+    _softmax(z, out, np.empty((2,) + z.shape[:-1] + (1,)))
     return out
 
 
 def _softmax(z: np.ndarray, out: np.ndarray, col: np.ndarray) -> None:
-    """Softmax kernel: :func:`softmax` of `z` into `out`; `col` takes the per-row max and sum."""
+    """Softmax kernel: :func:`softmax` of `z` into `out`.
+
+    ``col[0]`` and ``col[1]``, each shaped like a keepdims reduction of `z`,
+    keep each row's max and the sum of its shifted exponentials, so a caller
+    can form ``log_softmax(z) = (z - col[0]) - log(col[1])`` without a second
+    pass.
+    """
     if z.size == 0:
         raise ValueError("softmax of an empty vector is undefined")
     # Both extremes are finite exactly when every entry is.
@@ -203,18 +209,11 @@ def _softmax(z: np.ndarray, out: np.ndarray, col: np.ndarray) -> None:
             and np.isfinite(np.minimum.reduce(z, axis=None))):
         raise ValueError("softmax requires finite logits")
     # The ufunc reductions behind np.max and np.sum, without their Python wrappers.
-    np.maximum.reduce(z, axis=-1, keepdims=True, out=col)
-    np.subtract(z, col, out=out)
+    np.maximum.reduce(z, axis=-1, keepdims=True, out=col[0])
+    np.subtract(z, col[0], out=out)
     np.exp(out, out=out)
-    np.add.reduce(out, axis=-1, keepdims=True, out=col)
-    np.divide(out, col, out=out)
-
-
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """log(softmax(z)) in log-sum-exp form; never evaluates log(0)."""
-    z = np.asarray(logits, dtype=float)
-    shifted = z - np.max(z, axis=-1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    np.add.reduce(out, axis=-1, keepdims=True, out=col[1])
+    np.divide(out, col[1], out=out)
 
 
 @dataclass(frozen=True)
@@ -241,11 +240,12 @@ class _Buffers:
 
     ``pres[l]`` and ``acts[l]`` take layer l's pre-activation and activation;
     an Identity head's output array is ``pres[-1]`` itself. ``col`` is the
-    Softmax head's (rows, 1) work column. ``deltas[l]`` takes the gradient
-    with respect to ``pres[l]``: the caller writes the upstream gradient into
-    ``deltas[-1]``, which a Tanh head's backward pass overwrites. ``scratch[l]``
-    is a work array shaped like ``deltas[l]``. `grad` takes the flat parameter
-    gradient, through its per-layer (weights, biases) views `grad_views`.
+    Softmax head's (2, rows, 1) work array, each row's max and exp-sum.
+    ``deltas[l]`` takes the gradient with respect to ``pres[l]``: the caller
+    writes the upstream gradient into ``deltas[-1]``, which a Tanh head's
+    backward pass overwrites. ``scratch[l]`` is a work array shaped like
+    ``deltas[l]``. `grad` takes the flat parameter gradient, through its
+    per-layer (weights, biases) views `grad_views`.
     """
 
     pres: tuple[np.ndarray, ...]
@@ -260,7 +260,7 @@ class _Buffers:
         """Forward buffers: views onto the first `rows` rows of each forward array."""
         def cut(arrays):
             return tuple(a[:rows] for a in arrays)
-        return _Buffers(cut(self.pres), cut(self.acts), self.col[:rows])
+        return _Buffers(cut(self.pres), cut(self.acts), self.col[:, :rows])
 
 
 def _as_batch(params: MlpParams, inputs) -> np.ndarray:
@@ -278,7 +278,7 @@ def _forward_buffers(params: MlpParams, rows: int) -> _Buffers:
     widths = params.layer_sizes[1:]
     pres = _empty_rows(rows, widths)
     head = (pres[-1],) if params.head is Head.IDENTITY else _empty_rows(rows, widths[-1:])
-    return _Buffers(pres, _empty_rows(rows, widths[:-1]) + head, np.empty((rows, 1)))
+    return _Buffers(pres, _empty_rows(rows, widths[:-1]) + head, np.empty((2, rows, 1)))
 
 
 def _buffers(params: MlpParams, rows: int) -> _Buffers:

@@ -24,24 +24,32 @@ through the frozen discriminator for its input gradient only. The loop checks
 architectures and labels once per run, then calls the unchecked step kernels
 behind `discriminator_loss_and_grads` and `generator_objective_and_grads`.
 
-The loop allocates no array that grows with the networks. Before the first
-step it sizes one workspace from the config: `_DiscriminatorWorkspace` holds
-the stacked batch (filled by ``np.take`` and the generator's forward pass),
-its one-hot targets and D's buffers over it (pre-activations, activations,
-deltas, flat gradient); the generator step has G's buffers and D's over
-G's output, and writes D's input gradient straight into G's upstream
-gradient. D's and G's parameter vectors and Adam moments are private to the
-run and updated in place by the `oodlab.nets` kernels; `TrainHistory` gets
-fresh copies at the end, whose construction checks the trained weights are
-finite. Each step still checks that the logits, the loss and the objective
-are finite. What still allocates per step is small: the index and noise
-draws and the (batch, K) arrays of the loss layer.
+After set-up the training loop allocates no array data. It sizes one
+workspace from the config: `_DiscriminatorWorkspace` holds the stacked
+batch (filled by ``np.take`` and the generator's forward pass), its one-hot
+targets, D's buffers over it (pre-activations, activations, deltas, flat
+gradient) and the loss layer's arrays. The cross-entropy reuses the
+softmax's row max and exp-sum, and the score kernel `_score_rows` and the
+logit gradient write into `_ScoreBuffers`, the gradient straight into D's
+upstream rows. The generator step has G's buffers and D's and the score
+layer's over G's output, and writes D's input gradient straight into G's
+upstream gradient. D's and G's parameter vectors and Adam moments are
+private to the run and updated in place by the `oodlab.nets` kernels;
+`TrainHistory` gets fresh copies at the end, whose construction checks the
+trained weights are finite. Each step still checks that the logits, the loss
+and the objective are finite.
 
 Minibatches are drawn uniformly with replacement from each pool, with the
 OoD batch size clamped to the pool size. Runs are deterministic functions of
 (config, data, seed): the discriminator is initialized first, then the
 generator; each discriminator step then draws InD indices, OoD indices and
-noise, and each generator step draws noise.
+noise, and each generator step draws noise. No draw depends on the training
+state, so `_draws` takes them a chunk of iterations at a time, into per-run
+buffers: as many iterations as fit in `DRAW_CHUNK_UNIFORMS` uniforms (at
+least one) per `Rng.uniform` block, in that order; then all of the chunk's
+indices in one multiply per pool and all of its noise in one `_box_muller`
+pass. Every value, and where the stream stops, is as with per-step draws,
+so a caller's `Rng` reused after training sees the same next draw.
 """
 
 from __future__ import annotations
@@ -62,12 +70,11 @@ from .nets import (
     _buffers,
     _forward,
     init_mlp,
-    log_softmax,
     mlp_forward,
     write_csv,
 )
-from .rng import Rng
-from .wasserstein import binary_cost_matrix, score_rows, validate_cost_matrix
+from .rng import Rng, _box_muller
+from .wasserstein import _score_rows, binary_cost_matrix, validate_cost_matrix
 
 __all__ = [
     "TrainConfig",
@@ -161,17 +168,41 @@ def _one_hot(labels: np.ndarray, K: int) -> np.ndarray:
     return np.eye(K)[labels - 1]
 
 
-def _score_values_and_logit_grads(probs: np.ndarray,
-                                  M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row scores and d(score)/d(logits) for softmax outputs.
+class _ScoreBuffers:
+    """Score-layer arrays over `rows` softmax rows of K classes.
+
+    `costs`, `k_star` and `scores` are `_score_rows`' outputs; `cols` takes
+    each row's argmin cost column and `inner` its dot product with the row.
+    """
+
+    def __init__(self, rows: int, K: int):
+        self.costs = np.empty((rows, K))
+        self.k_star = np.empty(rows, dtype=np.intp)
+        self.scores = np.empty(rows)
+        self.cols = np.empty((rows, K))
+        self.inner = np.empty((rows, 1))
+
+
+def _scores_and_logit_grads(probs: np.ndarray, M: np.ndarray, buf: _ScoreBuffers,
+                            out: np.ndarray) -> None:
+    """Scores of softmax rows `probs` into ``buf.scores`` and d(score)/d(logits) into `out`.
 
     With cost column g of the (smallest-index) argmin target, the chain rule
-    through the softmax gives d(score)/dz_i = p_i * (g_i - p.g).
+    through the softmax gives d(score)/dz_i = p_i * (g_i - p.g). `out` holds
+    the products p_i * g_i on the way.
     """
-    scores, k_star = score_rows(probs, M)
-    g = M[:, k_star].T
-    inner = np.sum(probs * g, axis=1, keepdims=True)
-    return scores, probs * (g - inner)
+    _score_rows(probs, M, buf.costs, buf.k_star, buf.scores)
+    # Row k of M.T is the cost column of target k; the indices are in range.
+    M.T.take(buf.k_star, axis=0, out=buf.cols, mode="clip")
+    np.multiply(probs, buf.cols, out=out)
+    np.add.reduce(out, axis=1, keepdims=True, out=buf.inner)
+    np.subtract(buf.cols, buf.inner, out=buf.cols)
+    np.multiply(probs, buf.cols, out=out)
+
+
+def _mean(values: np.ndarray) -> float:
+    """``values.mean()`` as the ufunc reduction it wraps."""
+    return float(np.add.reduce(values) / values.shape[0])
 
 
 class _DiscriminatorWorkspace:
@@ -180,7 +211,8 @@ class _DiscriminatorWorkspace:
     `x` holds the batch, with `ind`, `ood` and `gen` views onto its blocks,
     and `targets` the InD rows' one-hot labels; `buffers` holds D's pass over
     `x`, its gradient included, and `up` views onto the blocks of its
-    upstream gradient.
+    upstream gradient. `ce` is the InD rows' log-softmax work array and
+    `score` the score layer's arrays over the OoD and generated rows.
     """
 
     def __init__(self, D: MlpParams, n_ind: int, n_ood: int, n_gen: int):
@@ -189,6 +221,8 @@ class _DiscriminatorWorkspace:
         self.targets = np.empty((n_ind, D.output_dim))
         self.buffers = _buffers(D, self.x.shape[0])
         self.up = np.split(self.buffers.deltas[-1], [n_ind, n_ind + n_ood])
+        self.ce = np.empty((n_ind, D.output_dim))
+        self.score = _ScoreBuffers(n_ood + n_gen, D.output_dim)
 
 
 def _discriminator_step(D: MlpParams, ws: _DiscriminatorWorkspace, beta_ood: float,
@@ -200,18 +234,27 @@ def _discriminator_step(D: MlpParams, ws: _DiscriminatorWorkspace, beta_ood: flo
     The gradient lands in ``ws.buffers.grad``.
     """
     n_ind, n_ood, n_gen = ws.ind.shape[0], ws.ood.shape[0], ws.gen.shape[0]
-    probs = _forward(D, ws.x, ws.buffers)
-    ce = float(-np.sum(log_softmax(ws.buffers.pres[-1][:n_ind]) * ws.targets) / n_ind)
-    scores, g = _score_values_and_logit_grads(probs[n_ind:], M)
-    mean_ood = float(scores[:n_ood].mean())
-    mean_gen = float(scores[n_ood:].mean()) if n_gen else 0.0
+    buf = ws.buffers
+    probs = _forward(D, ws.x, buf)
+    # log_softmax(z) = (z - max) - log(exp-sum), from the softmax's row max and
+    # exp-sum; the log overwrites the sums, which the softmax no longer needs.
+    row_max, log_sum = buf.col[0][:n_ind], buf.col[1][:n_ind]
+    np.log(log_sum, out=log_sum)
+    np.subtract(buf.pres[-1][:n_ind], row_max, out=ws.ce)
+    np.subtract(ws.ce, log_sum, out=ws.ce)
+    np.multiply(ws.ce, ws.targets, out=ws.ce)
+    ce = float(-np.add.reduce(ws.ce, axis=None) / n_ind)
 
     up_ind, up_ood, up_gen = ws.up
+    # The score rows' logit gradients land in their upstream rows, then get their weights.
+    _scores_and_logit_grads(probs[n_ind:], M, ws.score, buf.deltas[-1][n_ind:])
+    mean_ood = _mean(ws.score.scores[:n_ood])
+    mean_gen = _mean(ws.score.scores[n_ood:]) if n_gen else 0.0
+    np.multiply(up_ood, -beta_ood / n_ood, out=up_ood)
+    if n_gen:
+        np.multiply(up_gen, -beta_z / n_gen, out=up_gen)
     np.subtract(probs[:n_ind], ws.targets, out=up_ind)
     np.divide(up_ind, n_ind, out=up_ind)
-    np.multiply(-beta_ood / n_ood, g[:n_ood], out=up_ood)
-    if n_gen:
-        np.multiply(-beta_z / n_gen, g[n_ood:], out=up_gen)
     _backward(D, ws.x, ws.buffers)
 
     loss = ce - beta_ood * mean_ood - beta_z * mean_gen
@@ -252,20 +295,21 @@ def discriminator_loss_and_grads(D: MlpParams, ind_x: np.ndarray, ind_y: np.ndar
 
 
 def _generator_step(D: MlpParams, G: MlpParams, noise: np.ndarray, g_buf: _Buffers,
-                    d_buf: _Buffers, beta_z: float, M: np.ndarray) -> float:
-    """Unchecked kernel of `generator_objective_and_grads`, through G's and D's buffers.
+                    d_buf: _Buffers, score: _ScoreBuffers, beta_z: float, M: np.ndarray) -> float:
+    """Unchecked kernel of `generator_objective_and_grads`, through G's, D's and score buffers.
 
     D's input gradient is written straight into G's upstream gradient; G's
     gradient lands in ``g_buf.grad``.
     """
     fake = _forward(G, noise, g_buf)
     probs = _forward(D, fake, d_buf)
-    scores, logit_grads = _score_values_and_logit_grads(probs, M)
-    objective = float(beta_z * scores.mean())
+    up = d_buf.deltas[-1]
+    _scores_and_logit_grads(probs, M, score, up)
+    objective = float(beta_z * _mean(score.scores))
     if not np.isfinite(objective):
         raise NumericError(f"generator objective is not finite: {objective}")
 
-    np.multiply(beta_z / noise.shape[0], logit_grads, out=d_buf.deltas[-1])
+    np.multiply(up, beta_z / noise.shape[0], out=up)
     _backward(D, fake, d_buf, dx=g_buf.deltas[-1])
     _backward(G, noise, g_buf)
     return objective
@@ -295,8 +339,10 @@ def generator_objective_and_grads(
         )
     if D.head is not Head.SOFTMAX:
         raise ValueError("the discriminator needs a Softmax head")
-    g_buf = _buffers(G, noise.shape[0])
-    objective = _generator_step(D, G, noise, g_buf, _buffers(D, noise.shape[0]), beta_z, mat)
+    rows = noise.shape[0]
+    g_buf = _buffers(G, rows)
+    objective = _generator_step(D, G, noise, g_buf, _buffers(D, rows),
+                                _ScoreBuffers(rows, D.output_dim), beta_z, mat)
     return objective, g_buf.grad
 
 
@@ -340,6 +386,68 @@ class _Adam:
         _adam(self.flat, grad, self.m, self.v, self.t, lr, *self.hyper, self.scratch)
 
 
+# Uniforms per chunk in `_draws`. At 8 bytes each this keeps the chunk's
+# uniforms, and every array derived from them, below glibc's 128 KB mmap
+# threshold whenever one iteration's draws fit. The chunk's iteration count
+# follows from it and the batch sizes; the draws do not depend on it.
+DRAW_CHUNK_UNIFORMS = 12288
+
+
+def _draws(rng: Rng, iterations: int, n_d: int, n_g: int, batch_ind: int, n_ind: int,
+           b_ood: int, n_ood_pool: int, noise_shape: tuple[int, int] | None):
+    """Yield each training iteration's random draws, taken a chunk of iterations at a time.
+
+    Per iteration the stream holds, for each of its n_d discriminator steps,
+    `batch_ind` uniforms for InD indices, `b_ood` for OoD indices and, given
+    ``noise_shape = (batch_gen, noise_dim)``, the noise uniforms u1 then u2
+    (``ceil(batch_gen * noise_dim / 2)`` each); then u1 and u2 for each of its
+    n_g generator steps. That is the order of per-step ``indices_below`` and
+    `sample_noise` calls, so a chunk is one `Rng.uniform` block, and the last,
+    short chunk leaves `rng` where per-step draws would.
+
+    Yields (InD indices (n_d, batch_ind), OoD indices (n_d, b_ood), noise
+    (n_d + n_g, batch_gen, noise_dim) or None): views into per-run buffers
+    that the next chunk overwrites.
+    """
+    pairs = 0 if noise_shape is None else (noise_shape[0] * noise_shape[1] + 1) // 2
+    d_len = batch_ind + b_ood + 2 * pairs
+    per_iteration = n_d * d_len + n_g * 2 * pairs
+    rows = max(1, min(iterations, DRAW_CHUNK_UNIFORMS // per_iteration))
+    uniforms = np.empty((rows, per_iteration))
+    # Splitting the last axis of a slice keeps these views onto `uniforms`.
+    d_draws = uniforms[:, :n_d * d_len].reshape(rows, n_d, d_len)
+    ind_idx = np.empty((rows, n_d, batch_ind), dtype=np.int64)
+    ood_idx = np.empty((rows, n_d, b_ood), dtype=np.int64)
+    noise = None
+    if noise_shape is not None:
+        g_draws = uniforms[:, n_d * d_len:].reshape(rows, n_g, 2 * pairs)
+        u1, u2, work = (np.empty((rows, n_d + n_g, pairs)) for _ in range(3))
+        first = batch_ind + b_ood
+        d_u1, d_u2 = d_draws[:, :, first:first + pairs], d_draws[:, :, first + pairs:]
+        g_u1, g_u2 = g_draws[:, :, :pairs], g_draws[:, :, pairs:]
+        normals = np.empty((rows, n_d + n_g, 2 * pairs))
+        # An odd count drops the last pair's sine, as `Rng.standard_normal` does.
+        noise = normals[:, :, :noise_shape[0] * noise_shape[1]].reshape(
+            rows, n_d + n_g, *noise_shape)
+
+    for start in range(0, iterations, rows):
+        n = min(rows, iterations - start)
+        rng.uniform(n * per_iteration, out=uniforms[:n])
+        # floor(u * pool) through the int cast, as `Rng.indices_below` does.
+        np.multiply(d_draws[:n, :, :batch_ind], n_ind, out=ind_idx[:n], casting="unsafe")
+        np.multiply(d_draws[:n, :, batch_ind:batch_ind + b_ood], n_ood_pool, out=ood_idx[:n],
+                    casting="unsafe")
+        if noise is not None:
+            # Every step's u1, then u2, side by side for one Box-Muller pass.
+            np.copyto(u1[:n, :n_d], d_u1[:n])
+            np.copyto(u1[:n, n_d:], g_u1[:n])
+            np.copyto(u2[:n, :n_d], d_u2[:n])
+            np.copyto(u2[:n, n_d:], g_u2[:n])
+            _box_muller(u1[:n], u2[:n], normals[:n], work[:n])
+        for r in range(n):
+            yield ind_idx[r], ood_idx[r], None if noise is None else noise[r]
+
+
 def _train(config: TrainConfig, data: Dataset, rng: Rng | None,
            with_generator: bool) -> TrainHistory:
     """The one loop behind `train_see_ood` and `train_wood`; see the module docstring."""
@@ -357,30 +465,32 @@ def _train(config: TrainConfig, data: Dataset, rng: Rng | None,
     if with_generator:
         G = init_mlp(config.generator_arch, Activation.RELU, Head.IDENTITY, rng)
         adam_g = _Adam(G, config)
-        # G's pass, and D's pass over G's output, over one noise batch.
+        # G's pass, and D's pass and score layer over G's output, over one noise batch.
         g_buf, dg_buf = _buffers(G, config.batch_gen), _buffers(D, config.batch_gen)
+        g_score = _ScoreBuffers(config.batch_gen, data.K)
 
     targets = _one_hot(data.ind_train_y, data.K)
     n_ind = data.ind_train_x.shape[0]
     n_ood_pool = data.ood_train.shape[0]
     b_ood = config.effective_batch_ood(n_ood_pool)
     n_d = config.n_d if with_generator else 1
+    n_g = config.n_g if with_generator else 0
     beta_z = config.beta_z if with_generator else 0.0
     d_ws = _DiscriminatorWorkspace(D, config.batch_ind, b_ood,
                                    config.batch_gen if with_generator else 0)
+    draws = _draws(rng, config.iterations, n_d, n_g, config.batch_ind, n_ind, b_ood, n_ood_pool,
+                   (config.batch_gen, config.noise_dim) if with_generator else None)
 
     records = []
-    for it in range(1, config.iterations + 1):
-        for _ in range(n_d):
-            ind_idx = rng.indices_below(n_ind, config.batch_ind)
-            ood_idx = rng.indices_below(n_ood_pool, b_ood)
+    for it, (ind_idx, ood_idx, noise) in enumerate(draws, start=1):
+        for j in range(n_d):
             # The indices are in range; mode "raise" would copy through a temporary.
-            np.take(data.ind_train_x, ind_idx, axis=0, out=d_ws.ind, mode="clip")
-            np.take(targets, ind_idx, axis=0, out=d_ws.targets, mode="clip")
-            np.take(data.ood_train, ood_idx, axis=0, out=d_ws.ood, mode="clip")
+            # The methods skip `np.take`'s Python wrapper.
+            data.ind_train_x.take(ind_idx[j], axis=0, out=d_ws.ind, mode="clip")
+            targets.take(ind_idx[j], axis=0, out=d_ws.targets, mode="clip")
+            data.ood_train.take(ood_idx[j], axis=0, out=d_ws.ood, mode="clip")
             if with_generator:
-                noise = sample_noise(config.noise_dim, config.batch_gen, rng)
-                d_ws.gen[...] = _forward(G, noise, g_buf)
+                d_ws.gen[...] = _forward(G, noise[j], g_buf)
             loss, (ce, mean_ood, mean_gen) = _discriminator_step(
                 D, d_ws, config.beta_ood, beta_z, M)
             adam_d.step(d_ws.buffers.grad, config.lr_d)
@@ -388,9 +498,8 @@ def _train(config: TrainConfig, data: Dataset, rng: Rng | None,
         if not with_generator:
             records.append(IterationRecord(it, loss, ce, mean_ood, None, None))
             continue
-        for _ in range(config.n_g):
-            noise = sample_noise(config.noise_dim, config.batch_gen, rng)
-            objective = _generator_step(D, G, noise, g_buf, dg_buf, config.beta_z, M)
+        for k in range(n_d, n_d + n_g):
+            objective = _generator_step(D, G, noise[k], g_buf, dg_buf, g_score, config.beta_z, M)
             # Ascent: feed Adam the negated gradient.
             np.negative(g_buf.grad, out=g_buf.grad)
             adam_g.step(g_buf.grad, config.lr_g)

@@ -103,10 +103,24 @@ def score_rows(probs: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """Scores of the rows of a (batch, K) probability matrix and their argmin columns.
 
     Columns are 0-based, the smallest winning ties; inputs are not validated.
+    The pure wrapper of :func:`_score_rows`.
     """
-    costs = probs @ M
-    k_star = np.argmin(costs, axis=1)
-    return costs[np.arange(costs.shape[0]), k_star], k_star
+    rows = probs.shape[0]
+    scores, k_star = np.empty(rows), np.empty(rows, dtype=np.intp)
+    _score_rows(probs, M, np.empty((rows, M.shape[1])), k_star, scores)
+    return scores, k_star
+
+
+def _score_rows(probs: np.ndarray, M: np.ndarray, costs: np.ndarray, k_star: np.ndarray,
+                scores: np.ndarray) -> None:
+    """Score kernel: transport costs ``probs @ M`` into `costs`, argmin columns into `k_star`.
+
+    `scores` takes each row's minimum cost, which is the cost at its argmin
+    column. Writes into caller-owned arrays; unchecked.
+    """
+    np.matmul(probs, M, out=costs)
+    costs.argmin(axis=1, out=k_star)
+    np.minimum.reduce(costs, axis=1, out=scores)
 
 
 def wasserstein_score(p, M) -> tuple[float, int]:
@@ -138,6 +152,15 @@ def score_batch(net: MlpParams, inputs, M) -> np.ndarray:
     The forward pass runs over blocks of `SCORE_BLOCK_ROWS` rows through one
     set of buffers.
     """
+    mat = _scoring_cost_matrix(net, M)
+    x = np.asarray(inputs, dtype=float)
+    if x.size == 0:
+        return np.empty(0)
+    return _score_blocks(net, _as_batch(net, x), mat)
+
+
+def _scoring_cost_matrix(net: MlpParams, M) -> np.ndarray:
+    """`M`, validated and checked to fit ``net``, which must have a Softmax head."""
     mat = validate_cost_matrix(M)
     if net.head is not Head.SOFTMAX:
         raise ValueError("scoring requires a Softmax output head")
@@ -145,14 +168,25 @@ def score_batch(net: MlpParams, inputs, M) -> np.ndarray:
         raise ValueError(
             f"net outputs {net.output_dim} classes but M is {mat.shape[0]}x{mat.shape[0]}"
         )
-    x = np.asarray(inputs, dtype=float)
-    if x.size == 0:
-        return np.empty(0)
-    x = _as_batch(net, x)
+    return mat
+
+
+def _score_blocks(net: MlpParams, x: np.ndarray, M: np.ndarray,
+                  predicted: np.ndarray | None = None) -> np.ndarray:
+    """Scores of the nonempty rows `x`, blocked as in :func:`score_batch`; unchecked.
+
+    Given `predicted`, an int array of one entry per row, it takes each
+    row's 0-based argmax class (smallest index on ties) from the same pass.
+    """
     scores = np.empty(x.shape[0])
-    buf = _forward_buffers(net, min(x.shape[0], SCORE_BLOCK_ROWS))
+    rows = min(x.shape[0], SCORE_BLOCK_ROWS)
+    buf = _forward_buffers(net, rows)
+    costs, k_star = np.empty((rows, M.shape[1])), np.empty(rows, dtype=np.intp)
     for start in range(0, x.shape[0], SCORE_BLOCK_ROWS):
         block = x[start:start + SCORE_BLOCK_ROWS]
-        probs = _forward(net, block, buf.first_rows(block.shape[0]))
-        scores[start:start + block.shape[0]] = score_rows(probs, mat)[0]
+        n = block.shape[0]
+        probs = _forward(net, block, buf.first_rows(n))
+        _score_rows(probs, M, costs[:n], k_star[:n], scores[start:start + n])
+        if predicted is not None:
+            np.argmax(probs, axis=1, out=predicted[start:start + n])
     return scores

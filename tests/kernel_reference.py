@@ -1,8 +1,11 @@
-"""Reference forward, backward and Adam: the allocating bodies the in-place kernels replaced.
+"""Reference kernels: the allocating bodies the in-place kernels replaced.
 
 `oodlab.nets` runs one in-place kernel per operation. These are the earlier
-pure bodies of `softmax`, `mlp_forward`, `mlp_backward` and `adam_step`, kept
-unchanged, so the tests can require the kernels to match them bit for bit.
+pure bodies of `softmax`, `mlp_forward`, `mlp_backward` and `adam_step`; of
+the loss layer's `log_softmax`, `score_rows` and
+`training._score_values_and_logit_grads`; and of `Rng.standard_normal`'s
+Box-Muller transform, kept unchanged, so the tests can require the kernels
+to match them bit for bit.
 """
 
 from dataclasses import replace
@@ -113,3 +116,41 @@ def reference_adam(params: MlpParams, grad: np.ndarray, state: AdamState,
     v = b2 * state.v + (1.0 - b2) * grad * grad
     step = lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
     return replace(params, flat=params.flat - step), AdamState(m, v, t, b1, b2, eps)
+
+
+def reference_log_softmax(logits: np.ndarray) -> np.ndarray:
+    """log(softmax(z)) in log-sum-exp form; never evaluates log(0)."""
+    z = np.asarray(logits, dtype=float)
+    shifted = z - np.max(z, axis=-1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+
+
+def reference_score_rows(probs: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    costs = probs @ M
+    k_star = np.argmin(costs, axis=1)
+    return costs[np.arange(costs.shape[0]), k_star], k_star
+
+
+def reference_score_values_and_logit_grads(probs: np.ndarray,
+                                           M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    scores, k_star = reference_score_rows(probs, M)
+    g = M[:, k_star].T
+    inner = np.sum(probs * g, axis=1, keepdims=True)
+    return scores, probs * (g - inner)
+
+
+def reference_standard_normal(rng, count: int) -> np.ndarray:
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if count == 0:
+        return np.empty(0)
+    pairs = (count + 1) // 2
+    u1 = rng.uniform(pairs)
+    u2 = rng.uniform(pairs)
+    # 1 - u1 lies in (0, 1], keeping the log finite.
+    radius = np.sqrt(-2.0 * np.log1p(-u1))
+    angle = 2.0 * np.pi * u2
+    draws = np.empty(2 * pairs)
+    draws[0::2] = radius * np.cos(angle)
+    draws[1::2] = radius * np.sin(angle)
+    return draws[:count]

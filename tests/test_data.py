@@ -3,6 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from kernel_reference import reference_standard_normal
 
 from oodlab.data import (
     Dataset,
@@ -39,6 +40,19 @@ class TestRng:
         b = Rng(5)
         b.uniform(4)
         npt.assert_array_equal(a.uniform(5), b.uniform(5))
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 63, 128, 1001])
+    def test_normals_match_reference_box_muller(self, count):
+        a, b = Rng(13), Rng(13)
+        assert a.standard_normal(count).tobytes() == reference_standard_normal(b, count).tobytes()
+        assert a.uniform(3).tobytes() == b.uniform(3).tobytes()
+
+    def test_uniform_into_buffer(self):
+        out = np.empty((3, 4))
+        assert Rng(9).uniform(12, out=out) is out
+        assert out.ravel().tobytes() == Rng(9).uniform(12).tobytes()
+        with pytest.raises(ValueError):
+            Rng(9).uniform(11, out=out)
 
     def test_choose_without_replacement_is_subset(self):
         chosen = Rng(3).choose_without_replacement(10, 6)

@@ -14,6 +14,7 @@ from oodlab.detection import (
     read_heatmap_csv,
     rejection_region_area,
     score_heatmap,
+    scores_and_accuracy,
     select_threshold,
     tpr_at_tnr,
     write_heatmap_csv,
@@ -21,7 +22,7 @@ from oodlab.detection import (
 )
 from oodlab.nets import Activation, Head, MlpParams, init_mlp
 from oodlab.rng import Rng
-from oodlab.wasserstein import binary_cost_matrix
+from oodlab.wasserstein import SCORE_BLOCK_ROWS, binary_cost_matrix, score_batch
 
 
 def sort_and_count_eta(scores, target):
@@ -138,6 +139,26 @@ class TestAccuracy:
         with pytest.raises(ValueError):
             classification_accuracy(net, np.empty((0, 2)), np.empty(0))
 
+    @pytest.mark.parametrize("rows", [10, SCORE_BLOCK_ROWS + 7])
+    def test_one_pass_matches_scores_and_accuracy(self, rows):
+        net = init_mlp((2, 16, 3), Activation.RELU, Head.SOFTMAX, Rng(4))
+        pts = 2.0 * Rng(5).standard_normal(2 * rows).reshape(rows, 2)
+        labels = Rng(6).indices_below(3, rows) + 1
+        M = binary_cost_matrix(3)
+        scores, acc = scores_and_accuracy(net, pts, labels, M)
+        assert scores.tobytes() == score_batch(net, pts, M).tobytes()
+        assert acc == classification_accuracy(net, pts, labels)
+
+    def test_one_pass_rejects_what_each_part_rejects(self):
+        net = init_mlp((2, 6, 3), Activation.RELU, Head.SOFTMAX, Rng(1))
+        M = binary_cost_matrix(3)
+        with pytest.raises(ValueError, match="nonempty"):
+            scores_and_accuracy(net, np.empty((0, 2)), np.empty(0), M)
+        with pytest.raises(ValueError, match="expected \\(batch, 2\\)"):
+            scores_and_accuracy(net, np.zeros((2, 3)), [1, 2], M)
+        with pytest.raises(ValueError, match="M is 2x2"):
+            scores_and_accuracy(net, np.zeros((2, 2)), [1, 2], binary_cost_matrix(2))
+
 
 class TestMad:
     def test_hand_value(self):
@@ -221,6 +242,30 @@ class TestExports:
         path = tmp_path / "hm.csv"
         write_heatmap_csv(hm, path)
         npt.assert_array_equal(read_heatmap_csv(path), hm)
+
+    def test_csv_round_trip_is_bitwise(self, tmp_path):
+        hm = 4.0 * Rng(16).standard_normal(600).reshape(20, 30) ** 3
+        path = tmp_path / "hm.csv"
+        write_heatmap_csv(hm, path)
+        assert read_heatmap_csv(path).tobytes() == hm.tobytes()
+
+    def test_single_cell_stays_2d(self, tmp_path):
+        path = tmp_path / "hm.csv"
+        write_heatmap_csv(np.array([[0.25]]), path)
+        assert read_heatmap_csv(path).shape == (1, 1)
+
+    @pytest.mark.parametrize("text", ["", "\r\n"], ids=["empty", "blank-line"])
+    def test_csv_empty_rejected(self, tmp_path, text):
+        path = tmp_path / "hm.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError, match="is empty"):
+            read_heatmap_csv(path)
+
+    def test_csv_ragged_rejected(self, tmp_path):
+        path = tmp_path / "hm.csv"
+        path.write_bytes(b"0.1,0.2,0.3\r\n0.4,0.5\r\n")
+        with pytest.raises(ValueError):
+            read_heatmap_csv(path)
 
     def test_pgm_layout_and_mapping(self, tmp_path):
         top = 1.0 - 1.0 / 3.0

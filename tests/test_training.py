@@ -6,7 +6,13 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
-from kernel_reference import reference_adam, reference_backward, reference_forward
+from kernel_reference import (
+    reference_adam,
+    reference_backward,
+    reference_forward,
+    reference_log_softmax,
+    reference_score_values_and_logit_grads,
+)
 
 import oodlab.training as training
 from oodlab.data import make_simulation_dataset, sample_noise, subsample_ood
@@ -18,7 +24,6 @@ from oodlab.nets import (
     finite_difference_gradient,
     init_adam,
     init_mlp,
-    log_softmax,
     mlp_backward,
     mlp_forward,
     params_to_text,
@@ -142,12 +147,12 @@ def three_pass_loss_and_grads(D, ind_x, ind_y, ood_x, gen_x, beta_ood, beta_z, M
     targets = np.eye(D.output_dim)[np.asarray(ind_y) - 1]
     probs_ind, cache_ind = mlp_forward(D, ind_x)
     n_ind = ind_x.shape[0]
-    ce = float(-np.sum(log_softmax(cache_ind.pre_activations[-1]) * targets) / n_ind)
+    ce = float(-np.sum(reference_log_softmax(cache_ind.pre_activations[-1]) * targets) / n_ind)
     grads = mlp_backward(D, cache_ind, (probs_ind - targets) / n_ind)
 
     probs_ood, cache_ood = mlp_forward(D, ood_x)
     n_ood = ood_x.shape[0]
-    ood_scores, ood_logit_grads = training._score_values_and_logit_grads(probs_ood, M)
+    ood_scores, ood_logit_grads = reference_score_values_and_logit_grads(probs_ood, M)
     mean_ood = float(ood_scores.mean())
     g_ood = mlp_backward(D, cache_ood, (-beta_ood / n_ood) * ood_logit_grads)
     grads = grads + g_ood
@@ -156,7 +161,7 @@ def three_pass_loss_and_grads(D, ind_x, ind_y, ood_x, gen_x, beta_ood, beta_z, M
     if gen_x.shape[0] > 0:
         probs_gen, cache_gen = mlp_forward(D, gen_x)
         n_gen = gen_x.shape[0]
-        gen_scores, gen_logit_grads = training._score_values_and_logit_grads(probs_gen, M)
+        gen_scores, gen_logit_grads = reference_score_values_and_logit_grads(probs_gen, M)
         mean_gen = float(gen_scores.mean())
         g_gen = mlp_backward(D, cache_gen, (-beta_z / n_gen) * gen_logit_grads)
         grads = grads + g_gen
@@ -190,7 +195,7 @@ def _ce_value(params, ind_x, ind_y):
     out, cache = mlp_forward(params, ind_x)
     logits = cache.pre_activations[-1]
     targets = np.eye(params.output_dim)[np.asarray(ind_y) - 1]
-    return float(-np.sum(log_softmax(logits) * targets) / ind_x.shape[0])
+    return float(-np.sum(reference_log_softmax(logits) * targets) / ind_x.shape[0])
 
 
 def _assert_gradients_close(analytic, numeric, rtol):
@@ -329,8 +334,9 @@ def reference_discriminator_step(D, ind_x, targets, ood_x, gen_x, beta_ood, beta
     """The allocating discriminator step the workspace replaced, on the reference kernels."""
     n_ind, n_ood, n_gen = ind_x.shape[0], ood_x.shape[0], gen_x.shape[0]
     probs, cache = reference_forward(D, np.concatenate([ind_x, ood_x, gen_x]))
-    ce = float(-np.sum(log_softmax(cache.pre_activations[-1][:n_ind]) * targets) / n_ind)
-    scores, g = training._score_values_and_logit_grads(probs[n_ind:], M)
+    log_probs = reference_log_softmax(cache.pre_activations[-1][:n_ind])
+    ce = float(-np.sum(log_probs * targets) / n_ind)
+    scores, g = reference_score_values_and_logit_grads(probs[n_ind:], M)
     mean_ood = float(scores[:n_ood].mean())
     mean_gen = float(scores[n_ood:].mean()) if n_gen else 0.0
 
@@ -351,7 +357,7 @@ def reference_generator_step(D, G, noise, beta_z, M):
     """The allocating generator step the workspace replaced, on the reference kernels."""
     fake, cache_g = reference_forward(G, noise)
     probs, cache_d = reference_forward(D, fake)
-    scores, logit_grads = training._score_values_and_logit_grads(probs, M)
+    scores, logit_grads = reference_score_values_and_logit_grads(probs, M)
     objective = float(beta_z * scores.mean())
     if not np.isfinite(objective):
         raise NumericError(f"generator objective is not finite: {objective}")
@@ -416,12 +422,23 @@ class TestWorkspaceMatchesReference:
         (40, dict(n_d=1, n_g=3)),
         (5, dict(batch_ood=32)),
         (40, dict(batch_ind=24, batch_gen=40)),
-    ], ids=["d-heavy-mix", "g-heavy-mix", "ood-clamped", "batch-gen-differs"])
-    def test_trainer(self, method, with_generator, pool, settings):
-        cfg = TrainConfig(iterations=12, lr_d=1e-3, lr_g=1e-3, beta_z=0.5, seed=9, **settings)
+        # 63 noise values per batch; chunks of 2 (see_ood) and 10 (wood) iterations.
+        (40, dict(noise_dim=3, batch_gen=21, generator_arch=(3, 16, 2), iterations=25,
+                  chunk=1000)),
+    ], ids=["d-heavy-mix", "g-heavy-mix", "ood-clamped", "batch-gen-differs",
+            "multi-chunk-odd-noise"])
+    def test_trainer(self, monkeypatch, method, with_generator, pool, settings):
+        settings = dict(settings)
+        if "chunk" in settings:
+            monkeypatch.setattr(training, "DRAW_CHUNK_UNIFORMS", settings.pop("chunk"))
+        cfg = TrainConfig(**{**dict(iterations=12, lr_d=1e-3, lr_g=1e-3, beta_z=0.5, seed=9),
+                             **settings})
         data = small_dataset(seed=4, n_ood=pool)
-        got = method(cfg, data, Rng(cfg.seed))
-        want = reference_train(cfg, data, Rng(cfg.seed), with_generator)
+        got_rng, want_rng = Rng(cfg.seed), Rng(cfg.seed)
+        got = method(cfg, data, got_rng)
+        want = reference_train(cfg, data, want_rng, with_generator)
+        # A caller reusing its Rng after training sees the same next draw.
+        assert got_rng.uniform(4).tobytes() == want_rng.uniform(4).tobytes()
         assert got.records == want.records
         assert got.discriminator.flat.tobytes() == want.discriminator.flat.tobytes()
         if with_generator:
@@ -451,6 +468,41 @@ class TestWorkspaceMatchesReference:
         ref_objective, ref_grads = reference_generator_step(D, G, noise, 0.4, M)
         assert objective == ref_objective
         assert grads.tobytes() == ref_grads.tobytes()
+
+
+class TestBlockDraws:
+    """`training._draws` against per-step `indices_below` and `sample_noise` calls."""
+
+    @pytest.mark.parametrize("iterations, chunk", [(0, None), (7, None), (7, 600), (23, 600)])
+    @pytest.mark.parametrize("n_d, n_g, noise_shape", [
+        (2, 1, (21, 3)),
+        (1, 3, (64, 2)),
+        (1, 0, None),
+    ], ids=["odd-noise", "g-heavy", "wood"])
+    def test_matches_per_step_draws(self, monkeypatch, iterations, chunk, n_d, n_g,
+                                    noise_shape):
+        # With 600 uniforms a chunk holds 2, 1 and 20 iterations of these mixes.
+        if chunk is not None:
+            monkeypatch.setattr(training, "DRAW_CHUNK_UNIFORMS", chunk)
+        batch_ind, n_ind, b_ood, n_ood_pool = 24, 3000, 5, 7
+        got_rng, want_rng = Rng(3), Rng(3)
+        draws = training._draws(got_rng, iterations, n_d, n_g, batch_ind, n_ind, b_ood,
+                                n_ood_pool, noise_shape)
+        seen = 0
+        for ind_idx, ood_idx, noise in draws:
+            for j in range(n_d):
+                assert np.array_equal(ind_idx[j], want_rng.indices_below(n_ind, batch_ind))
+                assert np.array_equal(ood_idx[j], want_rng.indices_below(n_ood_pool, b_ood))
+                if noise_shape is not None:
+                    want = sample_noise(noise_shape[1], noise_shape[0], want_rng)
+                    assert np.array_equal(noise[j], want)
+            for k in range(n_d, n_d + n_g):
+                want = sample_noise(noise_shape[1], noise_shape[0], want_rng)
+                assert np.array_equal(noise[k], want)
+            assert (noise is None) == (noise_shape is None)
+            seen += 1
+        assert seen == iterations
+        assert got_rng.uniform(4).tobytes() == want_rng.uniform(4).tobytes()
 
 
 class TestSampleGenerator:

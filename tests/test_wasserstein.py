@@ -3,11 +3,13 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from kernel_reference import reference_score_rows
 
 from oodlab.nets import Activation, Head, MlpParams, init_mlp, mlp_forward
 from oodlab.rng import Rng
 from oodlab.wasserstein import (
     SCORE_BLOCK_ROWS,
+    _score_rows,
     binary_cost_matrix,
     load_cost_matrix_csv,
     score_batch,
@@ -233,6 +235,33 @@ class TestScoreBatch:
     def test_vector_input_rejected(self):
         with pytest.raises(ValueError, match="expected \\(batch, 2\\)"):
             score_batch(self.make_net(), [1.0, 2.0], binary_cost_matrix(3))
+
+
+class TestScoreKernel:
+    @pytest.mark.parametrize("M", [
+        binary_cost_matrix(3),
+        np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [2.0, 2.0, 0.0]]),
+    ], ids=["binary", "asymmetric"])
+    def test_matches_reference_on_ties(self, M):
+        third = 1.0 / 3.0
+        probs = np.array([
+            [third, third, third],
+            [0.5, 0.5, 0.0],
+            [0.0, 0.5, 0.5],
+            [0.4, 0.2, 0.4],
+            [1.0, 0.0, 0.0],
+            [0.25, 0.25, 0.5],
+        ])
+        probs = np.vstack([probs, Rng(17).uniform(30).reshape(10, 3)])
+        probs /= probs.sum(axis=1, keepdims=True)
+        costs, k_star, scores = np.empty((16, 3)), np.empty(16, dtype=np.intp), np.empty(16)
+        _score_rows(probs, M, costs, k_star, scores)
+        want_scores, want_k = reference_score_rows(probs, M)
+        assert scores.tobytes() == want_scores.tobytes()
+        assert np.array_equal(k_star, want_k)
+        got_scores, got_k = score_rows(probs, M)
+        assert got_scores.tobytes() == want_scores.tobytes()
+        assert np.array_equal(got_k, want_k)
 
 
 class TestValidation:
