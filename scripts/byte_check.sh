@@ -7,11 +7,12 @@
 # its own fresh directory under $TMPDIR with one BLAS thread: `replicate` on
 # the three full presets; `train`, `evaluate` and `heatmap` on setting2 with
 # 200 iterations; `train` on wood2d with 200 iterations, which writes no
-# generator weights; `gen-data --seed 7`; `replicate --config full.ini`, a short
-# see_ood run on that CSV with a written 3x3 cost matrix and every [data] key
-# set; and two `compare` runs. Then `diff -r` compares every output file and
-# the collected stdout. Exit status 0 means no difference. Takes a few
-# minutes per checkout.
+# generator weights; `heatmap` on wood2d with 200 iterations and a 32x32 grid,
+# whose PGM rows fill every 16-sample line; `gen-data --seed 7`; `replicate
+# --config full.ini`, a short see_ood run on that CSV with a written 3x3 cost
+# matrix and every [data] key set; and two `compare` runs. Then `diff -r`
+# compares every output file and the collected stdout. Exit status 0 means no
+# difference. Takes a few minutes per checkout.
 set -euo pipefail
 [ $# -eq 2 ] || { echo "usage: $0 PARENT CHANGE" >&2; exit 2; }
 export OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1
@@ -28,6 +29,8 @@ run() {  # run CHECKOUT OUTDIR
         oodlab "$c" --preset setting2 --config it200.ini --out "$c"
     done
     oodlab train --preset wood2d --config it200.ini --out train-wood
+    printf '[train]\niterations = 200\n[eval]\ngrid_resolution = 32\n' > grid32.ini
+    oodlab heatmap --preset wood2d --config grid32.ini --out heatmap-wood32
     oodlab gen-data --seed 7 --out gen-data
     printf '0,1,2\n1,0,1\n2,1,0\n' > cost.csv
     printf '%s\n' '[method]' 'method = see_ood' \

@@ -167,37 +167,70 @@ def rejection_region_area(heatmap: np.ndarray, threshold: Threshold) -> float:
 
 
 def write_heatmap_csv(heatmap: np.ndarray, path) -> None:
-    """One CSV row per heatmap row, without a header."""
-    write_csv(path, None, np.asarray(heatmap, dtype=float).tolist())
+    """One CSV row per heatmap row, without a header, each cell in the ``%.17g`` format.
+
+    :func:`nets.write_csv` formats the whole array in one pass. ValueError
+    unless the heatmap is a nonempty 2-D array of finite scores.
+    """
+    write_csv(path, None, _checked_heatmap(heatmap))
 
 
 def read_heatmap_csv(path) -> np.ndarray:
-    """The rows :func:`write_heatmap_csv` wrote, as a 2-D array; ValueError if empty or ragged."""
+    """The rows :func:`write_heatmap_csv` wrote, as a 2-D array.
+
+    ValueError, naming the file, if it is empty or ragged or holds a cell
+    that is not a finite number.
+    """
     with warnings.catch_warnings():
         # An empty file warns before it returns an empty array, checked below.
         warnings.simplefilter("ignore", UserWarning)
-        cells = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8")
+        try:
+            cells = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8")
+        except ValueError as exc:
+            raise ValueError(f"heatmap file {path}: {exc}") from exc
     if cells.size == 0:
         raise ValueError(f"heatmap file {path} is empty")
+    if not np.isfinite(cells).all():
+        raise ValueError(f"heatmap file {path} holds a non-finite cell")
     return cells
+
+
+# Samples per PGM line: 16 three-digit samples and their spaces fit in the
+# format's 70-character line limit.
+_PGM_SAMPLES_PER_LINE = 16
 
 
 def write_heatmap_pgm(heatmap: np.ndarray, K: int, path) -> None:
     """ASCII ("P2") grayscale image of a heatmap.
 
     Scores map linearly from [0, 1 - 1/K] to [0, 255] and round half-up.
-    Matrix rows are written top to bottom in storage order; sample lines are
-    kept within the format's 70-character limit.
+    Matrix rows are written top to bottom in storage order, each as lines of
+    16 samples and a shorter last line; the whole sample block is one ``%d``
+    format pass. ValueError unless the heatmap is a nonempty 2-D array of
+    finite scores.
     """
     if K < 2:
         raise ValueError(f"need K >= 2, got {K}")
-    cells = np.asarray(heatmap, dtype=float)
+    cells = _checked_heatmap(heatmap)
     top = 1.0 - 1.0 / K
     grays = np.clip(np.floor(cells / top * 255.0 + 0.5), 0, 255).astype(int)
-    lines = [f"P2", f"{cells.shape[1]} {cells.shape[0]}", "255"]
-    for row in grays:
-        tokens = [str(v) for v in row]
-        for start in range(0, len(tokens), 16):
-            lines.append(" ".join(tokens[start:start + 16]))
+    height, width = grays.shape
+    full, rest = divmod(width, _PGM_SAMPLES_PER_LINE)
+    row = _pgm_line(_PGM_SAMPLES_PER_LINE) * full + (_pgm_line(rest) if rest else "")
     with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(f"P2\n{width} {height}\n255\n" + (row * height) % tuple(grays.ravel().tolist()))
+
+
+def _pgm_line(samples: int) -> str:
+    """Format string for one PGM line of `samples` gray levels."""
+    return " ".join(["%d"] * samples) + "\n"
+
+
+def _checked_heatmap(heatmap) -> np.ndarray:
+    """`heatmap` as a float array; ValueError unless nonempty, 2-D and finite."""
+    cells = np.asarray(heatmap, dtype=float)
+    if cells.ndim != 2 or cells.size == 0:
+        raise ValueError(f"a heatmap must be a nonempty 2-D array, got shape {cells.shape}")
+    if not np.isfinite(cells).all():
+        raise ValueError("a heatmap must hold finite scores")
+    return cells

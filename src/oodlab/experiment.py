@@ -320,7 +320,11 @@ class ComparisonRecord:
 
 
 def load_report(out_dir) -> LoadedRun:
-    """Re-read the pieces of a run directory produced by :func:`run_experiment`."""
+    """Re-read the pieces of a run directory produced by :func:`run_experiment`.
+
+    ValueError, naming the file, for a heatmap with a non-finite cell or a
+    shape other than the run's own ``(grid_resolution, grid_resolution)``.
+    """
     out = Path(out_dir)
     config = parse_config((out / "config.ini").read_text(encoding="utf-8"))
     with open(out / "report.csv", "r", encoding="utf-8", newline="") as f:
@@ -333,12 +337,17 @@ def load_report(out_dir) -> LoadedRun:
         column = header.index(f"eta_at_{_target_label(target)}")
         etas_by_target[target] = tuple(float(row[column]) for row in rep_rows)
 
+    shape = (config.grid.resolution, config.grid.resolution)
     heatmaps = []
     for row in rep_rows:
         path = out / f"rep{int(row[0]):03d}" / "heatmap.csv"
         if not path.exists():
             raise ValueError(f"run {out} has no heatmap for replication {row[0]}")
-        heatmaps.append(read_heatmap_csv(path))
+        cells = read_heatmap_csv(path)
+        if cells.shape != shape:
+            raise ValueError(f"heatmap file {path} has shape {cells.shape}, but the run's "
+                             f"grid_resolution = {shape[0]} gives {shape}")
+        heatmaps.append(cells)
     return LoadedRun(config, etas_by_target, tuple(heatmaps))
 
 

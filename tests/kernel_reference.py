@@ -5,9 +5,12 @@ pure bodies of `softmax`, `mlp_forward`, `mlp_backward` and `adam_step`; of
 the loss layer's `log_softmax`, `score_rows` and
 `training._score_values_and_logit_grads`; and of `Rng.standard_normal`'s
 Box-Muller transform, kept unchanged, so the tests can require the kernels
-to match them bit for bit.
+to match them bit for bit. The cell-by-cell bodies of `nets.write_csv`,
+`detection.write_heatmap_csv` and `detection.write_heatmap_pgm` are kept the
+same way, so the one-pass writers must match them byte for byte.
 """
 
+import csv
 from dataclasses import replace
 
 import numpy as np
@@ -154,3 +157,29 @@ def reference_standard_normal(rng, count: int) -> np.ndarray:
     draws[0::2] = radius * np.cos(angle)
     draws[1::2] = radius * np.sin(angle)
     return draws[:count]
+
+
+def reference_write_csv(path, header, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows([format(float(v), ".17g") if isinstance(v, float)
+                          else "" if v is None else v for v in row] for row in rows)
+
+
+def reference_write_heatmap_csv(heatmap: np.ndarray, path) -> None:
+    reference_write_csv(path, None, np.asarray(heatmap, dtype=float).tolist())
+
+
+def reference_write_heatmap_pgm(heatmap: np.ndarray, K: int, path) -> None:
+    cells = np.asarray(heatmap, dtype=float)
+    top = 1.0 - 1.0 / K
+    grays = np.clip(np.floor(cells / top * 255.0 + 0.5), 0, 255).astype(int)
+    lines = ["P2", f"{cells.shape[1]} {cells.shape[0]}", "255"]
+    for row in grays:
+        tokens = [str(v) for v in row]
+        for start in range(0, len(tokens), 16):
+            lines.append(" ".join(tokens[start:start + 16]))
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")

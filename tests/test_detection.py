@@ -3,6 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from kernel_reference import reference_write_heatmap_csv, reference_write_heatmap_pgm
 
 from oodlab.detection import (
     Decision,
@@ -297,6 +298,58 @@ class TestExports:
         path = tmp_path / "big.pgm"
         write_heatmap_pgm(hm, 3, path)
         assert max(len(line) for line in path.read_text().splitlines()) <= 70
+
+    def test_csv_nonfinite_cell_rejected_on_read(self, tmp_path):
+        path = tmp_path / "hm.csv"
+        path.write_bytes(b"0.1,nan\r\n0.3,inf\r\n")
+        with pytest.raises(ValueError, match="hm.csv holds a non-finite cell"):
+            read_heatmap_csv(path)
+
+
+def write_pgm3(hm, path):
+    write_heatmap_pgm(hm, 3, path)
+
+
+class TestExportWriters:
+    """The one-pass writers against the cell-by-cell reference bodies, and their input checks."""
+
+    # Widths 16 and 32 fill every PGM line; the others end each row on a short line.
+    SHAPES = [(1, 1), (3, 15), (5, 16), (7, 17), (20, 20), (32, 32), (200, 200)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_csv_bytes_match_reference(self, tmp_path, shape):
+        hm = Rng(shape[0] * 1000 + shape[1]).uniform(shape[0] * shape[1]).reshape(shape) * (2 / 3)
+        write_heatmap_csv(hm, tmp_path / "new.csv")
+        reference_write_heatmap_csv(hm, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_pgm_bytes_match_reference(self, tmp_path, shape):
+        # Scores a little outside [0, 1 - 1/K] reach both clipping ends.
+        hm = Rng(shape[0] * 1000 + shape[1]).uniform(shape[0] * shape[1]).reshape(shape)
+        hm = 0.8 * hm - 0.05
+        write_heatmap_pgm(hm, 3, tmp_path / "new.pgm")
+        reference_write_heatmap_pgm(hm, 3, tmp_path / "ref.pgm")
+        assert (tmp_path / "new.pgm").read_bytes() == (tmp_path / "ref.pgm").read_bytes()
+
+    @pytest.mark.parametrize("write", [write_heatmap_csv, write_pgm3], ids=["csv", "pgm"])
+    @pytest.mark.parametrize("hm", [np.full(4, 0.1), np.full((2, 2, 2), 0.1), np.empty((0, 3))],
+                             ids=["1-D", "3-D", "empty"])
+    def test_non_2d_heatmap_rejected(self, tmp_path, write, hm):
+        path = tmp_path / "hm"
+        with pytest.raises(ValueError, match="nonempty 2-D array"):
+            write(hm, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("write", [write_heatmap_csv, write_pgm3], ids=["csv", "pgm"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_nonfinite_heatmap_rejected(self, tmp_path, write, bad):
+        hm = np.full((3, 3), 0.1)
+        hm[1, 2] = bad
+        path = tmp_path / "hm"
+        with pytest.raises(ValueError, match="finite"):
+            write(hm, path)
+        assert not path.exists()
 
 
 class TestGridSpec:

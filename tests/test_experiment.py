@@ -176,6 +176,30 @@ class TestCli:
         rows = (out / "comparison.csv").read_text().splitlines()
         assert rows[0] == "replication,area_a,area_b,difference"
 
+    @pytest.mark.parametrize("doctor, message", [
+        (lambda rows: ["nan," + rows[0].split(",", 1)[1], *rows[1:]], "non-finite"),
+        (lambda rows: [*rows[:-1], rows[-1].rsplit(",", 1)[0] + ",-inf"], "non-finite"),
+        (lambda rows: rows[:-1], "shape (7, 8)"),
+        (lambda rows: [row.rsplit(",", 1)[0] for row in rows], "shape (8, 7)"),
+        (lambda rows: [rows[0] + ",0.5", *rows[1:]], "column"),
+        (lambda rows: ["x" + rows[0], *rows[1:]], "convert"),
+    ], ids=["nan", "-inf", "short", "narrow", "ragged", "text"])
+    def test_compare_rejects_doctored_heatmap(self, tmp_path, capsys, doctor, message):
+        cfg = tmp_path / "c.ini"
+        write_tiny_config(cfg, method="wood")
+        run = tmp_path / "run"
+        assert main(["replicate", "--config", str(cfg), "--out", str(run)]) == 0
+        heatmap = run / "rep000" / "heatmap.csv"
+        rows = heatmap.read_text().splitlines()
+        heatmap.write_text("\n".join(doctor(rows)) + "\n")
+        out = tmp_path / "cmp"
+        assert main(["compare", "--a", str(run), "--b", str(run), "--tnr", "0.95",
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert str(heatmap) in err
+        assert message in err
+        assert not out.exists()
+
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg = tmp_path / "c.ini"
         write_tiny_config(cfg)

@@ -10,6 +10,7 @@ from kernel_reference import (
     reference_backward,
     reference_forward,
     reference_softmax,
+    reference_write_csv,
 )
 
 from oodlab.nets import (
@@ -23,6 +24,7 @@ from oodlab.nets import (
     _forward,
     adam_step,
     finite_difference_gradient,
+    fmt_float,
     init_adam,
     init_mlp,
     mlp_backward,
@@ -30,6 +32,7 @@ from oodlab.nets import (
     params_from_text,
     params_to_text,
     softmax,
+    write_csv,
 )
 from oodlab.rng import Rng
 
@@ -416,3 +419,55 @@ class TestTextFormat:
         text = params_to_text(net)
         with pytest.raises(ValueError):
             params_from_text(text + "1 2 3\n")
+
+
+# Cells where %.17g output has its edge cases: signs, zeros, the smallest
+# subnormal, the step from fixed to exponent notation, and a repeating fraction.
+SPECIAL_DOUBLES = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324,
+                   1e16, 1e17, 1.0 / 3.0]
+
+
+def random_doubles(count, seed):
+    """Doubles from uniform random bit patterns: every exponent, NaNs and infinities included."""
+    bits = np.random.default_rng(seed).integers(0, 2**64, size=count, dtype=np.uint64)
+    return bits.view(np.float64)
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("header", [None, ["a", "b", "c"]], ids=["bare", "header"])
+    def test_array_path_matches_cell_path(self, tmp_path, header):
+        cells = np.array(SPECIAL_DOUBLES).reshape(3, 3)
+        write_csv(tmp_path / "array.csv", header, cells)
+        write_csv(tmp_path / "cells.csv", header, cells.tolist())
+        reference_write_csv(tmp_path / "ref.csv", header, cells.tolist())
+        data = (tmp_path / "array.csv").read_bytes()
+        assert data == (tmp_path / "cells.csv").read_bytes()
+        assert data == (tmp_path / "ref.csv").read_bytes()
+
+    def test_array_path_random_doubles(self, tmp_path):
+        cells = random_doubles(10_000, 0).reshape(100, 100)
+        assert np.isnan(cells).any() and (cells != 0).any()
+        write_csv(tmp_path / "array.csv", None, cells)
+        reference_write_csv(tmp_path / "ref.csv", None, cells)
+        assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0), (1, 1), (4, 1)])
+    def test_array_path_degenerate_shapes(self, tmp_path, shape):
+        cells = np.full(shape, 0.1)
+        write_csv(tmp_path / "array.csv", ["x"], cells)
+        reference_write_csv(tmp_path / "ref.csv", ["x"], cells.tolist())
+        assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("cells", [
+        np.arange(1, 7, dtype=np.float32).reshape(2, 3) / np.float32(3),
+        np.arange(6, dtype=np.int64).reshape(2, 3),
+        np.full((2, 2, 2), 0.5),
+    ], ids=["float32", "int64", "3-D"])
+    def test_other_arrays_take_cell_path(self, tmp_path, cells):
+        write_csv(tmp_path / "array.csv", None, cells)
+        reference_write_csv(tmp_path / "ref.csv", None, cells)
+        assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_fmt_float_matches_format_spec(self):
+        for x in SPECIAL_DOUBLES + random_doubles(1000, 1).tolist():
+            assert fmt_float(x) == format(x, ".17g")
