@@ -10,11 +10,8 @@ a CLI.
 from .config import ConfigError, ExperimentConfig, parse_config, preset_config, serialize_config
 from .data import Dataset, GaussianClusterSpec, make_simulation_dataset, sample_noise, subsample_ood
 from .detection import (
-    Decision,
     GridSpec,
     Threshold,
-    classification_accuracy,
-    detect,
     mad,
     rejection_region_area,
     score_heatmap,
@@ -46,12 +43,6 @@ from .training import (
     train_see_ood,
     train_wood,
 )
-from .wasserstein import (
-    binary_cost_matrix,
-    score_batch,
-    score_gradient,
-    wasserstein_score,
-    wasserstein_to_onehot,
-)
+from .wasserstein import binary_cost_matrix, score_batch, wasserstein_score
 
 __version__ = "0.1.0"

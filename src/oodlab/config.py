@@ -30,7 +30,11 @@ names its section and key, and its line if the value does not parse.
     output_dir = out
 
 Checks that need the data (the OoD pool left by ``ood_subsample``, the cost
-matrix file, layer sizes against the data) also exit 2, before any training.
+matrix's size against the classes, layer sizes against the data) also exit
+2, before any training. A dataset or cost matrix file that cannot be read or
+parsed, is empty or ragged, or holds a bad value (a non-finite coordinate; a
+negative or non-finite cost, or a nonzero diagonal) exits 3, also before any
+training.
 
 Presets pin the 2-D benchmark runs: `setting1` is the discriminator-heavy
 adversarial run (beta_ood 1, beta_z 0.001, n_d 2, n_g 1, both learning rates

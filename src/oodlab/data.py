@@ -11,6 +11,7 @@ handful of points) before training; the test split never is.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -190,6 +191,8 @@ def read_dataset_csv(path) -> Dataset:
             if split not in rows:
                 raise ValueError(f"{path}:{line_no}: unknown split {split!r}")
             rows[split].append([float(v) for v in row[:d]])
+            if not all(map(math.isfinite, rows[split][-1])):
+                raise ValueError(f"{path}:{line_no}: coordinates must be finite, got {row[:d]}")
             labels[split].append(int(row[-2]))
 
     def block(name: str) -> np.ndarray:

@@ -1,31 +1,29 @@
-"""Threshold calibration, the binary detector, and evaluation metrics.
+"""Threshold calibration, detection and classification metrics, and heatmaps.
 
 The detector flags a point as out-of-distribution when its score strictly
 exceeds a threshold eta; a score equal to eta counts as in-distribution.
-Eta is calibrated on in-distribution scores as the smallest observed score
-whose empirical true-negative rate reaches the requested target, so the
-calibration is parameter-free and exactly reproducible from the score list.
+:func:`tpr_at_tnr` and :func:`rejection_region_area` apply that ``> eta``
+rule to whole score arrays. Eta is calibrated on in-distribution scores as
+the smallest observed score whose empirical true-negative rate reaches the
+requested target, so the calibration is parameter-free and exactly
+reproducible from the score list. Classification accuracy comes from
+:func:`scores_and_accuracy`, in the same forward pass as the scores.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .nets import Head, MlpParams, _as_batch, mlp_forward, write_csv
+from .nets import MlpParams, _as_batch, read_float_csv, write_csv
 from .wasserstein import _score_blocks, _scoring_cost_matrix, score_batch, validate_cost_matrix
 
 __all__ = [
     "Threshold",
     "GridSpec",
-    "Decision",
     "select_threshold",
-    "detect",
     "tpr_at_tnr",
-    "classification_accuracy",
     "scores_and_accuracy",
     "mad",
     "score_heatmap",
@@ -34,11 +32,6 @@ __all__ = [
     "read_heatmap_csv",
     "write_heatmap_pgm",
 ]
-
-
-class Decision(Enum):
-    IND = "InD"
-    OOD = "OoD"
 
 
 @dataclass(frozen=True)
@@ -88,11 +81,6 @@ def select_threshold(ind_scores, target_tnr: float) -> Threshold:
     return Threshold(float(ordered[first]), target_tnr)
 
 
-def detect(score: float, threshold: Threshold) -> Decision:
-    """Out-of-distribution exactly when the score strictly exceeds eta."""
-    return Decision.OOD if score > threshold.eta else Decision.IND
-
-
 def tpr_at_tnr(ind_scores, ood_scores, target_tnr: float) -> tuple[float, Threshold]:
     """Detection rate on OoD scores at a threshold calibrated on InD scores."""
     ood = np.asarray(ood_scores, dtype=float)
@@ -102,34 +90,22 @@ def tpr_at_tnr(ind_scores, ood_scores, target_tnr: float) -> tuple[float, Thresh
     return float(np.mean(ood > threshold.eta)), threshold
 
 
-def classification_accuracy(D: MlpParams, points, labels) -> float:
-    """Fraction of points whose argmax class (smallest index on ties) matches the label."""
-    x, y = _labeled_points(D, points, labels)
-    probs, _ = mlp_forward(D, x)
-    predicted = np.argmax(probs, axis=1) + 1
-    return float(np.mean(predicted == y))
-
-
 def scores_and_accuracy(D: MlpParams, points, labels, M) -> tuple[np.ndarray, float]:
-    """``score_batch(D, points, M)`` and :func:`classification_accuracy` from one forward pass."""
+    """``score_batch(D, points, M)`` and the classification accuracy, from one forward pass.
+
+    The accuracy is the fraction of points whose argmax class (smallest
+    index on ties) matches their 1-based label.
+    """
     mat = _scoring_cost_matrix(D, M)
-    x, y = _labeled_points(D, points, labels)
-    predicted = np.empty(x.shape[0], dtype=np.intp)
-    scores = _score_blocks(D, _as_batch(D, x), mat, predicted)
-    return scores, float(np.mean(predicted + 1 == y))
-
-
-def _labeled_points(D: MlpParams, points, labels) -> tuple[np.ndarray, np.ndarray]:
-    """`points` and `labels` as arrays, checked as a nonempty labeled batch for `D`."""
     x = np.asarray(points, dtype=float)
     y = np.asarray(labels)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("accuracy needs a nonempty (n, d) array of points")
     if y.shape != (x.shape[0],):
         raise ValueError("labels must align one-to-one with points")
-    if D.head is not Head.SOFTMAX:
-        raise ValueError("classification requires a Softmax head")
-    return x, y
+    predicted = np.empty(x.shape[0], dtype=np.intp)
+    scores = _score_blocks(D, _as_batch(D, x), mat, predicted)
+    return scores, float(np.mean(predicted + 1 == y))
 
 
 def mad(values) -> float:
@@ -176,23 +152,8 @@ def write_heatmap_csv(heatmap: np.ndarray, path) -> None:
 
 
 def read_heatmap_csv(path) -> np.ndarray:
-    """The rows :func:`write_heatmap_csv` wrote, as a 2-D array.
-
-    ValueError, naming the file, if it is empty or ragged or holds a cell
-    that is not a finite number.
-    """
-    with warnings.catch_warnings():
-        # An empty file warns before it returns an empty array, checked below.
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            cells = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8")
-        except ValueError as exc:
-            raise ValueError(f"heatmap file {path}: {exc}") from exc
-    if cells.size == 0:
-        raise ValueError(f"heatmap file {path} is empty")
-    if not np.isfinite(cells).all():
-        raise ValueError(f"heatmap file {path} holds a non-finite cell")
-    return cells
+    """The rows :func:`write_heatmap_csv` wrote, as a checked 2-D array; see `read_float_csv`."""
+    return read_float_csv(path, "heatmap")
 
 
 # Samples per PGM line: 16 three-digit samples and their spaces fit in the

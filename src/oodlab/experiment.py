@@ -322,13 +322,17 @@ class ComparisonRecord:
 def load_report(out_dir) -> LoadedRun:
     """Re-read the pieces of a run directory produced by :func:`run_experiment`.
 
-    ValueError, naming the file, for a heatmap with a non-finite cell or a
-    shape other than the run's own ``(grid_resolution, grid_resolution)``.
+    ValueError, naming the file, for an empty ``report.csv`` or one with a
+    row shorter than its header, and for a heatmap with a non-finite cell or
+    a shape other than the run's own ``(grid_resolution, grid_resolution)``.
     """
     out = Path(out_dir)
     config = parse_config((out / "config.ini").read_text(encoding="utf-8"))
-    with open(out / "report.csv", "r", encoding="utf-8", newline="") as f:
+    report = out / "report.csv"
+    with open(report, "r", encoding="utf-8", newline="") as f:
         rows = list(csv.reader(f))
+    if not rows or min(map(len, rows)) < len(rows[0]):
+        raise ValueError(f"report file {report} is empty or has a row shorter than its header")
     header, body = rows[0], rows[1:]
     rep_rows = [row for row in body if row[0] not in ("mean", "mad")]
 

@@ -2,7 +2,8 @@
 
 Forward pass, analytic backpropagation, bias-corrected Adam, a central
 finite-difference gradient oracle for tests, a flat text format for weights
-and the one CSV writer. Everything is float64.
+(`write_params` writes it, `params_from_text` reads it back), the one CSV
+writer and the one float-matrix CSV reader. Everything is float64.
 
 Each of softmax, forward, backward and Adam has one in-place kernel:
 `_softmax`, `_forward`, `_backward` and `_adam`. They write into
@@ -31,6 +32,7 @@ output.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -47,6 +49,7 @@ __all__ = [
     "AdamState",
     "ForwardCache",
     "NumericError",
+    "init_adam",
     "init_mlp",
     "softmax",
     "mlp_forward",
@@ -57,8 +60,8 @@ __all__ = [
     "write_csv",
     "params_to_text",
     "params_from_text",
+    "read_float_csv",
     "write_params",
-    "read_params",
 ]
 
 
@@ -502,6 +505,26 @@ def write_csv(path, header, rows) -> None:
                               for v in row] for row in rows)
 
 
+def read_float_csv(path, kind: str) -> np.ndarray:
+    """A CSV file of floats, one row per line, as a 2-D array.
+
+    ValueError, naming the `kind` file, if it is empty or ragged or holds a
+    cell that is not a finite number.
+    """
+    with warnings.catch_warnings():
+        # An empty file warns before it returns an empty array, checked below.
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            cells = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, encoding="utf-8")
+        except ValueError as exc:
+            raise ValueError(f"{kind} file {path}: {exc}") from exc
+    if cells.size == 0:
+        raise ValueError(f"{kind} file {path} is empty")
+    if not np.isfinite(cells).all():
+        raise ValueError(f"{kind} file {path} holds a non-finite cell")
+    return cells
+
+
 def params_to_text(params: MlpParams) -> str:
     """Flat text form of a network.
 
@@ -554,7 +577,3 @@ def params_from_text(text: str) -> MlpParams:
 
 def write_params(params: MlpParams, path) -> None:
     Path(path).write_text(params_to_text(params), encoding="utf-8")
-
-
-def read_params(path) -> MlpParams:
-    return params_from_text(Path(path).read_text(encoding="utf-8"))

@@ -7,7 +7,8 @@ a 64-bit seed fully determines the stream:
 * standard normals are produced by the trigonometric Box-Muller transform
   (`_box_muller`) applied to two consecutive blocks of uniforms,
 * integer draws and shuffles are derived from uniforms (floor scaling and
-  Fisher-Yates), never from a separate integer path.
+  Fisher-Yates), never from a separate integer path: `indices_below` is the
+  one integer draw, and a single integer is ``indices_below(n, 1)[0]``.
 
 The pipeline is pinned here, not left to library defaults, because replicated
 experiments are compared across machines and must consume bitwise-identical
@@ -68,25 +69,22 @@ class Rng:
         _box_muller(u1, u2, draws, np.empty(pairs))
         return draws[:count]
 
-    def index_below(self, n: int) -> int:
-        """One integer uniform on {0, ..., n-1}, derived as floor(u * n)."""
-        if n <= 0:
-            raise ValueError(f"n must be >= 1, got {n}")
-        return int(self.uniform(1)[0] * n)
-
     def indices_below(self, n: int, count: int) -> np.ndarray:
-        """`count` independent integers uniform on {0, ..., n-1}."""
+        """`count` independent integers uniform on {0, ..., n-1}, each floor(u * n)."""
         if n <= 0:
             raise ValueError(f"n must be >= 1, got {n}")
         return (self.uniform(count) * n).astype(np.int64)
 
     def choose_without_replacement(self, n: int, count: int) -> np.ndarray:
-        """First `count` positions of a Fisher-Yates shuffle of range(n)."""
+        """First `count` positions of a Fisher-Yates shuffle of range(n).
+
+        Step i swaps position i with i + floor(u * (n - i)), one uniform per step.
+        """
         if not 0 <= count <= n:
             raise ValueError(f"need 0 <= count <= {n}, got {count}")
         perm = np.arange(n)
         for i in range(count):
-            j = i + self.index_below(n - i)
+            j = i + self.indices_below(n - i, 1)[0]
             perm[i], perm[j] = perm[j], perm[i]
         return perm[:count]
 

@@ -33,8 +33,9 @@ softmax's row max and exp-sum, and the score kernel `_score_rows` and the
 logit gradient write into `_ScoreBuffers`, the gradient straight into D's
 upstream rows. The generator step has G's buffers and D's and the score
 layer's over G's output, and writes D's input gradient straight into G's
-upstream gradient. D's and G's parameter vectors and Adam moments are
-private to the run and updated in place by the `oodlab.nets` kernels;
+upstream gradient. D's and G's parameter vectors are private to the run and
+updated in place by the `oodlab.nets` kernels, Adam by `nets._adam` on the
+moments of an `init_adam` state with step t counted by the loop.
 `TrainHistory` gets fresh copies at the end, whose construction checks the
 trained weights are finite. Each step still checks that the logits, the loss
 and the objective are finite.
@@ -69,6 +70,7 @@ from .nets import (
     _Buffers,
     _buffers,
     _forward,
+    init_adam,
     init_mlp,
     mlp_forward,
     write_csv,
@@ -371,21 +373,6 @@ def check_architectures(config: TrainConfig, data: Dataset, with_generator: bool
             )
 
 
-class _Adam:
-    """Adam moments of one network, updating its parameter vector in place."""
-
-    def __init__(self, params: MlpParams, config: TrainConfig):
-        self.flat = params.flat
-        self.m, self.v = np.zeros_like(self.flat), np.zeros_like(self.flat)
-        self.scratch = (np.empty_like(self.flat), np.empty_like(self.flat))
-        self.t = 0
-        self.hyper = (config.adam_beta1, config.adam_beta2, config.adam_epsilon)
-
-    def step(self, grad: np.ndarray, lr: float) -> None:
-        self.t += 1
-        _adam(self.flat, grad, self.m, self.v, self.t, lr, *self.hyper, self.scratch)
-
-
 # Uniforms per chunk in `_draws`. At 8 bytes each this keeps the chunk's
 # uniforms, and every array derived from them, below glibc's 128 KB mmap
 # threshold whenever one iteration's draws fit. The chunk's iteration count
@@ -458,13 +445,14 @@ def _train(config: TrainConfig, data: Dataset, rng: Rng | None,
     check_architectures(config, data, with_generator)
 
     M = binary_cost_matrix(data.K)
+    hyper = (config.adam_beta1, config.adam_beta2, config.adam_epsilon)
     # D and G stay private to the run: their flat vectors are updated in place.
     D = init_mlp(config.discriminator_arch, Activation.RELU, Head.SOFTMAX, rng)
-    adam_d = _Adam(D, config)
+    adam_d, d_scratch = init_adam(D, *hyper), np.empty((2, D.flat.size))
     G = None
     if with_generator:
         G = init_mlp(config.generator_arch, Activation.RELU, Head.IDENTITY, rng)
-        adam_g = _Adam(G, config)
+        adam_g, g_scratch = init_adam(G, *hyper), np.empty((2, G.flat.size))
         # G's pass, and D's pass and score layer over G's output, over one noise batch.
         g_buf, dg_buf = _buffers(G, config.batch_gen), _buffers(D, config.batch_gen)
         g_score = _ScoreBuffers(config.batch_gen, data.K)
@@ -493,7 +481,8 @@ def _train(config: TrainConfig, data: Dataset, rng: Rng | None,
                 d_ws.gen[...] = _forward(G, noise[j], g_buf)
             loss, (ce, mean_ood, mean_gen) = _discriminator_step(
                 D, d_ws, config.beta_ood, beta_z, M)
-            adam_d.step(d_ws.buffers.grad, config.lr_d)
+            _adam(D.flat, d_ws.buffers.grad, adam_d.m, adam_d.v, (it - 1) * n_d + j + 1,
+                  config.lr_d, *hyper, d_scratch)
 
         if not with_generator:
             records.append(IterationRecord(it, loss, ce, mean_ood, None, None))
@@ -502,7 +491,8 @@ def _train(config: TrainConfig, data: Dataset, rng: Rng | None,
             objective = _generator_step(D, G, noise[k], g_buf, dg_buf, g_score, config.beta_z, M)
             # Ascent: feed Adam the negated gradient.
             np.negative(g_buf.grad, out=g_buf.grad)
-            adam_g.step(g_buf.grad, config.lr_g)
+            _adam(G.flat, g_buf.grad, adam_g.m, adam_g.v, (it - 1) * n_g + (k - n_d) + 1,
+                  config.lr_g, *hyper, g_scratch)
         records.append(IterationRecord(it, loss, ce, mean_ood, mean_gen, objective))
 
     # Fresh copies; constructing them checks that the trained weights are finite.

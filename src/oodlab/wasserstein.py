@@ -11,23 +11,26 @@ Under the binary cost matrix (ones off the diagonal) this collapses to
 ``1 - max(p)``: zero for a one-hot prediction, ``1 - 1/K`` for the uniform
 one. Class indices in this module are 1-based, matching dataset labels and
 the CSV formats.
+
+The cost to the one-hot target of class k is entry k of ``p @ M``;
+:func:`wasserstein_score` returns the smallest with its class. The score's
+gradient with respect to p is M's column at that class, which the trainers
+chain through the softmax (`training._scores_and_logit_grads`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .nets import Head, MlpParams, _as_batch, _forward, _forward_buffers
+from .nets import Head, MlpParams, _as_batch, _forward, _forward_buffers, read_float_csv
 
 __all__ = [
     "validate_prob_vector",
     "validate_cost_matrix",
     "binary_cost_matrix",
     "load_cost_matrix_csv",
-    "wasserstein_to_onehot",
     "score_rows",
     "wasserstein_score",
-    "score_gradient",
     "score_batch",
 ]
 
@@ -52,12 +55,14 @@ def validate_prob_vector(p) -> np.ndarray:
 
 
 def validate_cost_matrix(m) -> np.ndarray:
-    """Check square, K >= 2, nonnegative entries, zero diagonal."""
+    """Check square, K >= 2, finite nonnegative entries, zero diagonal."""
     mat = np.asarray(m, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"cost matrix must be square, got shape {mat.shape}")
     if mat.shape[0] < 2:
         raise ValueError(f"cost matrix needs K >= 2, got K = {mat.shape[0]}")
+    if not np.isfinite(mat).all():
+        raise ValueError("cost matrix has non-finite entries")
     if np.any(mat < 0.0):
         raise ValueError("cost matrix has negative entries")
     if np.any(np.diag(mat) != 0.0):
@@ -74,29 +79,7 @@ def binary_cost_matrix(K: int) -> np.ndarray:
 
 def load_cost_matrix_csv(path) -> np.ndarray:
     """Read K rows of K comma-separated floats and validate the invariants."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.split(",")])
-    if not rows:
-        raise ValueError(f"cost matrix file {path} is empty")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValueError(f"cost matrix rows have inconsistent lengths {sorted(widths)}")
-    return validate_cost_matrix(np.array(rows))
-
-
-def wasserstein_to_onehot(p, k: int, M) -> float:
-    """Transport cost from p to the one-hot target of class k (1-based)."""
-    vec = validate_prob_vector(p)
-    mat = validate_cost_matrix(M)
-    if vec.size != mat.shape[0]:
-        raise ValueError(f"p has {vec.size} classes but M is {mat.shape[0]}x{mat.shape[0]}")
-    if not 1 <= k <= vec.size:
-        raise ValueError(f"class index must lie in 1..{vec.size}, got {k}")
-    return float(vec @ mat[:, k - 1])
+    return validate_cost_matrix(read_float_csv(path, "cost matrix"))
 
 
 def score_rows(probs: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -134,16 +117,6 @@ def wasserstein_score(p, M) -> tuple[float, int]:
         raise ValueError(f"p has {vec.size} classes but M is {mat.shape[0]}x{mat.shape[0]}")
     scores, k_star = score_rows(vec[None, :], mat)
     return float(scores[0]), int(k_star[0]) + 1
-
-
-def score_gradient(p, M) -> np.ndarray:
-    """Gradient of the score with respect to p: the argmin column of M.
-
-    At argmin ties this is the column of the smallest-index minimizing class,
-    a valid subgradient choice consistent with :func:`wasserstein_score`.
-    """
-    _, k_star = wasserstein_score(p, M)
-    return validate_cost_matrix(M)[:, k_star - 1].copy()
 
 
 def score_batch(net: MlpParams, inputs, M) -> np.ndarray:

@@ -7,7 +7,9 @@ the loss layer's `log_softmax`, `score_rows` and
 Box-Muller transform, kept unchanged, so the tests can require the kernels
 to match them bit for bit. The cell-by-cell bodies of `nets.write_csv`,
 `detection.write_heatmap_csv` and `detection.write_heatmap_pgm` are kept the
-same way, so the one-pass writers must match them byte for byte.
+same way, so the one-pass writers must match them byte for byte, and so is
+the separate-pass body of the removed `detection.classification_accuracy`,
+which `detection.scores_and_accuracy` must match.
 """
 
 import csv
@@ -15,7 +17,15 @@ from dataclasses import replace
 
 import numpy as np
 
-from oodlab.nets import Activation, AdamState, ForwardCache, Head, MlpParams, _layer_views
+from oodlab.nets import (
+    Activation,
+    AdamState,
+    ForwardCache,
+    Head,
+    MlpParams,
+    _layer_views,
+    mlp_forward,
+)
 
 
 def reference_softmax(logits: np.ndarray) -> np.ndarray:
@@ -119,6 +129,13 @@ def reference_adam(params: MlpParams, grad: np.ndarray, state: AdamState,
     v = b2 * state.v + (1.0 - b2) * grad * grad
     step = lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
     return replace(params, flat=params.flat - step), AdamState(m, v, t, b1, b2, eps)
+
+
+def reference_classification_accuracy(D: MlpParams, points, labels) -> float:
+    """Fraction of points whose argmax class (smallest index on ties) matches the label."""
+    probs, _ = mlp_forward(D, np.asarray(points, dtype=float))
+    predicted = np.argmax(probs, axis=1) + 1
+    return float(np.mean(predicted == np.asarray(labels)))
 
 
 def reference_log_softmax(logits: np.ndarray) -> np.ndarray:

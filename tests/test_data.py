@@ -59,6 +59,15 @@ class TestRng:
         assert len(set(chosen.tolist())) == 6
         assert all(0 <= c < 10 for c in chosen)
 
+    def test_choose_without_replacement_draws_floor_scaled_uniforms(self):
+        # Fisher-Yates step i swaps in position i + floor(u * (n - i)), one uniform a step.
+        rng = Rng(21)
+        perm = list(range(12))
+        for i, u in enumerate(rng.uniform(5)):
+            j = i + int(u * (12 - i))
+            perm[i], perm[j] = perm[j], perm[i]
+        assert Rng(21).choose_without_replacement(12, 5).tolist() == perm[:5]
+
     def test_single_draw_subsampling_uniform(self):
         rng = Rng(11)
         counts = np.zeros(10)
@@ -71,7 +80,7 @@ class TestRng:
         with pytest.raises(ValueError):
             Rng(0).choose_without_replacement(5, 6)
         with pytest.raises(ValueError):
-            Rng(0).index_below(0)
+            Rng(0).indices_below(0, 1)
 
 
 class TestGaussianCluster:
@@ -191,6 +200,14 @@ class TestCsvRoundTrip:
         path.write_text("x1,x2,label,split\n1,2,1,nope\n")
         with pytest.raises(ValueError):
             read_dataset_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_coordinate_names_file_and_line(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x1,x2,label,split\n1,2,1,ind_train\n1,{value},1,ind_train\n")
+        with pytest.raises(ValueError, match="coordinates must be finite") as exc:
+            read_dataset_csv(path)
+        assert f"{path}:3:" in str(exc.value)
 
 
 class TestDatasetInvariants:

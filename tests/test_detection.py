@@ -3,14 +3,15 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from kernel_reference import reference_write_heatmap_csv, reference_write_heatmap_pgm
+from kernel_reference import (
+    reference_classification_accuracy,
+    reference_write_heatmap_csv,
+    reference_write_heatmap_pgm,
+)
 
 from oodlab.detection import (
-    Decision,
     GridSpec,
     Threshold,
-    classification_accuracy,
-    detect,
     mad,
     read_heatmap_csv,
     rejection_region_area,
@@ -71,19 +72,6 @@ class TestSelectThreshold:
                 assert np.sum(scores <= candidate) / n < target
 
 
-class TestDetect:
-    def test_boundary_is_ind(self):
-        th = Threshold(0.4, 0.95)
-        assert detect(0.4, th) is Decision.IND
-
-    def test_just_above_is_ood(self):
-        th = Threshold(0.4, 0.95)
-        assert detect(0.4 + 1e-9, th) is Decision.OOD
-
-    def test_zero_score_is_ind(self):
-        assert detect(0.0, Threshold(0.0, 0.95)) is Decision.IND
-
-
 class TestTprAtTnr:
     def test_simple_counts(self):
         tpr, th = tpr_at_tnr([0.1, 0.2], [0.5, 0.6], 1.0)
@@ -115,30 +103,35 @@ class TestTprAtTnr:
             tpr_at_tnr([0.2], [], 0.95)
 
 
+def accuracy(net, points, labels):
+    """The accuracy half of `scores_and_accuracy`, under the binary cost matrix."""
+    return scores_and_accuracy(net, points, labels, binary_cost_matrix(net.output_dim))[1]
+
+
 class TestAccuracy:
     def test_confident_correct_point(self):
         w = np.array([[5.0, 0.0], [0.0, 0.0], [-5.0, 0.0]])
         net = MlpParams((2, 3), np.concatenate([w.ravel(), np.zeros(3)]),
                         Activation.RELU, Head.SOFTMAX)
-        assert classification_accuracy(net, [[1.0, 0.0]], [1]) == 1.0
+        assert accuracy(net, [[1.0, 0.0]], [1]) == 1.0
 
     def test_uniform_net_breaks_ties_to_first_class(self):
         net = MlpParams((2, 3), np.zeros(9), Activation.RELU, Head.SOFTMAX)
         labels = np.array([1, 2, 3, 1])
-        acc = classification_accuracy(net, np.zeros((4, 2)), labels)
+        acc = accuracy(net, np.zeros((4, 2)), labels)
         assert acc == np.mean(labels == 1)
 
     def test_bounds(self):
         net = init_mlp((2, 6, 3), Activation.RELU, Head.SOFTMAX, Rng(1))
         pts = Rng(2).standard_normal(20).reshape(10, 2)
         labels = Rng(3).indices_below(3, 10) + 1
-        acc = classification_accuracy(net, pts, labels)
+        acc = accuracy(net, pts, labels)
         assert 0.0 <= acc <= 1.0
 
     def test_empty_rejected(self):
         net = init_mlp((2, 6, 3), Activation.RELU, Head.SOFTMAX, Rng(1))
         with pytest.raises(ValueError):
-            classification_accuracy(net, np.empty((0, 2)), np.empty(0))
+            accuracy(net, np.empty((0, 2)), np.empty(0))
 
     @pytest.mark.parametrize("rows", [10, SCORE_BLOCK_ROWS + 7])
     def test_one_pass_matches_scores_and_accuracy(self, rows):
@@ -148,7 +141,7 @@ class TestAccuracy:
         M = binary_cost_matrix(3)
         scores, acc = scores_and_accuracy(net, pts, labels, M)
         assert scores.tobytes() == score_batch(net, pts, M).tobytes()
-        assert acc == classification_accuracy(net, pts, labels)
+        assert acc == reference_classification_accuracy(net, pts, labels)
 
     def test_one_pass_rejects_what_each_part_rejects(self):
         net = init_mlp((2, 6, 3), Activation.RELU, Head.SOFTMAX, Rng(1))

@@ -200,6 +200,24 @@ class TestCli:
         assert message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("doctor", [
+        lambda rows: [],
+        lambda rows: [rows[0], rows[1].split(",", 1)[0], *rows[2:]],
+    ], ids=["empty", "short-row"])
+    def test_compare_rejects_doctored_report(self, tmp_path, capsys, doctor):
+        cfg = tmp_path / "c.ini"
+        write_tiny_config(cfg, method="wood")
+        run = tmp_path / "run"
+        assert main(["replicate", "--config", str(cfg), "--out", str(run)]) == 0
+        report = run / "report.csv"
+        rows = report.read_text().splitlines()
+        report.write_text("".join(row + "\n" for row in doctor(rows)))
+        out = tmp_path / "cmp"
+        assert main(["compare", "--a", str(run), "--b", str(run), "--tnr", "0.95",
+                     "--out", str(out)]) == 3
+        assert f"report file {report}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg = tmp_path / "c.ini"
         write_tiny_config(cfg)
@@ -249,6 +267,45 @@ class TestCli:
         write_tiny_config(cfg, extra=f"[data]\ncost_matrix = {tmp_path / 'm.csv'}\n")
         assert main(["replicate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "cost matrix is 4x4 but data has 3 classes" in capsys.readouterr().err
+        assert trained == []
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("cost, message", [
+        ("0,nan,1\n1,0,1\n1,1,0\n", "non-finite"),
+        ("0,1,1\n1,0,inf\n1,1,0\n", "non-finite"),
+        ("0,1,1\n1,0,-1\n1,1,0\n", "negative"),
+        ("0,1,1\n1,0\n1,1,0\n", "column"),
+    ], ids=["nan", "inf", "negative", "ragged"])
+    @pytest.mark.parametrize("command", ["train", "replicate"])
+    def test_bad_cost_matrix_fails_before_training(self, tmp_path, capsys, monkeypatch,
+                                                   command, cost, message):
+        trained = []
+        monkeypatch.setattr(experiment, "train_see_ood", lambda *a: trained.append(a))
+        (tmp_path / "m.csv").write_text(cost)
+        cfg = tmp_path / "c.ini"
+        write_tiny_config(cfg, extra=f"[data]\ncost_matrix = {tmp_path / 'm.csv'}\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert message in capsys.readouterr().err
+        assert trained == []
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["train", "replicate"])
+    def test_nonfinite_dataset_fails_before_training(self, tmp_path, capsys, monkeypatch,
+                                                     command):
+        trained = []
+        monkeypatch.setattr(experiment, "train_see_ood", lambda *a: trained.append(a))
+        assert main(["gen-data", "--out", str(tmp_path / "d")]) == 0
+        path = tmp_path / "d" / "dataset.csv"
+        lines = path.read_text().splitlines()
+        assert lines[1].endswith(",1,ind_train")
+        lines[1] = "nan," + lines[1].split(",", 1)[1]
+        path.write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "c.ini"
+        write_tiny_config(cfg)
+        cfg.write_text(cfg.read_text().replace(
+            "[data]\n", f"[data]\nsource = csv\npath = {path}\n"))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert f"{path}:2: coordinates must be finite" in capsys.readouterr().err
         assert trained == []
         assert not (tmp_path / "o").exists()
 

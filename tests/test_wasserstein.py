@@ -1,4 +1,4 @@
-"""Scoring: closed forms vs enumeration, bounds, Lipschitz bound, gradients."""
+"""Scoring: closed forms vs enumeration, bounds, Lipschitz bound, cost matrices."""
 
 import numpy as np
 import numpy.testing as npt
@@ -13,12 +13,10 @@ from oodlab.wasserstein import (
     binary_cost_matrix,
     load_cost_matrix_csv,
     score_batch,
-    score_gradient,
     score_rows,
     validate_cost_matrix,
     validate_prob_vector,
     wasserstein_score,
-    wasserstein_to_onehot,
 )
 
 
@@ -67,25 +65,28 @@ class TestCostMatrices:
         with pytest.raises(ValueError):
             load_cost_matrix_csv(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "is empty"),
+        ("\n\n", "is empty"),
+        ("0,1,1\n1,0\n", "column"),
+        ("0,x\n1,0\n", "convert"),
+        ("# costs\n0,1\n1,0\n", "convert"),
+        ("0,nan\n1,0\n", "non-finite"),
+        ("0,1\n-inf,0\n", "non-finite"),
+    ], ids=["empty", "blank", "ragged", "text", "comment", "nan", "-inf"])
+    def test_csv_bad_file_names_file(self, tmp_path, text, message):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message) as exc:
+            load_cost_matrix_csv(path)
+        assert str(path) in str(exc.value)
 
-class TestTransportToOneHot:
-    def test_one_hot_source_costs_nothing(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_nonfinite_entry_rejected(self, bad):
         M = binary_cost_matrix(3)
-        assert wasserstein_to_onehot([0.0, 1.0, 0.0], 2, M) == 0.0
-
-    def test_binary_cost_is_one_minus_entry(self):
-        M = binary_cost_matrix(3)
-        assert wasserstein_to_onehot([0.5, 0.3, 0.2], 1, M) == pytest.approx(0.5, abs=1e-15)
-
-    def test_asymmetric_matrix(self):
-        # Hand-derived: columns weighted by p = [0.2, 0.8].
-        M = np.array([[0.0, 2.0], [1.0, 0.0]])
-        assert wasserstein_to_onehot([0.2, 0.8], 1, M) == pytest.approx(0.8)
-        assert wasserstein_to_onehot([0.2, 0.8], 2, M) == pytest.approx(0.4)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            wasserstein_to_onehot([0.5, 0.5], 3, binary_cost_matrix(2))
+        M[0, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_cost_matrix(M)
 
 
 class TestScore:
@@ -140,52 +141,6 @@ class TestScore:
     def test_tie_breaks_to_smallest_index(self):
         score, k = wasserstein_score([0.5, 0.5], binary_cost_matrix(2))
         assert score == pytest.approx(0.5) and k == 1
-
-
-class TestScoreGradient:
-    def test_binary_gradient_is_active_column(self):
-        npt.assert_array_equal(
-            score_gradient([0.7, 0.2, 0.1], binary_cost_matrix(3)), [0, 1, 1]
-        )
-
-    def test_matches_finite_differences_away_from_ties(self):
-        M = binary_cost_matrix(3)
-        step = 1e-7
-        for p in random_prob_vectors(100, 3, seed=21):
-            gaps = np.sort(p)
-            if gaps[-1] - gaps[-2] < 1e-3:
-                continue
-            grad = score_gradient(p, M)
-            for j in range(3):
-                up = p.copy()
-                down = p.copy()
-                up[j] += step
-                down[j] -= step
-                # Perturbed vectors are not exactly normalized; the closed
-                # form extends linearly so the quotient is still exact.
-                numeric = (up @ M[:, np.argmax(p)] - down @ M[:, np.argmax(p)]) / (2 * step)
-                assert abs(numeric - grad[j]) / max(1.0, abs(grad[j])) < 1e-6
-
-    def test_tie_uses_smallest_index_column(self):
-        M = np.array([[0.0, 2.0], [2.0, 0.0]])
-        npt.assert_array_equal(score_gradient([0.5, 0.5], M), M[:, 0])
-
-    def test_subgradient_inequality_away_from_ties(self):
-        M = binary_cost_matrix(3)
-        rng = np.random.default_rng(65)
-        for p in random_prob_vectors(200, 3, seed=43):
-            gaps = np.sort(p)
-            if gaps[-1] - gaps[-2] < 1e-3:
-                continue
-            base, _ = wasserstein_score(p, M)
-            grad = score_gradient(p, M)
-            delta = rng.normal(scale=1e-4, size=3)
-            delta -= delta.mean()  # stay on the simplex
-            moved = p + delta
-            if (moved < 0).any():
-                continue
-            shifted, _ = wasserstein_score(moved / moved.sum(), M)
-            assert shifted >= base + grad @ (moved / moved.sum() - p) - 1e-9
 
 
 class TestScoreBatch:
