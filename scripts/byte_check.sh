@@ -4,7 +4,8 @@
 #   scripts/byte_check.sh PARENT CHANGE
 #
 # PARENT and CHANGE are source checkouts (each with src/oodlab). Each runs in
-# its own fresh directory under $TMPDIR with one BLAS thread: `replicate` on
+# its own fresh directory under $TMPDIR with one BLAS thread, and writes no
+# bytecode into either checkout: `replicate` on
 # the three full presets; `train`, `evaluate` and `heatmap` on setting2 with
 # 200 iterations; `train` on wood2d with 200 iterations, which writes no
 # generator weights; `heatmap` on wood2d with 200 iterations and a 32x32 grid,
@@ -15,7 +16,7 @@
 # difference. Takes a few minutes per checkout.
 set -euo pipefail
 [ $# -eq 2 ] || { echo "usage: $0 PARENT CHANGE" >&2; exit 2; }
-export OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1
+export OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 PYTHONDONTWRITEBYTECODE=1
 work=$(mktemp -d)
 
 run() {  # run CHECKOUT OUTDIR

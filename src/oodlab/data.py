@@ -190,10 +190,13 @@ def read_dataset_csv(path) -> Dataset:
             split = row[-1]
             if split not in rows:
                 raise ValueError(f"{path}:{line_no}: unknown split {split!r}")
-            rows[split].append([float(v) for v in row[:d]])
+            try:
+                rows[split].append([float(v) for v in row[:d]])
+                labels[split].append(int(row[-2]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
             if not all(map(math.isfinite, rows[split][-1])):
                 raise ValueError(f"{path}:{line_no}: coordinates must be finite, got {row[:d]}")
-            labels[split].append(int(row[-2]))
 
     def block(name: str) -> np.ndarray:
         data = rows[name]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nets import MlpParams, _as_batch, read_float_csv, write_csv
-from .wasserstein import _score_blocks, _scoring_cost_matrix, score_batch, validate_cost_matrix
+from .wasserstein import _score_blocks, _scoring_cost_matrix, score_batch
 
 __all__ = [
     "Threshold",
@@ -123,7 +123,6 @@ def score_heatmap(D: MlpParams, grid: GridSpec, M) -> np.ndarray:
     y = y_min + (i + 0.5) * dy, so y grows with the row index and x with the
     column index.
     """
-    validate_cost_matrix(M)
     if D.input_dim != 2:
         raise ValueError(f"heatmaps need a 2-D input space, discriminator takes {D.input_dim}")
     res = grid.resolution

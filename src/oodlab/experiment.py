@@ -322,9 +322,11 @@ class ComparisonRecord:
 def load_report(out_dir) -> LoadedRun:
     """Re-read the pieces of a run directory produced by :func:`run_experiment`.
 
-    ValueError, naming the file, for an empty ``report.csv`` or one with a
-    row shorter than its header, and for a heatmap with a non-finite cell or
-    a shape other than the run's own ``(grid_resolution, grid_resolution)``.
+    ValueError, naming the file, for an empty ``report.csv``, one with a row
+    shorter than its header, one without the ``eta_at_<t>`` column of one of
+    the run's TNR targets or one with a replication label that is not an
+    integer, and for a heatmap with a non-finite cell or a shape other than
+    the run's own ``(grid_resolution, grid_resolution)``.
     """
     out = Path(out_dir)
     config = parse_config((out / "config.ini").read_text(encoding="utf-8"))
@@ -338,12 +340,17 @@ def load_report(out_dir) -> LoadedRun:
 
     etas_by_target: dict[float, tuple[float, ...]] = {}
     for target in config.tnr_targets:
-        column = header.index(f"eta_at_{_target_label(target)}")
+        name = f"eta_at_{_target_label(target)}"
+        if name not in header:
+            raise ValueError(f"report file {report} has no {name} column")
+        column = header.index(name)
         etas_by_target[target] = tuple(float(row[column]) for row in rep_rows)
 
     shape = (config.grid.resolution, config.grid.resolution)
     heatmaps = []
     for row in rep_rows:
+        if not row[0].isdecimal():
+            raise ValueError(f"report file {report} has row label {row[0]!r}, not an integer")
         path = out / f"rep{int(row[0]):03d}" / "heatmap.csv"
         if not path.exists():
             raise ValueError(f"run {out} has no heatmap for replication {row[0]}")

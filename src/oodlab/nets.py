@@ -7,10 +7,13 @@ writer and the one float-matrix CSV reader. Everything is float64.
 
 Each of softmax, forward, backward and Adam has one in-place kernel:
 `_softmax`, `_forward`, `_backward` and `_adam`. They write into
-caller-owned arrays (`_Buffers` from `_forward_buffers` or `_buffers`, and
-flat vectors) with ``out=`` and in-place ufuncs, and check nothing, so a
-training loop or a blocked scorer can run them without allocating. The
-public :func:`softmax`, :func:`mlp_forward`, :func:`mlp_backward` and
+caller-owned arrays with ``out=`` and in-place ufuncs, a network pass into a
+:class:`ForwardCache` from `_cache` (and `_with_backward` for the backward
+arrays) and Adam into flat vectors, so a training loop or a blocked scorer
+can run them without allocating. They check no shapes. The one check is
+`_softmax`'s: it rejects empty and non-finite logits, so every Softmax
+forward pass, each training step's included, checks its logits. The public
+:func:`softmax`, :func:`mlp_forward`, :func:`mlp_backward` and
 :func:`adam_step` are the checked, pure wrappers: they run the same kernels
 on fresh arrays, return new values and never mutate their arguments, so
 equal inputs give equal bits either way.
@@ -221,49 +224,35 @@ def _softmax(z: np.ndarray, out: np.ndarray, col: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class ForwardCache:
-    """Intermediate activations kept for backprop.
+    """A network's pass over a batch of rows: the arrays the kernels write.
 
     ``pre_activations[l]`` and ``activations[l]`` are the values entering and
-    leaving layer l's nonlinearity; ``activations[-1]`` is the network output.
+    leaving layer l's nonlinearity; ``activations[-1]`` is the network output,
+    which for an Identity head is ``pre_activations[-1]`` itself. `inputs` is
+    the batch :func:`mlp_forward` ran on, or None in a kernel's cache, whose
+    caller passes the batch to each kernel. ``col`` is the Softmax head's
+    (2, rows, 1) work array, each row's max and exp-sum. The backward arrays
+    are empty unless asked for: ``deltas[l]`` takes the gradient with respect
+    to ``pre_activations[l]``, and the caller writes the upstream gradient
+    into ``deltas[-1]``, which a Tanh head's backward pass overwrites.
+    ``scratch[l]`` is a work array shaped like ``deltas[l]``. `grad` takes the
+    flat parameter gradient, through its per-layer (weights, biases) views
+    `grad_views`.
     """
 
     layer_sizes: tuple[int, ...]
-    inputs: np.ndarray
+    inputs: np.ndarray | None
     pre_activations: tuple[np.ndarray, ...]
     activations: tuple[np.ndarray, ...]
-
-
-def _empty_rows(rows: int, widths) -> tuple[np.ndarray, ...]:
-    return tuple(np.empty((rows, w)) for w in widths)
-
-
-@dataclass(frozen=True)
-class _Buffers:
-    """Arrays the forward and backward kernels write for one network and row count.
-
-    ``pres[l]`` and ``acts[l]`` take layer l's pre-activation and activation;
-    an Identity head's output array is ``pres[-1]`` itself. ``col`` is the
-    Softmax head's (2, rows, 1) work array, each row's max and exp-sum.
-    ``deltas[l]`` takes the gradient with respect to ``pres[l]``: the caller
-    writes the upstream gradient into ``deltas[-1]``, which a Tanh head's
-    backward pass overwrites. ``scratch[l]`` is a work array shaped like
-    ``deltas[l]``. `grad` takes the flat parameter gradient, through its
-    per-layer (weights, biases) views `grad_views`.
-    """
-
-    pres: tuple[np.ndarray, ...]
-    acts: tuple[np.ndarray, ...]
-    col: np.ndarray | None
+    col: np.ndarray | None = None
     deltas: tuple[np.ndarray, ...] = ()
     scratch: tuple[np.ndarray, ...] = ()
     grad: np.ndarray | None = None
     grad_views: tuple | None = None
 
-    def first_rows(self, rows: int) -> _Buffers:
-        """Forward buffers: views onto the first `rows` rows of each forward array."""
-        def cut(arrays):
-            return tuple(a[:rows] for a in arrays)
-        return _Buffers(cut(self.pres), cut(self.acts), self.col[:, :rows])
+
+def _empty_rows(rows: int, widths) -> tuple[np.ndarray, ...]:
+    return tuple(np.empty((rows, w)) for w in widths)
 
 
 def _as_batch(params: MlpParams, inputs) -> np.ndarray:
@@ -276,31 +265,38 @@ def _as_batch(params: MlpParams, inputs) -> np.ndarray:
     return x
 
 
-def _forward_buffers(params: MlpParams, rows: int) -> _Buffers:
-    """Forward buffers of `params` for `rows` inputs."""
+def _cache(params: MlpParams, rows: int, inputs: np.ndarray | None = None) -> ForwardCache:
+    """Empty forward arrays for a pass of `params` over `rows` inputs."""
     widths = params.layer_sizes[1:]
     pres = _empty_rows(rows, widths)
     head = (pres[-1],) if params.head is Head.IDENTITY else _empty_rows(rows, widths[-1:])
-    return _Buffers(pres, _empty_rows(rows, widths[:-1]) + head, np.empty((2, rows, 1)))
+    return ForwardCache(params.layer_sizes, inputs, pres, _empty_rows(rows, widths[:-1]) + head,
+                        np.empty((2, rows, 1)))
 
 
-def _buffers(params: MlpParams, rows: int) -> _Buffers:
-    """Forward and backward buffers of `params` for `rows` inputs."""
-    widths = params.layer_sizes[1:]
+def _with_backward(params: MlpParams, cache: ForwardCache) -> ForwardCache:
+    """`cache` plus fresh backward arrays; the two share the forward arrays."""
+    rows, widths = cache.pre_activations[0].shape[0], params.layer_sizes[1:]
     grad = np.empty_like(params.flat)
-    return replace(_forward_buffers(params, rows), deltas=_empty_rows(rows, widths),
-                   scratch=_empty_rows(rows, widths), grad=grad,
-                   grad_views=_layer_views(params.layer_sizes, grad))
+    return replace(cache, deltas=_empty_rows(rows, widths), scratch=_empty_rows(rows, widths),
+                   grad=grad, grad_views=_layer_views(params.layer_sizes, grad))
 
 
-def _forward(params: MlpParams, x: np.ndarray, buf: _Buffers) -> np.ndarray:
-    """Forward kernel: run the network on the rows of `x` into `buf`; returns the output array.
+def _first_rows(cache: ForwardCache, rows: int) -> ForwardCache:
+    """Views onto the first `rows` rows of a kernel cache's forward arrays."""
+    return ForwardCache(cache.layer_sizes, None, tuple(a[:rows] for a in cache.pre_activations),
+                        tuple(a[:rows] for a in cache.activations), cache.col[:, :rows])
 
-    Unchecked: `x` must be a (rows, input_dim) float array matching `buf`.
+
+def _forward(params: MlpParams, x: np.ndarray, cache: ForwardCache) -> np.ndarray:
+    """Forward kernel: run the network on the rows of `x` into `cache`; returns the output array.
+
+    Unchecked: `x` must be a (rows, input_dim) float array matching `cache`.
     """
     a = x
     last = len(params.weights) - 1
-    for l, (w, b, z, out) in enumerate(zip(params.weights, params.biases, buf.pres, buf.acts)):
+    for l, (w, b, z, out) in enumerate(zip(params.weights, params.biases,
+                                           cache.pre_activations, cache.activations)):
         np.matmul(a, w.T, out=z)
         np.add(z, b, out=z)
         if l < last:
@@ -309,43 +305,43 @@ def _forward(params: MlpParams, x: np.ndarray, buf: _Buffers) -> np.ndarray:
             else:
                 np.tanh(z, out=out)
         elif params.head is Head.SOFTMAX:
-            _softmax(z, out, buf.col)
+            _softmax(z, out, cache.col)
         elif params.head is Head.TANH:
             np.tanh(z, out=out)
         a = out
     return a
 
 
-def _backward(params: MlpParams, x: np.ndarray, buf: _Buffers,
+def _backward(params: MlpParams, x: np.ndarray, cache: ForwardCache,
               dx: np.ndarray | None = None) -> None:
-    """Backward kernel: backpropagate ``buf.deltas[-1]`` through the pass `_forward` left in `buf`.
+    """Backward kernel: backpropagate ``cache.deltas[-1]`` through `_forward`'s pass in `cache`.
 
-    Writes the parameter gradient into ``buf.grad``, skipping layer 0's
+    Writes the parameter gradient into ``cache.grad``, skipping layer 0's
     ``delta @ W0``; or, given `dx`, only the input gradient into `dx`.
     Unchecked, like `_forward`.
     """
     last = len(params.weights) - 1
-    delta = buf.deltas[last]
+    delta = cache.deltas[last]
     # Identity and Softmax heads (Jacobian folded in upstream) take it as is.
     if params.head is Head.TANH:
-        t = buf.scratch[last]
-        np.square(buf.acts[last], out=t)
+        t = cache.scratch[last]
+        np.square(cache.activations[last], out=t)
         np.subtract(1.0, t, out=t)
         np.multiply(delta, t, out=delta)
 
-    grad_w, grad_b = buf.grad_views
+    grad_w, grad_b = cache.grad_views
     for l in range(last, -1, -1):
         if dx is None:
-            below = x if l == 0 else buf.acts[l - 1]
+            below = x if l == 0 else cache.activations[l - 1]
             np.matmul(delta.T, below, out=grad_w[l])
             np.add.reduce(delta, axis=0, out=grad_b[l])
             if l == 0:
                 return
-        below_delta = dx if l == 0 else buf.deltas[l - 1]
+        below_delta = dx if l == 0 else cache.deltas[l - 1]
         np.matmul(delta, params.weights[l], out=below_delta)
         delta = below_delta
         if l > 0:
-            z, t = buf.pres[l - 1], buf.scratch[l - 1]
+            z, t = cache.pre_activations[l - 1], cache.scratch[l - 1]
             if params.hidden is Activation.RELU:
                 # Subgradient 0 at the kink.
                 np.greater(z, 0.0, out=t)
@@ -387,9 +383,8 @@ def mlp_forward(params: MlpParams, inputs: np.ndarray) -> tuple[np.ndarray, Forw
     :func:`mlp_backward`. A single point is a (1, input_dim) batch.
     """
     x = _as_batch(params, inputs)
-    buf = _forward_buffers(params, x.shape[0])
-    out = _forward(params, x, buf)
-    return out, ForwardCache(params.layer_sizes, x, buf.pres, buf.acts)
+    cache = _cache(params, x.shape[0], inputs=x)
+    return _forward(params, x, cache), cache
 
 
 def mlp_backward(params: MlpParams, cache: ForwardCache, output_gradient: np.ndarray,
@@ -416,15 +411,11 @@ def mlp_backward(params: MlpParams, cache: ForwardCache, output_gradient: np.nda
             f"expected {cache.activations[-1].shape}"
         )
 
-    buf = replace(_buffers(params, g.shape[0]), pres=cache.pre_activations,
-                  acts=cache.activations)
-    buf.deltas[-1][...] = g
-    if param_grad:
-        _backward(params, cache.inputs, buf)
-        return buf.grad
-    dx = np.empty_like(cache.inputs)
-    _backward(params, cache.inputs, buf, dx)
-    return dx
+    work = _with_backward(params, cache)
+    work.deltas[-1][...] = g
+    dx = None if param_grad else np.empty_like(cache.inputs)
+    _backward(params, cache.inputs, work, dx)
+    return work.grad if param_grad else dx
 
 
 def adam_step(params: MlpParams, grad: np.ndarray, state: AdamState,

@@ -24,21 +24,23 @@ through the frozen discriminator for its input gradient only. The loop checks
 architectures and labels once per run, then calls the unchecked step kernels
 behind `discriminator_loss_and_grads` and `generator_objective_and_grads`.
 
-After set-up the training loop allocates no array data. It sizes one
-workspace from the config: `_DiscriminatorWorkspace` holds the stacked
-batch (filled by ``np.take`` and the generator's forward pass), its one-hot
-targets, D's buffers over it (pre-activations, activations, deltas, flat
-gradient) and the loss layer's arrays. The cross-entropy reuses the
-softmax's row max and exp-sum, and the score kernel `_score_rows` and the
-logit gradient write into `_ScoreBuffers`, the gradient straight into D's
-upstream rows. The generator step has G's buffers and D's and the score
-layer's over G's output, and writes D's input gradient straight into G's
-upstream gradient. D's and G's parameter vectors are private to the run and
-updated in place by the `oodlab.nets` kernels, Adam by `nets._adam` on the
-moments of an `init_adam` state with step t counted by the loop.
+After set-up the training loop allocates no array data, and its arrays are
+of two types. A `nets.ForwardCache` holds a network's pass over one batch:
+pre-activations, activations, deltas and flat gradient. A `_LossWorkspace`
+holds D's loss layer: the stacked batch (filled by ``np.take`` and the
+generator's forward pass), its one-hot targets, D's `ForwardCache` over it,
+and the cross-entropy's and score layer's arrays. The cross-entropy reuses
+the softmax's row max and exp-sum; the score kernel `_score_rows` and the
+logit gradient write into the workspace, the gradient straight into D's
+upstream rows. The discriminator step uses a workspace over all three
+blocks, the generator step one with only a generated block, for D's pass
+over G's output; it writes D's input gradient straight into G's upstream
+gradient. D's and G's parameter vectors are private to the run and updated
+in place by the `oodlab.nets` kernels, Adam by `nets._adam` on the moments
+of an `init_adam` state with step t counted by the loop.
 `TrainHistory` gets fresh copies at the end, whose construction checks the
-trained weights are finite. Each step still checks that the logits, the loss
-and the objective are finite.
+trained weights are finite. Each step checks that the loss and the
+objective are finite, and `nets._softmax` that D's logits are.
 
 Minibatches are drawn uniformly with replacement from each pool, with the
 OoD batch size clamped to the pool size. Runs are deterministic functions of
@@ -62,21 +64,22 @@ import numpy as np
 from .data import Dataset, sample_noise
 from .nets import (
     Activation,
+    ForwardCache,
     Head,
     MlpParams,
     NumericError,
     _adam,
     _backward,
-    _Buffers,
-    _buffers,
+    _cache,
     _forward,
+    _with_backward,
     init_adam,
     init_mlp,
     mlp_forward,
     write_csv,
 )
 from .rng import Rng, _box_muller
-from .wasserstein import _score_rows, binary_cost_matrix, validate_cost_matrix
+from .wasserstein import _score_rows, _scoring_cost_matrix, binary_cost_matrix
 
 __all__ = [
     "TrainConfig",
@@ -170,14 +173,32 @@ def _one_hot(labels: np.ndarray, K: int) -> np.ndarray:
     return np.eye(K)[labels - 1]
 
 
-class _ScoreBuffers:
-    """Score-layer arrays over `rows` softmax rows of K classes.
+def _mean(values: np.ndarray) -> float:
+    """``values.mean()`` as the ufunc reduction it wraps."""
+    return float(np.add.reduce(values) / values.shape[0])
 
-    `costs`, `k_star` and `scores` are `_score_rows`' outputs; `cols` takes
-    each row's argmin cost column and `inner` its dot product with the row.
+
+class _LossWorkspace:
+    """Arrays of D's pass and loss layer over stacked ``[InD; observed OoD; generated]`` rows.
+
+    `x` holds the batch, with `ind`, `ood` and `gen` views onto its blocks,
+    and `targets` the InD rows' one-hot labels; `cache` holds D's pass over
+    `x`, its backward arrays included, and `up` views onto the blocks of its
+    upstream gradient. `ce` is the InD rows' log-softmax work array. The
+    score layer's arrays cover the OoD and generated rows: `costs`, `k_star`
+    and `scores` are `_score_rows`' outputs; `cols` takes each row's argmin
+    cost column and `inner` its dot product with the row. The generator step
+    uses a workspace with only a generated block, for D's pass over G(z).
     """
 
-    def __init__(self, rows: int, K: int):
+    def __init__(self, D: MlpParams, n_ind: int, n_ood: int, n_gen: int):
+        rows, K = n_ood + n_gen, D.output_dim
+        self.x = np.empty((n_ind + rows, D.input_dim))
+        self.ind, self.ood, self.gen = np.split(self.x, [n_ind, n_ind + n_ood])
+        self.targets = np.empty((n_ind, K))
+        self.cache = _with_backward(D, _cache(D, self.x.shape[0]))
+        self.up = np.split(self.cache.deltas[-1], [n_ind, n_ind + n_ood])
+        self.ce = np.empty((n_ind, K))
         self.costs = np.empty((rows, K))
         self.k_star = np.empty(rows, dtype=np.intp)
         self.scores = np.empty(rows)
@@ -185,79 +206,54 @@ class _ScoreBuffers:
         self.inner = np.empty((rows, 1))
 
 
-def _scores_and_logit_grads(probs: np.ndarray, M: np.ndarray, buf: _ScoreBuffers,
+def _scores_and_logit_grads(probs: np.ndarray, M: np.ndarray, ws: _LossWorkspace,
                             out: np.ndarray) -> None:
-    """Scores of softmax rows `probs` into ``buf.scores`` and d(score)/d(logits) into `out`.
+    """Scores of softmax rows `probs` into ``ws.scores`` and d(score)/d(logits) into `out`.
 
     With cost column g of the (smallest-index) argmin target, the chain rule
     through the softmax gives d(score)/dz_i = p_i * (g_i - p.g). `out` holds
     the products p_i * g_i on the way.
     """
-    _score_rows(probs, M, buf.costs, buf.k_star, buf.scores)
+    _score_rows(probs, M, ws.costs, ws.k_star, ws.scores)
     # Row k of M.T is the cost column of target k; the indices are in range.
-    M.T.take(buf.k_star, axis=0, out=buf.cols, mode="clip")
-    np.multiply(probs, buf.cols, out=out)
-    np.add.reduce(out, axis=1, keepdims=True, out=buf.inner)
-    np.subtract(buf.cols, buf.inner, out=buf.cols)
-    np.multiply(probs, buf.cols, out=out)
+    M.T.take(ws.k_star, axis=0, out=ws.cols, mode="clip")
+    np.multiply(probs, ws.cols, out=out)
+    np.add.reduce(out, axis=1, keepdims=True, out=ws.inner)
+    np.subtract(ws.cols, ws.inner, out=ws.cols)
+    np.multiply(probs, ws.cols, out=out)
 
 
-def _mean(values: np.ndarray) -> float:
-    """``values.mean()`` as the ufunc reduction it wraps."""
-    return float(np.add.reduce(values) / values.shape[0])
-
-
-class _DiscriminatorWorkspace:
-    """Arrays of a discriminator step over stacked ``[InD; observed OoD; generated]`` rows.
-
-    `x` holds the batch, with `ind`, `ood` and `gen` views onto its blocks,
-    and `targets` the InD rows' one-hot labels; `buffers` holds D's pass over
-    `x`, its gradient included, and `up` views onto the blocks of its
-    upstream gradient. `ce` is the InD rows' log-softmax work array and
-    `score` the score layer's arrays over the OoD and generated rows.
-    """
-
-    def __init__(self, D: MlpParams, n_ind: int, n_ood: int, n_gen: int):
-        self.x = np.empty((n_ind + n_ood + n_gen, D.input_dim))
-        self.ind, self.ood, self.gen = np.split(self.x, [n_ind, n_ind + n_ood])
-        self.targets = np.empty((n_ind, D.output_dim))
-        self.buffers = _buffers(D, self.x.shape[0])
-        self.up = np.split(self.buffers.deltas[-1], [n_ind, n_ind + n_ood])
-        self.ce = np.empty((n_ind, D.output_dim))
-        self.score = _ScoreBuffers(n_ood + n_gen, D.output_dim)
-
-
-def _discriminator_step(D: MlpParams, ws: _DiscriminatorWorkspace, beta_ood: float,
+def _discriminator_step(D: MlpParams, ws: _LossWorkspace, beta_ood: float,
                         beta_z: float, M: np.ndarray) -> tuple[float, tuple[float, float, float]]:
     """Unchecked kernel of `discriminator_loss_and_grads` over the batch filled into `ws`.
 
     One forward and one backward pass over the stacked batch, with each
     block's loss weight folded into its rows of the upstream logit gradient.
-    The gradient lands in ``ws.buffers.grad``.
+    The gradient lands in ``ws.cache.grad``.
     """
     n_ind, n_ood, n_gen = ws.ind.shape[0], ws.ood.shape[0], ws.gen.shape[0]
-    buf = ws.buffers
-    probs = _forward(D, ws.x, buf)
+    cache = ws.cache
+    probs = _forward(D, ws.x, cache)
     # log_softmax(z) = (z - max) - log(exp-sum), from the softmax's row max and
     # exp-sum; the log overwrites the sums, which the softmax no longer needs.
-    row_max, log_sum = buf.col[0][:n_ind], buf.col[1][:n_ind]
+    row_max, log_sum = cache.col[0][:n_ind], cache.col[1][:n_ind]
     np.log(log_sum, out=log_sum)
-    np.subtract(buf.pres[-1][:n_ind], row_max, out=ws.ce)
+    np.subtract(cache.pre_activations[-1][:n_ind], row_max, out=ws.ce)
     np.subtract(ws.ce, log_sum, out=ws.ce)
     np.multiply(ws.ce, ws.targets, out=ws.ce)
     ce = float(-np.add.reduce(ws.ce, axis=None) / n_ind)
 
     up_ind, up_ood, up_gen = ws.up
     # The score rows' logit gradients land in their upstream rows, then get their weights.
-    _scores_and_logit_grads(probs[n_ind:], M, ws.score, buf.deltas[-1][n_ind:])
-    mean_ood = _mean(ws.score.scores[:n_ood])
-    mean_gen = _mean(ws.score.scores[n_ood:]) if n_gen else 0.0
+    _scores_and_logit_grads(probs[n_ind:], M, ws, cache.deltas[-1][n_ind:])
+    mean_ood = _mean(ws.scores[:n_ood])
+    mean_gen = _mean(ws.scores[n_ood:]) if n_gen else 0.0
     np.multiply(up_ood, -beta_ood / n_ood, out=up_ood)
     if n_gen:
         np.multiply(up_gen, -beta_z / n_gen, out=up_gen)
     np.subtract(probs[:n_ind], ws.targets, out=up_ind)
     np.divide(up_ind, n_ind, out=up_ind)
-    _backward(D, ws.x, ws.buffers)
+    _backward(D, ws.x, cache)
 
     loss = ce - beta_ood * mean_ood - beta_z * mean_gen
     if not np.isfinite(loss):
@@ -278,9 +274,7 @@ def discriminator_loss_and_grads(D: MlpParams, ind_x: np.ndarray, ind_y: np.ndar
     treated as a fixed sample of augmentation points; nothing backpropagates
     into whatever produced it.
     """
-    mat = validate_cost_matrix(M)
-    if D.head is not Head.SOFTMAX:
-        raise ValueError("the discriminator needs a Softmax head")
+    mat = _scoring_cost_matrix(D, M)
     ind_x = np.asarray(ind_x, dtype=float)
     if ind_x.ndim != 2 or ind_x.shape[0] == 0:
         raise ValueError("the labeled batch must be a nonempty (n, d) array")
@@ -288,32 +282,32 @@ def discriminator_loss_and_grads(D: MlpParams, ind_x: np.ndarray, ind_y: np.ndar
     if ood_x.ndim != 2 or ood_x.shape[0] == 0:
         raise ValueError("the observed OoD batch must be a nonempty (n, d) array")
     gen_x = np.asarray(gen_x, dtype=float)
-    targets = _one_hot(np.asarray(ind_y), D.output_dim)
-    ws = _DiscriminatorWorkspace(D, ind_x.shape[0], ood_x.shape[0], gen_x.shape[0])
+    ws = _LossWorkspace(D, ind_x.shape[0], ood_x.shape[0], gen_x.shape[0])
     np.concatenate([ind_x, ood_x, gen_x], out=ws.x)
-    ws.targets[...] = targets
+    ws.targets[...] = _one_hot(np.asarray(ind_y), D.output_dim)
     loss, parts = _discriminator_step(D, ws, beta_ood, beta_z, mat)
-    return loss, parts, ws.buffers.grad
+    return loss, parts, ws.cache.grad
 
 
-def _generator_step(D: MlpParams, G: MlpParams, noise: np.ndarray, g_buf: _Buffers,
-                    d_buf: _Buffers, score: _ScoreBuffers, beta_z: float, M: np.ndarray) -> float:
-    """Unchecked kernel of `generator_objective_and_grads`, through G's, D's and score buffers.
+def _generator_step(D: MlpParams, G: MlpParams, noise: np.ndarray, g_cache: ForwardCache,
+                    ws: _LossWorkspace, beta_z: float, M: np.ndarray) -> float:
+    """Unchecked kernel of `generator_objective_and_grads`: G's pass in `g_cache`, D's in `ws`.
 
-    D's input gradient is written straight into G's upstream gradient; G's
-    gradient lands in ``g_buf.grad``.
+    `ws` has only a generated block, and D runs on G's output in place of
+    ``ws.x``. D's input gradient is written straight into G's upstream
+    gradient; G's gradient lands in ``g_cache.grad``.
     """
-    fake = _forward(G, noise, g_buf)
-    probs = _forward(D, fake, d_buf)
-    up = d_buf.deltas[-1]
-    _scores_and_logit_grads(probs, M, score, up)
-    objective = float(beta_z * _mean(score.scores))
+    fake = _forward(G, noise, g_cache)
+    probs = _forward(D, fake, ws.cache)
+    up = ws.cache.deltas[-1]
+    _scores_and_logit_grads(probs, M, ws, up)
+    objective = float(beta_z * _mean(ws.scores))
     if not np.isfinite(objective):
         raise NumericError(f"generator objective is not finite: {objective}")
 
     np.multiply(up, beta_z / noise.shape[0], out=up)
-    _backward(D, fake, d_buf, dx=g_buf.deltas[-1])
-    _backward(G, noise, g_buf)
+    _backward(D, fake, ws.cache, dx=g_cache.deltas[-1])
+    _backward(G, noise, g_cache)
     return objective
 
 
@@ -329,7 +323,7 @@ def generator_objective_and_grads(
     The discriminator is treated as frozen; its input gradient chains the
     score back into G.
     """
-    mat = validate_cost_matrix(M)
+    mat = _scoring_cost_matrix(D, M)
     noise = np.asarray(noise_batch, dtype=float)
     if noise.ndim != 2 or noise.shape[0] == 0:
         raise ValueError("the noise batch must be a nonempty (n, dim) array")
@@ -339,13 +333,10 @@ def generator_objective_and_grads(
         raise ValueError(
             f"generator emits dimension {G.output_dim}, discriminator expects {D.input_dim}"
         )
-    if D.head is not Head.SOFTMAX:
-        raise ValueError("the discriminator needs a Softmax head")
     rows = noise.shape[0]
-    g_buf = _buffers(G, rows)
-    objective = _generator_step(D, G, noise, g_buf, _buffers(D, rows),
-                                _ScoreBuffers(rows, D.output_dim), beta_z, mat)
-    return objective, g_buf.grad
+    g_cache = _with_backward(G, _cache(G, rows))
+    objective = _generator_step(D, G, noise, g_cache, _LossWorkspace(D, 0, 0, rows), beta_z, mat)
+    return objective, g_cache.grad
 
 
 def check_architectures(config: TrainConfig, data: Dataset, with_generator: bool) -> None:
@@ -453,9 +444,9 @@ def _train(config: TrainConfig, data: Dataset, rng: Rng | None,
     if with_generator:
         G = init_mlp(config.generator_arch, Activation.RELU, Head.IDENTITY, rng)
         adam_g, g_scratch = init_adam(G, *hyper), np.empty((2, G.flat.size))
-        # G's pass, and D's pass and score layer over G's output, over one noise batch.
-        g_buf, dg_buf = _buffers(G, config.batch_gen), _buffers(D, config.batch_gen)
-        g_score = _ScoreBuffers(config.batch_gen, data.K)
+        # G's pass, and D's pass and loss layer over G's output, over one noise batch.
+        g_cache = _with_backward(G, _cache(G, config.batch_gen))
+        g_ws = _LossWorkspace(D, 0, 0, config.batch_gen)
 
     targets = _one_hot(data.ind_train_y, data.K)
     n_ind = data.ind_train_x.shape[0]
@@ -464,8 +455,7 @@ def _train(config: TrainConfig, data: Dataset, rng: Rng | None,
     n_d = config.n_d if with_generator else 1
     n_g = config.n_g if with_generator else 0
     beta_z = config.beta_z if with_generator else 0.0
-    d_ws = _DiscriminatorWorkspace(D, config.batch_ind, b_ood,
-                                   config.batch_gen if with_generator else 0)
+    d_ws = _LossWorkspace(D, config.batch_ind, b_ood, config.batch_gen if with_generator else 0)
     draws = _draws(rng, config.iterations, n_d, n_g, config.batch_ind, n_ind, b_ood, n_ood_pool,
                    (config.batch_gen, config.noise_dim) if with_generator else None)
 
@@ -478,20 +468,20 @@ def _train(config: TrainConfig, data: Dataset, rng: Rng | None,
             targets.take(ind_idx[j], axis=0, out=d_ws.targets, mode="clip")
             data.ood_train.take(ood_idx[j], axis=0, out=d_ws.ood, mode="clip")
             if with_generator:
-                d_ws.gen[...] = _forward(G, noise[j], g_buf)
+                d_ws.gen[...] = _forward(G, noise[j], g_cache)
             loss, (ce, mean_ood, mean_gen) = _discriminator_step(
                 D, d_ws, config.beta_ood, beta_z, M)
-            _adam(D.flat, d_ws.buffers.grad, adam_d.m, adam_d.v, (it - 1) * n_d + j + 1,
+            _adam(D.flat, d_ws.cache.grad, adam_d.m, adam_d.v, (it - 1) * n_d + j + 1,
                   config.lr_d, *hyper, d_scratch)
 
         if not with_generator:
             records.append(IterationRecord(it, loss, ce, mean_ood, None, None))
             continue
         for k in range(n_d, n_d + n_g):
-            objective = _generator_step(D, G, noise[k], g_buf, dg_buf, g_score, config.beta_z, M)
+            objective = _generator_step(D, G, noise[k], g_cache, g_ws, config.beta_z, M)
             # Ascent: feed Adam the negated gradient.
-            np.negative(g_buf.grad, out=g_buf.grad)
-            _adam(G.flat, g_buf.grad, adam_g.m, adam_g.v, (it - 1) * n_g + (k - n_d) + 1,
+            np.negative(g_cache.grad, out=g_cache.grad)
+            _adam(G.flat, g_cache.grad, adam_g.m, adam_g.v, (it - 1) * n_g + (k - n_d) + 1,
                   config.lr_g, *hyper, g_scratch)
         records.append(IterationRecord(it, loss, ce, mean_ood, mean_gen, objective))
 

@@ -15,21 +15,23 @@ the CSV formats.
 The cost to the one-hot target of class k is entry k of ``p @ M``;
 :func:`wasserstein_score` returns the smallest with its class. The score's
 gradient with respect to p is M's column at that class, which the trainers
-chain through the softmax (`training._scores_and_logit_grads`).
+chain through the softmax (`training._scores_and_logit_grads`). One kernel,
+`_score_rows`, scores rows of probabilities into caller-owned arrays: those
+of a `training._LossWorkspace` in training, and block arrays next to one
+`nets.ForwardCache` in :func:`score_batch`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .nets import Head, MlpParams, _as_batch, _forward, _forward_buffers, read_float_csv
+from .nets import Head, MlpParams, _as_batch, _cache, _first_rows, _forward, read_float_csv
 
 __all__ = [
     "validate_prob_vector",
     "validate_cost_matrix",
     "binary_cost_matrix",
     "load_cost_matrix_csv",
-    "score_rows",
     "wasserstein_score",
     "score_batch",
 ]
@@ -82,18 +84,6 @@ def load_cost_matrix_csv(path) -> np.ndarray:
     return validate_cost_matrix(read_float_csv(path, "cost matrix"))
 
 
-def score_rows(probs: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scores of the rows of a (batch, K) probability matrix and their argmin columns.
-
-    Columns are 0-based, the smallest winning ties; inputs are not validated.
-    The pure wrapper of :func:`_score_rows`.
-    """
-    rows = probs.shape[0]
-    scores, k_star = np.empty(rows), np.empty(rows, dtype=np.intp)
-    _score_rows(probs, M, np.empty((rows, M.shape[1])), k_star, scores)
-    return scores, k_star
-
-
 def _score_rows(probs: np.ndarray, M: np.ndarray, costs: np.ndarray, k_star: np.ndarray,
                 scores: np.ndarray) -> None:
     """Score kernel: transport costs ``probs @ M`` into `costs`, argmin columns into `k_star`.
@@ -115,7 +105,8 @@ def wasserstein_score(p, M) -> tuple[float, int]:
     mat = validate_cost_matrix(M)
     if vec.size != mat.shape[0]:
         raise ValueError(f"p has {vec.size} classes but M is {mat.shape[0]}x{mat.shape[0]}")
-    scores, k_star = score_rows(vec[None, :], mat)
+    scores, k_star = np.empty(1), np.empty(1, dtype=np.intp)
+    _score_rows(vec[None, :], mat, np.empty((1, mat.shape[1])), k_star, scores)
     return float(scores[0]), int(k_star[0]) + 1
 
 
@@ -153,12 +144,12 @@ def _score_blocks(net: MlpParams, x: np.ndarray, M: np.ndarray,
     """
     scores = np.empty(x.shape[0])
     rows = min(x.shape[0], SCORE_BLOCK_ROWS)
-    buf = _forward_buffers(net, rows)
+    cache = _cache(net, rows)
     costs, k_star = np.empty((rows, M.shape[1])), np.empty(rows, dtype=np.intp)
     for start in range(0, x.shape[0], SCORE_BLOCK_ROWS):
         block = x[start:start + SCORE_BLOCK_ROWS]
         n = block.shape[0]
-        probs = _forward(net, block, buf.first_rows(n))
+        probs = _forward(net, block, _first_rows(cache, n))
         _score_rows(probs, M, costs[:n], k_star[:n], scores[start:start + n])
         if predicted is not None:
             np.argmax(probs, axis=1, out=predicted[start:start + n])

@@ -209,6 +209,17 @@ class TestCsvRoundTrip:
             read_dataset_csv(path)
         assert f"{path}:3:" in str(exc.value)
 
+    @pytest.mark.parametrize("row, message", [
+        ("1,2,one,ind_train", "invalid literal for int"),
+        ("1,x,1,ind_train", "could not convert string to float"),
+    ], ids=["text-label", "text-coordinate"])
+    def test_unparseable_cell_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x1,x2,label,split\n1,2,1,ind_train\n{row}\n")
+        with pytest.raises(ValueError, match=message) as exc:
+            read_dataset_csv(path)
+        assert f"{path}:3:" in str(exc.value)
+
 
 class TestDatasetInvariants:
     def test_label_range_enforced(self):

@@ -1,13 +1,15 @@
 """Experiment runner and CLI: files, aggregates, determinism, exit codes."""
 
 import csv
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oodlab.experiment as experiment
 from oodlab.cli import main
-from oodlab.config import ExperimentConfig, parse_config
+from oodlab.config import ExperimentConfig, parse_config, preset_config
 from oodlab.detection import GridSpec
 from oodlab.experiment import (
     compare_rejection_regions,
@@ -200,11 +202,15 @@ class TestCli:
         assert message in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("doctor", [
-        lambda rows: [],
-        lambda rows: [rows[0], rows[1].split(",", 1)[0], *rows[2:]],
-    ], ids=["empty", "short-row"])
-    def test_compare_rejects_doctored_report(self, tmp_path, capsys, doctor):
+    @pytest.mark.parametrize("doctor, message", [
+        (lambda rows: [], "is empty"),
+        (lambda rows: [rows[0], rows[1].split(",", 1)[0], *rows[2:]], "shorter than its header"),
+        (lambda rows: [rows[0].replace("eta_at_0.95", "eta_at_95"), *rows[1:]],
+         "no eta_at_0.95 column"),
+        (lambda rows: [rows[0], "one" + rows[1][rows[1].index(","):], *rows[2:]],
+         "row label 'one'"),
+    ], ids=["empty", "short-row", "no-eta-column", "text-label"])
+    def test_compare_rejects_doctored_report(self, tmp_path, capsys, doctor, message):
         cfg = tmp_path / "c.ini"
         write_tiny_config(cfg, method="wood")
         run = tmp_path / "run"
@@ -215,7 +221,9 @@ class TestCli:
         out = tmp_path / "cmp"
         assert main(["compare", "--a", str(run), "--b", str(run), "--tnr", "0.95",
                      "--out", str(out)]) == 3
-        assert f"report file {report}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"report file {report}" in err
+        assert message in err
         assert not out.exists()
 
     def test_seed_override_changes_outputs(self, tmp_path):
@@ -365,3 +373,18 @@ class TestCli:
     def test_compare_missing_dir_exit_code(self, tmp_path):
         assert main(["compare", "--a", str(tmp_path / "nope"), "--b",
                      str(tmp_path / "nope2"), "--out", str(tmp_path / "o")]) == 3
+
+
+def test_seed_sweep_set_zero_is_the_gated_run(capsys):
+    """`scripts/seed_sweep.py` prints, for set 0, the minima over the preset's own seeds."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "seed_sweep.py"
+    spec = importlib.util.spec_from_file_location("seed_sweep", path)
+    seed_sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(seed_sweep)
+    assert seed_sweep.main(["--preset", "wood2d", "--seeds", "1"]) == 0
+    cfg = preset_config("wood2d")
+    reps = [run_replication(cfg, r) for r in range(3)]
+    column = cfg.tnr_targets.index(0.95)
+    assert capsys.readouterr().out.splitlines()[1].split() == [
+        "0", "0..2", f"{min(rep.accuracy for rep in reps):.4f}",
+        f"{min(rep.tprs[column] for rep in reps):.4f}"]

@@ -20,8 +20,9 @@ from oodlab.nets import (
     NumericError,
     _adam,
     _backward,
-    _buffers,
+    _cache,
     _forward,
+    _with_backward,
     adam_step,
     finite_difference_gradient,
     fmt_float,
@@ -313,18 +314,18 @@ class TestKernelsBitwise:
         ref_out, ref_cache = reference_forward(net, x)
         ref = reference_backward(net, ref_cache, up, param_grad)
 
-        buf = _buffers(net, rows)
-        assert np.array_equal(_forward(net, x, buf), ref_out)
-        for got, want in zip(buf.pres + buf.acts,
+        cache = _with_backward(net, _cache(net, rows))
+        assert np.array_equal(_forward(net, x, cache), ref_out)
+        for got, want in zip(cache.pre_activations + cache.activations,
                              ref_cache.pre_activations + ref_cache.activations):
             assert np.array_equal(got, want)
-        buf.deltas[-1][...] = up
+        cache.deltas[-1][...] = up
         if param_grad:
-            _backward(net, x, buf)
-            got = buf.grad
+            _backward(net, x, cache)
+            got = cache.grad
         else:
             got = np.empty_like(x)
-            _backward(net, x, buf, dx=got)
+            _backward(net, x, cache, dx=got)
         assert np.array_equal(got, ref)
 
         out, cache = mlp_forward(net, x)

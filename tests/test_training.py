@@ -126,6 +126,11 @@ class TestDiscriminatorLoss:
                 D, np.empty((0, 2)), np.empty(0, dtype=int),
                 np.zeros((1, 2)), np.empty((0, 2)), 1.0, 1.0, binary_cost_matrix(3))
 
+    def test_cost_matrix_of_other_class_count_rejected(self):
+        with pytest.raises(ValueError, match="net outputs 3 classes but M is 4x4"):
+            discriminator_loss_and_grads(zero_discriminator(), *tiny_batches(), 1.0, 1.0,
+                                         binary_cost_matrix(4))
+
     def test_gradients_match_finite_differences(self):
         M = binary_cost_matrix(3)
         ind_x, ind_y, ood_x, gen_x = tiny_batches(5, n_ind=4)
@@ -243,6 +248,13 @@ class TestGeneratorObjective:
         with pytest.raises(ValueError):
             generator_objective_and_grads(D, G, sample_noise(2, 2, Rng(0)), 1.0,
                                           binary_cost_matrix(3))
+
+    def test_cost_matrix_of_other_class_count_rejected(self):
+        D = init_mlp((2, 6, 3), Activation.RELU, Head.SOFTMAX, Rng(16))
+        G = init_mlp((2, 6, 2), Activation.RELU, Head.IDENTITY, Rng(17))
+        with pytest.raises(ValueError, match="net outputs 3 classes but M is 4x4"):
+            generator_objective_and_grads(D, G, sample_noise(2, 2, Rng(0)), 1.0,
+                                          binary_cost_matrix(4))
 
 
 def quick_config(**kwargs):

@@ -13,7 +13,6 @@ from oodlab.wasserstein import (
     binary_cost_matrix,
     load_cost_matrix_csv,
     score_batch,
-    score_rows,
     validate_cost_matrix,
     validate_prob_vector,
     wasserstein_score,
@@ -185,7 +184,7 @@ class TestScoreBatch:
         points = 4.0 * Rng(6).standard_normal(2 * rows).reshape(rows, 2)
         M = binary_cost_matrix(3)
         probs, _ = mlp_forward(net, points)
-        assert np.array_equal(score_batch(net, points, M), score_rows(probs, M)[0])
+        assert np.array_equal(score_batch(net, points, M), reference_score_rows(probs, M)[0])
 
     def test_vector_input_rejected(self):
         with pytest.raises(ValueError, match="expected \\(batch, 2\\)"):
@@ -214,9 +213,9 @@ class TestScoreKernel:
         want_scores, want_k = reference_score_rows(probs, M)
         assert scores.tobytes() == want_scores.tobytes()
         assert np.array_equal(k_star, want_k)
-        got_scores, got_k = score_rows(probs, M)
-        assert got_scores.tobytes() == want_scores.tobytes()
-        assert np.array_equal(got_k, want_k)
+        # `wasserstein_score` runs the same kernel on one row.
+        for p, want_score, k in zip(probs, want_scores, want_k):
+            assert wasserstein_score(p, M) == (want_score, k + 1)
 
 
 class TestValidation:
