@@ -11,7 +11,9 @@
 # generator weights; `heatmap` on wood2d with 200 iterations and a 32x32 grid,
 # whose PGM rows fill every 16-sample line; `gen-data --seed 7`; `replicate
 # --config full.ini`, a short see_ood run on that CSV with a written 3x3 cost
-# matrix and every [data] key set; and two `compare` runs. Then `diff -r`
+# matrix and every [data] key set; `replicate --config deep.ini`, a short
+# see_ood run whose discriminator (2 16 8 3) has a hidden layer past layer 0
+# and whose generator is 2 16 2; and two `compare` runs. Then `diff -r`
 # compares every output file and the collected stdout. Exit status 0 means no
 # difference. Takes a few minutes per checkout.
 set -euo pipefail
@@ -40,6 +42,10 @@ run() {  # run CHECKOUT OUTDIR
         'ood_subsample = 3' \
         '[eval]' 'replications = 1' 'grid_resolution = 20' > full.ini
     oodlab replicate --config full.ini --out full
+    printf '%s\n' '[method]' 'method = see_ood' \
+        '[train]' 'iterations = 100' 'discriminator_arch = 2 16 8 3' 'generator_arch = 2 16 2' \
+        '[eval]' 'replications = 1' 'grid_resolution = 20' > deep.ini
+    oodlab replicate --config deep.ini --out deep
     oodlab compare --a setting1 --b wood2d --tnr 0.95 --out compare1
     oodlab compare --a setting2 --b wood2d --tnr 0.99 --out compare2
 }

@@ -324,9 +324,10 @@ def load_report(out_dir) -> LoadedRun:
 
     ValueError, naming the file, for an empty ``report.csv``, one with a row
     shorter than its header, one without the ``eta_at_<t>`` column of one of
-    the run's TNR targets or one with a replication label that is not an
-    integer, and for a heatmap with a non-finite cell or a shape other than
-    the run's own ``(grid_resolution, grid_resolution)``.
+    the run's TNR targets or with a cell in it that is not a number, or one
+    with a replication label that is not an integer, and for a heatmap with a
+    non-finite cell or a shape other than the run's own ``(grid_resolution,
+    grid_resolution)``.
     """
     out = Path(out_dir)
     config = parse_config((out / "config.ini").read_text(encoding="utf-8"))
@@ -344,7 +345,14 @@ def load_report(out_dir) -> LoadedRun:
         if name not in header:
             raise ValueError(f"report file {report} has no {name} column")
         column = header.index(name)
-        etas_by_target[target] = tuple(float(row[column]) for row in rep_rows)
+        etas = []
+        for row in rep_rows:
+            try:
+                etas.append(float(row[column]))
+            except ValueError:
+                raise ValueError(f"report file {report} has {name} = {row[column]!r} for "
+                                 f"replication {row[0]!r}, not a number") from None
+        etas_by_target[target] = tuple(etas)
 
     shape = (config.grid.resolution, config.grid.resolution)
     heatmaps = []

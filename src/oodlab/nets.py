@@ -19,11 +19,39 @@ on fresh arrays, return new values and never mutate their arguments, so
 equal inputs give equal bits either way.
 
 Parameter layout: a network's parameters live in one 1-D float64 vector,
-``w0 (row-major), b0, w1, b1, ...``, the order the text format writes them.
-Gradients from :func:`finite_difference_gradient` and :func:`mlp_backward`
-and the Adam moments are plain vectors in the same layout, so Adam and the
-finite-difference oracle each run over one array. :func:`mlp_backward`
-returns one gradient: that vector, or the input gradient when asked.
+one row-major ``(fan_out, fan_in + 1)`` block ``[W | b]`` per layer, so row i
+of layer l's block is ``W_l[i, :]`` followed by ``b_l[i]``. ``weights[l]`` and
+``biases[l]`` are views onto the block's columns; the text format writes
+them in its own order (row-major weights, then biases), so it does not
+depend on this layout. Gradients from :func:`finite_difference_gradient` and
+:func:`mlp_backward` and the Adam moments are plain vectors in the same
+layout, so Adam and the finite-difference oracle each run over one array.
+:func:`mlp_backward` returns one gradient: that vector, or the input
+gradient when asked.
+
+Ones columns: the kernels take a batch as a ``(rows, fan_in + 1)`` array
+whose last column is ones, from `_with_ones`, and keep every activation
+that can feed a layer (the hidden ones and a Tanh or Identity head's output)
+in such an array (see :class:`ForwardCache`). So layer 0's forward pass is
+one product ``[x | 1] @ [W0 | b0]^T`` and each layer's parameter gradient
+one product ``delta^T @ [below | 1]``. Both keep the bits of the separate
+product and bias add or column sum, within these limits:
+
+- At an input width of 2, the presets', the folded forward product equals
+  the product plus bias add at every batch size tried (1 to 6000 rows).
+  Deeper layers keep the separate bias add: BLAS sums a folded 129-term dot
+  product in another order.
+- The folded gradient's bias column equals ``np.add.reduce`` over the rows
+  up to the 256-row batches training uses. From about 777 rows on, BLAS
+  blocks the row sum and the bias column may differ in the last bit.
+- The input gradient is the product ``delta @ [W | b]`` into a wide array,
+  whose first columns equal ``delta @ W`` over a contiguous ``W``; a
+  product through the strided ``W`` view can differ at one row.
+
+Narrow rows: the softmax's row max and exp-sum and the score layer's row
+reductions over K < 8 classes run as K - 1 column ops (`_fold_columns`):
+max and min are exact, and numpy sums fewer than 8 entries left to right,
+the order the column ops keep.
 
 Gradient convention: for a ``Softmax`` head, :func:`mlp_backward` expects the
 upstream gradient with respect to the pre-head logits (the loss layer folds
@@ -35,6 +63,7 @@ output.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -87,27 +116,46 @@ def _n_scalars(sizes: tuple[int, ...]) -> int:
     return sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes, sizes[1:]))
 
 
+def _blocks(sizes: tuple[int, ...], flat: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-layer ``(fan_out, fan_in + 1)`` views ``[W | b]`` into a parameter-layout vector."""
+    blocks, start = [], 0
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        end = start + fan_out * (fan_in + 1)
+        blocks.append(flat[start:end].reshape(fan_out, fan_in + 1))
+        start = end
+    return tuple(blocks)
+
+
 def _layer_views(sizes: tuple[int, ...],
                  flat: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Per-layer (weights, biases) views into a vector laid out w0, b0, w1, b1, ..."""
-    weights, biases, start = [], [], 0
-    for fan_in, fan_out in zip(sizes, sizes[1:]):
-        end = start + fan_out * fan_in
-        weights.append(flat[start:end].reshape(fan_out, fan_in))
-        biases.append(flat[end:end + fan_out])
-        start = end + fan_out
-    return tuple(weights), tuple(biases)
+    """Per-layer (weights, biases) views into a parameter-layout vector."""
+    blocks = _blocks(sizes, flat)
+    return tuple(b[:, :-1] for b in blocks), tuple(b[:, -1] for b in blocks)
+
+
+def _with_ones(rows: int, width: int, fill: np.ndarray | None = None) -> np.ndarray:
+    """A (rows, width + 1) array whose last column is ones, the kernels' batch layout.
+
+    The first `width` columns hold `fill` if given; else the caller fills them.
+    """
+    out = np.empty((rows, width + 1))
+    out[:, width] = 1.0
+    if fill is not None:
+        out[:, :width] = fill
+    return out
 
 
 @dataclass(frozen=True)
 class MlpParams:
     """Parameters of a dense network, stored as one flat float64 vector.
 
-    `flat` holds ``w0 (row-major), b0, w1, b1, ...``; gradients and Adam
-    moments share this layout. ``weights[l]``, of shape (layer_sizes[l+1],
-    layer_sizes[l]), and ``biases[l]``, of length layer_sizes[l+1], are
-    read-only tuples of views into `flat`. The hidden activation is applied
-    after every layer except the last, which gets `head`.
+    `flat` holds one row-major ``[W | b]`` block per layer (see the module
+    docstring); gradients and Adam moments share this layout. ``blocks[l]``,
+    of shape (layer_sizes[l+1], layer_sizes[l] + 1), is that block;
+    ``weights[l]`` and ``biases[l]`` are its first layer_sizes[l] columns and
+    its last column. All three are tuples of views into `flat`. The hidden
+    activation is applied after every layer except the last, which gets
+    `head`.
     """
 
     layer_sizes: tuple[int, ...]
@@ -126,16 +174,16 @@ class MlpParams:
             raise ValueError("parameter vector has non-finite entries")
 
     @cached_property
-    def _views(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        return _layer_views(self.layer_sizes, self.flat)
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        return _blocks(self.layer_sizes, self.flat)
 
-    @property
+    @cached_property
     def weights(self) -> tuple[np.ndarray, ...]:
-        return self._views[0]
+        return tuple(b[:, :-1] for b in self.blocks)
 
-    @property
+    @cached_property
     def biases(self) -> tuple[np.ndarray, ...]:
-        return self._views[1]
+        return tuple(b[:, -1] for b in self.blocks)
 
     @property
     def input_dim(self) -> int:
@@ -200,6 +248,26 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return out
 
 
+# numpy sums fewer than this many entries left to right, and pairwise from it on.
+_PAIRWISE_FROM = 8
+
+
+def _fold_columns(op, a: np.ndarray, out: np.ndarray) -> None:
+    """``op.reduce(a, axis=-1, keepdims=True)`` into `out`, bit for bit.
+
+    `op` is ``np.add``, ``np.maximum`` or ``np.minimum``. Rows of fewer than
+    `_PAIRWISE_FROM` entries fold as K - 1 column ops, left to right, which
+    skip the reduction's per-row inner loop; wider rows take the reduction.
+    """
+    K = a.shape[-1]
+    if not 2 <= K < _PAIRWISE_FROM:
+        op.reduce(a, axis=-1, keepdims=True, out=out)
+        return
+    op(a[..., :1], a[..., 1:2], out=out)
+    for k in range(2, K):
+        op(out, a[..., k:k + 1], out=out)
+
+
 def _softmax(z: np.ndarray, out: np.ndarray, col: np.ndarray) -> None:
     """Softmax kernel: :func:`softmax` of `z` into `out`.
 
@@ -210,15 +278,13 @@ def _softmax(z: np.ndarray, out: np.ndarray, col: np.ndarray) -> None:
     """
     if z.size == 0:
         raise ValueError("softmax of an empty vector is undefined")
-    # Both extremes are finite exactly when every entry is.
-    if not (np.isfinite(np.maximum.reduce(z, axis=None))
-            and np.isfinite(np.minimum.reduce(z, axis=None))):
+    # A finite sum means every entry is finite; only a non-finite one needs the exact check.
+    if not math.isfinite(np.add.reduce(z, axis=None)) and not np.isfinite(z).all():
         raise ValueError("softmax requires finite logits")
-    # The ufunc reductions behind np.max and np.sum, without their Python wrappers.
-    np.maximum.reduce(z, axis=-1, keepdims=True, out=col[0])
+    _fold_columns(np.maximum, z, col[0])
     np.subtract(z, col[0], out=out)
     np.exp(out, out=out)
-    np.add.reduce(out, axis=-1, keepdims=True, out=col[1])
+    _fold_columns(np.add, out, col[1])
     np.divide(out, col[1], out=out)
 
 
@@ -229,15 +295,26 @@ class ForwardCache:
     ``pre_activations[l]`` and ``activations[l]`` are the values entering and
     leaving layer l's nonlinearity; ``activations[-1]`` is the network output,
     which for an Identity head is ``pre_activations[-1]`` itself. `inputs` is
-    the batch :func:`mlp_forward` ran on, or None in a kernel's cache, whose
-    caller passes the batch to each kernel. ``col`` is the Softmax head's
-    (2, rows, 1) work array, each row's max and exp-sum. The backward arrays
-    are empty unless asked for: ``deltas[l]`` takes the gradient with respect
-    to ``pre_activations[l]``, and the caller writes the upstream gradient
-    into ``deltas[-1]``, which a Tanh head's backward pass overwrites.
-    ``scratch[l]`` is a work array shaped like ``deltas[l]``. `grad` takes the
-    flat parameter gradient, through its per-layer (weights, biases) views
-    `grad_views`.
+    the batch :func:`mlp_forward` ran on, with its ones column, or None in a
+    kernel's cache, whose caller passes the batch to each kernel. ``col`` is
+    the Softmax head's (2, rows, 1) work array, each row's max and exp-sum.
+    The backward arrays are empty unless asked for: ``deltas[l]`` takes the
+    gradient with respect to ``pre_activations[l]``, and the caller writes
+    the upstream gradient into ``deltas[-1]``, which a Tanh head's backward
+    pass overwrites. ``scratch[l]`` is a work array shaped like
+    ``deltas[l]``. `grad` takes the flat parameter gradient, through its
+    per-layer ``[W | b]`` views `grad_blocks`.
+
+    Wide arrays: for every layer but a Softmax head, ``activations[l]`` and
+    ``deltas[l]`` are the first columns of the (rows, width + 1) arrays
+    ``ones[l]`` and ``wide_deltas[l]``, and for every hidden layer so are
+    ``pre_activations[l]`` and ``scratch[l]`` of ``pre_ones[l]`` and
+    ``wide_scratch[l]``. The last column of ``ones`` and ``pre_ones`` is
+    ones: ``ones[l]`` is the ``[a | 1]`` batch the next layer's gradient, or
+    another network, takes, and the ReLU runs over the whole of
+    ``pre_ones[l]``, keeping the column. The backward pass writes the
+    product ``delta @ [W | b]`` into ``wide_deltas`` whole, so the last
+    column of ``wide_deltas`` and ``wide_scratch`` is work space.
     """
 
     layer_sizes: tuple[int, ...]
@@ -248,11 +325,25 @@ class ForwardCache:
     deltas: tuple[np.ndarray, ...] = ()
     scratch: tuple[np.ndarray, ...] = ()
     grad: np.ndarray | None = None
-    grad_views: tuple | None = None
+    grad_blocks: tuple[np.ndarray, ...] = ()
+    ones: tuple[np.ndarray, ...] = ()
+    pre_ones: tuple[np.ndarray, ...] = ()
+    wide_deltas: tuple[np.ndarray, ...] = ()
+    wide_scratch: tuple[np.ndarray, ...] = ()
 
 
 def _empty_rows(rows: int, widths) -> tuple[np.ndarray, ...]:
     return tuple(np.empty((rows, w)) for w in widths)
+
+
+def _narrow(arrays) -> tuple[np.ndarray, ...]:
+    """Each wide array without its last column."""
+    return tuple(a[:, :-1] for a in arrays)
+
+
+def _n_wide(params: MlpParams) -> int:
+    """How many layers keep wide arrays: all but a Softmax head."""
+    return len(params.blocks) - (params.head is Head.SOFTMAX)
 
 
 def _as_batch(params: MlpParams, inputs) -> np.ndarray:
@@ -267,60 +358,74 @@ def _as_batch(params: MlpParams, inputs) -> np.ndarray:
 
 def _cache(params: MlpParams, rows: int, inputs: np.ndarray | None = None) -> ForwardCache:
     """Empty forward arrays for a pass of `params` over `rows` inputs."""
-    widths = params.layer_sizes[1:]
-    pres = _empty_rows(rows, widths)
-    head = (pres[-1],) if params.head is Head.IDENTITY else _empty_rows(rows, widths[-1:])
-    return ForwardCache(params.layer_sizes, inputs, pres, _empty_rows(rows, widths[:-1]) + head,
-                        np.empty((2, rows, 1)))
+    widths, wide = params.layer_sizes[1:], _n_wide(params)
+    ones = tuple(_with_ones(rows, w) for w in widths[:wide])
+    pre_ones = tuple(_with_ones(rows, w) for w in widths[:-1])
+    acts = _narrow(ones) + _empty_rows(rows, widths[wide:])
+    head = acts[-1:] if params.head is Head.IDENTITY else _empty_rows(rows, widths[-1:])
+    return ForwardCache(params.layer_sizes, inputs, _narrow(pre_ones) + head, acts,
+                        np.empty((2, rows, 1)), ones=ones, pre_ones=pre_ones)
 
 
 def _with_backward(params: MlpParams, cache: ForwardCache) -> ForwardCache:
     """`cache` plus fresh backward arrays; the two share the forward arrays."""
-    rows, widths = cache.pre_activations[0].shape[0], params.layer_sizes[1:]
+    rows, widths, wide = cache.pre_activations[0].shape[0], params.layer_sizes[1:], _n_wide(params)
+    wide_deltas = _empty_rows(rows, [w + 1 for w in widths[:wide]])
+    wide_scratch = _empty_rows(rows, [w + 1 for w in widths[:-1]])
     grad = np.empty_like(params.flat)
-    return replace(cache, deltas=_empty_rows(rows, widths), scratch=_empty_rows(rows, widths),
-                   grad=grad, grad_views=_layer_views(params.layer_sizes, grad))
+    return replace(cache, deltas=_narrow(wide_deltas) + _empty_rows(rows, widths[wide:]),
+                   scratch=_narrow(wide_scratch) + _empty_rows(rows, widths[-1:]),
+                   grad=grad, grad_blocks=_blocks(params.layer_sizes, grad),
+                   wide_deltas=wide_deltas, wide_scratch=wide_scratch)
 
 
-def _first_rows(cache: ForwardCache, rows: int) -> ForwardCache:
-    """Views onto the first `rows` rows of a kernel cache's forward arrays."""
-    return ForwardCache(cache.layer_sizes, None, tuple(a[:rows] for a in cache.pre_activations),
-                        tuple(a[:rows] for a in cache.activations), cache.col[:, :rows])
+def _rows(cache: ForwardCache, start: int, stop: int) -> ForwardCache:
+    """Views onto rows ``start:stop`` of a kernel cache's forward arrays."""
+    def cut(arrays):
+        return tuple(a[start:stop] for a in arrays)
+
+    return ForwardCache(cache.layer_sizes, None, cut(cache.pre_activations),
+                        cut(cache.activations), cache.col[:, start:stop], ones=cut(cache.ones),
+                        pre_ones=cut(cache.pre_ones))
 
 
 def _forward(params: MlpParams, x: np.ndarray, cache: ForwardCache) -> np.ndarray:
     """Forward kernel: run the network on the rows of `x` into `cache`; returns the output array.
 
-    Unchecked: `x` must be a (rows, input_dim) float array matching `cache`.
+    Unchecked: `x` must be a (rows, input_dim + 1) float array from
+    `_with_ones`, matching `cache`.
     """
-    a = x
-    last = len(params.weights) - 1
-    for l, (w, b, z, out) in enumerate(zip(params.weights, params.biases,
-                                           cache.pre_activations, cache.activations)):
-        np.matmul(a, w.T, out=z)
-        np.add(z, b, out=z)
+    last = len(params.blocks) - 1
+    for l, (z, out) in enumerate(zip(cache.pre_activations, cache.activations)):
+        if l == 0:
+            # [x | 1] @ [W0 | b0]^T: the bias rides on the ones column.
+            np.matmul(x, params.blocks[0].T, out=z)
+        else:
+            np.matmul(cache.activations[l - 1], params.weights[l].T, out=z)
+            np.add(z, params.biases[l], out=z)
         if l < last:
             if params.hidden is Activation.RELU:
-                np.maximum(z, 0.0, out=out)
+                # Over the whole wide arrays: max(1, 0) keeps the ones column.
+                np.maximum(cache.pre_ones[l], 0.0, out=cache.ones[l])
             else:
                 np.tanh(z, out=out)
         elif params.head is Head.SOFTMAX:
             _softmax(z, out, cache.col)
         elif params.head is Head.TANH:
             np.tanh(z, out=out)
-        a = out
-    return a
+    return cache.activations[-1]
 
 
 def _backward(params: MlpParams, x: np.ndarray, cache: ForwardCache,
               dx: np.ndarray | None = None) -> None:
     """Backward kernel: backpropagate ``cache.deltas[-1]`` through `_forward`'s pass in `cache`.
 
-    Writes the parameter gradient into ``cache.grad``, skipping layer 0's
-    ``delta @ W0``; or, given `dx`, only the input gradient into `dx`.
-    Unchecked, like `_forward`.
+    Writes the parameter gradient into ``cache.grad``, one ``delta^T @ [below
+    | 1]`` product per layer, skipping layer 0's ``delta @ W0``; or, given
+    `dx`, a (rows, input_dim + 1) array, only the input gradient, into its
+    first columns. Unchecked, like `_forward`.
     """
-    last = len(params.weights) - 1
+    last = len(params.blocks) - 1
     delta = cache.deltas[last]
     # Identity and Softmax heads (Jacobian folded in upstream) take it as is.
     if params.head is Head.TANH:
@@ -329,19 +434,15 @@ def _backward(params: MlpParams, x: np.ndarray, cache: ForwardCache,
         np.subtract(1.0, t, out=t)
         np.multiply(delta, t, out=delta)
 
-    grad_w, grad_b = cache.grad_views
     for l in range(last, -1, -1):
         if dx is None:
-            below = x if l == 0 else cache.activations[l - 1]
-            np.matmul(delta.T, below, out=grad_w[l])
-            np.add.reduce(delta, axis=0, out=grad_b[l])
+            np.matmul(delta.T, x if l == 0 else cache.ones[l - 1], out=cache.grad_blocks[l])
             if l == 0:
                 return
-        below_delta = dx if l == 0 else cache.deltas[l - 1]
-        np.matmul(delta, params.weights[l], out=below_delta)
-        delta = below_delta
+        # delta @ [W | b] into a wide array: its first columns are delta @ W.
+        np.matmul(delta, params.blocks[l], out=dx if l == 0 else cache.wide_deltas[l - 1])
         if l > 0:
-            z, t = cache.pre_activations[l - 1], cache.scratch[l - 1]
+            z, t, d = cache.pre_ones[l - 1], cache.wide_scratch[l - 1], cache.wide_deltas[l - 1]
             if params.hidden is Activation.RELU:
                 # Subgradient 0 at the kink.
                 np.greater(z, 0.0, out=t)
@@ -349,7 +450,8 @@ def _backward(params: MlpParams, x: np.ndarray, cache: ForwardCache,
                 np.tanh(z, out=t)
                 np.square(t, out=t)
                 np.subtract(1.0, t, out=t)
-            np.multiply(delta, t, out=delta)
+            np.multiply(d, t, out=d)
+            delta = cache.deltas[l - 1]
 
 
 def _adam(flat: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, t: int,
@@ -383,6 +485,7 @@ def mlp_forward(params: MlpParams, inputs: np.ndarray) -> tuple[np.ndarray, Forw
     :func:`mlp_backward`. A single point is a (1, input_dim) batch.
     """
     x = _as_batch(params, inputs)
+    x = _with_ones(*x.shape, fill=x)
     cache = _cache(params, x.shape[0], inputs=x)
     return _forward(params, x, cache), cache
 
@@ -413,9 +516,9 @@ def mlp_backward(params: MlpParams, cache: ForwardCache, output_gradient: np.nda
 
     work = _with_backward(params, cache)
     work.deltas[-1][...] = g
-    dx = None if param_grad else np.empty_like(cache.inputs)
+    dx = None if param_grad else np.empty((g.shape[0], params.input_dim + 1))
     _backward(params, cache.inputs, work, dx)
-    return work.grad if param_grad else dx
+    return work.grad if param_grad else dx[:, :-1]
 
 
 def adam_step(params: MlpParams, grad: np.ndarray, state: AdamState,
@@ -555,15 +658,16 @@ def params_from_text(text: str) -> MlpParams:
         raise ValueError(
             f"expected {1 + 2 * n_layers} lines for {n_layers} layers, got {len(lines)}"
         )
-    values = []
+    flat = np.empty(_n_scalars(sizes))
+    weights, biases = _layer_views(sizes, flat)
     for i, line in enumerate(lines[1:]):
-        rows, cols = sizes[i // 2 + 1], sizes[i // 2]
-        kind, expected = ("biases", rows) if i % 2 else ("weights", rows * cols)
+        part = biases[i // 2] if i % 2 else weights[i // 2]
         row = [float(tok) for tok in line.split()]
-        if len(row) != expected:
-            raise ValueError(f"layer {i // 2} expects {expected} {kind}, got {len(row)}")
-        values += row
-    return MlpParams(sizes, np.array(values), hidden, head)
+        if len(row) != part.size:
+            kind = "biases" if i % 2 else "weights"
+            raise ValueError(f"layer {i // 2} expects {part.size} {kind}, got {len(row)}")
+        part[...] = np.reshape(row, part.shape)
+    return MlpParams(sizes, flat, hidden, head)
 
 
 def write_params(params: MlpParams, path) -> None:

@@ -23,21 +23,31 @@ A discriminator step is one forward and one backward pass over the stacked
 through the frozen discriminator for its input gradient only. The loop checks
 architectures and labels once per run, then calls the unchecked step kernels
 behind `discriminator_loss_and_grads` and `generator_objective_and_grads`.
+G's weights change only in its own steps, so each iteration runs G once over
+every noise batch that sees the same weights: the n_d D steps' batches and
+the first G step's, stacked. Each D step copies its block of that pass's
+output; the first G step backpropagates through its own rows of it. A later
+G step (n_g > 1) runs its own pass. Each block's values are those of a pass
+over that batch alone, bit for bit.
 
 After set-up the training loop allocates no array data, and its arrays are
-of two types. A `nets.ForwardCache` holds a network's pass over one batch:
+of two types. A `nets.ForwardCache` holds a network's pass over a batch:
 pre-activations, activations, deltas and flat gradient. A `_LossWorkspace`
-holds D's loss layer: the stacked batch (filled by ``np.take`` and the
-generator's forward pass), its one-hot targets, D's `ForwardCache` over it,
-and the cross-entropy's and score layer's arrays. The cross-entropy reuses
-the softmax's row max and exp-sum; the score kernel `_score_rows` and the
-logit gradient write into the workspace, the gradient straight into D's
-upstream rows. The discriminator step uses a workspace over all three
-blocks, the generator step one with only a generated block, for D's pass
-over G's output; it writes D's input gradient straight into G's upstream
-gradient. D's and G's parameter vectors are private to the run and updated
-in place by the `oodlab.nets` kernels, Adam by `nets._adam` on the moments
-of an `init_adam` state with step t counted by the loop.
+holds D's loss layer: the stacked batch (filled by ``np.take`` and from the
+generator's pass), its one-hot targets, D's `ForwardCache` over it, and the
+cross-entropy's and score layer's arrays. Every batch is in the kernels'
+layout, with a ones column from `nets._with_ones`: the stacked batch, the
+two training pools (given theirs once per run, so ``np.take`` copies whole
+rows), `_draws`' noise and G's output, whose Identity head writes straight
+into the ``[:, :d]`` columns of D's input. The cross-entropy reuses the
+softmax's row max and exp-sum; the score kernel `_score_rows` and the logit
+gradient write into the workspace, the gradient straight into D's upstream
+rows. The discriminator step uses a workspace over all three blocks, the
+generator step one with only a generated block, for D's pass over G's
+output; it writes D's input gradient straight into G's upstream gradient.
+D's and G's parameter vectors are private to the run and updated in place by
+the `oodlab.nets` kernels, Adam by `nets._adam` on the moments of an
+`init_adam` state with step t counted by the loop.
 `TrainHistory` gets fresh copies at the end, whose construction checks the
 trained weights are finite. Each step checks that the loss and the
 objective are finite, and `nets._softmax` that D's logits are.
@@ -57,6 +67,7 @@ so a caller's `Rng` reused after training sees the same next draw.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -71,8 +82,11 @@ from .nets import (
     _adam,
     _backward,
     _cache,
+    _fold_columns,
     _forward,
+    _rows,
     _with_backward,
+    _with_ones,
     init_adam,
     init_mlp,
     mlp_forward,
@@ -193,7 +207,7 @@ class _LossWorkspace:
 
     def __init__(self, D: MlpParams, n_ind: int, n_ood: int, n_gen: int):
         rows, K = n_ood + n_gen, D.output_dim
-        self.x = np.empty((n_ind + rows, D.input_dim))
+        self.x = _with_ones(n_ind + rows, D.input_dim)
         self.ind, self.ood, self.gen = np.split(self.x, [n_ind, n_ind + n_ood])
         self.targets = np.empty((n_ind, K))
         self.cache = _with_backward(D, _cache(D, self.x.shape[0]))
@@ -218,7 +232,7 @@ def _scores_and_logit_grads(probs: np.ndarray, M: np.ndarray, ws: _LossWorkspace
     # Row k of M.T is the cost column of target k; the indices are in range.
     M.T.take(ws.k_star, axis=0, out=ws.cols, mode="clip")
     np.multiply(probs, ws.cols, out=out)
-    np.add.reduce(out, axis=1, keepdims=True, out=ws.inner)
+    _fold_columns(np.add, out, ws.inner)
     np.subtract(ws.cols, ws.inner, out=ws.cols)
     np.multiply(probs, ws.cols, out=out)
 
@@ -256,7 +270,7 @@ def _discriminator_step(D: MlpParams, ws: _LossWorkspace, beta_ood: float,
     _backward(D, ws.x, cache)
 
     loss = ce - beta_ood * mean_ood - beta_z * mean_gen
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise NumericError(f"discriminator loss is not finite: {loss}")
     return loss, (ce, mean_ood, mean_gen)
 
@@ -283,7 +297,7 @@ def discriminator_loss_and_grads(D: MlpParams, ind_x: np.ndarray, ind_y: np.ndar
         raise ValueError("the observed OoD batch must be a nonempty (n, d) array")
     gen_x = np.asarray(gen_x, dtype=float)
     ws = _LossWorkspace(D, ind_x.shape[0], ood_x.shape[0], gen_x.shape[0])
-    np.concatenate([ind_x, ood_x, gen_x], out=ws.x)
+    np.concatenate([ind_x, ood_x, gen_x], out=ws.x[:, :-1])
     ws.targets[...] = _one_hot(np.asarray(ind_y), D.output_dim)
     loss, parts = _discriminator_step(D, ws, beta_ood, beta_z, mat)
     return loss, parts, ws.cache.grad
@@ -291,22 +305,23 @@ def discriminator_loss_and_grads(D: MlpParams, ind_x: np.ndarray, ind_y: np.ndar
 
 def _generator_step(D: MlpParams, G: MlpParams, noise: np.ndarray, g_cache: ForwardCache,
                     ws: _LossWorkspace, beta_z: float, M: np.ndarray) -> float:
-    """Unchecked kernel of `generator_objective_and_grads`: G's pass in `g_cache`, D's in `ws`.
+    """Unchecked kernel of `generator_objective_and_grads`, after G's pass over `noise`.
 
-    `ws` has only a generated block, and D runs on G's output in place of
-    ``ws.x``. D's input gradient is written straight into G's upstream
-    gradient; G's gradient lands in ``g_cache.grad``.
+    `g_cache` holds that pass, whose ones-column output D runs on in place
+    of ``ws.x``; `ws` has only a generated block, for D's pass. D's input
+    gradient is written straight into G's upstream gradient; G's gradient
+    lands in ``g_cache.grad``.
     """
-    fake = _forward(G, noise, g_cache)
+    fake = g_cache.ones[-1]
     probs = _forward(D, fake, ws.cache)
     up = ws.cache.deltas[-1]
     _scores_and_logit_grads(probs, M, ws, up)
     objective = float(beta_z * _mean(ws.scores))
-    if not np.isfinite(objective):
+    if not math.isfinite(objective):
         raise NumericError(f"generator objective is not finite: {objective}")
 
     np.multiply(up, beta_z / noise.shape[0], out=up)
-    _backward(D, fake, ws.cache, dx=g_cache.deltas[-1])
+    _backward(D, fake, ws.cache, dx=g_cache.wide_deltas[-1])
     _backward(G, noise, g_cache)
     return objective
 
@@ -334,7 +349,9 @@ def generator_objective_and_grads(
             f"generator emits dimension {G.output_dim}, discriminator expects {D.input_dim}"
         )
     rows = noise.shape[0]
+    noise = _with_ones(rows, noise.shape[1], fill=noise)
     g_cache = _with_backward(G, _cache(G, rows))
+    _forward(G, noise, g_cache)
     objective = _generator_step(D, G, noise, g_cache, _LossWorkspace(D, 0, 0, rows), beta_z, mat)
     return objective, g_cache.grad
 
@@ -384,8 +401,9 @@ def _draws(rng: Rng, iterations: int, n_d: int, n_g: int, batch_ind: int, n_ind:
     short chunk leaves `rng` where per-step draws would.
 
     Yields (InD indices (n_d, batch_ind), OoD indices (n_d, b_ood), noise
-    (n_d + n_g, batch_gen, noise_dim) or None): views into per-run buffers
-    that the next chunk overwrites.
+    (n_d + n_g, batch_gen, noise_dim + 1) or None): views into per-run
+    buffers that the next chunk overwrites. Each noise batch carries a
+    ones column (`nets._with_ones`), so it is a batch the kernels take.
     """
     pairs = 0 if noise_shape is None else (noise_shape[0] * noise_shape[1] + 1) // 2
     d_len = batch_ind + b_ood + 2 * pairs
@@ -405,8 +423,10 @@ def _draws(rng: Rng, iterations: int, n_d: int, n_g: int, batch_ind: int, n_ind:
         g_u1, g_u2 = g_draws[:, :, :pairs], g_draws[:, :, pairs:]
         normals = np.empty((rows, n_d + n_g, 2 * pairs))
         # An odd count drops the last pair's sine, as `Rng.standard_normal` does.
-        noise = normals[:, :, :noise_shape[0] * noise_shape[1]].reshape(
+        values = normals[:, :, :noise_shape[0] * noise_shape[1]].reshape(
             rows, n_d + n_g, *noise_shape)
+        noise = _with_ones(rows * (n_d + n_g) * noise_shape[0], noise_shape[1]).reshape(
+            rows, n_d + n_g, noise_shape[0], noise_shape[1] + 1)
 
     for start in range(0, iterations, rows):
         n = min(rows, iterations - start)
@@ -422,6 +442,7 @@ def _draws(rng: Rng, iterations: int, n_d: int, n_g: int, batch_ind: int, n_ind:
             np.copyto(u2[:n, :n_d], d_u2[:n])
             np.copyto(u2[:n, n_d:], g_u2[:n])
             _box_muller(u1[:n], u2[:n], normals[:n], work[:n])
+            np.copyto(noise[:n, ..., :-1], values[:n])
         for r in range(n):
             yield ind_idx[r], ood_idx[r], None if noise is None else noise[r]
 
@@ -437,6 +458,9 @@ def _train(config: TrainConfig, data: Dataset, rng: Rng | None,
 
     M = binary_cost_matrix(data.K)
     hyper = (config.adam_beta1, config.adam_beta2, config.adam_epsilon)
+    n_d = config.n_d if with_generator else 1
+    n_g = config.n_g if with_generator else 0
+    beta_z = config.beta_z if with_generator else 0.0
     # D and G stay private to the run: their flat vectors are updated in place.
     D = init_mlp(config.discriminator_arch, Activation.RELU, Head.SOFTMAX, rng)
     adam_d, d_scratch = init_adam(D, *hyper), np.empty((2, D.flat.size))
@@ -444,31 +468,42 @@ def _train(config: TrainConfig, data: Dataset, rng: Rng | None,
     if with_generator:
         G = init_mlp(config.generator_arch, Activation.RELU, Head.IDENTITY, rng)
         adam_g, g_scratch = init_adam(G, *hyper), np.empty((2, G.flat.size))
-        # G's pass, and D's pass and loss layer over G's output, over one noise batch.
-        g_cache = _with_backward(G, _cache(G, config.batch_gen))
-        g_ws = _LossWorkspace(D, 0, 0, config.batch_gen)
+        # G's weights change only in G steps, so the n_d D steps' noise
+        # batches and the first G step's share one pass: `g_pass` holds it,
+        # `g_out` its ones-column output by batch. `g_first` is the first G
+        # step's rows of it, `g_next` the rows a later G step's pass uses,
+        # each with its own backward arrays.
+        bg = config.batch_gen
+        g_pass = _cache(G, (n_d + 1) * bg)
+        g_out = g_pass.ones[-1].reshape(n_d + 1, bg, -1)
+        g_first = _with_backward(G, _rows(g_pass, n_d * bg, (n_d + 1) * bg))
+        g_next = _with_backward(G, _rows(g_pass, 0, bg))
+        # D's pass and loss layer over G's output, for the G step.
+        g_ws = _LossWorkspace(D, 0, 0, bg)
 
+    # The pools with their ones columns, so `take` fills whole batch rows.
+    ind_pool = _with_ones(*data.ind_train_x.shape, fill=data.ind_train_x)
+    ood_pool = _with_ones(*data.ood_train.shape, fill=data.ood_train)
     targets = _one_hot(data.ind_train_y, data.K)
     n_ind = data.ind_train_x.shape[0]
     n_ood_pool = data.ood_train.shape[0]
     b_ood = config.effective_batch_ood(n_ood_pool)
-    n_d = config.n_d if with_generator else 1
-    n_g = config.n_g if with_generator else 0
-    beta_z = config.beta_z if with_generator else 0.0
     d_ws = _LossWorkspace(D, config.batch_ind, b_ood, config.batch_gen if with_generator else 0)
     draws = _draws(rng, config.iterations, n_d, n_g, config.batch_ind, n_ind, b_ood, n_ood_pool,
                    (config.batch_gen, config.noise_dim) if with_generator else None)
 
     records = []
     for it, (ind_idx, ood_idx, noise) in enumerate(draws, start=1):
+        if with_generator:
+            _forward(G, noise[:n_d + 1].reshape((n_d + 1) * bg, -1), g_pass)
         for j in range(n_d):
             # The indices are in range; mode "raise" would copy through a temporary.
             # The methods skip `np.take`'s Python wrapper.
-            data.ind_train_x.take(ind_idx[j], axis=0, out=d_ws.ind, mode="clip")
+            ind_pool.take(ind_idx[j], axis=0, out=d_ws.ind, mode="clip")
             targets.take(ind_idx[j], axis=0, out=d_ws.targets, mode="clip")
-            data.ood_train.take(ood_idx[j], axis=0, out=d_ws.ood, mode="clip")
+            ood_pool.take(ood_idx[j], axis=0, out=d_ws.ood, mode="clip")
             if with_generator:
-                d_ws.gen[...] = _forward(G, noise[j], g_cache)
+                d_ws.gen[...] = g_out[j]
             loss, (ce, mean_ood, mean_gen) = _discriminator_step(
                 D, d_ws, config.beta_ood, beta_z, M)
             _adam(D.flat, d_ws.cache.grad, adam_d.m, adam_d.v, (it - 1) * n_d + j + 1,
@@ -478,10 +513,13 @@ def _train(config: TrainConfig, data: Dataset, rng: Rng | None,
             records.append(IterationRecord(it, loss, ce, mean_ood, None, None))
             continue
         for k in range(n_d, n_d + n_g):
-            objective = _generator_step(D, G, noise[k], g_cache, g_ws, config.beta_z, M)
+            g_step = g_first if k == n_d else g_next
+            if k > n_d:
+                _forward(G, noise[k], g_step)
+            objective = _generator_step(D, G, noise[k], g_step, g_ws, config.beta_z, M)
             # Ascent: feed Adam the negated gradient.
-            np.negative(g_cache.grad, out=g_cache.grad)
-            _adam(G.flat, g_cache.grad, adam_g.m, adam_g.v, (it - 1) * n_g + (k - n_d) + 1,
+            np.negative(g_step.grad, out=g_step.grad)
+            _adam(G.flat, g_step.grad, adam_g.m, adam_g.v, (it - 1) * n_g + (k - n_d) + 1,
                   config.lr_g, *hyper, g_scratch)
         records.append(IterationRecord(it, loss, ce, mean_ood, mean_gen, objective))
 

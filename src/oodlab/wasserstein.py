@@ -25,7 +25,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nets import Head, MlpParams, _as_batch, _cache, _first_rows, _forward, read_float_csv
+from .nets import (
+    Head,
+    MlpParams,
+    _as_batch,
+    _cache,
+    _fold_columns,
+    _forward,
+    _rows,
+    _with_ones,
+    read_float_csv,
+)
 
 __all__ = [
     "validate_prob_vector",
@@ -93,7 +103,7 @@ def _score_rows(probs: np.ndarray, M: np.ndarray, costs: np.ndarray, k_star: np.
     """
     np.matmul(probs, M, out=costs)
     costs.argmin(axis=1, out=k_star)
-    np.minimum.reduce(costs, axis=1, out=scores)
+    _fold_columns(np.minimum, costs, scores[:, None])
 
 
 def wasserstein_score(p, M) -> tuple[float, int]:
@@ -114,7 +124,7 @@ def score_batch(net: MlpParams, inputs, M) -> np.ndarray:
     """Scores of ``net``'s predictions for the rows of an (n, d) array, order preserved.
 
     The forward pass runs over blocks of `SCORE_BLOCK_ROWS` rows through one
-    set of buffers.
+    set of buffers: each block is copied into one `nets._with_ones` batch.
     """
     mat = _scoring_cost_matrix(net, M)
     x = np.asarray(inputs, dtype=float)
@@ -144,12 +154,13 @@ def _score_blocks(net: MlpParams, x: np.ndarray, M: np.ndarray,
     """
     scores = np.empty(x.shape[0])
     rows = min(x.shape[0], SCORE_BLOCK_ROWS)
-    cache = _cache(net, rows)
+    cache, batch = _cache(net, rows), _with_ones(rows, net.input_dim)
     costs, k_star = np.empty((rows, M.shape[1])), np.empty(rows, dtype=np.intp)
     for start in range(0, x.shape[0], SCORE_BLOCK_ROWS):
         block = x[start:start + SCORE_BLOCK_ROWS]
         n = block.shape[0]
-        probs = _forward(net, block, _first_rows(cache, n))
+        batch[:n, :-1] = block
+        probs = _forward(net, batch[:n], _rows(cache, 0, n))
         _score_rows(probs, M, costs[:n], k_star[:n], scores[start:start + n])
         if predicted is not None:
             np.argmax(probs, axis=1, out=predicted[start:start + n])

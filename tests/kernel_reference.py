@@ -10,6 +10,11 @@ to match them bit for bit. The cell-by-cell bodies of `nets.write_csv`,
 same way, so the one-pass writers must match them byte for byte, and so is
 the separate-pass body of the removed `detection.classification_accuracy`,
 which `detection.scores_and_accuracy` must match.
+
+The network bodies run on contiguous copies of each layer's weights and
+biases (`contiguous_layers`), the memory they ran on before the parameters
+moved into ``[W | b]`` blocks: ``delta @ W`` over a strided one-row view
+takes another numpy path and can differ in the last bit.
 """
 
 import csv
@@ -39,6 +44,11 @@ def reference_softmax(logits: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
+def contiguous_layers(params: MlpParams) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each layer's (weights, biases) as contiguous copies."""
+    return [(np.ascontiguousarray(w), b.copy()) for w, b in zip(params.weights, params.biases)]
+
+
 def _apply_hidden(z: np.ndarray, activation: Activation) -> np.ndarray:
     if activation is Activation.RELU:
         return np.maximum(z, 0.0)
@@ -57,7 +67,7 @@ def reference_forward(params: MlpParams,
     pres = []
     acts = []
     last = len(params.weights) - 1
-    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+    for l, (w, b) in enumerate(contiguous_layers(params)):
         z = a @ w.T + b
         pres.append(z)
         if l < last:
@@ -87,6 +97,7 @@ def reference_backward(params: MlpParams, cache: ForwardCache, output_gradient: 
         )
 
     last = len(params.weights) - 1
+    weights = [w for w, _ in contiguous_layers(params)]
     if params.head is Head.TANH:
         delta = g * (1.0 - cache.activations[last] ** 2)
     else:
@@ -103,7 +114,7 @@ def reference_backward(params: MlpParams, cache: ForwardCache, output_gradient: 
             grad_b[l][...] = delta.sum(axis=0)
             if l == 0:
                 return grad
-        delta = delta @ params.weights[l]
+        delta = delta @ weights[l]
         if l > 0:
             z = cache.pre_activations[l - 1]
             if params.hidden is Activation.RELU:

@@ -111,7 +111,7 @@ def accuracy(net, points, labels):
 class TestAccuracy:
     def test_confident_correct_point(self):
         w = np.array([[5.0, 0.0], [0.0, 0.0], [-5.0, 0.0]])
-        net = MlpParams((2, 3), np.concatenate([w.ravel(), np.zeros(3)]),
+        net = MlpParams((2, 3), np.column_stack([w, np.zeros(3)]).ravel(),
                         Activation.RELU, Head.SOFTMAX)
         assert accuracy(net, [[1.0, 0.0]], [1]) == 1.0
 
@@ -188,7 +188,7 @@ class TestHeatmap:
     def test_resolution_one_samples_center(self):
         # Logit gap grows with x, so the score at the center is predictable.
         w = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        net = MlpParams((2, 2), np.concatenate([w.ravel(), np.zeros(2)]),
+        net = MlpParams((2, 2), np.column_stack([w, np.zeros(2)]).ravel(),
                         Activation.RELU, Head.SOFTMAX)
         grid = GridSpec(0.0, 2.0, -3.0, 5.0, 1)
         hm = score_heatmap(net, grid, binary_cost_matrix(2))
@@ -202,7 +202,7 @@ class TestHeatmap:
     def test_orientation_rows_are_y_columns_are_x(self):
         # Score decreases as x grows (confidence rises with x), flat in y.
         w = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        net = MlpParams((2, 2), np.concatenate([w.ravel(), np.zeros(2)]),
+        net = MlpParams((2, 2), np.column_stack([w, np.zeros(2)]).ravel(),
                         Activation.RELU, Head.SOFTMAX)
         hm = score_heatmap(net, GridSpec(0, 4, 0, 4, 8), binary_cost_matrix(2))
         assert (np.diff(hm[0]) < 0).all()

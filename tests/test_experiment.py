@@ -121,6 +121,13 @@ class TestCompare:
             compare_rejection_regions(loaded, loaded, 0.5)
 
 
+def replace_cell(line, column, value):
+    """`line`, a CSV row without quoting, with cell `column` set to `value`."""
+    cells = line.split(",")
+    cells[column] = value
+    return ",".join(cells)
+
+
 def write_tiny_config(path, method="see_ood", extra=""):
     path.write_text(
         f"[method]\nmethod = {method}\n"
@@ -209,7 +216,10 @@ class TestCli:
          "no eta_at_0.95 column"),
         (lambda rows: [rows[0], "one" + rows[1][rows[1].index(","):], *rows[2:]],
          "row label 'one'"),
-    ], ids=["empty", "short-row", "no-eta-column", "text-label"])
+        (lambda rows: [rows[0], replace_cell(rows[1], rows[0].split(",").index("eta_at_0.95"),
+                                             "abc"), *rows[2:]],
+         "eta_at_0.95 = 'abc' for replication '0', not a number"),
+    ], ids=["empty", "short-row", "no-eta-column", "text-label", "text-eta"])
     def test_compare_rejects_doctored_report(self, tmp_path, capsys, doctor, message):
         cfg = tmp_path / "c.ini"
         write_tiny_config(cfg, method="wood")

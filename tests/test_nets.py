@@ -22,7 +22,9 @@ from oodlab.nets import (
     _backward,
     _cache,
     _forward,
+    _rows,
     _with_backward,
+    _with_ones,
     adam_step,
     finite_difference_gradient,
     fmt_float,
@@ -41,7 +43,7 @@ from oodlab.rng import Rng
 def linear_net(w, b, head=Head.IDENTITY, hidden=Activation.RELU):
     w = np.atleast_2d(np.asarray(w, dtype=float))
     b = np.asarray(b, dtype=float)
-    return MlpParams((w.shape[1], w.shape[0]), np.concatenate([w.ravel(), b]), hidden, head)
+    return MlpParams((w.shape[1], w.shape[0]), np.column_stack([w, b]).ravel(), hidden, head)
 
 
 def relative_error(analytic, numeric):
@@ -302,7 +304,7 @@ class TestKernelsBitwise:
     """The in-place kernels and the pure wrappers against the reference bodies, bit for bit."""
 
     @pytest.mark.parametrize("param_grad", [True, False])
-    @pytest.mark.parametrize("rows", [1, 7, 130])
+    @pytest.mark.parametrize("rows", [1, 2, 7, 64, 66, 130, 192])
     @pytest.mark.parametrize("head", [Head.SOFTMAX, Head.TANH, Head.IDENTITY])
     @pytest.mark.parametrize("hidden", [Activation.RELU, Activation.TANH])
     @pytest.mark.parametrize("sizes", [(2, 128, 3), (2, 8, 6, 3)])
@@ -315,17 +317,19 @@ class TestKernelsBitwise:
         ref = reference_backward(net, ref_cache, up, param_grad)
 
         cache = _with_backward(net, _cache(net, rows))
-        assert np.array_equal(_forward(net, x, cache), ref_out)
+        batch = _with_ones(rows, 2, fill=x)
+        assert np.array_equal(_forward(net, batch, cache), ref_out)
         for got, want in zip(cache.pre_activations + cache.activations,
                              ref_cache.pre_activations + ref_cache.activations):
             assert np.array_equal(got, want)
         cache.deltas[-1][...] = up
         if param_grad:
-            _backward(net, x, cache)
+            _backward(net, batch, cache)
             got = cache.grad
         else:
-            got = np.empty_like(x)
-            _backward(net, x, cache, dx=got)
+            wide = np.empty_like(batch)
+            _backward(net, batch, cache, dx=wide)
+            got = wide[:, :-1]
         assert np.array_equal(got, ref)
 
         out, cache = mlp_forward(net, x)
@@ -348,6 +352,40 @@ class TestKernelsBitwise:
                 for a, b in zip(got, (ref_params.flat, ref_state.m, ref_state.v)):
                     assert np.array_equal(a, b)
         assert state.t == ref_state.t == 6
+
+    @pytest.mark.parametrize("batches", [2, 3, 4])
+    def test_stacked_pass_matches_per_batch_passes(self, batches):
+        """Stacked 64-row batches give each block the bits of its own pass, backward included."""
+        for seed in range(10):
+            net = perturbed_net((2, 128, 2), Activation.RELU, Head.IDENTITY, seed)
+            rows = 64 * batches
+            x = _with_ones(rows, 2, fill=Rng(50 + seed).standard_normal(2 * rows).reshape(rows, 2))
+            stacked = _cache(net, rows)
+            _forward(net, x, stacked)
+            for b in range(batches):
+                block, own = slice(64 * b, 64 * (b + 1)), _with_backward(net, _cache(net, 64))
+                _forward(net, x[block], own)
+                for got, want in zip(stacked.ones + stacked.pre_activations,
+                                     own.ones + own.pre_activations):
+                    assert np.array_equal(got[block], want)
+            # The last block's backward pass through its rows of the stacked pass.
+            up = Rng(80 + seed).standard_normal(128).reshape(64, 2)
+            last = _with_backward(net, _rows(stacked, rows - 64, rows))
+            last.deltas[-1][...] = own.deltas[-1][...] = up
+            _backward(net, x[rows - 64:], last)
+            _backward(net, x[rows - 64:], own)
+            assert np.array_equal(last.grad, own.grad)
+
+    def test_folded_gradient_at_1000_rows(self):
+        """Past the batches training uses, BLAS blocks the bias column's row sum: not bitwise."""
+        net = perturbed_net((2, 128, 128, 3), Activation.RELU, Head.SOFTMAX, 9)
+        rng = Rng(10)
+        x = 3.0 * rng.standard_normal(2000).reshape(1000, 2)
+        up = rng.standard_normal(3000).reshape(1000, 3)
+        _, ref_cache = reference_forward(net, x)
+        _, cache = mlp_forward(net, x)
+        npt.assert_allclose(mlp_backward(net, cache, up),
+                            reference_backward(net, ref_cache, up), rtol=1e-12)
 
 
 class TestFiniteDifferences:
@@ -378,12 +416,20 @@ class TestTextFormat:
                 npt.assert_array_equal(a, b)
             assert params_to_text(restored) == params_to_text(net)
 
-    def test_flat_layout_is_text_order(self):
+    def test_flat_layout_is_blocks(self):
+        """`flat` holds one row-major [W | b] block per layer; the text keeps its own order."""
         net = init_mlp((3, 7, 2), Activation.TANH, Head.SOFTMAX, Rng(6))
+        net = replace(net, flat=net.flat + Rng(7).standard_normal(net.flat.size))
         (w0, w1), (b0, b1) = net.weights, net.biases
-        npt.assert_array_equal(net.flat, np.concatenate([w0.ravel(), b0, w1.ravel(), b1]))
+        npt.assert_array_equal(net.flat, np.concatenate([np.column_stack([w0, b0]).ravel(),
+                                                         np.column_stack([w1, b1]).ravel()]))
+        for block, w, b in zip(net.blocks, net.weights, net.biases):
+            assert np.shares_memory(block, net.flat)
+            npt.assert_array_equal(block, np.column_stack([w, b]))
         lines = params_to_text(net).splitlines()[1:]
-        npt.assert_array_equal(net.flat, [float(tok) for ln in lines for tok in ln.split()])
+        assert len(lines) == 4
+        for line, part in zip(lines, [w0, b0, w1, b1]):
+            npt.assert_array_equal([float(tok) for tok in line.split()], part.ravel())
 
     def test_views_share_memory_with_flat(self):
         net = init_mlp((3, 7, 2), Activation.RELU, Head.SOFTMAX, Rng(7))

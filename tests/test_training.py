@@ -507,11 +507,13 @@ class TestBlockDraws:
                 assert np.array_equal(ood_idx[j], want_rng.indices_below(n_ood_pool, b_ood))
                 if noise_shape is not None:
                     want = sample_noise(noise_shape[1], noise_shape[0], want_rng)
-                    assert np.array_equal(noise[j], want)
+                    assert np.array_equal(noise[j][:, :-1], want)
             for k in range(n_d, n_d + n_g):
                 want = sample_noise(noise_shape[1], noise_shape[0], want_rng)
-                assert np.array_equal(noise[k], want)
+                assert np.array_equal(noise[k][:, :-1], want)
             assert (noise is None) == (noise_shape is None)
+            # Each noise batch carries the ones column the kernels take.
+            assert noise is None or (noise[..., -1] == 1.0).all()
             seen += 1
         assert seen == iterations
         assert got_rng.uniform(4).tobytes() == want_rng.uniform(4).tobytes()
@@ -523,7 +525,7 @@ class TestSampleGenerator:
         assert sample_generator(G, 0, 2, Rng(1)).shape == (0, 2)
 
     def test_identity_generator_returns_noise(self):
-        G = MlpParams((2, 2), np.concatenate([np.eye(2).ravel(), np.zeros(2)]),
+        G = MlpParams((2, 2), np.column_stack([np.eye(2), np.zeros(2)]).ravel(),
                       Activation.RELU, Head.IDENTITY)
         out = sample_generator(G, 6, 2, Rng(21))
         expected = sample_noise(2, 6, Rng(21))

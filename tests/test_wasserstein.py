@@ -179,8 +179,11 @@ class TestScoreBatch:
     def test_blocked_scores_match_one_pass(self, rows):
         # 40 000 rows is a 200x200 heatmap grid; both sizes end in a short block.
         net = init_mlp((2, 128, 3), Activation.RELU, Head.SOFTMAX, Rng(4))
-        net = MlpParams(net.layer_sizes, net.flat + 0.1 * Rng(5).standard_normal(net.flat.size),
-                        net.hidden, net.head)
+        # Noise added in text order (row-major weights, then biases, layer by layer).
+        noise, start = 0.1 * Rng(5).standard_normal(net.flat.size), 0
+        for part in (p for layer in zip(net.weights, net.biases) for p in layer):
+            part += noise[start:start + part.size].reshape(part.shape)
+            start += part.size
         points = 4.0 * Rng(6).standard_normal(2 * rows).reshape(rows, 2)
         M = binary_cost_matrix(3)
         probs, _ = mlp_forward(net, points)
