@@ -29,24 +29,17 @@ layout, so Adam and the finite-difference oracle each run over one array.
 :func:`mlp_backward` returns one gradient: that vector, or the input
 gradient when asked.
 
-Ones columns: the kernels take a batch as a ``(rows, fan_in + 1)`` array
-whose last column is ones, from `_with_ones`, and keep every activation
-that can feed a layer (the hidden ones and a Tanh or Identity head's output)
-in such an array (see :class:`ForwardCache`). So layer 0's forward pass is
-one product ``[x | 1] @ [W0 | b0]^T`` and each layer's parameter gradient
-one product ``delta^T @ [below | 1]``. Both keep the bits of the separate
-product and bias add or column sum, within these limits:
-
-- At an input width of 2, the presets', the folded forward product equals
-  the product plus bias add at every batch size tried (1 to 6000 rows).
-  Deeper layers keep the separate bias add: BLAS sums a folded 129-term dot
-  product in another order.
-- The folded gradient's bias column equals ``np.add.reduce`` over the rows
-  up to the 256-row batches training uses. From about 777 rows on, BLAS
-  blocks the row sum and the bias column may differ in the last bit.
-- The input gradient is the product ``delta @ [W | b]`` into a wide array,
-  whose first columns equal ``delta @ W`` over a contiguous ``W``; a
-  product through the strided ``W`` view can differ at one row.
+Ones columns: a batch is a ``(rows, fan_in + 1)`` array whose last column
+is ones, from `_with_ones`, and a pass keeps each layer's arrays in that
+layout but for a Softmax head's (see :class:`ForwardCache`). So layer 0's
+forward pass is one product ``[x | 1] @ [W0 | b0]^T``, each layer's
+parameter gradient one product ``delta^T @ [below | 1]``, and each input
+gradient one product ``delta @ [W | b]`` whose first columns are ``delta @
+W``. Up to the 256-row batches training uses, and at the presets' input
+width of 2 for layer 0's product, they keep the bits of the separate
+product and bias add, column sum, or product over a contiguous ``W``;
+deeper layers keep the separate bias add. Past that the bias gradient may
+differ in the last bit.
 
 Narrow rows: the softmax's row max and exp-sum and the score layer's row
 reductions over K < 8 classes run as K - 1 column ops (`_fold_columns`):
@@ -288,105 +281,95 @@ def _softmax(z: np.ndarray, out: np.ndarray, col: np.ndarray) -> None:
     np.divide(out, col[1], out=out)
 
 
+def _width_views(kind: str) -> cached_property:
+    """The ``[:, :width]`` view of each layer's array of a `ForwardCache` kind, made once."""
+    return cached_property(lambda cache: tuple(
+        x[:, :w] for x, w in zip(getattr(cache, kind), cache.layer_sizes[1:])))
+
+
 @dataclass(frozen=True)
 class ForwardCache:
     """A network's pass over a batch of rows: the arrays the kernels write.
 
-    ``pre_activations[l]`` and ``activations[l]`` are the values entering and
-    leaving layer l's nonlinearity; ``activations[-1]`` is the network output,
-    which for an Identity head is ``pre_activations[-1]`` itself. `inputs` is
-    the batch :func:`mlp_forward` ran on, with its ones column, or None in a
-    kernel's cache, whose caller passes the batch to each kernel. ``col`` is
-    the Softmax head's (2, rows, 1) work array, each row's max and exp-sum.
-    The backward arrays are empty unless asked for: ``deltas[l]`` takes the
-    gradient with respect to ``pre_activations[l]``, and the caller writes
-    the upstream gradient into ``deltas[-1]``, which a Tanh head's backward
-    pass overwrites. ``scratch[l]`` is a work array shaped like
-    ``deltas[l]``. `grad` takes the flat parameter gradient, through its
-    per-layer ``[W | b]`` views `grad_blocks`.
+    Each array kind holds one (rows, ...) array per layer l: ``z[l]`` and
+    ``a[l]`` take the values entering and leaving layer l's nonlinearity,
+    ``d[l]`` the gradient with respect to ``z[l]``, and ``s[l]`` is work
+    space. One layout rule covers them all: every layer's array is a
+    `_with_ones` (rows, width + 1) array, except a Softmax head's, which is a
+    C-contiguous (rows, K) array; an Identity head's ``a[-1]`` is its
+    ``z[-1]``. The last column of ``z`` and ``a`` is ones, so ``a[l]`` is the
+    ``[a | 1]`` batch the next layer's gradient, or another network, takes;
+    the backward pass writes the product ``delta @ [W | b]`` into ``d[l]``
+    whole, so that column of ``d`` and ``s`` is work space.
+    ``pre_activations``, ``activations``, ``deltas`` and ``scratch`` are the
+    ``[:, :width]`` views of ``z``, ``a``, ``d`` and ``s``, made once per
+    cache.
 
-    Wide arrays: for every layer but a Softmax head, ``activations[l]`` and
-    ``deltas[l]`` are the first columns of the (rows, width + 1) arrays
-    ``ones[l]`` and ``wide_deltas[l]``, and for every hidden layer so are
-    ``pre_activations[l]`` and ``scratch[l]`` of ``pre_ones[l]`` and
-    ``wide_scratch[l]``. The last column of ``ones`` and ``pre_ones`` is
-    ones: ``ones[l]`` is the ``[a | 1]`` batch the next layer's gradient, or
-    another network, takes, and the ReLU runs over the whole of
-    ``pre_ones[l]``, keeping the column. The backward pass writes the
-    product ``delta @ [W | b]`` into ``wide_deltas`` whole, so the last
-    column of ``wide_deltas`` and ``wide_scratch`` is work space.
+    `inputs` is the batch :func:`mlp_forward` ran on, with its ones column,
+    or None in a kernel's cache, whose caller passes the batch to each
+    kernel. ``col`` is the Softmax head's (2, rows, 1) work array, each row's
+    max and exp-sum. The backward arrays are empty unless asked for; the
+    caller writes the upstream gradient into ``deltas[-1]``, which a Tanh
+    head's backward pass overwrites. `grad` takes the flat parameter
+    gradient, through its per-layer ``[W | b]`` views `grad_blocks`.
     """
 
     layer_sizes: tuple[int, ...]
     inputs: np.ndarray | None
-    pre_activations: tuple[np.ndarray, ...]
-    activations: tuple[np.ndarray, ...]
+    z: tuple[np.ndarray, ...]
+    a: tuple[np.ndarray, ...]
     col: np.ndarray | None = None
-    deltas: tuple[np.ndarray, ...] = ()
-    scratch: tuple[np.ndarray, ...] = ()
+    d: tuple[np.ndarray, ...] = ()
+    s: tuple[np.ndarray, ...] = ()
     grad: np.ndarray | None = None
     grad_blocks: tuple[np.ndarray, ...] = ()
-    ones: tuple[np.ndarray, ...] = ()
-    pre_ones: tuple[np.ndarray, ...] = ()
-    wide_deltas: tuple[np.ndarray, ...] = ()
-    wide_scratch: tuple[np.ndarray, ...] = ()
+    pre_activations = _width_views("z")
+    activations = _width_views("a")
+    deltas = _width_views("d")
+    scratch = _width_views("s")
 
 
-def _empty_rows(rows: int, widths) -> tuple[np.ndarray, ...]:
-    return tuple(np.empty((rows, w)) for w in widths)
+def _layer_arrays(params: MlpParams, rows: int,
+                  head: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """One fresh array per layer of `params` over `rows` rows, under `ForwardCache`'s rule.
+
+    `head`, if given, is the last layer's array instead.
+    """
+    *hidden, K = params.layer_sizes[1:]
+    if head is None:
+        head = np.empty((rows, K)) if params.head is Head.SOFTMAX else _with_ones(rows, K)
+    return tuple(_with_ones(rows, w) for w in hidden) + (head,)
 
 
-def _narrow(arrays) -> tuple[np.ndarray, ...]:
-    """Each wide array without its last column."""
-    return tuple(a[:, :-1] for a in arrays)
-
-
-def _n_wide(params: MlpParams) -> int:
-    """How many layers keep wide arrays: all but a Softmax head."""
-    return len(params.blocks) - (params.head is Head.SOFTMAX)
-
-
-def _as_batch(params: MlpParams, inputs) -> np.ndarray:
-    """`inputs` as a float (batch, input_dim) array; ValueError for any other shape."""
+def _as_batch(params: MlpParams, inputs, name: str = "input") -> np.ndarray:
+    """`inputs` as a float (batch, input_dim) array; ValueError naming `name` otherwise."""
     x = np.asarray(inputs, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ValueError(
-            f"input has shape {np.shape(inputs)}, expected (batch, {params.input_dim})"
+            f"{name} has shape {np.shape(inputs)}, expected (batch, {params.input_dim})"
         )
     return x
 
 
 def _cache(params: MlpParams, rows: int, inputs: np.ndarray | None = None) -> ForwardCache:
     """Empty forward arrays for a pass of `params` over `rows` inputs."""
-    widths, wide = params.layer_sizes[1:], _n_wide(params)
-    ones = tuple(_with_ones(rows, w) for w in widths[:wide])
-    pre_ones = tuple(_with_ones(rows, w) for w in widths[:-1])
-    acts = _narrow(ones) + _empty_rows(rows, widths[wide:])
-    head = acts[-1:] if params.head is Head.IDENTITY else _empty_rows(rows, widths[-1:])
-    return ForwardCache(params.layer_sizes, inputs, _narrow(pre_ones) + head, acts,
-                        np.empty((2, rows, 1)), ones=ones, pre_ones=pre_ones)
+    z = _layer_arrays(params, rows)
+    a = _layer_arrays(params, rows, z[-1] if params.head is Head.IDENTITY else None)
+    return ForwardCache(params.layer_sizes, inputs, z, a, np.empty((2, rows, 1)))
 
 
 def _with_backward(params: MlpParams, cache: ForwardCache) -> ForwardCache:
     """`cache` plus fresh backward arrays; the two share the forward arrays."""
-    rows, widths, wide = cache.pre_activations[0].shape[0], params.layer_sizes[1:], _n_wide(params)
-    wide_deltas = _empty_rows(rows, [w + 1 for w in widths[:wide]])
-    wide_scratch = _empty_rows(rows, [w + 1 for w in widths[:-1]])
-    grad = np.empty_like(params.flat)
-    return replace(cache, deltas=_narrow(wide_deltas) + _empty_rows(rows, widths[wide:]),
-                   scratch=_narrow(wide_scratch) + _empty_rows(rows, widths[-1:]),
-                   grad=grad, grad_blocks=_blocks(params.layer_sizes, grad),
-                   wide_deltas=wide_deltas, wide_scratch=wide_scratch)
+    rows, grad = cache.z[0].shape[0], np.empty_like(params.flat)
+    return replace(cache, d=_layer_arrays(params, rows), s=_layer_arrays(params, rows),
+                   grad=grad, grad_blocks=_blocks(params.layer_sizes, grad))
 
 
 def _rows(cache: ForwardCache, start: int, stop: int) -> ForwardCache:
     """Views onto rows ``start:stop`` of a kernel cache's forward arrays."""
-    def cut(arrays):
-        return tuple(a[start:stop] for a in arrays)
-
-    return ForwardCache(cache.layer_sizes, None, cut(cache.pre_activations),
-                        cut(cache.activations), cache.col[:, start:stop], ones=cut(cache.ones),
-                        pre_ones=cut(cache.pre_ones))
+    z = tuple(x[start:stop] for x in cache.z)
+    a = tuple(z[l] if x is cache.z[l] else x[start:stop] for l, x in enumerate(cache.a))
+    return ForwardCache(cache.layer_sizes, None, z, a, cache.col[:, start:stop])
 
 
 def _forward(params: MlpParams, x: np.ndarray, cache: ForwardCache) -> np.ndarray:
@@ -405,8 +388,8 @@ def _forward(params: MlpParams, x: np.ndarray, cache: ForwardCache) -> np.ndarra
             np.add(z, params.biases[l], out=z)
         if l < last:
             if params.hidden is Activation.RELU:
-                # Over the whole wide arrays: max(1, 0) keeps the ones column.
-                np.maximum(cache.pre_ones[l], 0.0, out=cache.ones[l])
+                # Over the whole arrays: max(1, 0) keeps the ones column.
+                np.maximum(cache.z[l], 0.0, out=cache.a[l])
             else:
                 np.tanh(z, out=out)
         elif params.head is Head.SOFTMAX:
@@ -436,13 +419,13 @@ def _backward(params: MlpParams, x: np.ndarray, cache: ForwardCache,
 
     for l in range(last, -1, -1):
         if dx is None:
-            np.matmul(delta.T, x if l == 0 else cache.ones[l - 1], out=cache.grad_blocks[l])
+            np.matmul(delta.T, x if l == 0 else cache.a[l - 1], out=cache.grad_blocks[l])
             if l == 0:
                 return
-        # delta @ [W | b] into a wide array: its first columns are delta @ W.
-        np.matmul(delta, params.blocks[l], out=dx if l == 0 else cache.wide_deltas[l - 1])
+        # delta @ [W | b] into a whole array: its first columns are delta @ W.
+        np.matmul(delta, params.blocks[l], out=dx if l == 0 else cache.d[l - 1])
         if l > 0:
-            z, t, d = cache.pre_ones[l - 1], cache.wide_scratch[l - 1], cache.wide_deltas[l - 1]
+            z, t, d = cache.z[l - 1], cache.s[l - 1], cache.d[l - 1]
             if params.hidden is Activation.RELU:
                 # Subgradient 0 at the kink.
                 np.greater(z, 0.0, out=t)

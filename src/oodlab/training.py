@@ -31,26 +31,27 @@ G step (n_g > 1) runs its own pass. Each block's values are those of a pass
 over that batch alone, bit for bit.
 
 After set-up the training loop allocates no array data, and its arrays are
-of two types. A `nets.ForwardCache` holds a network's pass over a batch:
-pre-activations, activations, deltas and flat gradient. A `_LossWorkspace`
-holds D's loss layer: the stacked batch (filled by ``np.take`` and from the
-generator's pass), its one-hot targets, D's `ForwardCache` over it, and the
-cross-entropy's and score layer's arrays. Every batch is in the kernels'
-layout, with a ones column from `nets._with_ones`: the stacked batch, the
-two training pools (given theirs once per run, so ``np.take`` copies whole
-rows), `_draws`' noise and G's output, whose Identity head writes straight
-into the ``[:, :d]`` columns of D's input. The cross-entropy reuses the
-softmax's row max and exp-sum; the score kernel `_score_rows` and the logit
-gradient write into the workspace, the gradient straight into D's upstream
-rows. The discriminator step uses a workspace over all three blocks, the
-generator step one with only a generated block, for D's pass over G's
-output; it writes D's input gradient straight into G's upstream gradient.
-D's and G's parameter vectors are private to the run and updated in place by
-the `oodlab.nets` kernels, Adam by `nets._adam` on the moments of an
-`init_adam` state with step t counted by the loop.
-`TrainHistory` gets fresh copies at the end, whose construction checks the
-trained weights are finite. Each step checks that the loss and the
-objective are finite, and `nets._softmax` that D's logits are.
+of two types. A `nets.ForwardCache` holds a network's pass over a batch: one
+array per layer of each kind (``z``, ``a``, ``d`` and ``s``) and the flat
+gradient. A `_LossWorkspace` holds D's loss layer: the stacked batch (filled
+by ``np.take`` and from the generator's pass), its one-hot targets, D's
+`ForwardCache` over it, and the cross-entropy's and score layer's arrays.
+Every batch is in the kernels' layout, with a ones column from
+`nets._with_ones`: the stacked batch, the two training pools (given theirs
+once per run, so ``np.take`` copies whole rows), `_draws`' noise and G's
+output ``a[-1]``, which the D steps copy and the G step's D pass reads in
+place. The cross-entropy reuses the softmax's row max and exp-sum; the
+score kernel `_score_rows` and the logit gradient write into the workspace,
+the gradient straight into D's upstream rows. The discriminator step uses a
+workspace over all three blocks, the generator step one with only a
+generated block, for D's pass over G's output; it writes D's input gradient
+straight into G's ``d[-1]``.
+D's and G's parameter vectors are private to the run and updated in place
+by the `oodlab.nets` kernels, Adam by `nets._adam` on the moments of an
+`init_adam` state with step t counted by the loop. `TrainHistory` gets
+fresh copies at the end, whose construction checks the trained weights are
+finite. Each step checks that the loss and the objective are finite, and
+`nets._softmax` that D's logits are.
 
 Minibatches are drawn uniformly with replacement from each pool, with the
 OoD batch size clamped to the pool size. Runs are deterministic functions of
@@ -80,6 +81,7 @@ from .nets import (
     MlpParams,
     NumericError,
     _adam,
+    _as_batch,
     _backward,
     _cache,
     _fold_columns,
@@ -283,19 +285,21 @@ def discriminator_loss_and_grads(D: MlpParams, ind_x: np.ndarray, ind_y: np.ndar
 
     ``loss = ce - beta_ood * mean_ood_score - beta_z * mean_gen_score``;
     returns (loss, (ce, mean_ood_score, mean_gen_score), grads) with grads
-    the exact gradient of that loss. `gen_x` may be empty for generator-free
-    training, in which case the third component is 0. The generated batch is
-    treated as a fixed sample of augmentation points; nothing backpropagates
-    into whatever produced it.
+    the exact gradient of that loss. Each batch is an (n, D.input_dim)
+    array, and ValueError names any that is not; `ind_x` and `ood_x` must be
+    nonempty, while `gen_x` may be empty for generator-free training, in
+    which case the third component is 0. The generated batch is treated as a
+    fixed sample of augmentation points; nothing backpropagates into
+    whatever produced it.
     """
     mat = _scoring_cost_matrix(D, M)
-    ind_x = np.asarray(ind_x, dtype=float)
-    if ind_x.ndim != 2 or ind_x.shape[0] == 0:
-        raise ValueError("the labeled batch must be a nonempty (n, d) array")
-    ood_x = np.asarray(ood_x, dtype=float)
-    if ood_x.ndim != 2 or ood_x.shape[0] == 0:
-        raise ValueError("the observed OoD batch must be a nonempty (n, d) array")
-    gen_x = np.asarray(gen_x, dtype=float)
+    ind_x = _as_batch(D, ind_x, "ind_x")
+    ood_x = _as_batch(D, ood_x, "ood_x")
+    gen_x = _as_batch(D, gen_x, "gen_x")
+    if ind_x.shape[0] == 0:
+        raise ValueError("the labeled batch must be nonempty")
+    if ood_x.shape[0] == 0:
+        raise ValueError("the observed OoD batch must be nonempty")
     ws = _LossWorkspace(D, ind_x.shape[0], ood_x.shape[0], gen_x.shape[0])
     np.concatenate([ind_x, ood_x, gen_x], out=ws.x[:, :-1])
     ws.targets[...] = _one_hot(np.asarray(ind_y), D.output_dim)
@@ -312,7 +316,7 @@ def _generator_step(D: MlpParams, G: MlpParams, noise: np.ndarray, g_cache: Forw
     gradient is written straight into G's upstream gradient; G's gradient
     lands in ``g_cache.grad``.
     """
-    fake = g_cache.ones[-1]
+    fake = g_cache.a[-1]
     probs = _forward(D, fake, ws.cache)
     up = ws.cache.deltas[-1]
     _scores_and_logit_grads(probs, M, ws, up)
@@ -321,7 +325,7 @@ def _generator_step(D: MlpParams, G: MlpParams, noise: np.ndarray, g_cache: Forw
         raise NumericError(f"generator objective is not finite: {objective}")
 
     np.multiply(up, beta_z / noise.shape[0], out=up)
-    _backward(D, fake, ws.cache, dx=g_cache.wide_deltas[-1])
+    _backward(D, fake, ws.cache, dx=g_cache.d[-1])
     _backward(G, noise, g_cache)
     return objective
 
@@ -335,13 +339,14 @@ def generator_objective_and_grads(
 ) -> tuple[float, np.ndarray]:
     """``beta_z * mean score(D(G(z)))`` and its gradient over the generator.
 
-    The discriminator is treated as frozen; its input gradient chains the
-    score back into G.
+    `noise_batch` is a nonempty (n, G.input_dim) array; ValueError names it
+    otherwise. The discriminator is treated as frozen; its input gradient
+    chains the score back into G.
     """
     mat = _scoring_cost_matrix(D, M)
-    noise = np.asarray(noise_batch, dtype=float)
-    if noise.ndim != 2 or noise.shape[0] == 0:
-        raise ValueError("the noise batch must be a nonempty (n, dim) array")
+    noise = _as_batch(G, noise_batch, "noise_batch")
+    if noise.shape[0] == 0:
+        raise ValueError("the noise batch must be nonempty")
     if G.head is Head.SOFTMAX:
         raise ValueError("the generator head must be Identity or Tanh")
     if G.output_dim != D.input_dim:
@@ -475,7 +480,7 @@ def _train(config: TrainConfig, data: Dataset, rng: Rng | None,
         # each with its own backward arrays.
         bg = config.batch_gen
         g_pass = _cache(G, (n_d + 1) * bg)
-        g_out = g_pass.ones[-1].reshape(n_d + 1, bg, -1)
+        g_out = g_pass.a[-1].reshape(n_d + 1, bg, -1)
         g_first = _with_backward(G, _rows(g_pass, n_d * bg, (n_d + 1) * bg))
         g_next = _with_backward(G, _rows(g_pass, 0, bg))
         # D's pass and loss layer over G's output, for the G step.

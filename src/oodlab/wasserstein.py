@@ -32,7 +32,6 @@ from .nets import (
     _cache,
     _fold_columns,
     _forward,
-    _rows,
     _with_ones,
     read_float_csv,
 )
@@ -48,8 +47,9 @@ __all__ = [
 
 PROB_SUM_TOL = 1e-9
 # Rows per forward pass in `score_batch`, so a large grid reuses one set of
-# buffers. 4096-row blocks score bitwise like one pass over every row;
-# 777-row blocks do not, so change this only with the blocked-scoring tests.
+# buffers. Every block, the last included, runs at this size, and so scores
+# bitwise like one pass over all rows; 777-row blocks do not, so change this
+# only with the blocked-scoring tests.
 SCORE_BLOCK_ROWS = 4096
 
 
@@ -124,7 +124,10 @@ def score_batch(net: MlpParams, inputs, M) -> np.ndarray:
     """Scores of ``net``'s predictions for the rows of an (n, d) array, order preserved.
 
     The forward pass runs over blocks of `SCORE_BLOCK_ROWS` rows through one
-    set of buffers: each block is copied into one `nets._with_ones` batch.
+    set of buffers: each block is copied into one `nets._with_ones` batch,
+    and a short last block is padded to full size. A row's bits depend on
+    the batch it is scored in: scored alone, or among other rows, a point
+    may score differently in the last bit.
     """
     mat = _scoring_cost_matrix(net, M)
     x = np.asarray(inputs, dtype=float)
@@ -152,16 +155,17 @@ def _score_blocks(net: MlpParams, x: np.ndarray, M: np.ndarray,
     Given `predicted`, an int array of one entry per row, it takes each
     row's 0-based argmax class (smallest index on ties) from the same pass.
     """
-    scores = np.empty(x.shape[0])
-    rows = min(x.shape[0], SCORE_BLOCK_ROWS)
+    n = x.shape[0]
+    rows = min(n, SCORE_BLOCK_ROWS)
+    # Whole blocks: a short last one keeps the previous block's (finite) rows in its tail.
+    scores = np.empty(-(-n // rows) * rows)
     cache, batch = _cache(net, rows), _with_ones(rows, net.input_dim)
     costs, k_star = np.empty((rows, M.shape[1])), np.empty(rows, dtype=np.intp)
-    for start in range(0, x.shape[0], SCORE_BLOCK_ROWS):
-        block = x[start:start + SCORE_BLOCK_ROWS]
-        n = block.shape[0]
-        batch[:n, :-1] = block
-        probs = _forward(net, batch[:n], _rows(cache, 0, n))
-        _score_rows(probs, M, costs[:n], k_star[:n], scores[start:start + n])
+    for start in range(0, n, rows):
+        block = x[start:start + rows]
+        batch[:block.shape[0], :-1] = block
+        probs = _forward(net, batch, cache)
+        _score_rows(probs, M, costs, k_star, scores[start:start + rows])
         if predicted is not None:
-            np.argmax(probs, axis=1, out=predicted[start:start + n])
-    return scores
+            np.argmax(probs[:block.shape[0]], axis=1, out=predicted[start:start + rows])
+    return scores[:n]

@@ -2,8 +2,8 @@
 
 `oodlab.nets` runs one in-place kernel per operation. These are the earlier
 pure bodies of `softmax`, `mlp_forward`, `mlp_backward` and `adam_step`; of
-the loss layer's `log_softmax`, `score_rows` and
-`training._score_values_and_logit_grads`; and of `Rng.standard_normal`'s
+the loss layer's `log_softmax`, of `wasserstein._score_rows` and
+`training._scores_and_logit_grads`; and of `Rng.standard_normal`'s
 Box-Muller transform, kept unchanged, so the tests can require the kernels
 to match them bit for bit. The cell-by-cell bodies of `nets.write_csv`,
 `detection.write_heatmap_csv` and `detection.write_heatmap_pgm` are kept the
@@ -18,19 +18,28 @@ takes another numpy path and can differ in the last bit.
 """
 
 import csv
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from oodlab.nets import (
     Activation,
     AdamState,
-    ForwardCache,
     Head,
     MlpParams,
     _layer_views,
     mlp_forward,
 )
+
+
+@dataclass(frozen=True)
+class ReferenceCache:
+    """A reference forward pass: its batch and each layer's values, without ones columns."""
+
+    layer_sizes: tuple[int, ...]
+    inputs: np.ndarray
+    pre_activations: tuple[np.ndarray, ...]
+    activations: tuple[np.ndarray, ...]
 
 
 def reference_softmax(logits: np.ndarray) -> np.ndarray:
@@ -56,7 +65,7 @@ def _apply_hidden(z: np.ndarray, activation: Activation) -> np.ndarray:
 
 
 def reference_forward(params: MlpParams,
-                      inputs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+                      inputs: np.ndarray) -> tuple[np.ndarray, ReferenceCache]:
     x = np.asarray(inputs, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ValueError(
@@ -80,10 +89,10 @@ def reference_forward(params: MlpParams,
             a = z
         acts.append(a)
 
-    return acts[-1], ForwardCache(params.layer_sizes, x, tuple(pres), tuple(acts))
+    return acts[-1], ReferenceCache(params.layer_sizes, x, tuple(pres), tuple(acts))
 
 
-def reference_backward(params: MlpParams, cache: ForwardCache, output_gradient: np.ndarray,
+def reference_backward(params: MlpParams, cache: ReferenceCache, output_gradient: np.ndarray,
                        param_grad: bool = True) -> np.ndarray:
     if cache.layer_sizes != params.layer_sizes:
         raise ValueError(

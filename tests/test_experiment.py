@@ -398,3 +398,17 @@ def test_seed_sweep_set_zero_is_the_gated_run(capsys):
     assert capsys.readouterr().out.splitlines()[1].split() == [
         "0", "0..2", f"{min(rep.accuracy for rep in reps):.4f}",
         f"{min(rep.tprs[column] for rep in reps):.4f}"]
+
+
+def test_ab_time_checkout_against_itself(capsys):
+    """`scripts/ab_time.py` run on one checkout twice finds byte-equal outputs every round."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("ab_time", root / "scripts" / "ab_time.py")
+    ab_time = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab_time)
+    assert ab_time.main([str(root), str(root), "--preset", "wood2d", "--iterations", "20",
+                         "--rounds", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "trained weights byte-equal in 2 of 2 rounds" in lines
+    assert "heatmaps byte-equal in 2 of 2 rounds" in lines
+    assert [line.split()[0] for line in lines[-2:]] == ["us_per_iteration", "heatmap_ms"]

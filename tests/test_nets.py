@@ -365,8 +365,8 @@ class TestKernelsBitwise:
             for b in range(batches):
                 block, own = slice(64 * b, 64 * (b + 1)), _with_backward(net, _cache(net, 64))
                 _forward(net, x[block], own)
-                for got, want in zip(stacked.ones + stacked.pre_activations,
-                                     own.ones + own.pre_activations):
+                for got, want in zip(stacked.a + stacked.pre_activations,
+                                     own.a + own.pre_activations):
                     assert np.array_equal(got[block], want)
             # The last block's backward pass through its rows of the stacked pass.
             up = Rng(80 + seed).standard_normal(128).reshape(64, 2)
@@ -386,6 +386,40 @@ class TestKernelsBitwise:
         _, cache = mlp_forward(net, x)
         npt.assert_allclose(mlp_backward(net, cache, up),
                             reference_backward(net, ref_cache, up), rtol=1e-12)
+
+
+class TestCacheLayout:
+    """`ForwardCache`'s one layout rule, after a forward and a backward pass."""
+
+    @pytest.mark.parametrize("head", [Head.SOFTMAX, Head.TANH, Head.IDENTITY])
+    @pytest.mark.parametrize("hidden", [Activation.RELU, Activation.TANH])
+    def test_layout_rule(self, hidden, head):
+        net, rows = perturbed_net((2, 8, 6, 3), hidden, head, 3), 5
+        x = _with_ones(rows, 2, fill=Rng(4).standard_normal(2 * rows).reshape(rows, 2))
+        cache = _with_backward(net, _cache(net, rows))
+        _forward(net, x, cache)
+        cache.deltas[-1][...] = Rng(5).standard_normal(3 * rows).reshape(rows, 3)
+        _backward(net, x, cache)
+        kinds = (cache.z, cache.a, cache.d, cache.s)
+        views = (cache.pre_activations, cache.activations, cache.deltas, cache.scratch)
+        for arrays, narrow in zip(kinds, views):
+            for x_l, v, width in zip(arrays, narrow, net.layer_sizes[1:]):
+                assert v.shape == (rows, width) and np.shares_memory(v, x_l)
+        softmax = head is Head.SOFTMAX
+        for arrays in (cache.z, cache.a):
+            for l, x_l in enumerate(arrays):
+                if softmax and l == len(arrays) - 1:
+                    assert x_l.shape == (rows, 3)
+                else:
+                    assert x_l.shape == (rows, net.layer_sizes[l + 1] + 1)
+                    assert (x_l[:, -1] == 1.0).all()
+        assert (cache.a[-1] is cache.z[-1]) == (head is Head.IDENTITY)
+        if softmax:
+            # Strided (rows, K) views make the softmax and logit-gradient ops slower.
+            assert all(x_l[-1].flags.c_contiguous for x_l in (cache.z, cache.a, cache.d))
+        # A rows view keeps the rule.
+        cut = _rows(cache, 1, 4)
+        assert (cut.a[-1] is cut.z[-1]) == (head is Head.IDENTITY)
 
 
 class TestFiniteDifferences:

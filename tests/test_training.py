@@ -131,6 +131,17 @@ class TestDiscriminatorLoss:
             discriminator_loss_and_grads(zero_discriminator(), *tiny_batches(), 1.0, 1.0,
                                          binary_cost_matrix(4))
 
+    @pytest.mark.parametrize("name", ["ind_x", "ood_x", "gen_x"])
+    def test_batch_of_other_width_rejected(self, name):
+        ind_x, ind_y, ood_x, gen_x = tiny_batches()
+        batches = {"ind_x": ind_x, "ood_x": ood_x, "gen_x": gen_x}
+        batches[name] = np.zeros((4, 3))
+        with pytest.raises(ValueError,
+                           match=rf"{name} has shape \(4, 3\), expected \(batch, 2\)"):
+            discriminator_loss_and_grads(zero_discriminator(), batches["ind_x"], ind_y,
+                                         batches["ood_x"], batches["gen_x"], 1.0, 1.0,
+                                         binary_cost_matrix(3))
+
     def test_gradients_match_finite_differences(self):
         M = binary_cost_matrix(3)
         ind_x, ind_y, ood_x, gen_x = tiny_batches(5, n_ind=4)
@@ -255,6 +266,13 @@ class TestGeneratorObjective:
         with pytest.raises(ValueError, match="net outputs 3 classes but M is 4x4"):
             generator_objective_and_grads(D, G, sample_noise(2, 2, Rng(0)), 1.0,
                                           binary_cost_matrix(4))
+
+    def test_noise_of_other_width_rejected(self):
+        D = init_mlp((2, 6, 3), Activation.RELU, Head.SOFTMAX, Rng(16))
+        G = init_mlp((2, 6, 2), Activation.RELU, Head.IDENTITY, Rng(17))
+        with pytest.raises(ValueError,
+                           match=r"noise_batch has shape \(4, 3\), expected \(batch, 2\)"):
+            generator_objective_and_grads(D, G, np.zeros((4, 3)), 1.0, binary_cost_matrix(3))
 
 
 def quick_config(**kwargs):

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from kernel_reference import reference_score_rows
+from test_nets import perturbed_net
 
 from oodlab.nets import Activation, Head, MlpParams, init_mlp, mlp_forward
 from oodlab.rng import Rng
@@ -175,19 +176,17 @@ class TestScoreBatch:
         with pytest.raises(ValueError):
             score_batch(net, [[0.0, 0.0]], binary_cost_matrix(3))
 
-    @pytest.mark.parametrize("rows", [SCORE_BLOCK_ROWS + 1, 40_000])
+    @pytest.mark.parametrize("rows", [SCORE_BLOCK_ROWS + 1, SCORE_BLOCK_ROWS + 7,
+                                      2 * SCORE_BLOCK_ROWS + 1, 40_000])
     def test_blocked_scores_match_one_pass(self, rows):
-        # 40 000 rows is a 200x200 heatmap grid; both sizes end in a short block.
-        net = init_mlp((2, 128, 3), Activation.RELU, Head.SOFTMAX, Rng(4))
-        # Noise added in text order (row-major weights, then biases, layer by layer).
-        noise, start = 0.1 * Rng(5).standard_normal(net.flat.size), 0
-        for part in (p for layer in zip(net.weights, net.biases) for p in layer):
-            part += noise[start:start + part.size].reshape(part.shape)
-            start += part.size
-        points = 4.0 * Rng(6).standard_normal(2 * rows).reshape(rows, 2)
+        # 40 000 rows is a 200x200 heatmap grid; every size ends in a short block.
         M = binary_cost_matrix(3)
-        probs, _ = mlp_forward(net, points)
-        assert np.array_equal(score_batch(net, points, M), reference_score_rows(probs, M)[0])
+        for seed in range(4):
+            net = perturbed_net((2, 128, 3), Activation.RELU, Head.SOFTMAX, 10 * seed)
+            points = 4.0 * Rng(10 * seed + 2).standard_normal(2 * rows).reshape(rows, 2)
+            probs, _ = mlp_forward(net, points)
+            assert np.array_equal(score_batch(net, points, M),
+                                  reference_score_rows(probs, M)[0])
 
     def test_vector_input_rejected(self):
         with pytest.raises(ValueError, match="expected \\(batch, 2\\)"):
