@@ -71,7 +71,10 @@ def _resolve_config(args) -> ExperimentConfig:
     elif cfg is None:
         cfg = ExperimentConfig()
     if args.seed is not None:
-        cfg = replace(cfg, train=replace(cfg.train, seed=args.seed))
+        try:
+            cfg = replace(cfg, train=replace(cfg.train, seed=args.seed))
+        except ValueError as exc:
+            raise ConfigError(f"--seed: {exc}") from None
     return cfg
 
 

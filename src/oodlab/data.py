@@ -191,12 +191,18 @@ def read_dataset_csv(path) -> Dataset:
             if split not in rows:
                 raise ValueError(f"{path}:{line_no}: unknown split {split!r}")
             try:
-                rows[split].append([float(v) for v in row[:d]])
-                labels[split].append(int(row[-2]))
+                point, label = [float(v) for v in row[:d]], int(row[-2])
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from None
-            if not all(map(math.isfinite, rows[split][-1])):
+            if not all(map(math.isfinite, point)):
                 raise ValueError(f"{path}:{line_no}: coordinates must be finite, got {row[:d]}")
+            if split.startswith("ood_") and label != OOD_LABEL:
+                raise ValueError(f"{path}:{line_no}: {split} rows carry label {OOD_LABEL}, "
+                                 f"got {label}")
+            if not split.startswith("ood_") and label < 1:
+                raise ValueError(f"{path}:{line_no}: {split} labels must be >= 1, got {label}")
+            rows[split].append(point)
+            labels[split].append(label)
 
     def block(name: str) -> np.ndarray:
         data = rows[name]

@@ -25,6 +25,7 @@ over replications.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -324,10 +325,10 @@ def load_report(out_dir) -> LoadedRun:
 
     ValueError, naming the file, for an empty ``report.csv``, one with a row
     shorter than its header, one without the ``eta_at_<t>`` column of one of
-    the run's TNR targets or with a cell in it that is not a number, or one
-    with a replication label that is not an integer, and for a heatmap with a
-    non-finite cell or a shape other than the run's own ``(grid_resolution,
-    grid_resolution)``.
+    the run's TNR targets or with a cell in it that is not a finite number,
+    or one with a replication label that is not an integer, and for a
+    heatmap with a non-finite cell or a shape other than the run's own
+    ``(grid_resolution, grid_resolution)``.
     """
     out = Path(out_dir)
     config = parse_config((out / "config.ini").read_text(encoding="utf-8"))
@@ -348,10 +349,13 @@ def load_report(out_dir) -> LoadedRun:
         etas = []
         for row in rep_rows:
             try:
-                etas.append(float(row[column]))
+                eta = float(row[column])
             except ValueError:
+                eta = math.nan
+            if not math.isfinite(eta):
                 raise ValueError(f"report file {report} has {name} = {row[column]!r} for "
-                                 f"replication {row[0]!r}, not a number") from None
+                                 f"replication {row[0]!r}, not a finite number")
+            etas.append(eta)
         etas_by_target[target] = tuple(etas)
 
     shape = (config.grid.resolution, config.grid.resolution)

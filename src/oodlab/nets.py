@@ -7,16 +7,14 @@ writer and the one float-matrix CSV reader. Everything is float64.
 
 Each of softmax, forward, backward and Adam has one in-place kernel:
 `_softmax`, `_forward`, `_backward` and `_adam`. They write into
-caller-owned arrays with ``out=`` and in-place ufuncs, a network pass into a
-:class:`ForwardCache` from `_cache` (and `_with_backward` for the backward
-arrays) and Adam into flat vectors, so a training loop or a blocked scorer
-can run them without allocating. They check no shapes. The one check is
-`_softmax`'s: it rejects empty and non-finite logits, so every Softmax
-forward pass, each training step's included, checks its logits. The public
-:func:`softmax`, :func:`mlp_forward`, :func:`mlp_backward` and
+caller-owned arrays, a network pass into a :class:`ForwardCache` from
+`_cache` and `_with_backward`, so a training loop or a blocked scorer can
+run them without allocating. They check no shapes; `_softmax` rejects empty
+and non-finite logits, so every Softmax forward pass checks its logits. The
+public :func:`softmax`, :func:`mlp_forward`, :func:`mlp_backward` and
 :func:`adam_step` are the checked, pure wrappers: they run the same kernels
-on fresh arrays, return new values and never mutate their arguments, so
-equal inputs give equal bits either way.
+on fresh arrays and never mutate their arguments, so equal inputs give
+equal bits either way.
 
 Parameter layout: a network's parameters live in one 1-D float64 vector,
 one row-major ``(fan_out, fan_in + 1)`` block ``[W | b]`` per layer, so row i
@@ -26,20 +24,18 @@ them in its own order (row-major weights, then biases), so it does not
 depend on this layout. Gradients from :func:`finite_difference_gradient` and
 :func:`mlp_backward` and the Adam moments are plain vectors in the same
 layout, so Adam and the finite-difference oracle each run over one array.
-:func:`mlp_backward` returns one gradient: that vector, or the input
-gradient when asked.
 
 Ones columns: a batch is a ``(rows, fan_in + 1)`` array whose last column
-is ones, from `_with_ones`, and a pass keeps each layer's arrays in that
-layout but for a Softmax head's (see :class:`ForwardCache`). So layer 0's
-forward pass is one product ``[x | 1] @ [W0 | b0]^T``, each layer's
-parameter gradient one product ``delta^T @ [below | 1]``, and each input
-gradient one product ``delta @ [W | b]`` whose first columns are ``delta @
-W``. Up to the 256-row batches training uses, and at the presets' input
-width of 2 for layer 0's product, they keep the bits of the separate
-product and bias add, column sum, or product over a contiguous ``W``;
-deeper layers keep the separate bias add. Past that the bias gradient may
-differ in the last bit.
+is ones, from `_with_ones`, and so is each layer's array in a pass but a
+Softmax head's (see :class:`ForwardCache`); the nonlinearities and their
+derivatives run in place and keep that column. So layer 0's forward pass is
+one product ``[x | 1] @ [W0 | b0]^T``, each layer's parameter gradient one
+product ``delta^T @ [below | 1]``, and each input gradient one product
+``delta @ [W | b]`` whose first columns are ``delta @ W``. Up to the
+256-row batches training uses, and at an input width of 2 for layer 0's
+product, they keep the bits of the separate product and bias add, column
+sum, or product over a contiguous ``W``; deeper layers keep the separate
+bias add. Past that the bias gradient may differ in the last bit.
 
 Narrow rows: the softmax's row max and exp-sum and the score layer's row
 reductions over K < 8 classes run as K - 1 column ops (`_fold_columns`):
@@ -291,53 +287,42 @@ def _width_views(kind: str) -> cached_property:
 class ForwardCache:
     """A network's pass over a batch of rows: the arrays the kernels write.
 
-    Each array kind holds one (rows, ...) array per layer l: ``z[l]`` and
-    ``a[l]`` take the values entering and leaving layer l's nonlinearity,
-    ``d[l]`` the gradient with respect to ``z[l]``, and ``s[l]`` is work
-    space. One layout rule covers them all: every layer's array is a
-    `_with_ones` (rows, width + 1) array, except a Softmax head's, which is a
-    C-contiguous (rows, K) array; an Identity head's ``a[-1]`` is its
-    ``z[-1]``. The last column of ``z`` and ``a`` is ones, so ``a[l]`` is the
-    ``[a | 1]`` batch the next layer's gradient, or another network, takes;
-    the backward pass writes the product ``delta @ [W | b]`` into ``d[l]``
-    whole, so that column of ``d`` and ``s`` is work space.
-    ``pre_activations``, ``activations``, ``deltas`` and ``scratch`` are the
-    ``[:, :width]`` views of ``z``, ``a``, ``d`` and ``s``, made once per
-    cache.
+    ``a[l]`` holds layer l's output and ``d[l]`` the gradient with respect
+    to its pre-activation, one array per layer. Each is a `_with_ones`
+    (rows, width + 1) array but a Softmax head's, a C-contiguous (rows, K)
+    one. So ``a[l]`` is the ``[a | 1]`` batch the next layer's gradient, or
+    another network, takes; the last column of ``d`` is work space.
+    ``activations`` and ``deltas`` are their ``[:, :width]`` views, made once
+    per cache. A Softmax head also keeps ``logits``, a C-contiguous (rows, K)
+    array of the softmax's input; for any other head it is None.
 
-    `inputs` is the batch :func:`mlp_forward` ran on, with its ones column,
-    or None in a kernel's cache, whose caller passes the batch to each
-    kernel. ``col`` is the Softmax head's (2, rows, 1) work array, each row's
-    max and exp-sum. The backward arrays are empty unless asked for; the
-    caller writes the upstream gradient into ``deltas[-1]``, which a Tanh
-    head's backward pass overwrites. `grad` takes the flat parameter
-    gradient, through its per-layer ``[W | b]`` views `grad_blocks`.
+    `_backward` overwrites each hidden ``a[l]`` with its nonlinearity's
+    derivative and a Tanh head's output with 1 - a², so a cache takes one
+    backward pass per forward pass.
+
+    `inputs` is :func:`mlp_forward`'s batch, with its ones column, or None in
+    a kernel's cache. ``col`` is the Softmax head's (2, rows, 1) row max and
+    exp-sum. The backward arrays, `d` and the flat parameter gradient `grad`
+    with its per-layer ``[W | b]`` views `grad_blocks`, are empty unless
+    asked for; the caller writes the upstream gradient into ``deltas[-1]``.
     """
 
     layer_sizes: tuple[int, ...]
     inputs: np.ndarray | None
-    z: tuple[np.ndarray, ...]
     a: tuple[np.ndarray, ...]
+    logits: np.ndarray | None = None
     col: np.ndarray | None = None
     d: tuple[np.ndarray, ...] = ()
-    s: tuple[np.ndarray, ...] = ()
     grad: np.ndarray | None = None
     grad_blocks: tuple[np.ndarray, ...] = ()
-    pre_activations = _width_views("z")
     activations = _width_views("a")
     deltas = _width_views("d")
-    scratch = _width_views("s")
 
 
-def _layer_arrays(params: MlpParams, rows: int,
-                  head: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-    """One fresh array per layer of `params` over `rows` rows, under `ForwardCache`'s rule.
-
-    `head`, if given, is the last layer's array instead.
-    """
+def _layer_arrays(params: MlpParams, rows: int) -> tuple[np.ndarray, ...]:
+    """One fresh array per layer of `params` over `rows` rows, under `ForwardCache`'s rule."""
     *hidden, K = params.layer_sizes[1:]
-    if head is None:
-        head = np.empty((rows, K)) if params.head is Head.SOFTMAX else _with_ones(rows, K)
+    head = np.empty((rows, K)) if params.head is Head.SOFTMAX else _with_ones(rows, K)
     return tuple(_with_ones(rows, w) for w in hidden) + (head,)
 
 
@@ -353,49 +338,49 @@ def _as_batch(params: MlpParams, inputs, name: str = "input") -> np.ndarray:
 
 def _cache(params: MlpParams, rows: int, inputs: np.ndarray | None = None) -> ForwardCache:
     """Empty forward arrays for a pass of `params` over `rows` inputs."""
-    z = _layer_arrays(params, rows)
-    a = _layer_arrays(params, rows, z[-1] if params.head is Head.IDENTITY else None)
-    return ForwardCache(params.layer_sizes, inputs, z, a, np.empty((2, rows, 1)))
+    logits = np.empty((rows, params.output_dim)) if params.head is Head.SOFTMAX else None
+    return ForwardCache(params.layer_sizes, inputs, _layer_arrays(params, rows), logits,
+                        np.empty((2, rows, 1)))
 
 
 def _with_backward(params: MlpParams, cache: ForwardCache) -> ForwardCache:
     """`cache` plus fresh backward arrays; the two share the forward arrays."""
-    rows, grad = cache.z[0].shape[0], np.empty_like(params.flat)
-    return replace(cache, d=_layer_arrays(params, rows), s=_layer_arrays(params, rows),
-                   grad=grad, grad_blocks=_blocks(params.layer_sizes, grad))
+    rows, grad = cache.a[0].shape[0], np.empty_like(params.flat)
+    return replace(cache, d=_layer_arrays(params, rows), grad=grad,
+                   grad_blocks=_blocks(params.layer_sizes, grad))
 
 
 def _rows(cache: ForwardCache, start: int, stop: int) -> ForwardCache:
     """Views onto rows ``start:stop`` of a kernel cache's forward arrays."""
-    z = tuple(x[start:stop] for x in cache.z)
-    a = tuple(z[l] if x is cache.z[l] else x[start:stop] for l, x in enumerate(cache.a))
-    return ForwardCache(cache.layer_sizes, None, z, a, cache.col[:, start:stop])
+    logits = None if cache.logits is None else cache.logits[start:stop]
+    return ForwardCache(cache.layer_sizes, None, tuple(x[start:stop] for x in cache.a), logits,
+                        cache.col[:, start:stop])
 
 
 def _forward(params: MlpParams, x: np.ndarray, cache: ForwardCache) -> np.ndarray:
     """Forward kernel: run the network on the rows of `x` into `cache`; returns the output array.
 
-    Unchecked: `x` must be a (rows, input_dim + 1) float array from
-    `_with_ones`, matching `cache`.
+    Each layer's product goes into its ``activations[l]``, or a Softmax
+    head's ``logits``, and its nonlinearity then runs in place. Unchecked:
+    `x` must be a (rows, input_dim + 1) float array from `_with_ones`,
+    matching `cache`.
     """
     last = len(params.blocks) - 1
-    for l, (z, out) in enumerate(zip(cache.pre_activations, cache.activations)):
+    for l, out in enumerate(cache.activations):
+        z = cache.logits if l == last and params.head is Head.SOFTMAX else out
         if l == 0:
             # [x | 1] @ [W0 | b0]^T: the bias rides on the ones column.
             np.matmul(x, params.blocks[0].T, out=z)
         else:
             np.matmul(cache.activations[l - 1], params.weights[l].T, out=z)
             np.add(z, params.biases[l], out=z)
-        if l < last:
-            if params.hidden is Activation.RELU:
-                # Over the whole arrays: max(1, 0) keeps the ones column.
-                np.maximum(cache.z[l], 0.0, out=cache.a[l])
-            else:
-                np.tanh(z, out=out)
+        if l < last and params.hidden is Activation.RELU:
+            # Over the whole array: max(1, 0) keeps the ones column.
+            np.maximum(cache.a[l], 0.0, out=cache.a[l])
+        elif l < last or params.head is Head.TANH:
+            np.tanh(out, out=out)
         elif params.head is Head.SOFTMAX:
             _softmax(z, out, cache.col)
-        elif params.head is Head.TANH:
-            np.tanh(z, out=out)
     return cache.activations[-1]
 
 
@@ -406,14 +391,17 @@ def _backward(params: MlpParams, x: np.ndarray, cache: ForwardCache,
     Writes the parameter gradient into ``cache.grad``, one ``delta^T @ [below
     | 1]`` product per layer, skipping layer 0's ``delta @ W0``; or, given
     `dx`, a (rows, input_dim + 1) array, only the input gradient, into its
-    first columns. Unchecked, like `_forward`.
+    first columns. Once layer l's gradient has read ``a[l - 1]``, the
+    derivative of the nonlinearity below overwrites it, ones column kept;
+    a Tanh head's derivative overwrites its output. So the pass in `cache`
+    is spent. Unchecked, like `_forward`.
     """
     last = len(params.blocks) - 1
     delta = cache.deltas[last]
     # Identity and Softmax heads (Jacobian folded in upstream) take it as is.
     if params.head is Head.TANH:
-        t = cache.scratch[last]
-        np.square(cache.activations[last], out=t)
+        t = cache.activations[last]
+        np.square(t, out=t)
         np.subtract(1.0, t, out=t)
         np.multiply(delta, t, out=delta)
 
@@ -425,15 +413,15 @@ def _backward(params: MlpParams, x: np.ndarray, cache: ForwardCache,
         # delta @ [W | b] into a whole array: its first columns are delta @ W.
         np.matmul(delta, params.blocks[l], out=dx if l == 0 else cache.d[l - 1])
         if l > 0:
-            z, t, d = cache.z[l - 1], cache.s[l - 1], cache.d[l - 1]
+            a, t, d = cache.a[l - 1], cache.activations[l - 1], cache.d[l - 1]
             if params.hidden is Activation.RELU:
-                # Subgradient 0 at the kink.
-                np.greater(z, 0.0, out=t)
+                # Subgradient 0 at the kink; 1 > 0 keeps the ones column.
+                np.greater(a, 0.0, out=a)
             else:
-                np.tanh(z, out=t)
+                # 1 - tanh(z)^2 from a = tanh(z), over the narrow view.
                 np.square(t, out=t)
                 np.subtract(1.0, t, out=t)
-            np.multiply(d, t, out=d)
+            np.multiply(d, a, out=d)
             delta = cache.deltas[l - 1]
 
 
@@ -475,8 +463,10 @@ def mlp_forward(params: MlpParams, inputs: np.ndarray) -> tuple[np.ndarray, Forw
 
 def mlp_backward(params: MlpParams, cache: ForwardCache, output_gradient: np.ndarray,
                  param_grad: bool = True) -> np.ndarray:
-    """Backpropagate an upstream gradient through the cached forward pass.
+    """Backpropagate an upstream gradient through the forward pass of `cache`.
 
+    The pass is rerun on fresh arrays over ``cache.inputs``, so `cache` is
+    left as it was and can be backpropagated again.
     For a Softmax head `output_gradient` must already be with respect to the
     pre-head logits; for Tanh and Identity heads it is with respect to the
     output itself. The gradient is a (batch, output_dim) matrix and the
@@ -497,7 +487,9 @@ def mlp_backward(params: MlpParams, cache: ForwardCache, output_gradient: np.nda
             f"expected {cache.activations[-1].shape}"
         )
 
-    work = _with_backward(params, cache)
+    # A fresh pass, as the backward kernel spends the one it runs on.
+    work = _with_backward(params, _cache(params, g.shape[0]))
+    _forward(params, cache.inputs, work)
     work.deltas[-1][...] = g
     dx = None if param_grad else np.empty((g.shape[0], params.input_dim + 1))
     _backward(params, cache.inputs, work, dx)

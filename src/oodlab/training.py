@@ -26,30 +26,22 @@ behind `discriminator_loss_and_grads` and `generator_objective_and_grads`.
 G's weights change only in its own steps, so each iteration runs G once over
 every noise batch that sees the same weights: the n_d D steps' batches and
 the first G step's, stacked. Each D step copies its block of that pass's
-output; the first G step backpropagates through its own rows of it. A later
-G step (n_g > 1) runs its own pass. Each block's values are those of a pass
-over that batch alone, bit for bit.
+output; the first G step backpropagates through its own rows of it, and a
+later G step (n_g > 1) runs its own pass in those rows. Each block's values
+are those of a pass over that batch alone, bit for bit.
 
-After set-up the training loop allocates no array data, and its arrays are
-of two types. A `nets.ForwardCache` holds a network's pass over a batch: one
-array per layer of each kind (``z``, ``a``, ``d`` and ``s``) and the flat
-gradient. A `_LossWorkspace` holds D's loss layer: the stacked batch (filled
-by ``np.take`` and from the generator's pass), its one-hot targets, D's
-`ForwardCache` over it, and the cross-entropy's and score layer's arrays.
-Every batch is in the kernels' layout, with a ones column from
-`nets._with_ones`: the stacked batch, the two training pools (given theirs
-once per run, so ``np.take`` copies whole rows), `_draws`' noise and G's
-output ``a[-1]``, which the D steps copy and the G step's D pass reads in
-place. The cross-entropy reuses the softmax's row max and exp-sum; the
-score kernel `_score_rows` and the logit gradient write into the workspace,
-the gradient straight into D's upstream rows. The discriminator step uses a
-workspace over all three blocks, the generator step one with only a
-generated block, for D's pass over G's output; it writes D's input gradient
-straight into G's ``d[-1]``.
+After set-up the training loop allocates no array data. A
+`nets.ForwardCache` holds each network pass: one array per layer for its
+values (``a``) and one for its gradients (``d``), a Softmax head's logits
+and the flat gradient. A `_LossWorkspace` holds D's pass and loss layer over
+a stacked batch. Every batch carries the kernels' ones column
+(`nets._with_ones`): the training pools get theirs once per run, so
+``np.take`` copies whole rows; the D steps copy G's output ``a[-1]`` and the
+G step's D pass reads it in place, then writes D's input gradient straight
+into G's ``d[-1]``.
 D's and G's parameter vectors are private to the run and updated in place
-by the `oodlab.nets` kernels, Adam by `nets._adam` on the moments of an
-`init_adam` state with step t counted by the loop. `TrainHistory` gets
-fresh copies at the end, whose construction checks the trained weights are
+by `nets._adam`, with step t counted by the loop. `TrainHistory` gets fresh
+copies at the end, whose construction checks the trained weights are
 finite. Each step checks that the loss and the objective are finite, and
 `nets._softmax` that D's logits are.
 
@@ -144,8 +136,9 @@ class TrainConfig:
         for name in ("lr_d", "lr_g"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        for name in ("iterations", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("adam_beta1", "adam_beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
@@ -200,11 +193,12 @@ class _LossWorkspace:
     `x` holds the batch, with `ind`, `ood` and `gen` views onto its blocks,
     and `targets` the InD rows' one-hot labels; `cache` holds D's pass over
     `x`, its backward arrays included, and `up` views onto the blocks of its
-    upstream gradient. `ce` is the InD rows' log-softmax work array. The
-    score layer's arrays cover the OoD and generated rows: `costs`, `k_star`
-    and `scores` are `_score_rows`' outputs; `cols` takes each row's argmin
-    cost column and `inner` its dot product with the row. The generator step
-    uses a workspace with only a generated block, for D's pass over G(z).
+    upstream gradient. The cross-entropy works in the InD rows of
+    ``cache.logits``. The score layer's arrays cover the OoD and generated
+    rows: `costs`, `k_star` and `scores` are `_score_rows`' outputs; `cols`
+    takes each row's argmin cost column and `inner` its dot product with the
+    row. The generator step uses a workspace with only a generated block,
+    for D's pass over G(z).
     """
 
     def __init__(self, D: MlpParams, n_ind: int, n_ood: int, n_gen: int):
@@ -214,7 +208,6 @@ class _LossWorkspace:
         self.targets = np.empty((n_ind, K))
         self.cache = _with_backward(D, _cache(D, self.x.shape[0]))
         self.up = np.split(self.cache.deltas[-1], [n_ind, n_ind + n_ood])
-        self.ce = np.empty((n_ind, K))
         self.costs = np.empty((rows, K))
         self.k_star = np.empty(rows, dtype=np.intp)
         self.scores = np.empty(rows)
@@ -251,13 +244,14 @@ def _discriminator_step(D: MlpParams, ws: _LossWorkspace, beta_ood: float,
     cache = ws.cache
     probs = _forward(D, ws.x, cache)
     # log_softmax(z) = (z - max) - log(exp-sum), from the softmax's row max and
-    # exp-sum; the log overwrites the sums, which the softmax no longer needs.
+    # exp-sum, over the logits and the sums, which the softmax no longer needs.
     row_max, log_sum = cache.col[0][:n_ind], cache.col[1][:n_ind]
+    log_probs = cache.logits[:n_ind]
     np.log(log_sum, out=log_sum)
-    np.subtract(cache.pre_activations[-1][:n_ind], row_max, out=ws.ce)
-    np.subtract(ws.ce, log_sum, out=ws.ce)
-    np.multiply(ws.ce, ws.targets, out=ws.ce)
-    ce = float(-np.add.reduce(ws.ce, axis=None) / n_ind)
+    np.subtract(log_probs, row_max, out=log_probs)
+    np.subtract(log_probs, log_sum, out=log_probs)
+    np.multiply(log_probs, ws.targets, out=log_probs)
+    ce = float(-np.add.reduce(log_probs, axis=None) / n_ind)
 
     up_ind, up_ood, up_gen = ws.up
     # The score rows' logit gradients land in their upstream rows, then get their weights.
@@ -475,14 +469,13 @@ def _train(config: TrainConfig, data: Dataset, rng: Rng | None,
         adam_g, g_scratch = init_adam(G, *hyper), np.empty((2, G.flat.size))
         # G's weights change only in G steps, so the n_d D steps' noise
         # batches and the first G step's share one pass: `g_pass` holds it,
-        # `g_out` its ones-column output by batch. `g_first` is the first G
-        # step's rows of it, `g_next` the rows a later G step's pass uses,
-        # each with its own backward arrays.
+        # `g_out` its ones-column output by batch. `g_step` is the first G
+        # step's rows of it, with backward arrays; a later G step runs its
+        # own pass there.
         bg = config.batch_gen
         g_pass = _cache(G, (n_d + 1) * bg)
         g_out = g_pass.a[-1].reshape(n_d + 1, bg, -1)
-        g_first = _with_backward(G, _rows(g_pass, n_d * bg, (n_d + 1) * bg))
-        g_next = _with_backward(G, _rows(g_pass, 0, bg))
+        g_step = _with_backward(G, _rows(g_pass, n_d * bg, (n_d + 1) * bg))
         # D's pass and loss layer over G's output, for the G step.
         g_ws = _LossWorkspace(D, 0, 0, bg)
 
@@ -518,7 +511,6 @@ def _train(config: TrainConfig, data: Dataset, rng: Rng | None,
             records.append(IterationRecord(it, loss, ce, mean_ood, None, None))
             continue
         for k in range(n_d, n_d + n_g):
-            g_step = g_first if k == n_d else g_next
             if k > n_d:
                 _forward(G, noise[k], g_step)
             objective = _generator_step(D, G, noise[k], g_step, g_ws, config.beta_z, M)

@@ -212,7 +212,10 @@ class TestCsvRoundTrip:
     @pytest.mark.parametrize("row, message", [
         ("1,2,one,ind_train", "invalid literal for int"),
         ("1,x,1,ind_train", "could not convert string to float"),
-    ], ids=["text-label", "text-coordinate"])
+        ("1,2,0,ind_train", "ind_train labels must be >= 1, got 0"),
+        ("1,2,-1,ind_test", "ind_test labels must be >= 1, got -1"),
+        ("1,2,7,ood_train", "ood_train rows carry label -1, got 7"),
+    ], ids=["text-label", "text-coordinate", "zero-label", "ood-label-on-ind", "ind-label-on-ood"])
     def test_unparseable_cell_names_file_and_line(self, tmp_path, row, message):
         path = tmp_path / "bad.csv"
         path.write_text(f"x1,x2,label,split\n1,2,1,ind_train\n{row}\n")

@@ -218,8 +218,15 @@ class TestCli:
          "row label 'one'"),
         (lambda rows: [rows[0], replace_cell(rows[1], rows[0].split(",").index("eta_at_0.95"),
                                              "abc"), *rows[2:]],
-         "eta_at_0.95 = 'abc' for replication '0', not a number"),
-    ], ids=["empty", "short-row", "no-eta-column", "text-label", "text-eta"])
+         "eta_at_0.95 = 'abc' for replication '0', not a finite number"),
+        (lambda rows: [rows[0], replace_cell(rows[1], rows[0].split(",").index("eta_at_0.95"),
+                                             "nan"), *rows[2:]],
+         "eta_at_0.95 = 'nan' for replication '0', not a finite number"),
+        (lambda rows: [rows[0], replace_cell(rows[1], rows[0].split(",").index("eta_at_0.95"),
+                                             "inf"), *rows[2:]],
+         "eta_at_0.95 = 'inf' for replication '0', not a finite number"),
+    ], ids=["empty", "short-row", "no-eta-column", "text-label", "text-eta", "nan-eta",
+            "inf-eta"])
     def test_compare_rejects_doctored_report(self, tmp_path, capsys, doctor, message):
         cfg = tmp_path / "c.ini"
         write_tiny_config(cfg, method="wood")
@@ -345,6 +352,7 @@ class TestCli:
         ("tnr_targets", "1.5", "eval"),
         ("grid_x_min", "9", "eval"),
         ("replications", "0", "eval"),
+        ("seed", "-5", "train"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, key, value, section):
         cfg = tmp_path / "c.ini"
@@ -355,6 +363,13 @@ class TestCli:
         assert key in err
         if section == "eval":
             assert "[eval]" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys, command):
+        assert main([command, "--preset", "wood2d", "--seed", "-1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "--seed: seed must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("method", ["see_ood", "wood"])

@@ -117,7 +117,8 @@ class TestForward:
             # to floating-point noise, not necessarily bit-exactly.
             npt.assert_allclose(batch_out[i], single[0], rtol=1e-12, atol=1e-15)
 
-    def test_forward_is_pure(self):
+    @pytest.mark.parametrize("head", [Head.SOFTMAX, Head.TANH])
+    def test_forward_is_pure(self, head):
         """The pure wrappers give equal bits twice and never mutate an argument."""
         net = init_mlp((2, 8, 3), Activation.RELU, Head.SOFTMAX, Rng(5))
         x = np.array([[0.3, -0.7]])
@@ -125,15 +126,15 @@ class TestForward:
         b, _ = mlp_forward(net, x)
         npt.assert_array_equal(a, b)
 
-        # A Tanh head's kernel rewrites its upstream gradient in place.
-        net = init_mlp((2, 8, 3), Activation.TANH, Head.TANH, Rng(6))
+        # The backward kernel spends its pass and, for a Tanh head, its upstream gradient.
+        net = init_mlp((2, 8, 3), Activation.TANH, head, Rng(6))
         x = Rng(7).standard_normal(8).reshape(4, 2)
         up = Rng(8).standard_normal(12).reshape(4, 3)
         _, cache = mlp_forward(net, x)
         _, state = adam_step(net, np.ones_like(net.flat), init_adam(net), 0.1)
         grad = mlp_backward(net, cache, up)
-        arguments = [net.flat, x, up, grad, state.m, state.v, cache.inputs,
-                     *cache.pre_activations, *cache.activations]
+        arguments = [net.flat, x, up, grad, state.m, state.v, cache.inputs, *cache.a,
+                     *([] if cache.logits is None else [cache.logits])]
         before = [arg.copy() for arg in arguments]
         for param_grad in (True, False):
             npt.assert_array_equal(mlp_backward(net, cache, up, param_grad),
@@ -205,8 +206,7 @@ class TestBackward:
         def input_loss(points):
             out, cache = mlp_forward(net, points)
             # A Softmax head takes its upstream gradient with respect to the logits.
-            return float(np.sum(direction * (cache.pre_activations[-1]
-                                             if head is Head.SOFTMAX else out)))
+            return float(np.sum(direction * (cache.logits if head is Head.SOFTMAX else out)))
 
         _, cache = mlp_forward(net, x)
         analytic = mlp_backward(net, cache, direction, param_grad=False)
@@ -319,9 +319,10 @@ class TestKernelsBitwise:
         cache = _with_backward(net, _cache(net, rows))
         batch = _with_ones(rows, 2, fill=x)
         assert np.array_equal(_forward(net, batch, cache), ref_out)
-        for got, want in zip(cache.pre_activations + cache.activations,
-                             ref_cache.pre_activations + ref_cache.activations):
+        for got, want in zip(cache.activations, ref_cache.activations):
             assert np.array_equal(got, want)
+        if head is Head.SOFTMAX:
+            assert np.array_equal(cache.logits, ref_cache.pre_activations[-1])
         cache.deltas[-1][...] = up
         if param_grad:
             _backward(net, batch, cache)
@@ -365,8 +366,7 @@ class TestKernelsBitwise:
             for b in range(batches):
                 block, own = slice(64 * b, 64 * (b + 1)), _with_backward(net, _cache(net, 64))
                 _forward(net, x[block], own)
-                for got, want in zip(stacked.a + stacked.pre_activations,
-                                     own.a + own.pre_activations):
+                for got, want in zip(stacked.a, own.a):
                     assert np.array_equal(got[block], want)
             # The last block's backward pass through its rows of the stacked pass.
             up = Rng(80 + seed).standard_normal(128).reshape(64, 2)
@@ -389,7 +389,7 @@ class TestKernelsBitwise:
 
 
 class TestCacheLayout:
-    """`ForwardCache`'s one layout rule, after a forward and a backward pass."""
+    """`ForwardCache`'s one layout rule, and reuse of one cache for pass after pass."""
 
     @pytest.mark.parametrize("head", [Head.SOFTMAX, Head.TANH, Head.IDENTITY])
     @pytest.mark.parametrize("hidden", [Activation.RELU, Activation.TANH])
@@ -400,26 +400,46 @@ class TestCacheLayout:
         _forward(net, x, cache)
         cache.deltas[-1][...] = Rng(5).standard_normal(3 * rows).reshape(rows, 3)
         _backward(net, x, cache)
-        kinds = (cache.z, cache.a, cache.d, cache.s)
-        views = (cache.pre_activations, cache.activations, cache.deltas, cache.scratch)
-        for arrays, narrow in zip(kinds, views):
+        for arrays, narrow in ((cache.a, cache.activations), (cache.d, cache.deltas)):
             for x_l, v, width in zip(arrays, narrow, net.layer_sizes[1:]):
                 assert v.shape == (rows, width) and np.shares_memory(v, x_l)
         softmax = head is Head.SOFTMAX
-        for arrays in (cache.z, cache.a):
-            for l, x_l in enumerate(arrays):
-                if softmax and l == len(arrays) - 1:
-                    assert x_l.shape == (rows, 3)
-                else:
-                    assert x_l.shape == (rows, net.layer_sizes[l + 1] + 1)
-                    assert (x_l[:, -1] == 1.0).all()
-        assert (cache.a[-1] is cache.z[-1]) == (head is Head.IDENTITY)
+        for l, x_l in enumerate(cache.a):
+            if softmax and l == len(cache.a) - 1:
+                assert x_l.shape == (rows, 3)
+            else:
+                # The backward pass's derivatives keep the ones column.
+                assert x_l.shape == (rows, net.layer_sizes[l + 1] + 1)
+                assert (x_l[:, -1] == 1.0).all()
+        assert (cache.logits is not None) == softmax
         if softmax:
             # Strided (rows, K) views make the softmax and logit-gradient ops slower.
-            assert all(x_l[-1].flags.c_contiguous for x_l in (cache.z, cache.a, cache.d))
+            assert all(x.flags.c_contiguous for x in (cache.logits, cache.a[-1], cache.d[-1]))
         # A rows view keeps the rule.
         cut = _rows(cache, 1, 4)
-        assert (cut.a[-1] is cut.z[-1]) == (head is Head.IDENTITY)
+        assert all(np.shares_memory(c, x_l) and c.shape[0] == 3 for c, x_l in zip(cut.a, cache.a))
+        assert (cut.logits is not None) == softmax
+
+    @pytest.mark.parametrize("head", [Head.SOFTMAX, Head.TANH, Head.IDENTITY])
+    @pytest.mark.parametrize("hidden", [Activation.RELU, Activation.TANH])
+    def test_reused_cache_matches_fresh_caches(self, hidden, head):
+        """Forward and backward rounds on one kernel cache give the bits of fresh caches."""
+        net, rows = perturbed_net((2, 8, 6, 3), hidden, head, 6), 5
+        cache = _with_backward(net, _cache(net, rows))
+        for r, param_grad in enumerate((True, True, False)):
+            rng = Rng(20 + r)
+            x = _with_ones(rows, 2, fill=3.0 * rng.standard_normal(2 * rows).reshape(rows, 2))
+            up = rng.standard_normal(3 * rows).reshape(rows, 3)
+            results = []
+            for c in (cache, _with_backward(net, _cache(net, rows))):
+                out = _forward(net, x, c).copy()
+                logits = None if c.logits is None else c.logits.copy()
+                c.deltas[-1][...] = up
+                dx = None if param_grad else np.empty_like(x)
+                _backward(net, x, c, dx)
+                results.append((out, logits, c.grad.copy() if param_grad else dx[:, :-1]))
+            for got, want in zip(*results):
+                assert np.array_equal(got, want)
 
 
 class TestFiniteDifferences:

@@ -163,7 +163,7 @@ def three_pass_loss_and_grads(D, ind_x, ind_y, ood_x, gen_x, beta_ood, beta_z, M
     targets = np.eye(D.output_dim)[np.asarray(ind_y) - 1]
     probs_ind, cache_ind = mlp_forward(D, ind_x)
     n_ind = ind_x.shape[0]
-    ce = float(-np.sum(reference_log_softmax(cache_ind.pre_activations[-1]) * targets) / n_ind)
+    ce = float(-np.sum(reference_log_softmax(cache_ind.logits) * targets) / n_ind)
     grads = mlp_backward(D, cache_ind, (probs_ind - targets) / n_ind)
 
     probs_ood, cache_ood = mlp_forward(D, ood_x)
@@ -209,7 +209,7 @@ class TestStackedDiscriminatorStep:
 
 def _ce_value(params, ind_x, ind_y):
     out, cache = mlp_forward(params, ind_x)
-    logits = cache.pre_activations[-1]
+    logits = cache.logits
     targets = np.eye(params.output_dim)[np.asarray(ind_y) - 1]
     return float(-np.sum(reference_log_softmax(logits) * targets) / ind_x.shape[0])
 
