@@ -8,10 +8,9 @@ a CLI.
 """
 
 from .config import ConfigError, ExperimentConfig, parse_config, preset_config, serialize_config
-from .data import Dataset, GaussianClusterSpec, make_simulation_dataset, sample_noise, subsample_ood
+from .data import Dataset, make_simulation_dataset, sample_noise, subsample_ood
 from .detection import (
     GridSpec,
-    Threshold,
     mad,
     rejection_region_area,
     score_heatmap,

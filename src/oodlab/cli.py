@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import config as config_mod
-from .config import ConfigError, ExperimentConfig, parse_config, preset_config
+from .config import ConfigError, ExperimentConfig, _tnr_label, parse_config, preset_config
 from .data import make_simulation_dataset, write_dataset_csv
 from .experiment import (
     _replication_heatmap,
@@ -107,7 +107,7 @@ def _cmd_evaluate(args) -> int:
     rep = report.replications[0]
     print(f"accuracy: {rep.accuracy:.6f}")
     for target, tpr, eta in zip(cfg.tnr_targets, rep.tprs, rep.etas):
-        print(f"tpr@{target:g}: {tpr:.6f} (eta {eta:.6f})")
+        print(f"tpr@{_tnr_label(target)}: {tpr:.6f} (eta {eta:.6f})")
     print(f"wrote {args.out}/report.csv")
     return 0
 
@@ -126,7 +126,7 @@ def _cmd_replicate(args) -> int:
     cfg = _resolve_config(args)
     report = run_experiment(cfg, args.out)
     for target, tpr, dev in zip(cfg.tnr_targets, report.mean_tprs, report.mad_tprs):
-        print(f"mean tpr@{target:g}: {tpr:.6f} (mad {dev:.6f})")
+        print(f"mean tpr@{_tnr_label(target)}: {tpr:.6f} (mad {dev:.6f})")
     print(f"mean accuracy: {report.mean_accuracy:.6f} (mad {report.mad_accuracy:.6f})")
     print(f"wrote {args.out}/report.csv and {args.out}/summary.txt")
     return 0

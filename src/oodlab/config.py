@@ -33,8 +33,10 @@ Checks that need the data (the OoD pool left by ``ood_subsample``, the cost
 matrix's size against the classes, layer sizes against the data) also exit
 2, before any training. A dataset or cost matrix file that cannot be read or
 parsed, is empty or ragged, or holds a bad value (a non-finite coordinate; a
-negative or non-finite cost, or a nonzero diagonal) exits 3, also before any
-training.
+negative or non-finite cost, or a nonzero diagonal), or a dataset with no
+ind_train, ind_test or ood_test rows, exits 3, also before any training.
+TNR targets must differ when rounded to 6 significant digits, as report.csv
+names its columns by them (exit 2).
 
 Presets pin the 2-D benchmark runs: `setting1` is the discriminator-heavy
 adversarial run (beta_ood 1, beta_z 0.001, n_d 2, n_g 1, both learning rates
@@ -72,6 +74,11 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (maps to exit code 2 in the CLI)."""
 
 
+def _tnr_label(t: float) -> str:
+    """A TNR target as report.csv's columns and the printed digests name it."""
+    return format(t, "g")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     method: Method = "see_ood"
@@ -104,6 +111,10 @@ class ExperimentConfig:
         require(len(self.tnr_targets) > 0, "eval", "tnr_targets needs at least one value")
         for t in self.tnr_targets:
             require(0.0 < t <= 1.0, "eval", f"tnr_targets must lie in (0, 1], got {t}")
+        labels = [_tnr_label(t) for t in self.tnr_targets]
+        require(len(set(labels)) == len(labels), "eval",
+                "tnr_targets must differ when rounded to 6 significant digits, got "
+                + " ".join(map(str, self.tnr_targets)))
 
 
 # Per-preset budgets put each method in the same calibration regime: enough

@@ -20,9 +20,7 @@ from .nets import write_csv
 from .rng import Rng
 
 __all__ = [
-    "GaussianClusterSpec",
     "Dataset",
-    "sample_gaussian_cluster",
     "make_simulation_dataset",
     "subsample_ood",
     "sample_noise",
@@ -40,25 +38,6 @@ SIMULATION_POINTS_PER_SPLIT = 1000
 
 SPLIT_NAMES = ("ind_train", "ind_test", "ood_train", "ood_test")
 OOD_LABEL = -1
-
-
-@dataclass(frozen=True)
-class GaussianClusterSpec:
-    """Isotropic Gaussian blob; label is a 1-based class or None for OoD."""
-
-    mean: tuple[float, ...]
-    std: float
-    n_train: int
-    n_test: int
-    label: int | None
-
-    def __post_init__(self):
-        if self.std < 0.0:
-            raise ValueError(f"std must be >= 0, got {self.std}")
-        if self.n_train < 0 or self.n_test < 0:
-            raise ValueError("split sizes must be >= 0")
-        if self.label is not None and self.label < 1:
-            raise ValueError(f"class labels are 1-based, got {self.label}")
 
 
 @dataclass(frozen=True)
@@ -93,41 +72,25 @@ class Dataset:
             raise ValueError(f"need K >= 2 classes, got {self.K}")
 
 
-def sample_gaussian_cluster(spec: GaussianClusterSpec, count: int, rng: Rng) -> np.ndarray:
-    """`count` points of ``mean + std * z`` with z standard normal."""
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    mean = np.asarray(spec.mean, dtype=float)
-    z = rng.standard_normal(count * mean.size).reshape(count, mean.size)
-    return mean + spec.std * z
-
-
 def make_simulation_dataset(rng: Rng) -> Dataset:
     """Builtin 2-D benchmark; draw order is cluster by cluster, train then test."""
+    n = SIMULATION_POINTS_PER_SPLIT
+
+    def blob(mean) -> np.ndarray:
+        return np.asarray(mean) + SIMULATION_STD * rng.standard_normal(2 * n).reshape(n, 2)
+
     ind_train, ind_test = [], []
-    train_labels, test_labels = [], []
-    for label, mean in enumerate(SIMULATION_IND_MEANS, start=1):
-        spec = GaussianClusterSpec(mean, SIMULATION_STD,
-                                   SIMULATION_POINTS_PER_SPLIT,
-                                   SIMULATION_POINTS_PER_SPLIT, label)
-        ind_train.append(sample_gaussian_cluster(spec, spec.n_train, rng))
-        ind_test.append(sample_gaussian_cluster(spec, spec.n_test, rng))
-        train_labels.append(np.full(spec.n_train, label, dtype=np.int64))
-        test_labels.append(np.full(spec.n_test, label, dtype=np.int64))
-
-    ood_spec = GaussianClusterSpec(SIMULATION_OOD_MEAN, SIMULATION_STD,
-                                   SIMULATION_POINTS_PER_SPLIT,
-                                   SIMULATION_POINTS_PER_SPLIT, None)
-    ood_train = sample_gaussian_cluster(ood_spec, ood_spec.n_train, rng)
-    ood_test = sample_gaussian_cluster(ood_spec, ood_spec.n_test, rng)
-
+    for mean in SIMULATION_IND_MEANS:
+        ind_train.append(blob(mean))
+        ind_test.append(blob(mean))
+    labels = np.repeat(np.arange(1, len(SIMULATION_IND_MEANS) + 1, dtype=np.int64), n)
     return Dataset(
         ind_train_x=np.concatenate(ind_train),
-        ind_train_y=np.concatenate(train_labels),
+        ind_train_y=labels,
         ind_test_x=np.concatenate(ind_test),
-        ind_test_y=np.concatenate(test_labels),
-        ood_train=ood_train,
-        ood_test=ood_test,
+        ind_test_y=labels.copy(),
+        ood_train=blob(SIMULATION_OOD_MEAN),
+        ood_test=blob(SIMULATION_OOD_MEAN),
         d=2,
         K=len(SIMULATION_IND_MEANS),
     )
@@ -203,21 +166,18 @@ def read_dataset_csv(path) -> Dataset:
                 raise ValueError(f"{path}:{line_no}: {split} labels must be >= 1, got {label}")
             rows[split].append(point)
             labels[split].append(label)
-
-    def block(name: str) -> np.ndarray:
-        data = rows[name]
-        return np.array(data) if data else np.empty((0, d))
-
-    ind_train_y = np.array(labels["ind_train"], dtype=np.int64)
-    ind_test_y = np.array(labels["ind_test"], dtype=np.int64)
-    n_classes = int(max(ind_train_y.max(initial=1), ind_test_y.max(initial=1), 2))
+    for split in ("ind_train", "ind_test", "ood_test"):
+        if not rows[split]:
+            raise ValueError(f"{path}: split {split} has no rows")
+    x = {name: np.array(points, dtype=float).reshape(-1, d) for name, points in rows.items()}
+    y = {name: np.array(labels[name], dtype=np.int64) for name in ("ind_train", "ind_test")}
     return Dataset(
-        ind_train_x=block("ind_train"),
-        ind_train_y=ind_train_y,
-        ind_test_x=block("ind_test"),
-        ind_test_y=ind_test_y,
-        ood_train=block("ood_train"),
-        ood_test=block("ood_test"),
+        ind_train_x=x["ind_train"],
+        ind_train_y=y["ind_train"],
+        ind_test_x=x["ind_test"],
+        ind_test_y=y["ind_test"],
+        ood_train=x["ood_train"],
+        ood_test=x["ood_test"],
         d=d,
-        K=n_classes,
+        K=int(max(y["ind_train"].max(), y["ind_test"].max(), 2)),
     )

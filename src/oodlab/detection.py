@@ -20,7 +20,6 @@ from .nets import MlpParams, _as_batch, read_float_csv, write_csv
 from .wasserstein import _score_blocks, _scoring_cost_matrix, score_batch
 
 __all__ = [
-    "Threshold",
     "GridSpec",
     "select_threshold",
     "tpr_at_tnr",
@@ -32,18 +31,6 @@ __all__ = [
     "read_heatmap_csv",
     "write_heatmap_pgm",
 ]
-
-
-@dataclass(frozen=True)
-class Threshold:
-    """Calibrated score cutoff together with the rate it was calibrated for."""
-
-    eta: float
-    target_tnr: float
-
-    def __post_init__(self):
-        if not 0.0 < self.target_tnr <= 1.0:
-            raise ValueError(f"target TNR must lie in (0, 1], got {self.target_tnr}")
 
 
 @dataclass(frozen=True)
@@ -65,8 +52,8 @@ class GridSpec:
             raise ValueError(f"grid_resolution must be >= 1, got {self.resolution}")
 
 
-def select_threshold(ind_scores, target_tnr: float) -> Threshold:
-    """Smallest observed score keeping at least `target_tnr` of the list at or below it."""
+def select_threshold(ind_scores, target_tnr: float) -> float:
+    """Eta: the smallest observed score with at least `target_tnr` of the list at or below it."""
     scores = np.asarray(ind_scores, dtype=float)
     if scores.size == 0:
         raise ValueError("threshold calibration needs at least one score")
@@ -78,16 +65,16 @@ def select_threshold(ind_scores, target_tnr: float) -> Threshold:
     # score admits all n, so some candidate always qualifies.
     admitted = np.searchsorted(ordered, ordered, side="right")
     first = int(np.argmax(admitted / scores.size >= target_tnr))
-    return Threshold(float(ordered[first]), target_tnr)
+    return float(ordered[first])
 
 
-def tpr_at_tnr(ind_scores, ood_scores, target_tnr: float) -> tuple[float, Threshold]:
-    """Detection rate on OoD scores at a threshold calibrated on InD scores."""
+def tpr_at_tnr(ind_scores, ood_scores, target_tnr: float) -> tuple[float, float]:
+    """(tpr, eta): the detection rate on OoD scores at eta calibrated on InD scores."""
     ood = np.asarray(ood_scores, dtype=float)
     if ood.size == 0:
         raise ValueError("need at least one OoD score")
-    threshold = select_threshold(ind_scores, target_tnr)
-    return float(np.mean(ood > threshold.eta)), threshold
+    eta = select_threshold(ind_scores, target_tnr)
+    return float(np.mean(ood > eta)), eta
 
 
 def scores_and_accuracy(D: MlpParams, points, labels, M) -> tuple[np.ndarray, float]:
@@ -135,10 +122,10 @@ def score_heatmap(D: MlpParams, grid: GridSpec, M) -> np.ndarray:
     return score_batch(D, points, M).reshape(res, res)
 
 
-def rejection_region_area(heatmap: np.ndarray, threshold: Threshold) -> float:
-    """Fraction of grid cells the detector rejects as out-of-distribution."""
+def rejection_region_area(heatmap: np.ndarray, eta: float) -> float:
+    """Fraction of grid cells the detector rejects as out-of-distribution at threshold eta."""
     cells = np.asarray(heatmap, dtype=float)
-    return float(np.mean(cells > threshold.eta))
+    return float(np.mean(cells > eta))
 
 
 def write_heatmap_csv(heatmap: np.ndarray, path) -> None:

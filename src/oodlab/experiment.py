@@ -32,11 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, parse_config, serialize_config
+from .config import ConfigError, ExperimentConfig, _tnr_label, parse_config, serialize_config
 from .data import Dataset, make_simulation_dataset, read_dataset_csv, subsample_ood
 from .detection import (
-    GridSpec,
-    Threshold,
     mad,
     read_heatmap_csv,
     rejection_region_area,
@@ -167,7 +165,7 @@ def run_replication(config: ExperimentConfig, index: int) -> ReplicationResult:
     ind_scores, accuracy = scores_and_accuracy(D, data.ind_test_x, data.ind_test_y, M)
     ood_scores = score_batch(D, data.ood_test, M)
 
-    calibrated = [tpr_at_tnr(ind_scores, ood_scores, t) for t in config.tnr_targets]
+    tprs, etas = zip(*(tpr_at_tnr(ind_scores, ood_scores, t) for t in config.tnr_targets))
     heatmap = _replication_heatmap(config, data, M, history)
     return ReplicationResult(
         index=index,
@@ -175,19 +173,15 @@ def run_replication(config: ExperimentConfig, index: int) -> ReplicationResult:
         accuracy=accuracy,
         mean_ind_score=float(ind_scores.mean()),
         mean_ood_score=float(ood_scores.mean()),
-        tprs=tuple(tpr for tpr, _ in calibrated),
-        etas=tuple(threshold.eta for _, threshold in calibrated),
+        tprs=tprs,
+        etas=etas,
         history=history,
         heatmap=heatmap,
     )
 
 
-def _target_label(t: float) -> str:
-    return format(t, "g")
-
-
 def _metric_columns(config: ExperimentConfig) -> tuple[str, ...]:
-    targets = [_target_label(t) for t in config.tnr_targets]
+    targets = [_tnr_label(t) for t in config.tnr_targets]
     return ("accuracy", "mean_ind_score", "mean_ood_score",
             *chain.from_iterable((f"tpr_at_{t}", f"eta_at_{t}") for t in targets))
 
@@ -221,12 +215,12 @@ def _write_summary(path: Path, report: ExperimentReport) -> None:
     for rep in report.replications:
         parts = [f"rep {rep.index} (seed {rep.seed}): accuracy={rep.accuracy:.6f}"]
         for t, tpr, eta in zip(config.tnr_targets, rep.tprs, rep.etas):
-            parts.append(f"tpr@{_target_label(t)}={tpr:.6f} (eta={eta:.6f})")
+            parts.append(f"tpr@{_tnr_label(t)}={tpr:.6f} (eta={eta:.6f})")
         lines.append("  ".join(parts))
     lines.append("")
     lines.append(f"mean accuracy: {report.mean_accuracy:.6f} (mad {report.mad_accuracy:.6f})")
     for t, m_tpr, d_tpr in zip(config.tnr_targets, report.mean_tprs, report.mad_tprs):
-        lines.append(f"mean tpr@{_target_label(t)}: {m_tpr:.6f} (mad {d_tpr:.6f})")
+        lines.append(f"mean tpr@{_tnr_label(t)}: {m_tpr:.6f} (mad {d_tpr:.6f})")
     lines.append("")
     lines.append("files:")
     lines.extend(f"  {name}" for name in report.files)
@@ -312,8 +306,6 @@ class LoadedRun:
 
 @dataclass(frozen=True)
 class ComparisonRecord:
-    tnr: float
-    grid: GridSpec
     areas_a: tuple[float, ...]
     areas_b: tuple[float, ...]
     differences: tuple[float, ...]
@@ -342,7 +334,7 @@ def load_report(out_dir) -> LoadedRun:
 
     etas_by_target: dict[float, tuple[float, ...]] = {}
     for target in config.tnr_targets:
-        name = f"eta_at_{_target_label(target)}"
+        name = f"eta_at_{_tnr_label(target)}"
         if name not in header:
             raise ValueError(f"report file {report} has no {name} column")
         column = header.index(name)
@@ -389,21 +381,10 @@ def compare_rejection_regions(run_a: LoadedRun, run_b: LoadedRun,
         if tnr not in run.etas_by_target:
             raise ValueError(f"run has no threshold calibrated at TNR {tnr}")
 
-    areas_a = []
-    areas_b = []
-    for hm_a, eta_a, hm_b, eta_b in zip(run_a.heatmaps, run_a.etas_by_target[tnr],
-                                        run_b.heatmaps, run_b.etas_by_target[tnr]):
-        areas_a.append(rejection_region_area(hm_a, Threshold(eta_a, tnr)))
-        areas_b.append(rejection_region_area(hm_b, Threshold(eta_b, tnr)))
+    areas_a = tuple(map(rejection_region_area, run_a.heatmaps, run_a.etas_by_target[tnr]))
+    areas_b = tuple(map(rejection_region_area, run_b.heatmaps, run_b.etas_by_target[tnr]))
     differences = tuple(a - b for a, b in zip(areas_a, areas_b))
-    return ComparisonRecord(
-        tnr=tnr,
-        grid=run_a.config.grid,
-        areas_a=tuple(areas_a),
-        areas_b=tuple(areas_b),
-        differences=differences,
-        mean_difference=float(np.mean(differences)),
-    )
+    return ComparisonRecord(areas_a, areas_b, differences, float(np.mean(differences)))
 
 
 def write_comparison_csv(record: ComparisonRecord, path) -> None:

@@ -41,12 +41,6 @@ Narrow rows: the softmax's row max and exp-sum and the score layer's row
 reductions over K < 8 classes run as K - 1 column ops (`_fold_columns`):
 max and min are exact, and numpy sums fewer than 8 entries left to right,
 the order the column ops keep.
-
-Gradient convention: for a ``Softmax`` head, :func:`mlp_backward` expects the
-upstream gradient with respect to the pre-head logits (the loss layer folds
-the softmax Jacobian in; see :mod:`oodlab.training`). For ``Tanh`` and
-``Identity`` heads it expects the gradient with respect to the raw network
-output.
 """
 
 from __future__ import annotations
@@ -300,15 +294,13 @@ class ForwardCache:
     derivative and a Tanh head's output with 1 - a², so a cache takes one
     backward pass per forward pass.
 
-    `inputs` is :func:`mlp_forward`'s batch, with its ones column, or None in
-    a kernel's cache. ``col`` is the Softmax head's (2, rows, 1) row max and
-    exp-sum. The backward arrays, `d` and the flat parameter gradient `grad`
+    ``col`` is the Softmax head's (2, rows, 1) row max and exp-sum. The
+    backward arrays, `d` and the flat parameter gradient `grad`
     with its per-layer ``[W | b]`` views `grad_blocks`, are empty unless
     asked for; the caller writes the upstream gradient into ``deltas[-1]``.
     """
 
     layer_sizes: tuple[int, ...]
-    inputs: np.ndarray | None
     a: tuple[np.ndarray, ...]
     logits: np.ndarray | None = None
     col: np.ndarray | None = None
@@ -336,10 +328,10 @@ def _as_batch(params: MlpParams, inputs, name: str = "input") -> np.ndarray:
     return x
 
 
-def _cache(params: MlpParams, rows: int, inputs: np.ndarray | None = None) -> ForwardCache:
+def _cache(params: MlpParams, rows: int) -> ForwardCache:
     """Empty forward arrays for a pass of `params` over `rows` inputs."""
     logits = np.empty((rows, params.output_dim)) if params.head is Head.SOFTMAX else None
-    return ForwardCache(params.layer_sizes, inputs, _layer_arrays(params, rows), logits,
+    return ForwardCache(params.layer_sizes, _layer_arrays(params, rows), logits,
                         np.empty((2, rows, 1)))
 
 
@@ -353,7 +345,7 @@ def _with_backward(params: MlpParams, cache: ForwardCache) -> ForwardCache:
 def _rows(cache: ForwardCache, start: int, stop: int) -> ForwardCache:
     """Views onto rows ``start:stop`` of a kernel cache's forward arrays."""
     logits = None if cache.logits is None else cache.logits[start:stop]
-    return ForwardCache(cache.layer_sizes, None, tuple(x[start:stop] for x in cache.a), logits,
+    return ForwardCache(cache.layer_sizes, tuple(x[start:stop] for x in cache.a), logits,
                         cache.col[:, start:stop])
 
 
@@ -449,51 +441,42 @@ def _adam(flat: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, t: i
     np.subtract(flat, s, out=flat)
 
 
-def mlp_forward(params: MlpParams, inputs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network on a (batch, input_dim) matrix.
+def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
+    """The (batch, output_dim) output of the network on a (batch, input_dim) matrix.
 
-    Returns the (batch, output_dim) output and the cache required by
-    :func:`mlp_backward`. A single point is a (1, input_dim) batch.
+    A single point is a (1, input_dim) batch.
     """
-    x = _as_batch(params, inputs)
+    x = _as_batch(params, x)
     x = _with_ones(*x.shape, fill=x)
-    cache = _cache(params, x.shape[0], inputs=x)
-    return _forward(params, x, cache), cache
+    return _forward(params, x, _cache(params, x.shape[0]))
 
 
-def mlp_backward(params: MlpParams, cache: ForwardCache, output_gradient: np.ndarray,
+def mlp_backward(params: MlpParams, x: np.ndarray, upstream: np.ndarray,
                  param_grad: bool = True) -> np.ndarray:
-    """Backpropagate an upstream gradient through the forward pass of `cache`.
+    """Backpropagate an upstream gradient through the network's pass over the batch `x`.
 
-    The pass is rerun on fresh arrays over ``cache.inputs``, so `cache` is
-    left as it was and can be backpropagated again.
-    For a Softmax head `output_gradient` must already be with respect to the
-    pre-head logits; for Tanh and Identity heads it is with respect to the
-    output itself. The gradient is a (batch, output_dim) matrix and the
-    per-sample contributions are summed, so any 1/batch averaging belongs in
-    the loss layer. Returns one array: the flat parameter gradient, skipping
-    layer 0's ``delta @ W0`` that only the input gradient needs; or, with
+    `x` is a (batch, input_dim) matrix and `upstream` a (batch, output_dim)
+    one: for a Softmax head the gradient with respect to the pre-head
+    logits (the loss layer folds the softmax Jacobian in), for Tanh and
+    Identity heads with respect to the output itself. The per-sample
+    contributions are summed, so any 1/batch averaging belongs in the loss
+    layer. Returns one array: the flat parameter gradient, skipping layer
+    0's ``delta @ W0`` that only the input gradient needs; or, with
     ``param_grad=False``, the (batch, input_dim) input gradient, skipping
     every parameter product, for callers that chain through a frozen network.
     """
-    if cache.layer_sizes != params.layer_sizes:
-        raise ValueError(
-            f"cache built for layers {cache.layer_sizes}, params have {params.layer_sizes}"
-        )
-    g = np.asarray(output_gradient, dtype=float)
-    if g.shape != cache.activations[-1].shape:
-        raise ValueError(
-            f"output gradient has shape {np.shape(output_gradient)}, "
-            f"expected {cache.activations[-1].shape}"
-        )
-
-    # A fresh pass, as the backward kernel spends the one it runs on.
-    work = _with_backward(params, _cache(params, g.shape[0]))
-    _forward(params, cache.inputs, work)
-    work.deltas[-1][...] = g
-    dx = None if param_grad else np.empty((g.shape[0], params.input_dim + 1))
-    _backward(params, cache.inputs, work, dx)
-    return work.grad if param_grad else dx[:, :-1]
+    x = _as_batch(params, x, "inputs")
+    g = np.asarray(upstream, dtype=float)
+    if g.shape != (x.shape[0], params.output_dim):
+        raise ValueError(f"upstream gradient has shape {np.shape(upstream)}, "
+                         f"expected ({x.shape[0]}, {params.output_dim})")
+    x = _with_ones(*x.shape, fill=x)
+    cache = _with_backward(params, _cache(params, x.shape[0]))
+    _forward(params, x, cache)
+    cache.deltas[-1][...] = g
+    dx = None if param_grad else np.empty_like(x)
+    _backward(params, x, cache, dx)
+    return cache.grad if param_grad else dx[:, :-1]
 
 
 def adam_step(params: MlpParams, grad: np.ndarray, state: AdamState,

@@ -449,6 +449,8 @@ def _draws(rng: Rng, iterations: int, n_d: int, n_g: int, batch_ind: int, n_ind:
 def _train(config: TrainConfig, data: Dataset, rng: Rng | None,
            with_generator: bool) -> TrainHistory:
     """The one loop behind `train_see_ood` and `train_wood`; see the module docstring."""
+    if data.ind_train_x.shape[0] == 0:
+        raise ValueError("training requires at least one labeled InD sample")
     if data.ood_train.shape[0] == 0:
         raise ValueError("training requires at least one observed OoD sample")
     if rng is None:
@@ -541,9 +543,7 @@ def sample_generator(G: MlpParams, count: int, n: int, rng: Rng) -> np.ndarray:
         raise ValueError(f"generator expects noise dimension {G.input_dim}, got {n}")
     if count == 0:
         return np.empty((0, G.output_dim))
-    noise = sample_noise(n, count, rng)
-    out, _ = mlp_forward(G, noise)
-    return out
+    return mlp_forward(G, sample_noise(n, count, rng))
 
 
 def write_history_csv(history: TrainHistory, path) -> None:

@@ -153,7 +153,7 @@ def reference_adam(params: MlpParams, grad: np.ndarray, state: AdamState,
 
 def reference_classification_accuracy(D: MlpParams, points, labels) -> float:
     """Fraction of points whose argmax class (smallest index on ties) matches the label."""
-    probs, _ = mlp_forward(D, np.asarray(points, dtype=float))
+    probs = mlp_forward(D, np.asarray(points, dtype=float))
     predicted = np.argmax(probs, axis=1) + 1
     return float(np.mean(predicted == np.asarray(labels)))
 

@@ -13,7 +13,7 @@ import pytest
 
 from oodlab.config import preset_config
 from oodlab.data import sample_noise
-from oodlab.detection import Threshold, rejection_region_area, select_threshold
+from oodlab.detection import rejection_region_area, select_threshold
 from oodlab.experiment import compare_rejection_regions, load_report, run_experiment
 from oodlab.nets import (
     Activation,
@@ -87,8 +87,7 @@ def rejection_areas(report):
     idx = report.config.tnr_targets.index(TNR95)
     areas = []
     for rep in report.replications:
-        threshold = Threshold(rep.etas[idx], TNR95)
-        areas.append(rejection_region_area(rep.heatmap, threshold))
+        areas.append(rejection_region_area(rep.heatmap, rep.etas[idx]))
     return areas
 
 
@@ -212,10 +211,10 @@ def test_criterion_7_threshold_calibration():
     for _ in range(500):
         scores = rng.uniform(0.0, 0.7, size=int(rng.integers(1, 400)))
         for target in (0.9, 0.95, 0.99, 1.0):
-            th = select_threshold(scores, target)
+            eta = select_threshold(scores, target)
             n = scores.size
-            assert np.sum(scores <= th.eta) / n >= target
-            for candidate in np.unique(scores[scores < th.eta]):
+            assert np.sum(scores <= eta) / n >= target
+            for candidate in np.unique(scores[scores < eta]):
                 assert np.sum(scores <= candidate) / n < target
             checked += 1
     check(

@@ -204,3 +204,9 @@ class TestExperimentConfigValidation:
     def test_negative_subsample(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(ood_subsample=-1)
+
+    @pytest.mark.parametrize("targets", [(0.95, 0.9500000001), (0.95, 0.95), (0.99, 0.5, 0.99)])
+    def test_targets_with_one_label_rejected(self, targets):
+        """report.csv names its columns by ``format(t, "g")``; two targets may not share one."""
+        with pytest.raises(ConfigError, match=r"section \[eval\]: tnr_targets"):
+            ExperimentConfig(tnr_targets=targets)

@@ -7,10 +7,8 @@ from kernel_reference import reference_standard_normal
 
 from oodlab.data import (
     Dataset,
-    GaussianClusterSpec,
     make_simulation_dataset,
     read_dataset_csv,
-    sample_gaussian_cluster,
     sample_noise,
     subsample_ood,
     write_dataset_csv,
@@ -81,26 +79,6 @@ class TestRng:
             Rng(0).choose_without_replacement(5, 6)
         with pytest.raises(ValueError):
             Rng(0).indices_below(0, 1)
-
-
-class TestGaussianCluster:
-    def test_zero_std_collapses_to_mean(self):
-        spec = GaussianClusterSpec((1.5, -2.0), 0.0, 4, 0, 1)
-        points = sample_gaussian_cluster(spec, 4, Rng(0))
-        npt.assert_array_equal(points, np.tile([1.5, -2.0], (4, 1)))
-
-    def test_moments_at_fixed_seed(self):
-        spec = GaussianClusterSpec((4.0, 3.0), 0.3, 0, 0, 1)
-        points = sample_gaussian_cluster(spec, 10000, Rng(123))
-        npt.assert_allclose(points.mean(axis=0), [4.0, 3.0], atol=0.02)
-        npt.assert_allclose(points.std(axis=0), [0.3, 0.3], atol=0.02)
-
-    def test_deterministic(self):
-        spec = GaussianClusterSpec((0.0, 0.0), 1.0, 0, 0, None)
-        npt.assert_array_equal(
-            sample_gaussian_cluster(spec, 50, Rng(9)),
-            sample_gaussian_cluster(spec, 50, Rng(9)),
-        )
 
 
 class TestSimulationDataset:

@@ -11,7 +11,6 @@ from kernel_reference import (
 
 from oodlab.detection import (
     GridSpec,
-    Threshold,
     mad,
     read_heatmap_csv,
     rejection_region_area,
@@ -40,16 +39,15 @@ def sort_and_count_eta(scores, target):
 class TestSelectThreshold:
     def test_decile_scores(self):
         scores = [round(0.1 * i, 10) for i in range(1, 11)]
-        th = select_threshold(scores, 0.9)
-        assert th.eta == pytest.approx(0.9)
-        assert th.eta == pytest.approx(sort_and_count_eta(scores, 0.9))
+        eta = select_threshold(scores, 0.9)
+        assert eta == pytest.approx(0.9)
+        assert eta == pytest.approx(sort_and_count_eta(scores, 0.9))
 
     def test_target_one_takes_max(self):
-        assert select_threshold([0.4, 0.9, 0.1], 1.0).eta == 0.9
+        assert select_threshold([0.4, 0.9, 0.1], 1.0) == 0.9
 
     def test_all_equal_scores(self):
-        th = select_threshold([0.3, 0.3, 0.3], 0.5)
-        assert th.eta == 0.3
+        assert select_threshold([0.3, 0.3, 0.3], 0.5) == 0.3
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -64,23 +62,23 @@ class TestSelectThreshold:
         rng = np.random.default_rng(round(target * 100))
         for _ in range(100):
             scores = rng.uniform(0, 0.7, size=rng.integers(1, 200))
-            th = select_threshold(scores, target)
+            eta = select_threshold(scores, target)
             n = scores.size
-            assert np.sum(scores <= th.eta) / n >= target
-            smaller = scores[scores < th.eta]
+            assert np.sum(scores <= eta) / n >= target
+            smaller = scores[scores < eta]
             for candidate in np.unique(smaller):
                 assert np.sum(scores <= candidate) / n < target
 
 
 class TestTprAtTnr:
     def test_simple_counts(self):
-        tpr, th = tpr_at_tnr([0.1, 0.2], [0.5, 0.6], 1.0)
-        assert th.eta == pytest.approx(0.2)
+        tpr, eta = tpr_at_tnr([0.1, 0.2], [0.5, 0.6], 1.0)
+        assert eta == pytest.approx(0.2)
         assert tpr == 1.0
 
     def test_ties_count_as_ind(self):
-        tpr, th = tpr_at_tnr([0.5, 0.5], [0.5, 0.5], 1.0)
-        assert th.eta == 0.5 and tpr == 0.0
+        tpr, eta = tpr_at_tnr([0.5, 0.5], [0.5, 0.5], 1.0)
+        assert eta == 0.5 and tpr == 0.0
 
     def test_separated_scores_always_perfect(self):
         ind = np.linspace(0.0, 0.2, 50)
@@ -194,7 +192,7 @@ class TestHeatmap:
         hm = score_heatmap(net, grid, binary_cost_matrix(2))
         from oodlab.nets import mlp_forward
         from oodlab.wasserstein import wasserstein_score
-        out, _ = mlp_forward(net, np.array([[1.0, 1.0]]))
+        out = mlp_forward(net, np.array([[1.0, 1.0]]))
         expected, _ = wasserstein_score(out[0], binary_cost_matrix(2))
         assert hm.shape == (1, 1)
         assert hm[0, 0] == pytest.approx(expected, abs=1e-12)
@@ -216,18 +214,18 @@ class TestHeatmap:
 
 class TestRejectionArea:
     def test_all_below(self):
-        assert rejection_region_area(np.full((4, 4), 0.1), Threshold(0.5, 0.95)) == 0.0
+        assert rejection_region_area(np.full((4, 4), 0.1), 0.5) == 0.0
 
     def test_all_above(self):
-        assert rejection_region_area(np.full((4, 4), 0.6), Threshold(0.5, 0.95)) == 1.0
+        assert rejection_region_area(np.full((4, 4), 0.6), 0.5) == 1.0
 
     def test_partial(self):
         hm = np.array([[0.1, 0.9], [0.9, 0.9]])
-        assert rejection_region_area(hm, Threshold(0.5, 0.95)) == 0.75
+        assert rejection_region_area(hm, 0.5) == 0.75
 
     def test_boundary_cells_count_as_kept(self):
         hm = np.array([[0.5, 0.5], [0.5, 0.6]])
-        assert rejection_region_area(hm, Threshold(0.5, 0.95)) == 0.25
+        assert rejection_region_area(hm, 0.5) == 0.25
 
 
 class TestExports:

@@ -10,6 +10,7 @@ import pytest
 import oodlab.experiment as experiment
 from oodlab.cli import main
 from oodlab.config import ExperimentConfig, parse_config, preset_config
+from oodlab.data import Dataset, write_dataset_csv
 from oodlab.detection import GridSpec
 from oodlab.experiment import (
     compare_rejection_regions,
@@ -17,6 +18,7 @@ from oodlab.experiment import (
     run_experiment,
     run_replication,
 )
+from oodlab.rng import Rng
 from oodlab.training import TrainConfig
 
 
@@ -334,6 +336,23 @@ class TestCli:
         assert trained == []
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("split", ["ind_train", "ind_test", "ood_test"])
+    def test_empty_split_fails_before_training(self, tmp_path, capsys, monkeypatch, split):
+        trained = []
+        monkeypatch.setattr(experiment, "train_see_ood", lambda *a: trained.append(a))
+        assert main(["gen-data", "--out", str(tmp_path / "d")]) == 0
+        path = tmp_path / "d" / "dataset.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("".join(line + "\n" for line in lines if not line.endswith("," + split)))
+        cfg = tmp_path / "c.ini"
+        write_tiny_config(cfg)
+        cfg.write_text(cfg.read_text().replace(
+            "[data]\n", f"[data]\nsource = csv\npath = {path}\n"))
+        assert main(["replicate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert f"{path}: split {split} has no rows" in capsys.readouterr().err
+        assert trained == []
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["train", "replicate"])
     def test_architecture_mismatch_is_config_error(self, tmp_path, capsys, command):
         cfg = tmp_path / "c.ini"
@@ -353,6 +372,8 @@ class TestCli:
         ("grid_x_min", "9", "eval"),
         ("replications", "0", "eval"),
         ("seed", "-5", "train"),
+        ("tnr_targets", "0.95 0.9500000001", "eval"),
+        ("tnr_targets", "0.95 0.95", "eval"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, key, value, section):
         cfg = tmp_path / "c.ini"
@@ -400,6 +421,49 @@ class TestCli:
                      str(tmp_path / "nope2"), "--out", str(tmp_path / "o")]) == 3
 
 
+class TestThreeDimensionalData:
+    """Data with d = 3, the one path without heatmaps."""
+
+    @pytest.fixture
+    def config_path(self, tmp_path):
+        rng = Rng(0)
+
+        def points(n, center):
+            return center + rng.standard_normal(3 * n).reshape(n, 3)
+
+        labels = np.repeat(np.array([1, 2], dtype=np.int64), 4)
+        data = Dataset(points(8, 0.0), labels, points(8, 0.0), labels.copy(),
+                       points(3, 4.0), points(3, 4.0), d=3, K=2)
+        write_dataset_csv(data, tmp_path / "d3.csv")
+        cfg = tmp_path / "d3.ini"
+        cfg.write_text("[method]\nmethod = wood\n"
+                       "[train]\niterations = 5\nbatch_ind = 4\ndiscriminator_arch = 3 8 2\n"
+                       f"[data]\nsource = csv\npath = {tmp_path / 'd3.csv'}\n"
+                       "[eval]\nreplications = 1\n")
+        return cfg
+
+    def test_replicate_writes_no_heatmaps(self, tmp_path, config_path):
+        run = tmp_path / "run"
+        assert main(["replicate", "--config", str(config_path), "--out", str(run)]) == 0
+        assert sorted(p.name for p in (run / "rep000").iterdir()) == [
+            "history.csv", "weights_discriminator.txt"]
+
+    def test_heatmap_is_runtime_error(self, tmp_path, capsys, config_path):
+        out = tmp_path / "hm"
+        assert main(["heatmap", "--config", str(config_path), "--out", str(out)]) == 3
+        assert "heatmaps require 2-D data" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_compare_names_missing_heatmap(self, tmp_path, capsys, config_path):
+        run = tmp_path / "run"
+        assert main(["replicate", "--config", str(config_path), "--out", str(run)]) == 0
+        capsys.readouterr()
+        assert main(["compare", "--a", str(run), "--b", str(run),
+                     "--out", str(tmp_path / "cmp")]) == 3
+        assert f"run {run} has no heatmap for replication 0" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+
+
 def test_seed_sweep_set_zero_is_the_gated_run(capsys):
     """`scripts/seed_sweep.py` prints, for set 0, the minima over the preset's own seeds."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "seed_sweep.py"
@@ -427,3 +491,27 @@ def test_ab_time_checkout_against_itself(capsys):
     assert "trained weights byte-equal in 2 of 2 rounds" in lines
     assert "heatmaps byte-equal in 2 of 2 rounds" in lines
     assert [line.split()[0] for line in lines[-2:]] == ["us_per_iteration", "heatmap_ms"]
+
+
+def test_loc_rows_sum_to_line_counts(tmp_path, capsys):
+    """`scripts/loc.py` counts each line once: its kinds sum to the file's line count."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("loc", root / "scripts" / "loc.py")
+    loc = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(loc)
+    sample = tmp_path / "sample.py"
+    sample.write_text('"""Doc.\n\nMore."""\n# comment\n\ndef f():\n    """One."""\n'
+                      '    return 1  # trailing\n')
+    assert loc.count_lines(sample) == {"total": 8, "code": 2, "docstring": 4,
+                                       "comment": 1, "blank": 1}
+
+    package = Path(experiment.__file__).parent
+    assert loc.main([str(package)]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["module", "total", "code", "docstring", "comment", "blank"]
+    paths = sorted(package.glob("*.py"))
+    assert [row.split()[0] for row in rows] == [p.name for p in paths] + ["sum"]
+    lengths = [len(p.read_text(encoding="utf-8").splitlines()) for p in paths]
+    for row, length in zip(rows, lengths + [sum(lengths)]):
+        total, *kinds = map(int, row.split()[1:])
+        assert total == sum(kinds) == length

@@ -92,27 +92,27 @@ class TestSoftmax:
 class TestForward:
     def test_identity_network(self):
         net = linear_net(np.eye(2), np.zeros(2))
-        out, _ = mlp_forward(net, [[1.0, 2.0]])
+        out = mlp_forward(net, [[1.0, 2.0]])
         npt.assert_array_equal(out, [[1.0, 2.0]])
 
     def test_zero_logits_give_uniform(self):
         net = linear_net(np.zeros((3, 2)), np.zeros(3), head=Head.SOFTMAX)
-        out, _ = mlp_forward(net, [[4.2, -1.3]])
+        out = mlp_forward(net, [[4.2, -1.3]])
         npt.assert_allclose(out[0], np.full(3, 1 / 3), atol=1e-15)
 
     def test_random_nets_emit_probability_vectors(self):
         for seed in range(100):
             net = init_mlp((2, 16, 3), Activation.RELU, Head.SOFTMAX, Rng(seed))
-            out, _ = mlp_forward(net, Rng(seed + 1000).standard_normal(2).reshape(1, 2))
+            out = mlp_forward(net, Rng(seed + 1000).standard_normal(2).reshape(1, 2))
             assert abs(out.sum() - 1.0) < 1e-12
             assert (out > 0).all()
 
     def test_batched_matches_single(self):
         net = init_mlp((2, 8, 3), Activation.TANH, Head.SOFTMAX, Rng(3))
         x = Rng(4).standard_normal(10).reshape(5, 2)
-        batch_out, _ = mlp_forward(net, x)
+        batch_out = mlp_forward(net, x)
         for i in range(5):
-            single, _ = mlp_forward(net, x[i:i + 1])
+            single = mlp_forward(net, x[i:i + 1])
             # Batches of 5 and of 1 may use different BLAS kernels; agree
             # to floating-point noise, not necessarily bit-exactly.
             npt.assert_allclose(batch_out[i], single[0], rtol=1e-12, atol=1e-15)
@@ -122,23 +122,19 @@ class TestForward:
         """The pure wrappers give equal bits twice and never mutate an argument."""
         net = init_mlp((2, 8, 3), Activation.RELU, Head.SOFTMAX, Rng(5))
         x = np.array([[0.3, -0.7]])
-        a, _ = mlp_forward(net, x)
-        b, _ = mlp_forward(net, x)
-        npt.assert_array_equal(a, b)
+        npt.assert_array_equal(mlp_forward(net, x), mlp_forward(net, x))
 
         # The backward kernel spends its pass and, for a Tanh head, its upstream gradient.
         net = init_mlp((2, 8, 3), Activation.TANH, head, Rng(6))
         x = Rng(7).standard_normal(8).reshape(4, 2)
         up = Rng(8).standard_normal(12).reshape(4, 3)
-        _, cache = mlp_forward(net, x)
         _, state = adam_step(net, np.ones_like(net.flat), init_adam(net), 0.1)
-        grad = mlp_backward(net, cache, up)
-        arguments = [net.flat, x, up, grad, state.m, state.v, cache.inputs, *cache.a,
-                     *([] if cache.logits is None else [cache.logits])]
+        grad = mlp_backward(net, x, up)
+        arguments = [net.flat, x, up, grad, state.m, state.v]
         before = [arg.copy() for arg in arguments]
         for param_grad in (True, False):
-            npt.assert_array_equal(mlp_backward(net, cache, up, param_grad),
-                                   mlp_backward(net, cache, up, param_grad))
+            npt.assert_array_equal(mlp_backward(net, x, up, param_grad),
+                                   mlp_backward(net, x, up, param_grad))
         a_params, a_state = adam_step(net, grad, state, 0.1)
         b_params, b_state = adam_step(net, grad, state, 0.1)
         npt.assert_array_equal(a_params.flat, b_params.flat)
@@ -155,27 +151,27 @@ class TestForward:
         net = init_mlp((2, 4, 3), Activation.RELU, Head.SOFTMAX, Rng(0))
         with pytest.raises(ValueError):
             mlp_forward(net, [1.0, 2.0])
-        _, cache = mlp_forward(net, [[1.0, 2.0]])
         with pytest.raises(ValueError):
-            mlp_backward(net, cache, np.zeros(3))
+            mlp_backward(net, [1.0, 2.0], np.zeros((1, 3)))
+        with pytest.raises(ValueError):
+            mlp_backward(net, [[1.0, 2.0]], np.zeros(3))
 
 
 class TestBackward:
     def test_zero_output_gradient(self):
         net = init_mlp((2, 8, 3), Activation.RELU, Head.IDENTITY, Rng(1))
-        out, cache = mlp_forward(net, [[0.5, -0.2]])
-        grads = mlp_backward(net, cache, np.zeros((1, 3)))
+        x = [[0.5, -0.2]]
+        grads = mlp_backward(net, x, np.zeros((1, 3)))
         assert np.abs(grads).max() == 0.0
-        dx = mlp_backward(net, cache, np.zeros((1, 3)), param_grad=False)
+        dx = mlp_backward(net, x, np.zeros((1, 3)), param_grad=False)
         npt.assert_array_equal(dx, [[0.0, 0.0]])
 
     def test_single_linear_layer(self):
         w = np.array([[2.0, -3.0]])
         net = linear_net(w, [0.0])
         x = np.array([[0.7, 1.1]])
-        _, cache = mlp_forward(net, x)
-        grads = mlp_backward(net, cache, np.array([[1.0]]))
-        dx = mlp_backward(net, cache, np.array([[1.0]]), param_grad=False)
+        grads = mlp_backward(net, x, np.array([[1.0]]))
+        dx = mlp_backward(net, x, np.array([[1.0]]), param_grad=False)
         npt.assert_allclose(grads[:2], x[0])
         npt.assert_allclose(dx[0], w[0])
 
@@ -185,12 +181,10 @@ class TestBackward:
         direction = Rng(99).standard_normal(3)
 
         def scalar_loss(params):
-            out, _ = mlp_forward(params, np.array([[0.37, -0.81]]))
-            return float(direction @ out[0])
+            return float(direction @ mlp_forward(params, np.array([[0.37, -0.81]]))[0])
 
         net = init_mlp((2, 8, 3), hidden, head, Rng(11))
-        _, cache = mlp_forward(net, np.array([[0.37, -0.81]]))
-        analytic = mlp_backward(net, cache, direction[None, :])
+        analytic = mlp_backward(net, np.array([[0.37, -0.81]]), direction[None, :])
         numeric = finite_difference_gradient(scalar_loss, net, 1e-5)
         assert relative_error(analytic, numeric) < 1e-4
 
@@ -204,12 +198,12 @@ class TestBackward:
         direction = rng.standard_normal(12).reshape(4, 3)
 
         def input_loss(points):
-            out, cache = mlp_forward(net, points)
+            cache = _cache(net, points.shape[0])
+            out = _forward(net, _with_ones(*points.shape, fill=points), cache)
             # A Softmax head takes its upstream gradient with respect to the logits.
             return float(np.sum(direction * (cache.logits if head is Head.SOFTMAX else out)))
 
-        _, cache = mlp_forward(net, x)
-        analytic = mlp_backward(net, cache, direction, param_grad=False)
+        analytic = mlp_backward(net, x, direction, param_grad=False)
         assert analytic.shape == x.shape
         step = 1e-5
         numeric = np.zeros_like(x)
@@ -220,12 +214,12 @@ class TestBackward:
             numeric[i] = (input_loss(up) - input_loss(down)) / (2.0 * step)
         assert relative_error(analytic.ravel(), numeric.ravel()) < 1e-4
 
-    def test_mismatched_cache_rejected(self):
-        net_a = init_mlp((2, 8, 3), Activation.RELU, Head.IDENTITY, Rng(1))
-        net_b = init_mlp((2, 6, 3), Activation.RELU, Head.IDENTITY, Rng(2))
-        _, cache = mlp_forward(net_a, [[0.1, 0.2]])
-        with pytest.raises(ValueError):
-            mlp_backward(net_b, cache, np.zeros((1, 3)))
+    def test_wrong_input_width_rejected(self):
+        net = init_mlp((2, 8, 3), Activation.RELU, Head.IDENTITY, Rng(1))
+        with pytest.raises(ValueError, match="inputs"):
+            mlp_backward(net, [[0.1, 0.2, 0.3]], np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="upstream"):
+            mlp_backward(net, [[0.1, 0.2]], np.zeros((2, 3)))
 
     def test_gradient_correctness_over_random_nets(self):
         """20 seeded nets and batches: analytic vs central differences."""
@@ -236,11 +230,9 @@ class TestBackward:
             direction = rng.standard_normal(12).reshape(4, 3)
 
             def batch_loss(params):
-                out, _ = mlp_forward(params, batch)
-                return float(np.sum(direction * out))
+                return float(np.sum(direction * mlp_forward(params, batch)))
 
-            _, cache = mlp_forward(net, batch)
-            analytic = mlp_backward(net, cache, direction)
+            analytic = mlp_backward(net, batch, direction)
             numeric = finite_difference_gradient(batch_loss, net, 1e-5)
             assert relative_error(analytic, numeric) < 1e-4
 
@@ -249,7 +241,7 @@ class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         net = init_mlp((2, 4, 2), Activation.RELU, Head.IDENTITY, Rng(0))
         state = init_adam(net)
-        grads = mlp_backward(net, mlp_forward(net, [[0.0, 0.0]])[1], np.zeros((1, 2)))
+        grads = mlp_backward(net, [[0.0, 0.0]], np.zeros((1, 2)))
         updated, new_state = adam_step(net, grads, state, 0.1)
         assert new_state.t == 1
         for old, new in zip(net.weights, updated.weights):
@@ -278,8 +270,7 @@ class TestAdam:
     def test_bitwise_deterministic(self):
         net = init_mlp((2, 5, 2), Activation.RELU, Head.IDENTITY, Rng(8))
         state = init_adam(net)
-        _, cache = mlp_forward(net, [[0.4, 0.6]])
-        grads = mlp_backward(net, cache, np.array([[1.0, -2.0]]))
+        grads = mlp_backward(net, [[0.4, 0.6]], np.array([[1.0, -2.0]]))
         a_params, a_state = adam_step(net, grads, state, 0.01)
         b_params, b_state = adam_step(net, grads, state, 0.01)
         for wa, wb in zip(a_params.weights, b_params.weights):
@@ -333,9 +324,8 @@ class TestKernelsBitwise:
             got = wide[:, :-1]
         assert np.array_equal(got, ref)
 
-        out, cache = mlp_forward(net, x)
-        assert np.array_equal(out, ref_out)
-        assert np.array_equal(mlp_backward(net, cache, up, param_grad), ref)
+        assert np.array_equal(mlp_forward(net, x), ref_out)
+        assert np.array_equal(mlp_backward(net, x, up, param_grad), ref)
 
     def test_adam_over_several_steps(self):
         net = perturbed_net((2, 128, 3), Activation.RELU, Head.SOFTMAX, 4)
@@ -383,8 +373,7 @@ class TestKernelsBitwise:
         x = 3.0 * rng.standard_normal(2000).reshape(1000, 2)
         up = rng.standard_normal(3000).reshape(1000, 3)
         _, ref_cache = reference_forward(net, x)
-        _, cache = mlp_forward(net, x)
-        npt.assert_allclose(mlp_backward(net, cache, up),
+        npt.assert_allclose(mlp_backward(net, x, up),
                             reference_backward(net, ref_cache, up), rtol=1e-12)
 
 

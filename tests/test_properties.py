@@ -49,10 +49,10 @@ def test_score_closed_form_and_bounds(p):
 @settings(max_examples=200)
 def test_threshold_calibration_sound_and_minimal(scores, target):
     arr = np.array(scores)
-    th = select_threshold(arr, target)
+    eta = select_threshold(arr, target)
     n = arr.size
-    assert np.sum(arr <= th.eta) / n >= target
-    for candidate in np.unique(arr[arr < th.eta]):
+    assert np.sum(arr <= eta) / n >= target
+    for candidate in np.unique(arr[arr < eta]):
         assert np.sum(arr <= candidate) / n < target
 
 

@@ -21,6 +21,9 @@ from oodlab.nets import (
     Head,
     MlpParams,
     NumericError,
+    _cache,
+    _forward,
+    _with_ones,
     finite_difference_gradient,
     init_adam,
     init_mlp,
@@ -158,28 +161,34 @@ class TestDiscriminatorLoss:
         _assert_gradients_close(grads, numeric, rtol=1e-4)
 
 
+def _logits(D, x):
+    """D's pre-softmax logits over the rows of `x`, from a kernel pass."""
+    cache = _cache(D, x.shape[0])
+    _forward(D, _with_ones(*x.shape, fill=x), cache)
+    return cache.logits
+
+
 def three_pass_loss_and_grads(D, ind_x, ind_y, ood_x, gen_x, beta_ood, beta_z, M):
     """Reference discriminator loss: one forward and backward pass per batch."""
     targets = np.eye(D.output_dim)[np.asarray(ind_y) - 1]
-    probs_ind, cache_ind = mlp_forward(D, ind_x)
     n_ind = ind_x.shape[0]
-    ce = float(-np.sum(reference_log_softmax(cache_ind.logits) * targets) / n_ind)
-    grads = mlp_backward(D, cache_ind, (probs_ind - targets) / n_ind)
+    ce = float(-np.sum(reference_log_softmax(_logits(D, ind_x)) * targets) / n_ind)
+    grads = mlp_backward(D, ind_x, (mlp_forward(D, ind_x) - targets) / n_ind)
 
-    probs_ood, cache_ood = mlp_forward(D, ood_x)
     n_ood = ood_x.shape[0]
-    ood_scores, ood_logit_grads = reference_score_values_and_logit_grads(probs_ood, M)
+    ood_scores, ood_logit_grads = reference_score_values_and_logit_grads(
+        mlp_forward(D, ood_x), M)
     mean_ood = float(ood_scores.mean())
-    g_ood = mlp_backward(D, cache_ood, (-beta_ood / n_ood) * ood_logit_grads)
+    g_ood = mlp_backward(D, ood_x, (-beta_ood / n_ood) * ood_logit_grads)
     grads = grads + g_ood
 
     mean_gen = 0.0
     if gen_x.shape[0] > 0:
-        probs_gen, cache_gen = mlp_forward(D, gen_x)
         n_gen = gen_x.shape[0]
-        gen_scores, gen_logit_grads = reference_score_values_and_logit_grads(probs_gen, M)
+        gen_scores, gen_logit_grads = reference_score_values_and_logit_grads(
+            mlp_forward(D, gen_x), M)
         mean_gen = float(gen_scores.mean())
-        g_gen = mlp_backward(D, cache_gen, (-beta_z / n_gen) * gen_logit_grads)
+        g_gen = mlp_backward(D, gen_x, (-beta_z / n_gen) * gen_logit_grads)
         grads = grads + g_gen
 
     loss = ce - beta_ood * mean_ood - beta_z * mean_gen
@@ -208,10 +217,9 @@ class TestStackedDiscriminatorStep:
 
 
 def _ce_value(params, ind_x, ind_y):
-    out, cache = mlp_forward(params, ind_x)
-    logits = cache.logits
     targets = np.eye(params.output_dim)[np.asarray(ind_y) - 1]
-    return float(-np.sum(reference_log_softmax(logits) * targets) / ind_x.shape[0])
+    return float(-np.sum(reference_log_softmax(_logits(params, ind_x)) * targets)
+                 / ind_x.shape[0])
 
 
 def _assert_gradients_close(analytic, numeric, rtol):
@@ -350,6 +358,13 @@ class TestTrainWood:
     def test_requires_observed_ood(self):
         with pytest.raises(ValueError):
             train_wood(quick_config(), small_dataset(n_ood=0))
+
+    @pytest.mark.parametrize("trainer", [train_see_ood, train_wood])
+    def test_requires_labeled_ind(self, trainer):
+        data = small_dataset()
+        data = replace(data, ind_train_x=data.ind_train_x[:0], ind_train_y=data.ind_train_y[:0])
+        with pytest.raises(ValueError, match="at least one labeled InD sample"):
+            trainer(quick_config(), data)
 
     def test_ignores_n_d(self):
         # The baseline takes one discriminator step per iteration whatever n_d says.

@@ -167,7 +167,7 @@ class TestScoreBatch:
         pts = Rng(3).standard_normal(10).reshape(5, 2)
         batch = score_batch(net, pts, binary_cost_matrix(3))
         for i, p in enumerate(pts):
-            out, _ = mlp_forward(net, p[None, :])
+            out = mlp_forward(net, p[None, :])
             single, _ = wasserstein_score(out[0], binary_cost_matrix(3))
             assert abs(batch[i] - single) < 1e-12
 
@@ -184,7 +184,7 @@ class TestScoreBatch:
         for seed in range(4):
             net = perturbed_net((2, 128, 3), Activation.RELU, Head.SOFTMAX, 10 * seed)
             points = 4.0 * Rng(10 * seed + 2).standard_normal(2 * rows).reshape(rows, 2)
-            probs, _ = mlp_forward(net, points)
+            probs = mlp_forward(net, points)
             assert np.array_equal(score_batch(net, points, M),
                                   reference_score_rows(probs, M)[0])
 
