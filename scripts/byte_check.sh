@@ -38,7 +38,7 @@ run() {  # run CHECKOUT OUTDIR
     printf '0,1,2\n1,0,1\n2,1,0\n' > cost.csv
     printf '%s\n' '[method]' 'method = see_ood' \
         '[train]' 'iterations = 50' 'lr_d = 0.01' \
-        '[data]' 'source = csv' 'path = gen-data/dataset.csv' 'cost_matrix = cost.csv' \
+        '[data]' 'path = gen-data/dataset.csv' 'cost_matrix = cost.csv' \
         'ood_subsample = 3' \
         '[eval]' 'replications = 1' 'grid_resolution = 20' > full.ini
     oodlab replicate --config full.ini --out full

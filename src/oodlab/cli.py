@@ -40,11 +40,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_config: bool = True):
-        if with_config:
-            p.add_argument("--config", help="experiment config file")
-            p.add_argument("--preset", choices=sorted(config_mod.PRESETS),
-                           help="named configuration; file keys override it")
+    def add_common(p: argparse.ArgumentParser):
+        p.add_argument("--config", help="experiment config file")
+        p.add_argument("--preset", choices=sorted(config_mod.PRESETS),
+                       help="named configuration; file keys override it")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, help="override the base seed")
 
@@ -60,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_parser.add_argument("--b", required=True, help="second run directory")
     cmp_parser.add_argument("--tnr", type=float, default=0.95,
                             help="TNR target whose thresholds to use (default 0.95)")
-    add_common(cmp_parser, with_config=False)
+    cmp_parser.add_argument("--out", required=True, help="output directory")
     return parser
 
 
@@ -114,6 +113,10 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_heatmap(args) -> int:
     cfg = _resolve_config(args)
+    # Training requires the data's width to equal this one, so this fails before any work.
+    width = cfg.train.discriminator_arch[0]
+    if width != 2:
+        raise ValueError(f"heatmaps require 2-D data; discriminator_arch takes {width}-D inputs")
     _, data, M, history = _train_replication(cfg, 0)
     heatmap = _replication_heatmap(cfg, data, M, history)
     out = Path(args.out)

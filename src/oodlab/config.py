@@ -12,13 +12,12 @@ names its section and key, and its line if the value does not parse.
 
     [train]
     beta_ood beta_z n_d n_g lr_d lr_g batch_ind batch_ood batch_gen
-    noise_dim iterations seed adam_beta1 adam_beta2 adam_epsilon
+    iterations seed adam_beta1 adam_beta2 adam_epsilon
     discriminator_arch = 2 128 3
-    generator_arch = 2 128 2
+    generator_arch = 2 128 2    # the first size is the noise width
 
     [data]
-    source = builtin | csv
-    path = <dataset csv, required for source=csv>
+    path = <dataset csv; without it, the builtin benchmark>
     cost_matrix = <cost matrix csv; evaluation defaults to the binary matrix>
     ood_subsample = <keep this many OoD training points>
 
@@ -27,7 +26,6 @@ names its section and key, and its line if the value does not parse.
     replications = 3
     grid_x_min = -1   grid_x_max = 8   grid_y_min = -1   grid_y_max = 8
     grid_resolution = 200
-    output_dir = out
 
 Checks that need the data (the OoD pool left by ``ood_subsample``, the cost
 matrix's size against the classes, layer sizes against the data) also exit
@@ -65,9 +63,7 @@ __all__ = [
 ]
 
 Method = Literal["see_ood", "wood"]
-Source = Literal["builtin", "csv"]
 METHODS = get_args(Method)
-SOURCES = get_args(Source)
 
 
 class ConfigError(ValueError):
@@ -83,14 +79,12 @@ def _tnr_label(t: float) -> str:
 class ExperimentConfig:
     method: Method = "see_ood"
     train: TrainConfig = field(default_factory=TrainConfig)
-    data_source: Source = "builtin"
     data_path: str | None = None
     cost_matrix_path: str | None = None
     ood_subsample: int | None = None
     tnr_targets: tuple[float, ...] = (0.95, 0.99)
     replications: int = 3
     grid: GridSpec = field(default_factory=lambda: GridSpec(-1.0, 8.0, -1.0, 8.0, 200))
-    output_dir: str = "out"
 
     def __post_init__(self):
         def require(ok: bool, section: str, message: str) -> None:
@@ -100,10 +94,7 @@ class ExperimentConfig:
 
         require(self.method in METHODS, "method",
                 f"method must be one of {METHODS}, got {self.method!r}")
-        require(self.data_source in SOURCES, "data",
-                f"source must be one of {SOURCES}, got {self.data_source!r}")
-        require(self.data_source != "csv" or bool(self.data_path), "data",
-                "source = csv requires path")
+        require(self.data_path != "", "data", "path must not be empty")
         require(self.ood_subsample is None or self.ood_subsample >= 0, "data",
                 f"ood_subsample must be >= 0, got {self.ood_subsample}")
         require(self.replications >= 1, "eval",
@@ -161,10 +152,8 @@ _FIELD_KINDS = {
     float: (float, fmt_float),
     int: (int, str),
     int | None: (int, str),
-    str: (str, str),
     str | None: (str, str),
     Method: (_choice(Method), str),
-    Source: (_choice(Source), str),
     tuple[int, ...]: (_tuple_of(int), lambda values: " ".join(map(str, values))),
     tuple[float, ...]: (_tuple_of(float), lambda values: " ".join(map(fmt_float, values))),
 }
@@ -183,14 +172,13 @@ def _keys(cls, owner: str | None, names: dict[str, str] | None = None,
 _KEYS = {
     "method": _keys(ExperimentConfig, None, {"method": "method"}),
     "train": _keys(TrainConfig, "train"),
-    "data": _keys(ExperimentConfig, None, {"source": "data_source", "path": "data_path",
+    "data": _keys(ExperimentConfig, None, {"path": "data_path",
                                            "cost_matrix": "cost_matrix_path",
                                            "ood_subsample": "ood_subsample"}),
     "eval": {
         **_keys(ExperimentConfig, None, {"tnr_targets": "tnr_targets",
                                          "replications": "replications"}),
         **_keys(GridSpec, "grid", prefix="grid_"),
-        **_keys(ExperimentConfig, None, {"output_dir": "output_dir"}),
     },
 }
 

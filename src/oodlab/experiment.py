@@ -104,8 +104,12 @@ class ExperimentReport:
         return self.mads[3::2]
 
 
+def _data_label(config: ExperimentConfig) -> str:
+    return "builtin" if config.data_path is None else f"csv ({config.data_path})"
+
+
 def _build_dataset(config: ExperimentConfig, rng: Rng) -> Dataset:
-    if config.data_source == "builtin":
+    if config.data_path is None:
         data = make_simulation_dataset(rng)
     else:
         data = read_dataset_csv(config.data_path)
@@ -118,7 +122,7 @@ def _build_dataset(config: ExperimentConfig, rng: Rng) -> Dataset:
         data = subsample_ood(data, config.ood_subsample, rng)
     if data.ood_train.shape[0] == 0:
         raise ConfigError("training needs at least one observed OoD point; the data has none"
-                          f" (source {config.data_source}, ood_subsample {config.ood_subsample})")
+                          f" (data {_data_label(config)}, ood_subsample {config.ood_subsample})")
     return data
 
 
@@ -204,8 +208,7 @@ def _write_summary(path: Path, report: ExperimentReport) -> None:
         f"method: {config.method}",
         f"replications: {config.replications} (seeds {config.train.seed}"
         f"..{config.train.seed + config.replications - 1})",
-        f"data: {config.data_source}"
-        + (f" ({config.data_path})" if config.data_path else "")
+        f"data: {_data_label(config)}"
         + (f", ood_subsample={config.ood_subsample}" if config.ood_subsample is not None else ""),
         f"grid: x [{config.grid.x_min}, {config.grid.x_max}], "
         f"y [{config.grid.y_min}, {config.grid.y_max}], "
@@ -241,10 +244,8 @@ def write_training_files(history: TrainHistory, out_dir) -> tuple[str, ...]:
     return tuple(names)
 
 
-def write_heatmap_files(heatmap: np.ndarray | None, K: int, out_dir) -> tuple[str, ...]:
+def write_heatmap_files(heatmap: np.ndarray, K: int, out_dir) -> tuple[str, ...]:
     """Write a K-class score heatmap as CSV and PGM into `out_dir`; return the names."""
-    if heatmap is None:
-        raise ValueError("heatmaps require 2-D data")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_heatmap_csv(heatmap, out / "heatmap.csv")
@@ -252,7 +253,7 @@ def write_heatmap_files(heatmap: np.ndarray | None, K: int, out_dir) -> tuple[st
     return ("heatmap.csv", "heatmap.pgm")
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentReport:
     """Run every replication, then write the output directory and aggregate metrics.
 
     No file or directory is created before the last replication finishes, so
@@ -265,7 +266,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
         except NumericError as exc:
             raise NumericError(f"replication {index}: {exc}") from exc
 
-    out = Path(out_dir if out_dir is not None else config.output_dir)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = ["config.ini", "report.csv", "summary.txt"]
     (out / "config.ini").write_text(serialize_config(config), encoding="utf-8")

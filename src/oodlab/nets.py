@@ -62,7 +62,6 @@ __all__ = [
     "Head",
     "MlpParams",
     "AdamState",
-    "ForwardCache",
     "NumericError",
     "init_adam",
     "init_mlp",

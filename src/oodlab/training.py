@@ -1,60 +1,34 @@
 """Adversarial and baseline training of the scoring classifier.
 
-Two trainers share one loss family. The discriminator loss on a minibatch is
+Two trainers share one loss family. The discriminator D descends, on each
+minibatch,
 
     mean cross-entropy(InD)
       - beta_ood * mean score(observed OoD)
       - beta_z   * mean score(generated points)
 
-which the discriminator descends: it learns to classify labeled points
-confidently while mapping both observed and generated outliers to high
-scores, so the generated batch acts as beta_z-weighted augmentation of the
-observed pool. The generator ascends ``beta_z * mean score(D(G(z)))``,
-steering its samples toward regions the discriminator still finds uncertain;
-the two updates together let the pair stake out out-of-distribution
-territory beyond the observed points. Both trainers run one loop: per outer
-iteration, n_d discriminator steps, then n_g generator steps. `train_wood`
-runs it without a generator, as the paper's baseline is SEE-OoD minus the
-generator: an empty generated batch, beta_z = 0, and one discriminator step
-per iteration whatever n_d says.
+so it classifies labeled points while giving observed and generated
+outliers high scores. The generator G ascends ``beta_z * mean
+score(D(G(z)))``. Each outer iteration takes n_d D steps, then n_g G steps.
+`train_wood` is the paper's baseline, SEE-OoD without a generator: no
+generated batch, beta_z = 0, and one D step per iteration whatever n_d says.
 
-A discriminator step is one forward and one backward pass over the stacked
-``[InD; observed OoD; generated]`` batch; a generator step backpropagates
-through the frozen discriminator for its input gradient only. The loop checks
-architectures and labels once per run, then calls the unchecked step kernels
-behind `discriminator_loss_and_grads` and `generator_objective_and_grads`.
-G's weights change only in its own steps, so each iteration runs G once over
-every noise batch that sees the same weights: the n_d D steps' batches and
-the first G step's, stacked. Each D step copies its block of that pass's
-output; the first G step backpropagates through its own rows of it, and a
-later G step (n_g > 1) runs its own pass in those rows. Each block's values
-are those of a pass over that batch alone, bit for bit.
+A D step is one forward and one backward pass over the stacked ``[InD;
+observed OoD; generated]`` batch; a G step backpropagates through the frozen
+D for its input gradient only. Each iteration runs G once over the stacked
+noise of its D steps and first G step, and each block's values are those of
+a pass over that batch alone, bit for bit. After set-up the loop allocates
+no array data: `nets.ForwardCache` and `_LossWorkspace` hold every pass, and
+`nets._adam` updates the parameter vectors in place. Each step checks that
+its loss or objective and D's logits are finite; `TrainHistory` gets fresh
+copies of the weights, checked finite.
 
-After set-up the training loop allocates no array data. A
-`nets.ForwardCache` holds each network pass: one array per layer for its
-values (``a``) and one for its gradients (``d``), a Softmax head's logits
-and the flat gradient. A `_LossWorkspace` holds D's pass and loss layer over
-a stacked batch. Every batch carries the kernels' ones column
-(`nets._with_ones`): the training pools get theirs once per run, so
-``np.take`` copies whole rows; the D steps copy G's output ``a[-1]`` and the
-G step's D pass reads it in place, then writes D's input gradient straight
-into G's ``d[-1]``.
-D's and G's parameter vectors are private to the run and updated in place
-by `nets._adam`, with step t counted by the loop. `TrainHistory` gets fresh
-copies at the end, whose construction checks the trained weights are
-finite. Each step checks that the loss and the objective are finite, and
-`nets._softmax` that D's logits are.
-
-Minibatches are drawn uniformly with replacement from each pool, with the
-OoD batch size clamped to the pool size. Runs are deterministic functions of
-(config, data, seed): the discriminator is initialized first, then the
-generator; each discriminator step then draws InD indices, OoD indices and
-noise, and each generator step draws noise. No draw depends on the training
-state, so `_draws` takes them a chunk of iterations at a time, into per-run
-buffers: as many iterations as fit in `DRAW_CHUNK_UNIFORMS` uniforms (at
-least one) per `Rng.uniform` block, in that order; then all of the chunk's
-indices in one multiply per pool and all of its noise in one `_box_muller`
-pass. Every value, and where the stream stops, is as with per-step draws,
+Minibatches are drawn uniformly with replacement from each pool, the OoD
+batch clamped to the pool size. A run is a deterministic function of
+(config, data) and the `Rng` passed in, which it draws from in this order:
+D's initialization, then G's; then per D step InD indices, OoD indices and
+noise, and per G step noise. `_draws` takes them a chunk of iterations at a
+time, with every value, and where the stream stops, as with per-step draws,
 so a caller's `Rng` reused after training sees the same next draw.
 """
 
@@ -116,7 +90,6 @@ class TrainConfig:
     batch_ind: int = 64
     batch_ood: int = 32
     batch_gen: int = 64
-    noise_dim: int = 2
     iterations: int = 2000
     seed: int = 0
     discriminator_arch: tuple[int, ...] = (2, 128, 3)
@@ -130,7 +103,7 @@ class TrainConfig:
             raise ValueError(f"beta_ood must be > 0, got {self.beta_ood}")
         if self.beta_z < 0.0:
             raise ValueError(f"beta_z must be >= 0, got {self.beta_z}")
-        for name in ("n_d", "n_g", "batch_ind", "batch_ood", "batch_gen", "noise_dim"):
+        for name in ("n_d", "n_g", "batch_ind", "batch_ood", "batch_gen"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("lr_d", "lr_g"):
@@ -152,6 +125,11 @@ class TrainConfig:
     def effective_batch_ood(self, pool_size: int) -> int:
         """OoD minibatches never exceed the observed pool."""
         return min(self.batch_ood, pool_size)
+
+    @property
+    def noise_dim(self) -> int:
+        """G's noise width, the first size of `generator_arch`."""
+        return self.generator_arch[0]
 
 
 @dataclass(frozen=True)
@@ -356,7 +334,7 @@ def generator_objective_and_grads(
 
 
 def check_architectures(config: TrainConfig, data: Dataset, with_generator: bool) -> None:
-    """Raise ValueError unless the configured layer sizes fit the data and noise."""
+    """Raise ValueError unless the configured layer sizes fit the data."""
     if config.discriminator_arch[0] != data.d:
         raise ValueError(
             f"discriminator input dimension {config.discriminator_arch[0]} "
@@ -367,17 +345,11 @@ def check_architectures(config: TrainConfig, data: Dataset, with_generator: bool
             f"discriminator output dimension {config.discriminator_arch[-1]} "
             f"does not match class count {data.K}"
         )
-    if with_generator:
-        if config.generator_arch[0] != config.noise_dim:
-            raise ValueError(
-                f"generator input dimension {config.generator_arch[0]} "
-                f"does not match noise_dim {config.noise_dim}"
-            )
-        if config.generator_arch[-1] != data.d:
-            raise ValueError(
-                f"generator output dimension {config.generator_arch[-1]} "
-                f"does not match data dimension {data.d}"
-            )
+    if with_generator and config.generator_arch[-1] != data.d:
+        raise ValueError(
+            f"generator output dimension {config.generator_arch[-1]} "
+            f"does not match data dimension {data.d}"
+        )
 
 
 # Uniforms per chunk in `_draws`. At 8 bytes each this keeps the chunk's
@@ -446,15 +418,12 @@ def _draws(rng: Rng, iterations: int, n_d: int, n_g: int, batch_ind: int, n_ind:
             yield ind_idx[r], ood_idx[r], None if noise is None else noise[r]
 
 
-def _train(config: TrainConfig, data: Dataset, rng: Rng | None,
-           with_generator: bool) -> TrainHistory:
+def _train(config: TrainConfig, data: Dataset, rng: Rng, with_generator: bool) -> TrainHistory:
     """The one loop behind `train_see_ood` and `train_wood`; see the module docstring."""
     if data.ind_train_x.shape[0] == 0:
         raise ValueError("training requires at least one labeled InD sample")
     if data.ood_train.shape[0] == 0:
         raise ValueError("training requires at least one observed OoD sample")
-    if rng is None:
-        rng = Rng(config.seed)
     check_architectures(config, data, with_generator)
 
     M = binary_cost_matrix(data.K)
@@ -527,23 +496,21 @@ def _train(config: TrainConfig, data: Dataset, rng: Rng | None,
                         None if G is None else replace(G, flat=G.flat.copy()))
 
 
-def train_see_ood(config: TrainConfig, data: Dataset, rng: Rng | None = None) -> TrainHistory:
+def train_see_ood(config: TrainConfig, data: Dataset, rng: Rng) -> TrainHistory:
     """Alternating adversarial training; requires at least one observed OoD point."""
     return _train(config, data, rng, with_generator=True)
 
 
-def train_wood(config: TrainConfig, data: Dataset, rng: Rng | None = None) -> TrainHistory:
+def train_wood(config: TrainConfig, data: Dataset, rng: Rng) -> TrainHistory:
     """Generator-free baseline: descend ``mean CE - beta_ood * mean score(OoD)``."""
     return _train(config, data, rng, with_generator=False)
 
 
-def sample_generator(G: MlpParams, count: int, n: int, rng: Rng) -> np.ndarray:
-    """`count` generated points from standard-normal noise of dimension n."""
-    if G.input_dim != n:
-        raise ValueError(f"generator expects noise dimension {G.input_dim}, got {n}")
+def sample_generator(G: MlpParams, count: int, rng: Rng) -> np.ndarray:
+    """`count` generated points from standard-normal noise of G's input width."""
     if count == 0:
         return np.empty((0, G.output_dim))
-    return mlp_forward(G, sample_noise(n, count, rng))
+    return mlp_forward(G, sample_noise(G.input_dim, count, rng))
 
 
 def write_history_csv(history: TrainHistory, path) -> None:

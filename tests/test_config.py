@@ -1,5 +1,6 @@
 """Config parsing: defaults, precise errors, presets, round trip."""
 
+import re
 from dataclasses import fields
 
 import pytest
@@ -29,7 +30,7 @@ class TestParsing:
         assert cfg.tnr_targets == (0.95, 0.99)
         assert cfg.replications == 3
         assert cfg.grid.resolution == 200
-        assert cfg.data_source == "builtin"
+        assert cfg.data_path is None
 
     def test_empty_train_section_keeps_defaults(self):
         cfg = parse_config(MINIMAL + "\n[train]\n")
@@ -83,17 +84,24 @@ class TestParsing:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config(MINIMAL + "[train]\nn_d = 1\nn_d = 2\n")
 
-    def test_csv_source_requires_path(self):
-        with pytest.raises(ConfigError, match="path"):
-            parse_config(MINIMAL + "[data]\nsource = csv\n")
+    def test_empty_path_rejected(self):
+        with pytest.raises(ConfigError, match=r"\[data\]: path must not be empty"):
+            parse_config(MINIMAL + "[data]\npath =\n")
+
+    @pytest.mark.parametrize("section, key", [
+        ("data", "source"), ("train", "noise_dim"), ("eval", "output_dir")])
+    def test_removed_key_is_unknown(self, section, key):
+        # `path` selects the data, `generator_arch` the noise width, and --out the directory.
+        with pytest.raises(ConfigError, match=rf"line 4: unknown key '{key}'"):
+            parse_config(MINIMAL + f"[{section}]\n{key} = 2\n")
 
     def test_bad_method_value(self):
         with pytest.raises(ConfigError, match="method"):
             parse_config("[method]\nmethod = extra\n")
 
-    def test_bad_source_value_names_line(self):
-        with pytest.raises(ConfigError, match=r"line 4.*'source'"):
-            parse_config(MINIMAL + "[data]\nsource = ftp\n")
+    def test_bad_data_value_names_line(self):
+        with pytest.raises(ConfigError, match=r"line 4.*'ood_subsample'"):
+            parse_config(MINIMAL + "[data]\nood_subsample = many\n")
 
 
 class TestPresets:
@@ -149,7 +157,7 @@ class TestRoundTrip:
         text = MINIMAL + (
             "[train]\n"
             "beta_ood = 2.5\nbeta_z = 0.125\nn_d = 3\nn_g = 4\nlr_d = 0.003\nlr_g = 0.007\n"
-            "batch_ind = 17\nbatch_ood = 9\nbatch_gen = 33\nnoise_dim = 3\n"
+            "batch_ind = 17\nbatch_ood = 9\nbatch_gen = 33\n"
             "iterations = 11\nseed = 42\n"
             "discriminator_arch = 2 16 8 3\ngenerator_arch = 3 24 2\n"
             "adam_beta1 = 0.8\nadam_beta2 = 0.99\nadam_epsilon = 1e-6\n"
@@ -167,33 +175,40 @@ class TestRoundTrip:
 
     def test_custom_config_round_trips(self):
         cfg = parse_config(MINIMAL + (
-            "[data]\nsource = csv\npath = data/points.csv\ncost_matrix = data/cost.csv\n"
+            "[data]\npath = data/points.csv\ncost_matrix = data/cost.csv\n"
             "ood_subsample = 5\n"
-            "[eval]\ntnr_targets = 0.9, 0.95,0.5\nreplications = 2\noutput_dir = results\n"
+            "[eval]\ntnr_targets = 0.9, 0.95,0.5\nreplications = 2\n"
         ))
         assert serialize_config(cfg) == (
             "[method]\nmethod = see_ood\n\n"
             "[train]\nbeta_ood = 1\nbeta_z = 0.001\nn_d = 2\nn_g = 1\nlr_d = 0.0001\n"
-            "lr_g = 0.0001\nbatch_ind = 64\nbatch_ood = 32\nbatch_gen = 64\nnoise_dim = 2\n"
+            "lr_g = 0.0001\nbatch_ind = 64\nbatch_ood = 32\nbatch_gen = 64\n"
             "iterations = 2000\nseed = 0\ndiscriminator_arch = 2 128 3\n"
             "generator_arch = 2 128 2\nadam_beta1 = 0.5\nadam_beta2 = 0.999\n"
             "adam_epsilon = 1e-08\n\n"
-            "[data]\nsource = csv\npath = data/points.csv\ncost_matrix = data/cost.csv\n"
+            "[data]\npath = data/points.csv\ncost_matrix = data/cost.csv\n"
             "ood_subsample = 5\n\n"
             "[eval]\ntnr_targets = 0.90000000000000002 0.94999999999999996 0.5\n"
             "replications = 2\ngrid_x_min = -1\ngrid_x_max = 8\ngrid_y_min = -1\n"
-            "grid_y_max = 8\ngrid_resolution = 200\noutput_dir = results\n"
+            "grid_y_max = 8\ngrid_resolution = 200\n"
         )
         assert parse_config(serialize_config(cfg)) == cfg
 
     def test_docstring_names_every_key(self):
-        cfg = ExperimentConfig(data_source="csv", data_path="d.csv", cost_matrix_path="c.csv",
-                               ood_subsample=1)
+        """The key reference (the `--help` epilog) names each key, and no other."""
+        cfg = ExperimentConfig(data_path="d.csv", cost_matrix_path="c.csv", ood_subsample=1)
         keys = [line.split(" = ")[0] for line in serialize_config(cfg).splitlines()
                 if " = " in line]
-        assert len(keys) == 30
+        assert len(keys) == 27
         for key in keys + ["preset"]:
             assert key in config_mod.__doc__.split(), key
+        # The indented block: `key = ...` lines, and [train]'s list of bare keys.
+        named = []
+        for line in config_mod.__doc__.splitlines():
+            line = line.split("#")[0]
+            if line.startswith("    ") and not line.strip().startswith("["):
+                named += re.findall(r"(\w+) =", line) if "=" in line else line.split()
+        assert sorted(named) == sorted(keys + ["preset"])
 
 
 class TestExperimentConfigValidation:

@@ -2,6 +2,7 @@
 
 import csv
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,11 @@ class TestRunExperiment:
                          "weights_generator.txt", "heatmap.csv", "heatmap.pgm"):
                 assert (rep_dir / name).exists()
         assert set(report.files) >= {"config.ini", "report.csv", "rep000/heatmap.csv"}
+        assert "data: builtin, ood_subsample=2\n" in (tmp_path / "summary.txt").read_text()
+
+    def test_output_directory_is_required(self):
+        assert inspect.signature(run_experiment).parameters["out_dir"].default is (
+            inspect.Parameter.empty)
 
     def test_wood_run_has_no_generator_weights(self, tmp_path):
         cfg = tiny_config(method="wood")
@@ -330,7 +336,7 @@ class TestCli:
         cfg = tmp_path / "c.ini"
         write_tiny_config(cfg)
         cfg.write_text(cfg.read_text().replace(
-            "[data]\n", f"[data]\nsource = csv\npath = {path}\n"))
+            "[data]\n", f"[data]\npath = {path}\n"))
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         assert f"{path}:2: coordinates must be finite" in capsys.readouterr().err
         assert trained == []
@@ -347,7 +353,7 @@ class TestCli:
         cfg = tmp_path / "c.ini"
         write_tiny_config(cfg)
         cfg.write_text(cfg.read_text().replace(
-            "[data]\n", f"[data]\nsource = csv\npath = {path}\n"))
+            "[data]\n", f"[data]\npath = {path}\n"))
         assert main(["replicate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         assert f"{path}: split {split} has no rows" in capsys.readouterr().err
         assert trained == []
@@ -413,8 +419,14 @@ class TestCli:
 
     def test_runtime_error_exit_code(self, tmp_path):
         cfg = tmp_path / "c.ini"
-        cfg.write_text("[method]\nmethod = wood\n[data]\nsource = csv\npath = missing.csv\n")
+        cfg.write_text("[method]\nmethod = wood\n[data]\npath = missing.csv\n")
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+
+    def test_compare_takes_no_seed(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["compare", "--a", "a", "--b", "b", "--seed", "1", "--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     def test_compare_missing_dir_exit_code(self, tmp_path):
         assert main(["compare", "--a", str(tmp_path / "nope"), "--b",
@@ -438,7 +450,7 @@ class TestThreeDimensionalData:
         cfg = tmp_path / "d3.ini"
         cfg.write_text("[method]\nmethod = wood\n"
                        "[train]\niterations = 5\nbatch_ind = 4\ndiscriminator_arch = 3 8 2\n"
-                       f"[data]\nsource = csv\npath = {tmp_path / 'd3.csv'}\n"
+                       f"[data]\npath = {tmp_path / 'd3.csv'}\n"
                        "[eval]\nreplications = 1\n")
         return cfg
 
@@ -447,11 +459,16 @@ class TestThreeDimensionalData:
         assert main(["replicate", "--config", str(config_path), "--out", str(run)]) == 0
         assert sorted(p.name for p in (run / "rep000").iterdir()) == [
             "history.csv", "weights_discriminator.txt"]
+        assert f"data: csv ({tmp_path / 'd3.csv'})\n" in (run / "summary.txt").read_text()
 
-    def test_heatmap_is_runtime_error(self, tmp_path, capsys, config_path):
+    def test_heatmap_is_runtime_error(self, tmp_path, capsys, monkeypatch, config_path):
+        trained = []
+        monkeypatch.setattr(experiment, "train_wood", lambda *a: trained.append(a))
         out = tmp_path / "hm"
         assert main(["heatmap", "--config", str(config_path), "--out", str(out)]) == 3
-        assert "heatmaps require 2-D data" in capsys.readouterr().err
+        assert "heatmaps require 2-D data; discriminator_arch takes 3-D inputs" in (
+            capsys.readouterr().err)
+        assert trained == []
         assert not out.exists()
 
     def test_compare_names_missing_heatmap(self, tmp_path, capsys, config_path):

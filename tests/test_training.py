@@ -1,5 +1,6 @@
 """Loss components, gradient fidelity, trainer determinism and conventions."""
 
+import inspect
 import math
 from dataclasses import replace
 
@@ -81,6 +82,15 @@ class TestTrainConfig:
         cfg = TrainConfig(batch_ood=32)
         assert cfg.effective_batch_ood(2) == 2
         assert cfg.effective_batch_ood(100) == 32
+
+    def test_noise_dim_is_generator_input_width(self):
+        assert TrainConfig(generator_arch=(3, 8, 2)).noise_dim == 3
+        with pytest.raises(TypeError):
+            replace(TrainConfig(), noise_dim=3)
+
+    @pytest.mark.parametrize("trainer", [train_see_ood, train_wood])
+    def test_trainers_take_the_rng(self, trainer):
+        assert inspect.signature(trainer).parameters["rng"].default is inspect.Parameter.empty
 
 
 class TestDiscriminatorLoss:
@@ -304,7 +314,7 @@ class TestTrainSeeOod:
     def test_requires_observed_ood(self):
         data = small_dataset(n_ood=0)
         with pytest.raises(ValueError):
-            train_see_ood(quick_config(), data)
+            train_see_ood(quick_config(), data, Rng(0))
 
     def test_deterministic_given_seed(self):
         cfg = quick_config()
@@ -357,14 +367,14 @@ class TestTrainWood:
 
     def test_requires_observed_ood(self):
         with pytest.raises(ValueError):
-            train_wood(quick_config(), small_dataset(n_ood=0))
+            train_wood(quick_config(), small_dataset(n_ood=0), Rng(0))
 
     @pytest.mark.parametrize("trainer", [train_see_ood, train_wood])
     def test_requires_labeled_ind(self, trainer):
         data = small_dataset()
         data = replace(data, ind_train_x=data.ind_train_x[:0], ind_train_y=data.ind_train_y[:0])
         with pytest.raises(ValueError, match="at least one labeled InD sample"):
-            trainer(quick_config(), data)
+            trainer(quick_config(), data, Rng(0))
 
     def test_ignores_n_d(self):
         # The baseline takes one discriminator step per iteration whatever n_d says.
@@ -468,7 +478,7 @@ class TestWorkspaceMatchesReference:
         (5, dict(batch_ood=32)),
         (40, dict(batch_ind=24, batch_gen=40)),
         # 63 noise values per batch; chunks of 2 (see_ood) and 10 (wood) iterations.
-        (40, dict(noise_dim=3, batch_gen=21, generator_arch=(3, 16, 2), iterations=25,
+        (40, dict(batch_gen=21, generator_arch=(3, 16, 2), iterations=25,
                   chunk=1000)),
     ], ids=["d-heavy-mix", "g-heavy-mix", "ood-clamped", "batch-gen-differs",
             "multi-chunk-odd-noise"])
@@ -555,24 +565,18 @@ class TestBlockDraws:
 class TestSampleGenerator:
     def test_empty(self):
         G = init_mlp((2, 4, 2), Activation.RELU, Head.IDENTITY, Rng(0))
-        assert sample_generator(G, 0, 2, Rng(1)).shape == (0, 2)
+        assert sample_generator(G, 0, Rng(1)).shape == (0, 2)
 
     def test_identity_generator_returns_noise(self):
         G = MlpParams((2, 2), np.column_stack([np.eye(2), np.zeros(2)]).ravel(),
                       Activation.RELU, Head.IDENTITY)
-        out = sample_generator(G, 6, 2, Rng(21))
+        out = sample_generator(G, 6, Rng(21))
         expected = sample_noise(2, 6, Rng(21))
         npt.assert_allclose(out, expected, rtol=1e-15)
 
     def test_deterministic(self):
         G = init_mlp((3, 5, 2), Activation.TANH, Head.IDENTITY, Rng(2))
-        npt.assert_array_equal(sample_generator(G, 4, 3, Rng(5)),
-                               sample_generator(G, 4, 3, Rng(5)))
-
-    def test_dimension_mismatch(self):
-        G = init_mlp((3, 5, 2), Activation.RELU, Head.IDENTITY, Rng(2))
-        with pytest.raises(ValueError):
-            sample_generator(G, 4, 2, Rng(5))
+        npt.assert_array_equal(sample_generator(G, 4, Rng(5)), sample_generator(G, 4, Rng(5)))
 
 
 class TestHistoryCsv:
