@@ -8,11 +8,14 @@ the same. Each checkout's package is loaded under its own module name, so
 both run in this process and see the same machine load. Every round trains
 one replication of the preset, cut to the given iterations, on each side,
 alternating which side goes first, and scores its heatmap. The script
-prints each round's training µs per iteration and `score_heatmap` ms, then
-each side's median and interquartile range, the change/parent ratio of the
-medians and how many rounds the change won. It also says whether the two
-sides' trained weights and heatmaps are byte-equal; the exit status is 1 if
-any differ. BLAS runs on one thread unless the environment says otherwise.
+prints each round's training µs per iteration, optimizer steps per second
+and `score_heatmap` ms, then each side's median and interquartile range, the
+change/parent ratio of the medians and how many rounds the change won.
+Steps follow the benchmark's `steps_per_s` rule: n_d + n_g per iteration
+for see_ood and one for wood, over the training time. It also says whether
+the two sides' trained weights and heatmaps are byte-equal; the exit status
+is 1 if any differ. BLAS runs on one thread unless the environment says
+otherwise.
 """
 
 from __future__ import annotations
@@ -57,6 +60,8 @@ class Side:
         self.Rng = importlib.import_module(f"{name}.rng").Rng
         cfg = config.preset_config(preset)
         self.config = replace(cfg, train=replace(cfg.train, iterations=iterations))
+        per_iteration = cfg.train.n_d + cfg.train.n_g if cfg.method == "see_ood" else 1
+        self.steps = per_iteration * iterations
 
     def replication(self, index: int) -> tuple[float, float, bytes, bytes]:
         """Train replication `index` and score its heatmap.
@@ -99,9 +104,11 @@ def main(argv=None) -> int:
     sides = [Side(path, f"oodlab_ab_{side}", args.preset, args.iterations)
              for side, path in zip(SIDES, (args.parent, args.change))]
     per_iteration = {side: [] for side in SIDES}
+    steps_per_s = {side: [] for side in SIDES}
     heatmap_ms = {side: [] for side in SIDES}
     equal_weights = equal_heatmaps = 0
-    print("round  first   parent_us/it  change_us/it  parent_heat_ms  change_heat_ms")
+    print("round  first   parent_us/it  change_us/it  parent_steps/s  change_steps/s  "
+          "parent_heat_ms  change_heat_ms")
     for r in range(args.rounds):
         index = r % sides[0].config.replications
         order = (0, 1) if r % 2 == 0 else (1, 0)
@@ -110,19 +117,24 @@ def main(argv=None) -> int:
             results[i] = sides[i].replication(index)
         for side, (train_s, heat_s, _, _) in zip(SIDES, results):
             per_iteration[side].append(1e6 * train_s / args.iterations)
+            steps_per_s[side].append(sides[0].steps / train_s)
             heatmap_ms[side].append(1e3 * heat_s)
         equal_weights += results[0][2] == results[1][2]
         equal_heatmaps += results[0][3] == results[1][3]
         print(f"{r:5d}  {SIDES[order[0]]:6s}  {per_iteration['parent'][-1]:12.1f}  "
-              f"{per_iteration['change'][-1]:12.1f}  {heatmap_ms['parent'][-1]:14.2f}  "
+              f"{per_iteration['change'][-1]:12.1f}  {steps_per_s['parent'][-1]:14.1f}  "
+              f"{steps_per_s['change'][-1]:14.1f}  {heatmap_ms['parent'][-1]:14.2f}  "
               f"{heatmap_ms['change'][-1]:14.2f}", flush=True)
 
     print(f"trained weights byte-equal in {equal_weights} of {args.rounds} rounds")
     print(f"heatmaps byte-equal in {equal_heatmaps} of {args.rounds} rounds")
     print("metric            parent median (IQR)   change median (IQR)   change/parent  change won")
-    for metric, values in (("us_per_iteration", per_iteration), ("heatmap_ms", heatmap_ms)):
+    for metric, values, lower_wins in (("us_per_iteration", per_iteration, True),
+                                       ("steps_per_s", steps_per_s, False),
+                                       ("heatmap_ms", heatmap_ms, True)):
         (p1, p2, p3), (c1, c2, c3) = quartiles(values["parent"]), quartiles(values["change"])
-        won = sum(c < p for p, c in zip(values["parent"], values["change"]))
+        won = sum(c < p if lower_wins else c > p
+                  for p, c in zip(values["parent"], values["change"]))
         print(f"{metric:16s}  {p2:10.2f} ({p3 - p1:7.2f})  {c2:10.2f} ({c3 - c1:7.2f})  "
               f"{c2 / p2:13.3f}  {won:3d} of {args.rounds}")
     return 0 if equal_weights == equal_heatmaps == args.rounds else 1

@@ -95,6 +95,7 @@ class ExperimentConfig:
         require(self.method in METHODS, "method",
                 f"method must be one of {METHODS}, got {self.method!r}")
         require(self.data_path != "", "data", "path must not be empty")
+        require(self.cost_matrix_path != "", "data", "cost_matrix must not be empty")
         require(self.ood_subsample is None or self.ood_subsample >= 0, "data",
                 f"ood_subsample must be >= 0, got {self.ood_subsample}")
         require(self.replications >= 1, "eval",

@@ -6,15 +6,22 @@ finite-difference gradient oracle for tests, a flat text format for weights
 writer and the one float-matrix CSV reader. Everything is float64.
 
 Each of softmax, forward, backward and Adam has one in-place kernel:
-`_softmax`, `_forward`, `_backward` and `_adam`. They write into
-caller-owned arrays, a network pass into a :class:`ForwardCache` from
-`_cache` and `_with_backward`, so a training loop or a blocked scorer can
-run them without allocating. They check no shapes; `_softmax` rejects empty
-and non-finite logits, so every Softmax forward pass checks its logits. The
-public :func:`softmax`, :func:`mlp_forward`, :func:`mlp_backward` and
-:func:`adam_step` are the checked, pure wrappers: they run the same kernels
-on fresh arrays and never mutate their arguments, so equal inputs give
-equal bits either way.
+`_softmax`, `_forward`, `_backward` and `_adam`. Each is a binder: it takes
+the caller-owned arrays it works in, a network pass's from a
+:class:`ForwardCache` built by `_cache` and `_with_backward`, makes every
+view, turns every scalar operand into a 0-d array (`_scalar`) and picks
+every branch once, and returns a closure that runs the kernel as a flat run
+of numpy calls. A forward or backward closure takes the
+batch, so one binding serves each new batch in a fixed buffer; Adam's takes
+the step count. A training loop or a blocked scorer binds once per run and
+then runs without allocating. The views are views of the parameter vector,
+so a bound pass sees every in-place update of it. The kernels check no
+shapes; `_softmax` rejects non-finite logits on every run, so every Softmax
+forward pass checks its logits. The public :func:`softmax`,
+:func:`mlp_forward`, :func:`mlp_backward` and :func:`adam_step` are the
+checked, pure wrappers: they bind the same kernels to fresh arrays, run them
+once and never mutate their arguments, so equal inputs give equal bits
+either way.
 
 Parameter layout: a network's parameters live in one 1-D float64 vector,
 one row-major ``(fan_out, fan_in + 1)`` block ``[W | b]`` per layer, so row i
@@ -38,9 +45,10 @@ sum, or product over a contiguous ``W``; deeper layers keep the separate
 bias add. Past that the bias gradient may differ in the last bit.
 
 Narrow rows: the softmax's row max and exp-sum and the score layer's row
-reductions over K < 8 classes run as K - 1 column ops (`_fold_columns`):
-max and min are exact, and numpy sums fewer than 8 entries left to right,
-the order the column ops keep.
+reductions over K < 8 classes run as K - 1 column ops (`_fold_columns`,
+bound to its column views like the kernels): max and min are exact, and
+numpy sums fewer than 8 entries left to right, the order the column ops
+keep.
 """
 
 from __future__ import annotations
@@ -226,7 +234,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     """
     z = np.asarray(logits, dtype=float)
     out = np.empty_like(z)
-    _softmax(z, out, np.empty((2,) + z.shape[:-1] + (1,)))
+    _softmax(z, out, np.empty((2,) + z.shape[:-1] + (1,)))()
     return out
 
 
@@ -234,40 +242,55 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 _PAIRWISE_FROM = 8
 
 
-def _fold_columns(op, a: np.ndarray, out: np.ndarray) -> None:
-    """``op.reduce(a, axis=-1, keepdims=True)`` into `out`, bit for bit.
+def _fold_columns(op, a: np.ndarray, out: np.ndarray):
+    """Bind ``op.reduce(a, axis=-1, keepdims=True, out=out)``; the closure runs it bit for bit.
 
     `op` is ``np.add``, ``np.maximum`` or ``np.minimum``. Rows of fewer than
-    `_PAIRWISE_FROM` entries fold as K - 1 column ops, left to right, which
-    skip the reduction's per-row inner loop; wider rows take the reduction.
+    `_PAIRWISE_FROM` entries fold as K - 1 column ops over views made here,
+    left to right, which skip the reduction's per-row inner loop; wider rows
+    take the reduction.
     """
     K = a.shape[-1]
     if not 2 <= K < _PAIRWISE_FROM:
-        op.reduce(a, axis=-1, keepdims=True, out=out)
-        return
-    op(a[..., :1], a[..., 1:2], out=out)
-    for k in range(2, K):
-        op(out, a[..., k:k + 1], out=out)
+        return lambda: op.reduce(a, axis=-1, keepdims=True, out=out)
+    first, second = a[..., :1], a[..., 1:2]
+    rest = tuple(a[..., k:k + 1] for k in range(2, K))
+
+    def fold():
+        op(first, second, out=out)
+        for column in rest:
+            op(out, column, out=out)
+    return fold
 
 
-def _softmax(z: np.ndarray, out: np.ndarray, col: np.ndarray) -> None:
-    """Softmax kernel: :func:`softmax` of `z` into `out`.
+def _scalar(value: float) -> np.ndarray:
+    """`value` as a 0-d float64 array, a scalar operand numpy need not convert on each call."""
+    return np.array(value, dtype=float)
+
+
+def _softmax(z: np.ndarray, out: np.ndarray, col: np.ndarray):
+    """Bind the softmax kernel: the closure writes :func:`softmax` of `z` into `out`.
 
     ``col[0]`` and ``col[1]``, each shaped like a keepdims reduction of `z`,
     keep each row's max and the sum of its shifted exponentials, so a caller
     can form ``log_softmax(z) = (z - col[0]) - log(col[1])`` without a second
-    pass.
+    pass. Each run rejects non-finite logits.
     """
     if z.size == 0:
         raise ValueError("softmax of an empty vector is undefined")
-    # A finite sum means every entry is finite; only a non-finite one needs the exact check.
-    if not math.isfinite(np.add.reduce(z, axis=None)) and not np.isfinite(z).all():
-        raise ValueError("softmax requires finite logits")
-    _fold_columns(np.maximum, z, col[0])
-    np.subtract(z, col[0], out=out)
-    np.exp(out, out=out)
-    _fold_columns(np.add, out, col[1])
-    np.divide(out, col[1], out=out)
+    row_max, exp_sum = col[0], col[1]
+    fold_max, fold_sum = _fold_columns(np.maximum, z, row_max), _fold_columns(np.add, out, exp_sum)
+
+    def run():
+        # A finite sum means every entry is finite; only a non-finite one needs the exact check.
+        if not math.isfinite(np.add.reduce(z, axis=None)) and not np.isfinite(z).all():
+            raise ValueError("softmax requires finite logits")
+        fold_max()
+        np.subtract(z, row_max, out=out)
+        np.exp(out, out=out)
+        fold_sum()
+        np.divide(out, exp_sum, out=out)
+    return run
 
 
 def _width_views(kind: str) -> cached_property:
@@ -286,8 +309,9 @@ class ForwardCache:
     one. So ``a[l]`` is the ``[a | 1]`` batch the next layer's gradient, or
     another network, takes; the last column of ``d`` is work space.
     ``activations`` and ``deltas`` are their ``[:, :width]`` views, made once
-    per cache. A Softmax head also keeps ``logits``, a C-contiguous (rows, K)
-    array of the softmax's input; for any other head it is None.
+    per cache and read when a kernel is bound. A Softmax head also keeps
+    ``logits``, a C-contiguous (rows, K) array of the softmax's input; for
+    any other head it is None.
 
     `_backward` overwrites each hidden ``a[l]`` with its nonlinearity's
     derivative and a Tanh head's output with 1 - a², so a cache takes one
@@ -348,96 +372,129 @@ def _rows(cache: ForwardCache, start: int, stop: int) -> ForwardCache:
                         cache.col[:, start:stop])
 
 
-def _forward(params: MlpParams, x: np.ndarray, cache: ForwardCache) -> np.ndarray:
-    """Forward kernel: run the network on the rows of `x` into `cache`; returns the output array.
+def _forward(params: MlpParams, cache: ForwardCache):
+    """Bind the forward kernel to `params` and `cache`: ``run(x)`` runs the network on `x`.
 
-    Each layer's product goes into its ``activations[l]``, or a Softmax
-    head's ``logits``, and its nonlinearity then runs in place. Unchecked:
-    `x` must be a (rows, input_dim + 1) float array from `_with_ones`,
-    matching `cache`.
+    ``run`` writes each layer's product into its ``activations[l]``, or a
+    Softmax head's ``logits``, runs its nonlinearity there in place, and
+    returns the output array. Every view and branch is taken here, once; the
+    views track in-place updates of ``params.flat``. Unchecked: `x` must be
+    a (rows, input_dim + 1) float array from `_with_ones`, matching `cache`.
     """
     last = len(params.blocks) - 1
-    for l, out in enumerate(cache.activations):
-        z = cache.logits if l == last and params.head is Head.SOFTMAX else out
-        if l == 0:
-            # [x | 1] @ [W0 | b0]^T: the bias rides on the ones column.
-            np.matmul(x, params.blocks[0].T, out=z)
-        else:
-            np.matmul(cache.activations[l - 1], params.weights[l].T, out=z)
-            np.add(z, params.biases[l], out=z)
-        if l < last and params.hidden is Activation.RELU:
-            # Over the whole array: max(1, 0) keeps the ones column.
-            np.maximum(cache.a[l], 0.0, out=cache.a[l])
-        elif l < last or params.head is Head.TANH:
+    relu, softmax = params.hidden is Activation.RELU, params.head is Head.SOFTMAX
+    zero, out = _scalar(0.0), cache.activations[last]
+    z = cache.activations[:last] + (cache.logits if softmax else out,)
+    # [x | 1] @ [W0 | b0]^T: the bias rides on the ones column.
+    w0, z0 = params.blocks[0].T, z[0]
+    # Per hidden layer l: the array its nonlinearity runs on in place (ReLU
+    # over the whole array, as max(1, 0) keeps the ones column), then layer
+    # l + 1's input, transposed weights, bias and product.
+    hidden = tuple((cache.a[l] if relu else cache.activations[l], cache.activations[l],
+                    params.weights[l + 1].T, params.biases[l + 1], z[l + 1])
+                   for l in range(last))
+    head = None
+    if softmax:
+        head = _softmax(cache.logits, out, cache.col)
+    elif params.head is Head.TANH:
+        def head():
             np.tanh(out, out=out)
-        elif params.head is Head.SOFTMAX:
-            _softmax(z, out, cache.col)
-    return cache.activations[-1]
+
+    def run(x: np.ndarray) -> np.ndarray:
+        np.matmul(x, w0, out=z0)
+        for h, below, w, b, z_next in hidden:
+            if relu:
+                np.maximum(h, zero, out=h)
+            else:
+                np.tanh(h, out=h)
+            np.matmul(below, w, out=z_next)
+            np.add(z_next, b, out=z_next)
+        if head is not None:
+            head()
+        return out
+    return run
 
 
-def _backward(params: MlpParams, x: np.ndarray, cache: ForwardCache,
-              dx: np.ndarray | None = None) -> None:
-    """Backward kernel: backpropagate ``cache.deltas[-1]`` through `_forward`'s pass in `cache`.
+def _backward(params: MlpParams, cache: ForwardCache, dx: np.ndarray | None = None):
+    """Bind the backward kernel: ``run(x)`` backpropagates ``cache.deltas[-1]`` through `x`'s pass.
 
-    Writes the parameter gradient into ``cache.grad``, one ``delta^T @ [below
-    | 1]`` product per layer, skipping layer 0's ``delta @ W0``; or, given
-    `dx`, a (rows, input_dim + 1) array, only the input gradient, into its
-    first columns. Once layer l's gradient has read ``a[l - 1]``, the
-    derivative of the nonlinearity below overwrites it, ones column kept;
-    a Tanh head's derivative overwrites its output. So the pass in `cache`
-    is spent. Unchecked, like `_forward`.
+    ``run`` takes the batch that `_forward`'s pass in `cache` ran on. It
+    writes the parameter gradient into ``cache.grad``, one ``delta^T @
+    [below | 1]`` product per layer, skipping layer 0's ``delta @ W0``; or,
+    given `dx`, a (rows, input_dim + 1) array, only the input gradient, into
+    its first columns, and then it reads nothing of `x`. Once layer l's
+    gradient has read ``a[l - 1]``, the derivative of the nonlinearity below
+    overwrites it, ones column kept; a Tanh head's derivative overwrites its
+    output. So the pass in `cache` is spent. Views are made here, once, as in
+    `_forward`. Unchecked, like `_forward`.
     """
     last = len(params.blocks) - 1
-    delta = cache.deltas[last]
+    relu, param_grad = params.hidden is Activation.RELU, dx is None
+    zero, one = _scalar(0.0), _scalar(1.0)
     # Identity and Softmax heads (Jacobian folded in upstream) take it as is.
-    if params.head is Head.TANH:
-        t = cache.activations[last]
-        np.square(t, out=t)
-        np.subtract(1.0, t, out=t)
-        np.multiply(delta, t, out=delta)
+    top = cache.deltas[last]
+    tanh_out = cache.activations[last] if params.head is Head.TANH else None
+    # Per layer l from the top down to 1: delta^T and delta; the [a | 1] below,
+    # its narrow view and the gradient block; [W | b]; and the delta below.
+    layers = tuple((cache.deltas[l].T, cache.deltas[l], cache.a[l - 1], cache.activations[l - 1],
+                    cache.grad_blocks[l] if param_grad else None, params.blocks[l],
+                    cache.d[l - 1])
+                   for l in range(last, 0, -1))
+    delta0, block0 = cache.deltas[0], params.blocks[0]
+    delta0_t, grad0 = delta0.T, cache.grad_blocks[0] if param_grad else None
 
-    for l in range(last, -1, -1):
-        if dx is None:
-            np.matmul(delta.T, x if l == 0 else cache.a[l - 1], out=cache.grad_blocks[l])
-            if l == 0:
-                return
-        # delta @ [W | b] into a whole array: its first columns are delta @ W.
-        np.matmul(delta, params.blocks[l], out=dx if l == 0 else cache.d[l - 1])
-        if l > 0:
-            a, t, d = cache.a[l - 1], cache.activations[l - 1], cache.d[l - 1]
-            if params.hidden is Activation.RELU:
+    def run(x: np.ndarray) -> None:
+        if tanh_out is not None:
+            np.square(tanh_out, out=tanh_out)
+            np.subtract(one, tanh_out, out=tanh_out)
+            np.multiply(top, tanh_out, out=top)
+        for delta_t, delta, a, t, grad, block, d in layers:
+            if param_grad:
+                np.matmul(delta_t, a, out=grad)
+            # delta @ [W | b] into a whole array: its first columns are delta @ W.
+            np.matmul(delta, block, out=d)
+            if relu:
                 # Subgradient 0 at the kink; 1 > 0 keeps the ones column.
-                np.greater(a, 0.0, out=a)
+                np.greater(a, zero, out=a)
             else:
                 # 1 - tanh(z)^2 from a = tanh(z), over the narrow view.
                 np.square(t, out=t)
-                np.subtract(1.0, t, out=t)
+                np.subtract(one, t, out=t)
             np.multiply(d, a, out=d)
-            delta = cache.deltas[l - 1]
+        if param_grad:
+            np.matmul(delta0_t, x, out=grad0)
+        else:
+            np.matmul(delta0, block0, out=dx)
+    return run
 
 
-def _adam(flat: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, t: int,
-          lr: float, beta1: float, beta2: float, epsilon: float,
-          scratch: tuple[np.ndarray, np.ndarray]) -> None:
-    """Adam kernel: the t-th bias-corrected update of `flat`, `m` and `v`, in place.
+def _adam(flat: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, lr: float,
+          beta1: float, beta2: float, epsilon: float):
+    """Bind the Adam kernel: ``run(t)`` makes the t-th bias-corrected update of `flat`, `m`, `v`.
 
-    `scratch` is two work vectors shaped like `flat`. Unchecked.
+    ``run`` reads `grad` and updates the three in place, through two work
+    vectors made here. Unchecked.
     """
-    s, r = scratch
-    np.multiply(grad, 1.0 - beta1, out=s)
-    np.multiply(m, beta1, out=m)
-    np.add(m, s, out=m)
-    np.multiply(grad, 1.0 - beta2, out=s)
-    np.multiply(s, grad, out=s)
-    np.multiply(v, beta2, out=v)
-    np.add(v, s, out=v)
-    np.divide(m, 1.0 - beta1 ** t, out=s)
-    np.multiply(s, lr, out=s)
-    np.divide(v, 1.0 - beta2 ** t, out=r)
-    np.sqrt(r, out=r)
-    np.add(r, epsilon, out=r)
-    np.divide(s, r, out=s)
-    np.subtract(flat, s, out=flat)
+    s, r = np.empty_like(flat), np.empty_like(flat)
+    b1, b2, keep1, keep2 = (_scalar(c) for c in (beta1, beta2, 1.0 - beta1, 1.0 - beta2))
+    rate, eps = _scalar(lr), _scalar(epsilon)
+
+    def run(t: int) -> None:
+        np.multiply(grad, keep1, out=s)
+        np.multiply(m, b1, out=m)
+        np.add(m, s, out=m)
+        np.multiply(grad, keep2, out=s)
+        np.multiply(s, grad, out=s)
+        np.multiply(v, b2, out=v)
+        np.add(v, s, out=v)
+        np.divide(m, 1.0 - beta1 ** t, out=s)
+        np.multiply(s, rate, out=s)
+        np.divide(v, 1.0 - beta2 ** t, out=r)
+        np.sqrt(r, out=r)
+        np.add(r, eps, out=r)
+        np.divide(s, r, out=s)
+        np.subtract(flat, s, out=flat)
+    return run
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -447,7 +504,7 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """
     x = _as_batch(params, x)
     x = _with_ones(*x.shape, fill=x)
-    return _forward(params, x, _cache(params, x.shape[0]))
+    return _forward(params, _cache(params, x.shape[0]))(x)
 
 
 def mlp_backward(params: MlpParams, x: np.ndarray, upstream: np.ndarray,
@@ -471,10 +528,10 @@ def mlp_backward(params: MlpParams, x: np.ndarray, upstream: np.ndarray,
                          f"expected ({x.shape[0]}, {params.output_dim})")
     x = _with_ones(*x.shape, fill=x)
     cache = _with_backward(params, _cache(params, x.shape[0]))
-    _forward(params, x, cache)
+    _forward(params, cache)(x)
     cache.deltas[-1][...] = g
     dx = None if param_grad else np.empty_like(x)
-    _backward(params, x, cache, dx)
+    _backward(params, cache, dx)(x)
     return cache.grad if param_grad else dx[:, :-1]
 
 
@@ -491,8 +548,7 @@ def adam_step(params: MlpParams, grad: np.ndarray, state: AdamState,
     t = state.t + 1
     flat = params.flat.astype(float)
     m, v = state.m.astype(float), state.v.astype(float)
-    _adam(flat, grad, m, v, t, lr, state.beta1, state.beta2, state.epsilon,
-          (np.empty_like(flat), np.empty_like(flat)))
+    _adam(flat, grad, m, v, lr, state.beta1, state.beta2, state.epsilon)(t)
     return (replace(params, flat=flat),
             AdamState(m, v, t, state.beta1, state.beta2, state.epsilon))
 

@@ -9,7 +9,9 @@ minibatch,
 
 so it classifies labeled points while giving observed and generated
 outliers high scores. The generator G ascends ``beta_z * mean
-score(D(G(z)))``. Each outer iteration takes n_d D steps, then n_g G steps.
+score(D(G(z)))``: its step folds the ascent sign into the upstream scale,
+so Adam descends the gradient of the negated objective. Each outer iteration
+takes n_d D steps, then n_g G steps.
 `train_wood` is the paper's baseline, SEE-OoD without a generator: no
 generated batch, beta_z = 0, and one D step per iteration whatever n_d says.
 
@@ -17,11 +19,13 @@ A D step is one forward and one backward pass over the stacked ``[InD;
 observed OoD; generated]`` batch; a G step backpropagates through the frozen
 D for its input gradient only. Each iteration runs G once over the stacked
 noise of its D steps and first G step, and each block's values are those of
-a pass over that batch alone, bit for bit. After set-up the loop allocates
-no array data: `nets.ForwardCache` and `_LossWorkspace` hold every pass, and
-`nets._adam` updates the parameter vectors in place. Each step checks that
-its loss or objective and D's logits are finite; `TrainHistory` gets fresh
-copies of the weights, checked finite.
+a pass over that batch alone, bit for bit. `nets.ForwardCache` and
+`_LossWorkspace` hold every pass, and `nets._adam` updates the parameter
+vectors in place. Set-up binds each step once (`_discriminator_step`,
+`_generator_step`, the `nets` kernels): a step is then a flat run of numpy
+calls on views made at set-up, and the loop allocates no array data. Each
+step checks that its loss or objective and D's logits are finite;
+`TrainHistory` gets fresh copies of the weights, checked finite.
 
 Minibatches are drawn uniformly with replacement from each pool, the OoD
 batch clamped to the pool size. A run is a deterministic function of
@@ -53,6 +57,7 @@ from .nets import (
     _fold_columns,
     _forward,
     _rows,
+    _scalar,
     _with_backward,
     _with_ones,
     init_adam,
@@ -160,23 +165,17 @@ def _one_hot(labels: np.ndarray, K: int) -> np.ndarray:
     return np.eye(K)[labels - 1]
 
 
-def _mean(values: np.ndarray) -> float:
-    """``values.mean()`` as the ufunc reduction it wraps."""
-    return float(np.add.reduce(values) / values.shape[0])
-
-
 class _LossWorkspace:
     """Arrays of D's pass and loss layer over stacked ``[InD; observed OoD; generated]`` rows.
 
     `x` holds the batch, with `ind`, `ood` and `gen` views onto its blocks,
     and `targets` the InD rows' one-hot labels; `cache` holds D's pass over
-    `x`, its backward arrays included, and `up` views onto the blocks of its
-    upstream gradient. The cross-entropy works in the InD rows of
-    ``cache.logits``. The score layer's arrays cover the OoD and generated
-    rows: `costs`, `k_star` and `scores` are `_score_rows`' outputs; `cols`
-    takes each row's argmin cost column and `inner` its dot product with the
-    row. The generator step uses a workspace with only a generated block,
-    for D's pass over G(z).
+    `x`, its backward arrays included. The cross-entropy works in the InD
+    rows of ``cache.logits``. The score layer's arrays cover the OoD and
+    generated rows: `costs`, `k_star` and `scores` are `_score_rows`'
+    outputs; `cols` takes each row's argmin cost column and `inner` its dot
+    product with the row. The generator step uses a workspace with only a
+    generated block, for D's pass over G(z).
     """
 
     def __init__(self, D: MlpParams, n_ind: int, n_ood: int, n_gen: int):
@@ -185,7 +184,6 @@ class _LossWorkspace:
         self.ind, self.ood, self.gen = np.split(self.x, [n_ind, n_ind + n_ood])
         self.targets = np.empty((n_ind, K))
         self.cache = _with_backward(D, _cache(D, self.x.shape[0]))
-        self.up = np.split(self.cache.deltas[-1], [n_ind, n_ind + n_ood])
         self.costs = np.empty((rows, K))
         self.k_star = np.empty(rows, dtype=np.intp)
         self.scores = np.empty(rows)
@@ -194,59 +192,78 @@ class _LossWorkspace:
 
 
 def _scores_and_logit_grads(probs: np.ndarray, M: np.ndarray, ws: _LossWorkspace,
-                            out: np.ndarray) -> None:
-    """Scores of softmax rows `probs` into ``ws.scores`` and d(score)/d(logits) into `out`.
+                            out: np.ndarray):
+    """Bind the loss layer's score kernel to softmax rows `probs`, ``ws`` and `out`.
 
-    With cost column g of the (smallest-index) argmin target, the chain rule
-    through the softmax gives d(score)/dz_i = p_i * (g_i - p.g). `out` holds
-    the products p_i * g_i on the way.
+    The closure writes the rows' scores into ``ws.scores`` and d(score)/d(logits)
+    into `out`. With cost column g of the (smallest-index) argmin target, the
+    chain rule through the softmax gives d(score)/dz_i = p_i * (g_i - p.g).
+    `out` holds the products p_i * g_i on the way.
     """
-    _score_rows(probs, M, ws.costs, ws.k_star, ws.scores)
+    score = _score_rows(probs, M, ws.costs, ws.k_star, ws.scores)
     # Row k of M.T is the cost column of target k; the indices are in range.
-    M.T.take(ws.k_star, axis=0, out=ws.cols, mode="clip")
-    np.multiply(probs, ws.cols, out=out)
-    _fold_columns(np.add, out, ws.inner)
-    np.subtract(ws.cols, ws.inner, out=ws.cols)
-    np.multiply(probs, ws.cols, out=out)
+    columns_by_target, k_star, cols, inner = M.T, ws.k_star, ws.cols, ws.inner
+    fold_sum = _fold_columns(np.add, out, inner)
+
+    def run():
+        score()
+        columns_by_target.take(k_star, axis=0, out=cols, mode="clip")
+        np.multiply(probs, cols, out=out)
+        fold_sum()
+        np.subtract(cols, inner, out=cols)
+        np.multiply(probs, cols, out=out)
+    return run
 
 
 def _discriminator_step(D: MlpParams, ws: _LossWorkspace, beta_ood: float,
-                        beta_z: float, M: np.ndarray) -> tuple[float, tuple[float, float, float]]:
-    """Unchecked kernel of `discriminator_loss_and_grads` over the batch filled into `ws`.
+                        beta_z: float, M: np.ndarray):
+    """Bind the kernel of `discriminator_loss_and_grads` to D and the batch arrays of `ws`.
 
-    One forward and one backward pass over the stacked batch, with each
+    Each call of the closure is one D step over the batch filled into `ws`:
+    one forward and one backward pass over the stacked rows, with each
     block's loss weight folded into its rows of the upstream logit gradient.
-    The gradient lands in ``ws.cache.grad``.
+    It returns (loss, (ce, mean_ood, mean_gen)) and leaves the gradient in
+    ``ws.cache.grad``. Unchecked.
     """
     n_ind, n_ood, n_gen = ws.ind.shape[0], ws.ood.shape[0], ws.gen.shape[0]
-    cache = ws.cache
-    probs = _forward(D, ws.x, cache)
+    cache, x, targets = ws.cache, ws.x, ws.targets
+    forward, backward = _forward(D, cache), _backward(D, cache)
+    probs, up = cache.a[-1], cache.deltas[-1]
+    probs_ind, up_ind, ind_count = probs[:n_ind], up[:n_ind], _scalar(n_ind)
     # log_softmax(z) = (z - max) - log(exp-sum), from the softmax's row max and
     # exp-sum, over the logits and the sums, which the softmax no longer needs.
     row_max, log_sum = cache.col[0][:n_ind], cache.col[1][:n_ind]
     log_probs = cache.logits[:n_ind]
-    np.log(log_sum, out=log_sum)
-    np.subtract(log_probs, row_max, out=log_probs)
-    np.subtract(log_probs, log_sum, out=log_probs)
-    np.multiply(log_probs, ws.targets, out=log_probs)
-    ce = float(-np.add.reduce(log_probs, axis=None) / n_ind)
-
-    up_ind, up_ood, up_gen = ws.up
-    # The score rows' logit gradients land in their upstream rows, then get their weights.
-    _scores_and_logit_grads(probs[n_ind:], M, ws, cache.deltas[-1][n_ind:])
-    mean_ood = _mean(ws.scores[:n_ood])
-    mean_gen = _mean(ws.scores[n_ood:]) if n_gen else 0.0
-    np.multiply(up_ood, -beta_ood / n_ood, out=up_ood)
+    # The score rows' logit gradients land in their upstream rows, then get
+    # their weights: one column holding each row's block scale.
+    up_scores = up[n_ind:]
+    logit_grads = _scores_and_logit_grads(probs[n_ind:], M, ws, up_scores)
+    ood_scores, gen_scores = ws.scores[:n_ood], ws.scores[n_ood:]
+    row_scales = np.full((n_ood + n_gen, 1), -beta_ood / n_ood)
     if n_gen:
-        np.multiply(up_gen, -beta_z / n_gen, out=up_gen)
-    np.subtract(probs[:n_ind], ws.targets, out=up_ind)
-    np.divide(up_ind, n_ind, out=up_ind)
-    _backward(D, ws.x, cache)
+        row_scales[n_ood:] = -beta_z / n_gen
 
-    loss = ce - beta_ood * mean_ood - beta_z * mean_gen
-    if not math.isfinite(loss):
-        raise NumericError(f"discriminator loss is not finite: {loss}")
-    return loss, (ce, mean_ood, mean_gen)
+    def step() -> tuple[float, tuple[float, float, float]]:
+        forward(x)
+        np.log(log_sum, out=log_sum)
+        np.subtract(log_probs, row_max, out=log_probs)
+        np.subtract(log_probs, log_sum, out=log_probs)
+        np.multiply(log_probs, targets, out=log_probs)
+        ce = float(-np.add.reduce(log_probs, axis=None) / n_ind)
+
+        logit_grads()
+        mean_ood = float(np.add.reduce(ood_scores) / n_ood)
+        mean_gen = float(np.add.reduce(gen_scores) / n_gen) if n_gen else 0.0
+        np.multiply(up_scores, row_scales, out=up_scores)
+        np.subtract(probs_ind, targets, out=up_ind)
+        np.divide(up_ind, ind_count, out=up_ind)
+        backward(x)
+
+        loss = ce - beta_ood * mean_ood - beta_z * mean_gen
+        if not math.isfinite(loss):
+            raise NumericError(f"discriminator loss is not finite: {loss}")
+        return loss, (ce, mean_ood, mean_gen)
+    return step
 
 
 def discriminator_loss_and_grads(D: MlpParams, ind_x: np.ndarray, ind_y: np.ndarray,
@@ -275,31 +292,42 @@ def discriminator_loss_and_grads(D: MlpParams, ind_x: np.ndarray, ind_y: np.ndar
     ws = _LossWorkspace(D, ind_x.shape[0], ood_x.shape[0], gen_x.shape[0])
     np.concatenate([ind_x, ood_x, gen_x], out=ws.x[:, :-1])
     ws.targets[...] = _one_hot(np.asarray(ind_y), D.output_dim)
-    loss, parts = _discriminator_step(D, ws, beta_ood, beta_z, mat)
+    loss, parts = _discriminator_step(D, ws, beta_ood, beta_z, mat)()
     return loss, parts, ws.cache.grad
 
 
-def _generator_step(D: MlpParams, G: MlpParams, noise: np.ndarray, g_cache: ForwardCache,
-                    ws: _LossWorkspace, beta_z: float, M: np.ndarray) -> float:
-    """Unchecked kernel of `generator_objective_and_grads`, after G's pass over `noise`.
+def _generator_step(D: MlpParams, G: MlpParams, g_cache: ForwardCache, ws: _LossWorkspace,
+                    beta_z: float, M: np.ndarray, ascend: bool = False):
+    """Bind the kernel of `generator_objective_and_grads` to D, G and their arrays.
 
-    `g_cache` holds that pass, whose ones-column output D runs on in place
-    of ``ws.x``; `ws` has only a generated block, for D's pass. D's input
-    gradient is written straight into G's upstream gradient; G's gradient
-    lands in ``g_cache.grad``.
+    ``step(noise)`` runs after G's pass over `noise` into `g_cache`, whose
+    ones-column output D runs on in place of ``ws.x``; `ws` has only a
+    generated block, for D's pass. D's input gradient is written straight
+    into G's upstream gradient. ``step`` returns the objective and leaves
+    G's gradient in ``g_cache.grad``: that of the objective or, with
+    `ascend`, of its negative, the direction Adam descends for ascent. The
+    sign rides on the upstream scale, and rounding is sign-symmetric, so the
+    two gradients are negatives of each other bit for bit, up to the sign of
+    an exact zero. Unchecked.
     """
-    fake = g_cache.a[-1]
-    probs = _forward(D, fake, ws.cache)
-    up = ws.cache.deltas[-1]
-    _scores_and_logit_grads(probs, M, ws, up)
-    objective = float(beta_z * _mean(ws.scores))
-    if not math.isfinite(objective):
-        raise NumericError(f"generator objective is not finite: {objective}")
+    fake, up, scores = g_cache.a[-1], ws.cache.deltas[-1], ws.scores
+    rows = fake.shape[0]
+    d_forward, g_backward = _forward(D, ws.cache), _backward(G, g_cache)
+    d_backward = _backward(D, ws.cache, dx=g_cache.d[-1])
+    logit_grads = _scores_and_logit_grads(ws.cache.a[-1], M, ws, up)
+    scale = _scalar((-beta_z if ascend else beta_z) / rows)
 
-    np.multiply(up, beta_z / noise.shape[0], out=up)
-    _backward(D, fake, ws.cache, dx=g_cache.d[-1])
-    _backward(G, noise, g_cache)
-    return objective
+    def step(noise: np.ndarray) -> float:
+        d_forward(fake)
+        logit_grads()
+        objective = float(beta_z * (np.add.reduce(scores) / rows))
+        if not math.isfinite(objective):
+            raise NumericError(f"generator objective is not finite: {objective}")
+        np.multiply(up, scale, out=up)
+        d_backward(fake)
+        g_backward(noise)
+        return objective
+    return step
 
 
 def generator_objective_and_grads(
@@ -328,8 +356,8 @@ def generator_objective_and_grads(
     rows = noise.shape[0]
     noise = _with_ones(rows, noise.shape[1], fill=noise)
     g_cache = _with_backward(G, _cache(G, rows))
-    _forward(G, noise, g_cache)
-    objective = _generator_step(D, G, noise, g_cache, _LossWorkspace(D, 0, 0, rows), beta_z, mat)
+    _forward(G, g_cache)(noise)
+    objective = _generator_step(D, G, g_cache, _LossWorkspace(D, 0, 0, rows), beta_z, mat)(noise)
     return objective, g_cache.grad
 
 
@@ -433,22 +461,10 @@ def _train(config: TrainConfig, data: Dataset, rng: Rng, with_generator: bool) -
     beta_z = config.beta_z if with_generator else 0.0
     # D and G stay private to the run: their flat vectors are updated in place.
     D = init_mlp(config.discriminator_arch, Activation.RELU, Head.SOFTMAX, rng)
-    adam_d, d_scratch = init_adam(D, *hyper), np.empty((2, D.flat.size))
-    G = None
+    adam_d = init_adam(D, *hyper)
     if with_generator:
         G = init_mlp(config.generator_arch, Activation.RELU, Head.IDENTITY, rng)
-        adam_g, g_scratch = init_adam(G, *hyper), np.empty((2, G.flat.size))
-        # G's weights change only in G steps, so the n_d D steps' noise
-        # batches and the first G step's share one pass: `g_pass` holds it,
-        # `g_out` its ones-column output by batch. `g_step` is the first G
-        # step's rows of it, with backward arrays; a later G step runs its
-        # own pass there.
-        bg = config.batch_gen
-        g_pass = _cache(G, (n_d + 1) * bg)
-        g_out = g_pass.a[-1].reshape(n_d + 1, bg, -1)
-        g_step = _with_backward(G, _rows(g_pass, n_d * bg, (n_d + 1) * bg))
-        # D's pass and loss layer over G's output, for the G step.
-        g_ws = _LossWorkspace(D, 0, 0, bg)
+        adam_g = init_adam(G, *hyper)
 
     # The pools with their ones columns, so `take` fills whole batch rows.
     ind_pool = _with_ones(*data.ind_train_x.shape, fill=data.ind_train_x)
@@ -458,42 +474,56 @@ def _train(config: TrainConfig, data: Dataset, rng: Rng, with_generator: bool) -
     n_ood_pool = data.ood_train.shape[0]
     b_ood = config.effective_batch_ood(n_ood_pool)
     d_ws = _LossWorkspace(D, config.batch_ind, b_ood, config.batch_gen if with_generator else 0)
+    d_step = _discriminator_step(D, d_ws, config.beta_ood, beta_z, M)
+    d_adam = _adam(D.flat, d_ws.cache.grad, adam_d.m, adam_d.v, config.lr_d, *hyper)
+    ind_batch, ood_batch, gen_batch, ind_targets = d_ws.ind, d_ws.ood, d_ws.gen, d_ws.targets
+    if with_generator:
+        # G's weights change only in G steps, so the n_d D steps' noise
+        # batches and the first G step's share one pass: `g_pass` holds it,
+        # `g_out` its ones-column output by batch. `g_cache` is the first G
+        # step's rows of it, with backward arrays; a later G step runs its
+        # own pass there.
+        bg = config.batch_gen
+        g_pass = _cache(G, (n_d + 1) * bg)
+        g_out = g_pass.a[-1].reshape(n_d + 1, bg, -1)
+        g_cache = _with_backward(G, _rows(g_pass, n_d * bg, (n_d + 1) * bg))
+        g_forward_stacked, g_forward = _forward(G, g_pass), _forward(G, g_cache)
+        # D's pass and loss layer over G's output, for the G step, which
+        # ascends: Adam descends the gradient of the negated objective.
+        g_step = _generator_step(D, G, g_cache, _LossWorkspace(D, 0, 0, bg), config.beta_z, M,
+                                 ascend=True)
+        g_adam = _adam(G.flat, g_cache.grad, adam_g.m, adam_g.v, config.lr_g, *hyper)
     draws = _draws(rng, config.iterations, n_d, n_g, config.batch_ind, n_ind, b_ood, n_ood_pool,
                    (config.batch_gen, config.noise_dim) if with_generator else None)
 
     records = []
     for it, (ind_idx, ood_idx, noise) in enumerate(draws, start=1):
         if with_generator:
-            _forward(G, noise[:n_d + 1].reshape((n_d + 1) * bg, -1), g_pass)
+            g_forward_stacked(noise[:n_d + 1].reshape((n_d + 1) * bg, -1))
         for j in range(n_d):
             # The indices are in range; mode "raise" would copy through a temporary.
             # The methods skip `np.take`'s Python wrapper.
-            ind_pool.take(ind_idx[j], axis=0, out=d_ws.ind, mode="clip")
-            targets.take(ind_idx[j], axis=0, out=d_ws.targets, mode="clip")
-            ood_pool.take(ood_idx[j], axis=0, out=d_ws.ood, mode="clip")
+            ind_pool.take(ind_idx[j], axis=0, out=ind_batch, mode="clip")
+            targets.take(ind_idx[j], axis=0, out=ind_targets, mode="clip")
+            ood_pool.take(ood_idx[j], axis=0, out=ood_batch, mode="clip")
             if with_generator:
-                d_ws.gen[...] = g_out[j]
-            loss, (ce, mean_ood, mean_gen) = _discriminator_step(
-                D, d_ws, config.beta_ood, beta_z, M)
-            _adam(D.flat, d_ws.cache.grad, adam_d.m, adam_d.v, (it - 1) * n_d + j + 1,
-                  config.lr_d, *hyper, d_scratch)
+                gen_batch[...] = g_out[j]
+            loss, (ce, mean_ood, mean_gen) = d_step()
+            d_adam((it - 1) * n_d + j + 1)
 
         if not with_generator:
             records.append(IterationRecord(it, loss, ce, mean_ood, None, None))
             continue
         for k in range(n_d, n_d + n_g):
             if k > n_d:
-                _forward(G, noise[k], g_step)
-            objective = _generator_step(D, G, noise[k], g_step, g_ws, config.beta_z, M)
-            # Ascent: feed Adam the negated gradient.
-            np.negative(g_step.grad, out=g_step.grad)
-            _adam(G.flat, g_step.grad, adam_g.m, adam_g.v, (it - 1) * n_g + (k - n_d) + 1,
-                  config.lr_g, *hyper, g_scratch)
+                g_forward(noise[k])
+            objective = g_step(noise[k])
+            g_adam((it - 1) * n_g + (k - n_d) + 1)
         records.append(IterationRecord(it, loss, ce, mean_ood, mean_gen, objective))
 
     # Fresh copies; constructing them checks that the trained weights are finite.
     return TrainHistory(tuple(records), replace(D, flat=D.flat.copy()),
-                        None if G is None else replace(G, flat=G.flat.copy()))
+                        replace(G, flat=G.flat.copy()) if with_generator else None)
 
 
 def train_see_ood(config: TrainConfig, data: Dataset, rng: Rng) -> TrainHistory:

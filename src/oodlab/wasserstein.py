@@ -18,7 +18,8 @@ gradient with respect to p is M's column at that class, which the trainers
 chain through the softmax (`training._scores_and_logit_grads`). One kernel,
 `_score_rows`, scores rows of probabilities into caller-owned arrays: those
 of a `training._LossWorkspace` in training, and block arrays next to one
-`nets.ForwardCache` in :func:`score_batch`.
+`nets.ForwardCache` in :func:`score_batch`. Like the `nets` kernels it is a
+binder: it takes the arrays once and returns a closure that runs the step.
 """
 
 from __future__ import annotations
@@ -95,15 +96,20 @@ def load_cost_matrix_csv(path) -> np.ndarray:
 
 
 def _score_rows(probs: np.ndarray, M: np.ndarray, costs: np.ndarray, k_star: np.ndarray,
-                scores: np.ndarray) -> None:
-    """Score kernel: transport costs ``probs @ M`` into `costs`, argmin columns into `k_star`.
+                scores: np.ndarray):
+    """Bind the score kernel: the closure writes transport costs ``probs @ M`` into `costs`.
 
-    `scores` takes each row's minimum cost, which is the cost at its argmin
-    column. Writes into caller-owned arrays; unchecked.
+    It writes each row's argmin column into `k_star` and its minimum cost,
+    which is the cost at that column, into `scores`. All are caller-owned
+    arrays, bound here with the views the kernel needs; unchecked.
     """
-    np.matmul(probs, M, out=costs)
-    costs.argmin(axis=1, out=k_star)
-    _fold_columns(np.minimum, costs, scores[:, None])
+    fold_min = _fold_columns(np.minimum, costs, scores[:, None])
+
+    def run():
+        np.matmul(probs, M, out=costs)
+        costs.argmin(axis=1, out=k_star)
+        fold_min()
+    return run
 
 
 def wasserstein_score(p, M) -> tuple[float, int]:
@@ -116,7 +122,7 @@ def wasserstein_score(p, M) -> tuple[float, int]:
     if vec.size != mat.shape[0]:
         raise ValueError(f"p has {vec.size} classes but M is {mat.shape[0]}x{mat.shape[0]}")
     scores, k_star = np.empty(1), np.empty(1, dtype=np.intp)
-    _score_rows(vec[None, :], mat, np.empty((1, mat.shape[1])), k_star, scores)
+    _score_rows(vec[None, :], mat, np.empty((1, mat.shape[1])), k_star, scores)()
     return float(scores[0]), int(k_star[0]) + 1
 
 
@@ -152,6 +158,9 @@ def _score_blocks(net: MlpParams, x: np.ndarray, M: np.ndarray,
                   predicted: np.ndarray | None = None) -> np.ndarray:
     """Scores of the nonempty rows `x`, blocked as in :func:`score_batch`; unchecked.
 
+    The forward pass is bound once per call, to one block's buffers; the
+    score kernel once per block, to that block's rows of the output.
+
     Given `predicted`, an int array of one entry per row, it takes each
     row's 0-based argmax class (smallest index on ties) from the same pass.
     """
@@ -160,12 +169,13 @@ def _score_blocks(net: MlpParams, x: np.ndarray, M: np.ndarray,
     # Whole blocks: a short last one keeps the previous block's (finite) rows in its tail.
     scores = np.empty(-(-n // rows) * rows)
     cache, batch = _cache(net, rows), _with_ones(rows, net.input_dim)
+    forward = _forward(net, cache)
     costs, k_star = np.empty((rows, M.shape[1])), np.empty(rows, dtype=np.intp)
     for start in range(0, n, rows):
         block = x[start:start + rows]
         batch[:block.shape[0], :-1] = block
-        probs = _forward(net, batch, cache)
-        _score_rows(probs, M, costs, k_star, scores[start:start + rows])
+        probs = forward(batch)
+        _score_rows(probs, M, costs, k_star, scores[start:start + rows])()
         if predicted is not None:
             np.argmax(probs[:block.shape[0]], axis=1, out=predicted[start:start + rows])
     return scores[:n]

@@ -88,6 +88,10 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"\[data\]: path must not be empty"):
             parse_config(MINIMAL + "[data]\npath =\n")
 
+    def test_empty_cost_matrix_rejected(self):
+        with pytest.raises(ConfigError, match=r"\[data\]: cost_matrix must not be empty"):
+            parse_config(MINIMAL + "[data]\ncost_matrix =\n")
+
     @pytest.mark.parametrize("section, key", [
         ("data", "source"), ("train", "noise_dim"), ("eval", "output_dir")])
     def test_removed_key_is_unknown(self, section, key):

@@ -417,6 +417,13 @@ class TestCli:
         cfg.write_text("[method]\nmethod = nonsense\n")
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    def test_empty_cost_matrix_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[method]\nmethod = wood\n[data]\ncost_matrix =\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "[data]: cost_matrix must not be empty" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_runtime_error_exit_code(self, tmp_path):
         cfg = tmp_path / "c.ini"
         cfg.write_text("[method]\nmethod = wood\n[data]\npath = missing.csv\n")
@@ -507,7 +514,8 @@ def test_ab_time_checkout_against_itself(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "trained weights byte-equal in 2 of 2 rounds" in lines
     assert "heatmaps byte-equal in 2 of 2 rounds" in lines
-    assert [line.split()[0] for line in lines[-2:]] == ["us_per_iteration", "heatmap_ms"]
+    assert [line.split()[0] for line in lines[-3:]] == ["us_per_iteration", "steps_per_s",
+                                                        "heatmap_ms"]
 
 
 def test_loc_rows_sum_to_line_counts(tmp_path, capsys):

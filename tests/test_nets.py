@@ -199,7 +199,7 @@ class TestBackward:
 
         def input_loss(points):
             cache = _cache(net, points.shape[0])
-            out = _forward(net, _with_ones(*points.shape, fill=points), cache)
+            out = _forward(net, cache)(_with_ones(*points.shape, fill=points))
             # A Softmax head takes its upstream gradient with respect to the logits.
             return float(np.sum(direction * (cache.logits if head is Head.SOFTMAX else out)))
 
@@ -309,18 +309,18 @@ class TestKernelsBitwise:
 
         cache = _with_backward(net, _cache(net, rows))
         batch = _with_ones(rows, 2, fill=x)
-        assert np.array_equal(_forward(net, batch, cache), ref_out)
+        assert np.array_equal(_forward(net, cache)(batch), ref_out)
         for got, want in zip(cache.activations, ref_cache.activations):
             assert np.array_equal(got, want)
         if head is Head.SOFTMAX:
             assert np.array_equal(cache.logits, ref_cache.pre_activations[-1])
         cache.deltas[-1][...] = up
         if param_grad:
-            _backward(net, batch, cache)
+            _backward(net, cache)(batch)
             got = cache.grad
         else:
             wide = np.empty_like(batch)
-            _backward(net, batch, cache, dx=wide)
+            _backward(net, cache, dx=wide)(batch)
             got = wide[:, :-1]
         assert np.array_equal(got, ref)
 
@@ -332,17 +332,56 @@ class TestKernelsBitwise:
         ref_params, ref_state = net, init_adam(net, 0.5, 0.999, 1e-8)
         params, state = ref_params, ref_state
         flat, m, v = net.flat.copy(), np.zeros_like(net.flat), np.zeros_like(net.flat)
-        scratch = (np.empty_like(flat), np.empty_like(flat))
+        grad = np.empty_like(flat)
+        adam = _adam(flat, grad, m, v, 0.01, 0.5, 0.999, 1e-8)
         for t in range(1, 7):
-            # Gradients of changing sign and scale, the kind the ascent step negates.
-            grad = (-2.0) ** (t - 3) * Rng(t).standard_normal(flat.size)
+            # Gradients of changing sign and scale, like the G step's, whose sign ascent flips.
+            grad[...] = (-2.0) ** (t - 3) * Rng(t).standard_normal(flat.size)
             ref_params, ref_state = reference_adam(ref_params, grad, ref_state, 0.01)
             params, state = adam_step(params, grad, state, 0.01)
-            _adam(flat, grad, m, v, t, 0.01, 0.5, 0.999, 1e-8, scratch)
+            adam(t)
             for got in ((flat, m, v), (params.flat, state.m, state.v)):
                 for a, b in zip(got, (ref_params.flat, ref_state.m, ref_state.v)):
                     assert np.array_equal(a, b)
         assert state.t == ref_state.t == 6
+
+    @pytest.mark.parametrize("head", [Head.SOFTMAX, Head.TANH, Head.IDENTITY])
+    @pytest.mark.parametrize("hidden", [Activation.RELU, Activation.TANH])
+    def test_bound_pass_tracks_in_place_updates(self, hidden, head):
+        """A pass bound once sees each in-place Adam update of `flat`, as a fresh binding does."""
+        net, rows = perturbed_net((2, 8, 6, 3), hidden, head, 12), 7
+        rng = Rng(31)
+        x = 3.0 * rng.standard_normal(2 * rows).reshape(rows, 2)
+        batch = _with_ones(rows, 2, fill=x)
+        up = rng.standard_normal(3 * rows).reshape(rows, 3)
+        grad = np.empty_like(net.flat)
+        adam = _adam(net.flat, grad, np.zeros_like(grad), np.zeros_like(grad), 0.05,
+                     0.5, 0.999, 1e-8)
+
+        def bind():
+            cache, dx = _with_backward(net, _cache(net, rows)), np.empty_like(batch)
+            return (cache, _forward(net, cache), _backward(net, cache), dx,
+                    _backward(net, cache, dx=dx))
+
+        bound, before = bind(), net.flat.copy()
+        for t in (1, 2):
+            grad[...] = Rng(40 + t).standard_normal(grad.size)
+            adam(t)
+            ref_out, ref_cache = reference_forward(net, x)
+            want = (ref_out, reference_backward(net, ref_cache, up),
+                    reference_backward(net, ref_cache, up, param_grad=False))
+            for cache, forward, backward, dx, backward_dx in (bound, bind()):
+                got = [forward(batch).copy()]
+                cache.deltas[-1][...] = up
+                backward(batch)
+                got.append(cache.grad.copy())
+                forward(batch)
+                cache.deltas[-1][...] = up
+                backward_dx(batch)
+                got.append(dx[:, :-1])
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b)
+        assert not np.array_equal(net.flat, before)
 
     @pytest.mark.parametrize("batches", [2, 3, 4])
     def test_stacked_pass_matches_per_batch_passes(self, batches):
@@ -352,18 +391,18 @@ class TestKernelsBitwise:
             rows = 64 * batches
             x = _with_ones(rows, 2, fill=Rng(50 + seed).standard_normal(2 * rows).reshape(rows, 2))
             stacked = _cache(net, rows)
-            _forward(net, x, stacked)
+            _forward(net, stacked)(x)
             for b in range(batches):
                 block, own = slice(64 * b, 64 * (b + 1)), _with_backward(net, _cache(net, 64))
-                _forward(net, x[block], own)
+                _forward(net, own)(x[block])
                 for got, want in zip(stacked.a, own.a):
                     assert np.array_equal(got[block], want)
             # The last block's backward pass through its rows of the stacked pass.
             up = Rng(80 + seed).standard_normal(128).reshape(64, 2)
             last = _with_backward(net, _rows(stacked, rows - 64, rows))
             last.deltas[-1][...] = own.deltas[-1][...] = up
-            _backward(net, x[rows - 64:], last)
-            _backward(net, x[rows - 64:], own)
+            _backward(net, last)(x[rows - 64:])
+            _backward(net, own)(x[rows - 64:])
             assert np.array_equal(last.grad, own.grad)
 
     def test_folded_gradient_at_1000_rows(self):
@@ -386,9 +425,9 @@ class TestCacheLayout:
         net, rows = perturbed_net((2, 8, 6, 3), hidden, head, 3), 5
         x = _with_ones(rows, 2, fill=Rng(4).standard_normal(2 * rows).reshape(rows, 2))
         cache = _with_backward(net, _cache(net, rows))
-        _forward(net, x, cache)
+        _forward(net, cache)(x)
         cache.deltas[-1][...] = Rng(5).standard_normal(3 * rows).reshape(rows, 3)
-        _backward(net, x, cache)
+        _backward(net, cache)(x)
         for arrays, narrow in ((cache.a, cache.activations), (cache.d, cache.deltas)):
             for x_l, v, width in zip(arrays, narrow, net.layer_sizes[1:]):
                 assert v.shape == (rows, width) and np.shares_memory(v, x_l)
@@ -421,11 +460,11 @@ class TestCacheLayout:
             up = rng.standard_normal(3 * rows).reshape(rows, 3)
             results = []
             for c in (cache, _with_backward(net, _cache(net, rows))):
-                out = _forward(net, x, c).copy()
+                out = _forward(net, c)(x).copy()
                 logits = None if c.logits is None else c.logits.copy()
                 c.deltas[-1][...] = up
                 dx = None if param_grad else np.empty_like(x)
-                _backward(net, x, c, dx)
+                _backward(net, c, dx)(x)
                 results.append((out, logits, c.grad.copy() if param_grad else dx[:, :-1]))
             for got, want in zip(*results):
                 assert np.array_equal(got, want)

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,8 +23,10 @@ from oodlab.nets import (
     Head,
     MlpParams,
     NumericError,
+    _adam,
     _cache,
     _forward,
+    _with_backward,
     _with_ones,
     finite_difference_gradient,
     init_adam,
@@ -174,7 +177,7 @@ class TestDiscriminatorLoss:
 def _logits(D, x):
     """D's pre-softmax logits over the rows of `x`, from a kernel pass."""
     cache = _cache(D, x.shape[0])
-    _forward(D, _with_ones(*x.shape, fill=x), cache)
+    _forward(D, cache)(_with_ones(*x.shape, fill=x))
     return cache.logits
 
 
@@ -523,6 +526,44 @@ class TestWorkspaceMatchesReference:
         ref_objective, ref_grads = reference_generator_step(D, G, noise, 0.4, M)
         assert objective == ref_objective
         assert grads.tobytes() == ref_grads.tobytes()
+
+
+def test_bound_steps_allocate_no_array_data():
+    """After a warm-up step, bound D and G steps with Adam allocate no array data."""
+    rng, M = Rng(16), binary_cost_matrix(3)
+    D = init_mlp((2, 128, 3), Activation.RELU, Head.SOFTMAX, rng)
+    G = init_mlp((2, 128, 2), Activation.RELU, Head.IDENTITY, rng)
+    d_ws = training._LossWorkspace(D, 64, 32, 64)
+    d_ws.x[:, :-1] = 3.0 * rng.standard_normal(2 * 160).reshape(160, 2)
+    d_ws.targets[...] = np.eye(3)[rng.indices_below(3, 64)]
+    d_step = training._discriminator_step(D, d_ws, 1.0, 0.5, M)
+    d_state, g_state = init_adam(D), init_adam(G)
+    d_adam = _adam(D.flat, d_ws.cache.grad, d_state.m, d_state.v, 1e-4, 0.5, 0.999, 1e-8)
+    g_cache = _with_backward(G, _cache(G, 64))
+    g_forward = _forward(G, g_cache)
+    g_step = training._generator_step(D, G, g_cache, training._LossWorkspace(D, 0, 0, 64),
+                                      0.5, M, ascend=True)
+    g_adam = _adam(G.flat, g_cache.grad, g_state.m, g_state.v, 1e-4, 0.5, 0.999, 1e-8)
+    noise = _with_ones(64, 2, fill=sample_noise(2, 64, rng))
+
+    def steps(t):
+        d_step()
+        d_adam(t)
+        g_forward(noise)
+        g_step(noise)
+        g_adam(t)
+
+    steps(1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for t in range(2, 102):
+            steps(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Less than one (64, 129) float64 array, the size of G's hidden layer.
+    assert peak - base < 64 * 129 * 8
 
 
 class TestBlockDraws:

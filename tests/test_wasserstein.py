@@ -211,7 +211,7 @@ class TestScoreKernel:
         probs = np.vstack([probs, Rng(17).uniform(30).reshape(10, 3)])
         probs /= probs.sum(axis=1, keepdims=True)
         costs, k_star, scores = np.empty((16, 3)), np.empty(16, dtype=np.intp), np.empty(16)
-        _score_rows(probs, M, costs, k_star, scores)
+        _score_rows(probs, M, costs, k_star, scores)()
         want_scores, want_k = reference_score_rows(probs, M)
         assert scores.tobytes() == want_scores.tobytes()
         assert np.array_equal(k_star, want_k)
