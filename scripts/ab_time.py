@@ -11,6 +11,9 @@ alternating which side goes first, and scores its heatmap. The script
 prints each round's training µs per iteration, optimizer steps per second
 and `score_heatmap` ms, then each side's median and interquartile range, the
 change/parent ratio of the medians and how many rounds the change won.
+Each round also runs one untimed `score_heatmap` and `write_heatmap_csv`
+per side under `tracemalloc`, writing to a temporary directory, and prints
+that side's traced peak in KB and whether it repeats exactly in every round.
 Steps follow the benchmark's `steps_per_s` rule: n_d + n_g per iteration
 for see_ood and one for wood, over the training time. It also says whether
 the two sides' trained weights and heatmaps are byte-equal; the exit status
@@ -25,7 +28,9 @@ import importlib
 import importlib.util
 import os
 import sys
+import tempfile
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -63,10 +68,11 @@ class Side:
         per_iteration = cfg.train.n_d + cfg.train.n_g if cfg.method == "see_ood" else 1
         self.steps = per_iteration * iterations
 
-    def replication(self, index: int) -> tuple[float, float, bytes, bytes]:
+    def replication(self, index: int, directory: str) -> tuple[float, float, bytes, bytes, float]:
         """Train replication `index` and score its heatmap.
 
-        Returns (training s, heatmap s, trained weights bytes, heatmap bytes).
+        Returns (training s, heatmap s, trained weights bytes, heatmap bytes,
+        traced peak KB of one more heatmap scored and written into `directory`).
         """
         cfg = self.config
         rng = self.Rng(cfg.train.seed + index)
@@ -81,7 +87,14 @@ class Side:
         weights = history.discriminator.flat.tobytes()
         if history.generator is not None:
             weights += history.generator.flat.tobytes()
-        return trained - start, scored - trained, weights, heatmap.tobytes()
+        tracemalloc.start()
+        try:
+            again = self.detection.score_heatmap(history.discriminator, cfg.grid, M)
+            self.detection.write_heatmap_csv(again, Path(directory) / "heatmap.csv")
+            peak_kb = tracemalloc.get_traced_memory()[1] / 1024
+        finally:
+            tracemalloc.stop()
+        return trained - start, scored - trained, weights, heatmap.tobytes(), peak_kb
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -106,32 +119,41 @@ def main(argv=None) -> int:
     per_iteration = {side: [] for side in SIDES}
     steps_per_s = {side: [] for side in SIDES}
     heatmap_ms = {side: [] for side in SIDES}
+    peak_kb = {side: [] for side in SIDES}
     equal_weights = equal_heatmaps = 0
     print("round  first   parent_us/it  change_us/it  parent_steps/s  change_steps/s  "
-          "parent_heat_ms  change_heat_ms")
-    for r in range(args.rounds):
-        index = r % sides[0].config.replications
-        order = (0, 1) if r % 2 == 0 else (1, 0)
-        results = [None, None]
-        for i in order:
-            results[i] = sides[i].replication(index)
-        for side, (train_s, heat_s, _, _) in zip(SIDES, results):
-            per_iteration[side].append(1e6 * train_s / args.iterations)
-            steps_per_s[side].append(sides[0].steps / train_s)
-            heatmap_ms[side].append(1e3 * heat_s)
-        equal_weights += results[0][2] == results[1][2]
-        equal_heatmaps += results[0][3] == results[1][3]
-        print(f"{r:5d}  {SIDES[order[0]]:6s}  {per_iteration['parent'][-1]:12.1f}  "
-              f"{per_iteration['change'][-1]:12.1f}  {steps_per_s['parent'][-1]:14.1f}  "
-              f"{steps_per_s['change'][-1]:14.1f}  {heatmap_ms['parent'][-1]:14.2f}  "
-              f"{heatmap_ms['change'][-1]:14.2f}", flush=True)
+          "parent_heat_ms  change_heat_ms  parent_peak_kb  change_peak_kb")
+    with tempfile.TemporaryDirectory() as directory:
+        for r in range(args.rounds):
+            index = r % sides[0].config.replications
+            order = (0, 1) if r % 2 == 0 else (1, 0)
+            results = [None, None]
+            for i in order:
+                results[i] = sides[i].replication(index, directory)
+            for side, (train_s, heat_s, _, _, peak) in zip(SIDES, results):
+                per_iteration[side].append(1e6 * train_s / args.iterations)
+                steps_per_s[side].append(sides[0].steps / train_s)
+                heatmap_ms[side].append(1e3 * heat_s)
+                peak_kb[side].append(peak)
+            equal_weights += results[0][2] == results[1][2]
+            equal_heatmaps += results[0][3] == results[1][3]
+            print(f"{r:5d}  {SIDES[order[0]]:6s}  {per_iteration['parent'][-1]:12.1f}  "
+                  f"{per_iteration['change'][-1]:12.1f}  {steps_per_s['parent'][-1]:14.1f}  "
+                  f"{steps_per_s['change'][-1]:14.1f}  {heatmap_ms['parent'][-1]:14.2f}  "
+                  f"{heatmap_ms['change'][-1]:14.2f}  {peak_kb['parent'][-1]:14.1f}  "
+                  f"{peak_kb['change'][-1]:14.1f}", flush=True)
 
     print(f"trained weights byte-equal in {equal_weights} of {args.rounds} rounds")
     print(f"heatmaps byte-equal in {equal_heatmaps} of {args.rounds} rounds")
+    for side in SIDES:
+        low, high = min(peak_kb[side]), max(peak_kb[side])
+        repeats = "repeats exactly" if low == high else f"varies from {low:.1f} to {high:.1f} KB"
+        print(f"{side} traced peak {repeats} over {args.rounds} rounds")
     print("metric            parent median (IQR)   change median (IQR)   change/parent  change won")
     for metric, values, lower_wins in (("us_per_iteration", per_iteration, True),
                                        ("steps_per_s", steps_per_s, False),
-                                       ("heatmap_ms", heatmap_ms, True)):
+                                       ("heatmap_ms", heatmap_ms, True),
+                                       ("peak_kb", peak_kb, True)):
         (p1, p2, p3), (c1, c2, c3) = quartiles(values["parent"]), quartiles(values["change"])
         won = sum(c < p if lower_wins else c > p
                   for p, c in zip(values["parent"], values["change"]))

@@ -12,6 +12,7 @@ reproducible from the score list. Classification accuracy comes from
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,9 @@ class GridSpec:
 
     def __post_init__(self):
         # Messages name the config keys, grid_ plus the field name.
+        for name in ("x_min", "x_max", "y_min", "y_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"grid_{name} must be finite, got {getattr(self, name)}")
         for axis, lo, hi in (("x", self.x_min, self.x_max), ("y", self.y_min, self.y_max)):
             if not hi > lo:
                 raise ValueError(f"grid_{axis}_max must be > grid_{axis}_min, got {hi} <= {lo}")
@@ -115,11 +119,11 @@ def score_heatmap(D: MlpParams, grid: GridSpec, M) -> np.ndarray:
     res = grid.resolution
     dx = (grid.x_max - grid.x_min) / res
     dy = (grid.y_max - grid.y_min) / res
-    xs = grid.x_min + (np.arange(res) + 0.5) * dx
-    ys = grid.y_min + (np.arange(res) + 0.5) * dy
-    xx, yy = np.meshgrid(xs, ys)
-    points = np.column_stack([xx.ravel(), yy.ravel()])
-    return score_batch(D, points, M).reshape(res, res)
+    # One (res, res, 2) array of (x, y) pairs, built in place: row i holds y_i.
+    points = np.empty((res, res, 2))
+    points[:, :, 0] = grid.x_min + (np.arange(res) + 0.5) * dx
+    points[:, :, 1] = (grid.y_min + (np.arange(res) + 0.5) * dy)[:, None]
+    return score_batch(D, points.reshape(-1, 2), M).reshape(res, res)
 
 
 def rejection_region_area(heatmap: np.ndarray, eta: float) -> float:
@@ -131,8 +135,8 @@ def rejection_region_area(heatmap: np.ndarray, eta: float) -> float:
 def write_heatmap_csv(heatmap: np.ndarray, path) -> None:
     """One CSV row per heatmap row, without a header, each cell in the ``%.17g`` format.
 
-    :func:`nets.write_csv` formats the whole array in one pass. ValueError
-    unless the heatmap is a nonempty 2-D array of finite scores.
+    :func:`nets.write_csv` formats one row per ``%`` pass. ValueError unless
+    the heatmap is a nonempty 2-D array of finite scores.
     """
     write_csv(path, None, _checked_heatmap(heatmap))
 
@@ -152,9 +156,8 @@ def write_heatmap_pgm(heatmap: np.ndarray, K: int, path) -> None:
 
     Scores map linearly from [0, 1 - 1/K] to [0, 255] and round half-up.
     Matrix rows are written top to bottom in storage order, each as lines of
-    16 samples and a shorter last line; the whole sample block is one ``%d``
-    format pass. ValueError unless the heatmap is a nonempty 2-D array of
-    finite scores.
+    16 samples and a shorter last line, one ``%d`` format pass per row.
+    ValueError unless the heatmap is a nonempty 2-D array of finite scores.
     """
     if K < 2:
         raise ValueError(f"need K >= 2, got {K}")
@@ -165,7 +168,9 @@ def write_heatmap_pgm(heatmap: np.ndarray, K: int, path) -> None:
     full, rest = divmod(width, _PGM_SAMPLES_PER_LINE)
     row = _pgm_line(_PGM_SAMPLES_PER_LINE) * full + (_pgm_line(rest) if rest else "")
     with open(path, "w", encoding="utf-8") as f:
-        f.write(f"P2\n{width} {height}\n255\n" + (row * height) % tuple(grays.ravel().tolist()))
+        f.write(f"P2\n{width} {height}\n255\n")
+        for samples in grays:
+            f.write(row % tuple(samples.tolist()))
 
 
 def _pgm_line(samples: int) -> str:

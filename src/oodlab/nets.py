@@ -595,8 +595,8 @@ def write_csv(path, header, rows) -> None:
 
     A float cell, numpy floats included, goes through :func:`fmt_float`; None
     becomes an empty cell; ints and strings are written as they are. A 2-D
-    float64 array is formatted in one ``%`` pass with the same ``%.17g``
-    format, which writes the same bytes as the cell-by-cell path.
+    float64 array is formatted one row per ``%`` pass with the same
+    ``%.17g`` format, which writes the same bytes as the cell-by-cell path.
     """
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
@@ -606,7 +606,8 @@ def write_csv(path, header, rows) -> None:
             # A formatted float holds no delimiter or quote, so csv would not quote it.
             dialect = writer.dialect
             line = dialect.delimiter.join([_FLOAT_FORMAT] * rows.shape[1]) + dialect.lineterminator
-            f.write((line * rows.shape[0]) % tuple(rows.ravel().tolist()))
+            for values in rows:
+                f.write(line % tuple(values.tolist()))
         else:
             writer.writerows([fmt_float(v) if isinstance(v, float) else "" if v is None else v
                               for v in row] for row in rows)

@@ -104,6 +104,9 @@ class TrainConfig:
     adam_epsilon: float = 1e-8
 
     def __post_init__(self):
+        for name in ("beta_ood", "beta_z", "lr_d", "lr_g", "adam_epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.beta_ood <= 0.0:
             raise ValueError(f"beta_ood must be > 0, got {self.beta_ood}")
         if self.beta_z < 0.0:

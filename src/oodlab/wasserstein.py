@@ -48,10 +48,12 @@ __all__ = [
 
 PROB_SUM_TOL = 1e-9
 # Rows per forward pass in `score_batch`, so a large grid reuses one set of
-# buffers. Every block, the last included, runs at this size, and so scores
-# bitwise like one pass over all rows; 777-row blocks do not, so change this
-# only with the blocked-scoring tests.
-SCORE_BLOCK_ROWS = 4096
+# buffers and a block's (rows, 129) hidden array of a 128-wide layer, about
+# 1 MB, stays in a 2 MB L2 cache with the block's other arrays. Every block,
+# the last included, runs at this size. With numpy's OpenBLAS, blocks of 512
+# to 4096 rows score with the same bits as one pass over all rows; 128- and
+# 256-row blocks do not, so change this only with the blocked-scoring tests.
+SCORE_BLOCK_ROWS = 1024
 
 
 def validate_prob_vector(p) -> np.ndarray:
@@ -130,10 +132,11 @@ def score_batch(net: MlpParams, inputs, M) -> np.ndarray:
     """Scores of ``net``'s predictions for the rows of an (n, d) array, order preserved.
 
     The forward pass runs over blocks of `SCORE_BLOCK_ROWS` rows through one
-    set of buffers: each block is copied into one `nets._with_ones` batch,
-    and a short last block is padded to full size. A row's bits depend on
-    the batch it is scored in: scored alone, or among other rows, a point
-    may score differently in the last bit.
+    set of buffers, so the working arrays stay the size of one block however
+    many rows there are: each block is copied into one `nets._with_ones`
+    batch, and a short last block is padded to full size. A row's bits
+    depend on the batch it is scored in: scored alone, or among other rows,
+    a point may score differently in the last bit.
     """
     mat = _scoring_cost_matrix(net, M)
     x = np.asarray(inputs, dtype=float)

@@ -7,7 +7,7 @@ the loss layer's `log_softmax`, of `wasserstein._score_rows` and
 Box-Muller transform, kept unchanged, so the tests can require the kernels
 to match them bit for bit. The cell-by-cell bodies of `nets.write_csv`,
 `detection.write_heatmap_csv` and `detection.write_heatmap_pgm` are kept the
-same way, so the one-pass writers must match them byte for byte, and so is
+same way, so the row-by-row writers must match them byte for byte, and so is
 the separate-pass body of the removed `detection.classification_accuracy`,
 which `detection.scores_and_accuracy` must match.
 

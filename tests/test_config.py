@@ -99,6 +99,16 @@ class TestParsing:
         with pytest.raises(ConfigError, match=rf"line 4: unknown key '{key}'"):
             parse_config(MINIMAL + f"[{section}]\n{key} = 2\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section, key", [
+        ("train", "beta_ood"), ("train", "beta_z"), ("train", "lr_d"), ("train", "lr_g"),
+        ("train", "adam_epsilon"), ("eval", "grid_x_min"), ("eval", "grid_x_max"),
+        ("eval", "grid_y_min"), ("eval", "grid_y_max")])
+    def test_non_finite_value_rejected(self, section, key, value):
+        # A NaN would also break parse(serialize(c)) == c, since NaN != NaN.
+        with pytest.raises(ConfigError, match=rf"\[{section}\]: {key} must be finite, got {value}"):
+            parse_config(MINIMAL + f"[{section}]\n{key} = {value}\n")
+
     def test_bad_method_value(self):
         with pytest.raises(ConfigError, match="method"):
             parse_config("[method]\nmethod = extra\n")

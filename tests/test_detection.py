@@ -1,5 +1,7 @@
 """Threshold calibration, detector semantics, metrics, heatmaps, exports."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,6 +10,7 @@ from kernel_reference import (
     reference_write_heatmap_csv,
     reference_write_heatmap_pgm,
 )
+from test_nets import perturbed_net
 
 from oodlab.detection import (
     GridSpec,
@@ -211,6 +214,46 @@ class TestHeatmap:
         with pytest.raises(ValueError):
             score_heatmap(net, GridSpec(0, 1, 0, 1, 4), binary_cost_matrix(2))
 
+    @pytest.mark.parametrize("grid", [GridSpec(-1, 8, -1, 8, 200), GridSpec(-2.5, 6.25, 0.1, 9, 37),
+                                      GridSpec(0, 1, -3, 5, 1)], ids=["200", "37", "1"])
+    def test_grid_matches_meshgrid_points(self, grid):
+        net = perturbed_net((2, 128, 3), Activation.RELU, Head.SOFTMAX, 3)
+        res = grid.resolution
+        xs = grid.x_min + (np.arange(res) + 0.5) * ((grid.x_max - grid.x_min) / res)
+        ys = grid.y_min + (np.arange(res) + 0.5) * ((grid.y_max - grid.y_min) / res)
+        xx, yy = np.meshgrid(xs, ys)
+        expected = score_batch(net, np.column_stack([xx.ravel(), yy.ravel()]),
+                               binary_cost_matrix(3))
+        hm = score_heatmap(net, grid, binary_cost_matrix(3))
+        assert hm.tobytes() == expected.tobytes()
+
+
+def traced_peak(run) -> int:
+    """Bytes `run()` allocates at its peak under tracemalloc, after one untraced warm-up call."""
+    run()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBound:
+    """Evaluation works in blocks and rows, so its peak does not grow with the whole grid."""
+
+    def test_score_heatmap_peak(self):
+        # One 200x200 grid is 0.64 MB of points and 0.33 MB of scores; a block's
+        # hidden array is SCORE_BLOCK_ROWS x 129 floats.
+        net = perturbed_net((2, 128, 3), Activation.RELU, Head.SOFTMAX, 7)
+        grid, M = GridSpec(-1, 8, -1, 8, 200), binary_cost_matrix(3)
+        assert traced_peak(lambda: score_heatmap(net, grid, M)) < 3_000_000
+
+    def test_write_heatmap_csv_peak(self, tmp_path):
+        hm = Rng(9).uniform(40_000).reshape(200, 200) * (2 / 3)
+        assert traced_peak(lambda: write_heatmap_csv(hm, tmp_path / "hm.csv")) < 500_000
+
 
 class TestRejectionArea:
     def test_all_below(self):
@@ -302,7 +345,7 @@ def write_pgm3(hm, path):
 
 
 class TestExportWriters:
-    """The one-pass writers against the cell-by-cell reference bodies, and their input checks."""
+    """The row-by-row writers against the cell-by-cell reference bodies, and their input checks."""
 
     # Widths 16 and 32 fill every PGM line; the others end each row on a short line.
     SHAPES = [(1, 1), (3, 15), (5, 16), (7, 17), (20, 20), (32, 32), (200, 200)]

@@ -392,6 +392,20 @@ class TestCli:
             assert "[eval]" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("preset, key", [("setting1", "lr_d"), ("wood2d", "beta_z")])
+    def test_non_finite_hyperparameter_fails_before_training(self, tmp_path, capsys,
+                                                             monkeypatch, preset, key):
+        trained = []
+        for name in ("train_see_ood", "train_wood"):
+            monkeypatch.setattr(experiment, name, lambda *a: trained.append(a))
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[train]\n{key} = nan\n")
+        assert main(["replicate", "--preset", preset, "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"section [train]: {key} must be finite, got nan" in capsys.readouterr().err
+        assert trained == []
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["gen-data", "train"])
     def test_negative_seed_flag_is_config_error(self, tmp_path, capsys, command):
         assert main([command, "--preset", "wood2d", "--seed", "-1",
@@ -514,8 +528,9 @@ def test_ab_time_checkout_against_itself(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "trained weights byte-equal in 2 of 2 rounds" in lines
     assert "heatmaps byte-equal in 2 of 2 rounds" in lines
-    assert [line.split()[0] for line in lines[-3:]] == ["us_per_iteration", "steps_per_s",
-                                                        "heatmap_ms"]
+    assert [line.split()[0] for line in lines[-4:]] == ["us_per_iteration", "steps_per_s",
+                                                        "heatmap_ms", "peak_kb"]
+    assert any(line.startswith("change traced peak ") for line in lines)
 
 
 def test_loc_rows_sum_to_line_counts(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from kernel_reference import reference_score_rows
 from test_nets import perturbed_net
 
+import oodlab.wasserstein as wasserstein
 from oodlab.nets import Activation, Head, MlpParams, init_mlp, mlp_forward
 from oodlab.rng import Rng
 from oodlab.wasserstein import (
@@ -184,6 +185,21 @@ class TestScoreBatch:
         for seed in range(4):
             net = perturbed_net((2, 128, 3), Activation.RELU, Head.SOFTMAX, 10 * seed)
             points = 4.0 * Rng(10 * seed + 2).standard_normal(2 * rows).reshape(rows, 2)
+            probs = mlp_forward(net, points)
+            assert np.array_equal(score_batch(net, points, M),
+                                  reference_score_rows(probs, M)[0])
+
+    @pytest.mark.parametrize("block_rows", [512, 1024, 4096])
+    def test_block_sizes_score_the_grid_alike(self, monkeypatch, block_rows):
+        # The range of block sizes SCORE_BLOCK_ROWS' comment promises scores
+        # the 200x200 heatmap grid with the bits of one pass over all rows.
+        monkeypatch.setattr(wasserstein, "SCORE_BLOCK_ROWS", block_rows)
+        M = binary_cost_matrix(3)
+        centers = -1.0 + (np.arange(200) + 0.5) * 9.0 / 200
+        xx, yy = np.meshgrid(centers, centers)
+        points = np.column_stack([xx.ravel(), yy.ravel()])
+        for seed in range(3):
+            net = perturbed_net((2, 128, 3), Activation.RELU, Head.SOFTMAX, 10 * seed + 5)
             probs = mlp_forward(net, points)
             assert np.array_equal(score_batch(net, points, M),
                                   reference_score_rows(probs, M)[0])
