@@ -5,11 +5,11 @@
 #
 # PARENT and CHANGE are source checkouts (each with src/oodlab). Each runs in
 # its own fresh directory under $TMPDIR with one BLAS thread, and writes no
-# bytecode into either checkout: `replicate` on
-# the three full presets; `train`, `evaluate` and `heatmap` on setting2 with
-# 200 iterations; `train` on wood2d with 200 iterations, which writes no
-# generator weights; `heatmap` on wood2d with 200 iterations and a 32x32 grid,
-# whose PGM rows fill every 16-sample line; `gen-data --seed 7`; `replicate
+# bytecode into either checkout. The list uses only `replicate`, `gen-data`
+# and `compare`: `replicate` on the three full presets; single-replication
+# `replicate` runs of setting2 with 200 iterations and of wood2d with 200
+# iterations and a 32x32 grid, which writes no generator weights and whose PGM
+# rows fill every 16-sample line; `gen-data --seed 7`; `replicate
 # --config full.ini`, a short see_ood run on that CSV with a written 3x3 cost
 # matrix and every [data] key set; `replicate --config deep.ini`, a short
 # see_ood run whose discriminator (2 16 8 3) has a hidden layer past layer 0
@@ -26,14 +26,12 @@ run() {  # run CHECKOUT OUTDIR
     src="$(cd "$1" && pwd)/src"
     cd "$2"
     oodlab() { PYTHONPATH="$src" python3 -m oodlab.cli "$@"; }
-    printf '[train]\niterations = 200\n' > it200.ini
     for p in wood2d setting1 setting2; do oodlab replicate --preset "$p" --out "$p"; done
-    for c in train evaluate heatmap; do
-        oodlab "$c" --preset setting2 --config it200.ini --out "$c"
-    done
-    oodlab train --preset wood2d --config it200.ini --out train-wood
-    printf '[train]\niterations = 200\n[eval]\ngrid_resolution = 32\n' > grid32.ini
-    oodlab heatmap --preset wood2d --config grid32.ini --out heatmap-wood32
+    printf '[train]\niterations = 200\n[eval]\nreplications = 1\n' > one200.ini
+    oodlab replicate --preset setting2 --config one200.ini --out setting2-one
+    printf '[train]\niterations = 200\n[eval]\nreplications = 1\ngrid_resolution = 32\n' \
+        > grid32.ini
+    oodlab replicate --preset wood2d --config grid32.ini --out wood2d-grid32
     oodlab gen-data --seed 7 --out gen-data
     printf '0,1,2\n1,0,1\n2,1,0\n' > cost.csv
     printf '%s\n' '[method]' 'method = see_ood' \

@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: gen-data, train, evaluate, heatmap, replicate, compare. Runs
-are configured by a config file (--config), a named preset (--preset), or
-both defaults; --seed overrides the base seed. Exit codes: 0 success, 2
-configuration error, 3 runtime or numeric error.
+Subcommands: gen-data, replicate, compare. Runs are configured by a config
+file (--config), a named preset (--preset), or both defaults; --seed
+overrides the base seed. A single run is `replicate` with `[eval]
+replications = 1`. Exit codes: 0 success, 2 configuration error, 3 runtime
+or numeric error, including an --out that already holds files.
 """
 
 from __future__ import annotations
@@ -16,16 +17,8 @@ from pathlib import Path
 from . import config as config_mod
 from .config import ConfigError, ExperimentConfig, _tnr_label, parse_config, preset_config
 from .data import make_simulation_dataset, write_dataset_csv
-from .experiment import (
-    _replication_heatmap,
-    _train_replication,
-    compare_rejection_regions,
-    load_report,
-    run_experiment,
-    write_comparison_csv,
-    write_heatmap_files,
-    write_training_files,
-)
+from .experiment import (compare_rejection_regions, load_report, run_experiment,
+                         write_comparison_csv)
 from .rng import Rng
 
 __all__ = ["main"]
@@ -48,10 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the base seed")
 
     add_common(sub.add_parser("gen-data", help="write the builtin dataset as CSV"))
-    add_common(sub.add_parser("train", help="single training run: history and weights"))
-    add_common(sub.add_parser("evaluate", help="single replication with metrics report"))
-    add_common(sub.add_parser("heatmap", help="single training run: score heatmap files"))
-    add_common(sub.add_parser("replicate", help="full replicated experiment with aggregates"))
+    add_common(sub.add_parser("replicate", help="train, evaluate and write each replication"))
 
     cmp_parser = sub.add_parser("compare",
                                 help="compare rejection regions of two finished runs")
@@ -88,43 +78,6 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    _, _, _, history = _train_replication(_resolve_config(args), 0)
-    out = Path(args.out)
-    write_training_files(history, out)
-    final = history.records[-1] if history.records else None
-    if final is not None:
-        print(f"final loss {final.loss:.6f} (ce {final.ce:.6f}, "
-              f"ood score {final.ood_score_mean:.6f})")
-    print(f"wrote {out}/history.csv and weights")
-    return 0
-
-
-def _cmd_evaluate(args) -> int:
-    cfg = replace(_resolve_config(args), replications=1)
-    report = run_experiment(cfg, args.out)
-    rep = report.replications[0]
-    print(f"accuracy: {rep.accuracy:.6f}")
-    for target, tpr, eta in zip(cfg.tnr_targets, rep.tprs, rep.etas):
-        print(f"tpr@{_tnr_label(target)}: {tpr:.6f} (eta {eta:.6f})")
-    print(f"wrote {args.out}/report.csv")
-    return 0
-
-
-def _cmd_heatmap(args) -> int:
-    cfg = _resolve_config(args)
-    # Training requires the data's width to equal this one, so this fails before any work.
-    width = cfg.train.discriminator_arch[0]
-    if width != 2:
-        raise ValueError(f"heatmaps require 2-D data; discriminator_arch takes {width}-D inputs")
-    _, data, M, history = _train_replication(cfg, 0)
-    heatmap = _replication_heatmap(cfg, data, M, history)
-    out = Path(args.out)
-    write_heatmap_files(heatmap, history.discriminator.output_dim, out)
-    print(f"wrote {out}/heatmap.csv and {out}/heatmap.pgm")
-    return 0
-
-
 def _cmd_replicate(args) -> int:
     cfg = _resolve_config(args)
     report = run_experiment(cfg, args.out)
@@ -151,9 +104,6 @@ def _cmd_compare(args) -> int:
 
 _COMMANDS = {
     "gen-data": _cmd_gen_data,
-    "train": _cmd_train,
-    "evaluate": _cmd_evaluate,
-    "heatmap": _cmd_heatmap,
     "replicate": _cmd_replicate,
     "compare": _cmd_compare,
 }

@@ -6,14 +6,12 @@ A run writes a self-contained output directory:
     report.csv            one row per replication plus mean and mad rows
     summary.txt           human-readable digest
     rep000/ rep001/ ...   history.csv, weights_discriminator.txt, and for
-                          see_ood weights_generator.txt (write_training_files);
-                          for 2-D data heatmap.csv, heatmap.pgm (write_heatmap_files)
+                          see_ood weights_generator.txt; for 2-D data
+                          heatmap.csv, heatmap.pgm
 
-CLI commands: `replicate` writes this directory, `evaluate` the same with one
-replication; `train` and `heatmap` write replication 0's training or heatmap
-files straight into --out, byte-equal to `evaluate`'s rep000/ (`train` only
-trains, `heatmap` only trains and scores the grid); `compare` writes
-comparison.csv and `gen-data` dataset.csv.
+The directory is built inside a temporary sibling and renamed onto the
+output path once complete, so a failed run leaves no directory behind; an output
+path that already holds files is refused before any work.
 
 Replication r runs on seed `base_seed + r` with a single random stream used
 for dataset generation, subsampling, initialization and training, so (config,
@@ -26,6 +24,8 @@ from __future__ import annotations
 
 import csv
 import math
+import shutil
+import tempfile
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -55,8 +55,6 @@ __all__ = [
     "ExperimentReport",
     "ComparisonRecord",
     "run_replication",
-    "write_training_files",
-    "write_heatmap_files",
     "run_experiment",
     "load_report",
     "compare_rejection_regions",
@@ -135,13 +133,8 @@ def _evaluation_cost_matrix(config: ExperimentConfig, K: int) -> np.ndarray:
     return binary_cost_matrix(K)
 
 
-def _train_replication(config: ExperimentConfig,
-                       index: int) -> tuple[int, Dataset, np.ndarray, TrainHistory]:
-    """Build replication `index`'s data and train on it; returns (seed, data, M, history).
-
-    The training half of :func:`run_replication`, which CLI `train` runs alone
-    and CLI `heatmap` before :func:`_replication_heatmap`.
-    """
+def run_replication(config: ExperimentConfig, index: int) -> ReplicationResult:
+    """Train and evaluate one replication on seed ``base_seed + index``."""
     seed = config.train.seed + index
     rng = Rng(seed)
     data = _build_dataset(config, rng)
@@ -153,24 +146,12 @@ def _train_replication(config: ExperimentConfig,
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     history = (train_see_ood if see_ood else train_wood)(config.train, data, rng)
-    return seed, data, M, history
-
-
-def _replication_heatmap(config: ExperimentConfig, data: Dataset, M: np.ndarray,
-                         history: TrainHistory) -> np.ndarray | None:
-    """The trained discriminator's score heatmap over the config's grid; None unless 2-D."""
-    return score_heatmap(history.discriminator, config.grid, M) if data.d == 2 else None
-
-
-def run_replication(config: ExperimentConfig, index: int) -> ReplicationResult:
-    """Train and evaluate one replication on seed ``base_seed + index``."""
-    seed, data, M, history = _train_replication(config, index)
     D = history.discriminator
     ind_scores, accuracy = scores_and_accuracy(D, data.ind_test_x, data.ind_test_y, M)
     ood_scores = score_batch(D, data.ood_test, M)
 
     tprs, etas = zip(*(tpr_at_tnr(ind_scores, ood_scores, t) for t in config.tnr_targets))
-    heatmap = _replication_heatmap(config, data, M, history)
+    heatmap = score_heatmap(D, config.grid, M) if data.d == 2 else None
     return ReplicationResult(
         index=index,
         seed=seed,
@@ -230,35 +211,16 @@ def _write_summary(path: Path, report: ExperimentReport) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_training_files(history: TrainHistory, out_dir) -> tuple[str, ...]:
-    """Write a training run's history and weights into `out_dir`; return the file names."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_history_csv(history, out / "history.csv")
-    names = ["history.csv"]
-    for role, params in (("discriminator", history.discriminator),
-                         ("generator", history.generator)):
-        if params is not None:
-            write_params(params, out / f"weights_{role}.txt")
-            names.append(f"weights_{role}.txt")
-    return tuple(names)
-
-
-def write_heatmap_files(heatmap: np.ndarray, K: int, out_dir) -> tuple[str, ...]:
-    """Write a K-class score heatmap as CSV and PGM into `out_dir`; return the names."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_heatmap_csv(heatmap, out / "heatmap.csv")
-    write_heatmap_pgm(heatmap, K, out / "heatmap.pgm")
-    return ("heatmap.csv", "heatmap.pgm")
-
-
 def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentReport:
     """Run every replication, then write the output directory and aggregate metrics.
 
-    No file or directory is created before the last replication finishes, so
-    a run that fails in training or evaluation leaves nothing behind.
+    FileExistsError, before any work, when `out_dir` exists and is not empty.
+    The directory is built inside a temporary sibling and renamed onto
+    `out_dir` only when complete, so a run that fails at any point leaves nothing behind.
     """
+    out = Path(out_dir)
+    if out.exists() and any(out.iterdir()):
+        raise FileExistsError(f"output directory {out} is not empty")
     reps = []
     for index in range(config.replications):
         try:
@@ -266,29 +228,41 @@ def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentReport:
         except NumericError as exc:
             raise NumericError(f"replication {index}: {exc}") from exc
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    files = ["config.ini", "report.csv", "summary.txt"]
-    (out / "config.ini").write_text(serialize_config(config), encoding="utf-8")
-    for rep in reps:
-        rep_dir = f"rep{rep.index:03d}"
-        names = write_training_files(rep.history, out / rep_dir)
-        if rep.heatmap is not None:
-            names += write_heatmap_files(rep.heatmap, rep.history.discriminator.output_dim,
-                                         out / rep_dir)
-        files += [f"{rep_dir}/{name}" for name in names]
+    out.parent.mkdir(parents=True, exist_ok=True)
+    scratch = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name}."))
+    try:
+        # mkdtemp's own directory is owner-only; `build` gets the usual umask mode.
+        build = scratch / "run"
+        build.mkdir()
+        (build / "config.ini").write_text(serialize_config(config), encoding="utf-8")
+        for rep in reps:
+            rep_dir = build / f"rep{rep.index:03d}"
+            rep_dir.mkdir()
+            write_history_csv(rep.history, rep_dir / "history.csv")
+            for role, params in (("discriminator", rep.history.discriminator),
+                                 ("generator", rep.history.generator)):
+                if params is not None:
+                    write_params(params, rep_dir / f"weights_{role}.txt")
+            if rep.heatmap is not None:
+                write_heatmap_csv(rep.heatmap, rep_dir / "heatmap.csv")
+                write_heatmap_pgm(rep.heatmap, rep.history.discriminator.output_dim,
+                                  rep_dir / "heatmap.pgm")
+        files = [p.relative_to(build).as_posix() for p in build.rglob("*") if p.is_file()]
 
-    # Mean and MAD of each metric column, each over a 1-D column of replications.
-    table = list(zip(*(_metric_row(rep) for rep in reps)))
-    report = ExperimentReport(
-        config=config,
-        replications=tuple(reps),
-        means=tuple(float(np.mean(column)) for column in table),
-        mads=tuple(mad(column) for column in table),
-        files=tuple(sorted(files)),
-    )
-    _write_report_csv(out / "report.csv", report)
-    _write_summary(out / "summary.txt", report)
+        # Mean and MAD of each metric column, each over a 1-D column of replications.
+        table = list(zip(*(_metric_row(rep) for rep in reps)))
+        report = ExperimentReport(
+            config=config,
+            replications=tuple(reps),
+            means=tuple(float(np.mean(column)) for column in table),
+            mads=tuple(mad(column) for column in table),
+            files=tuple(sorted([*files, "report.csv", "summary.txt"])),
+        )
+        _write_report_csv(build / "report.csv", report)
+        _write_summary(build / "summary.txt", report)
+        build.rename(out)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
     return report
 
 

@@ -3,6 +3,7 @@
 import csv
 import importlib.util
 import inspect
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,75 @@ class TestRunExperiment:
         assert len(rep.tprs) == 2 and len(rep.etas) == 2
         assert rep.heatmap is not None and rep.heatmap.shape == (12, 12)
 
+    @pytest.mark.parametrize("entry", ["file", "empty-dir", "dotfile"])
+    def test_nonempty_out_dir_is_refused(self, tmp_path, monkeypatch, entry):
+        trained = []
+        monkeypatch.setattr(experiment, "train_see_ood", lambda *a: trained.append(a))
+        out = tmp_path / "run"
+        out.mkdir()
+        if entry == "empty-dir":
+            (out / "sub").mkdir()
+        else:
+            (out / ("x.txt" if entry == "file" else ".x")).write_text("kept")
+        before = sorted(p.relative_to(out) for p in out.rglob("*"))
+        with pytest.raises(FileExistsError, match=f"output directory {out} is not empty"):
+            run_experiment(tiny_config(), out)
+        assert trained == []
+        assert sorted(p.relative_to(out) for p in out.rglob("*")) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
+
+    def test_empty_out_dir_is_used(self, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        report = run_experiment(tiny_config(replications=1), out)
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")
+                      if p.is_file()) == list(report.files)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
+
+    def test_missing_parents_are_created(self, tmp_path):
+        out = tmp_path / "a" / "b" / "run"
+        run_experiment(tiny_config(replications=1), out)
+        assert (out / "summary.txt").exists()
+        assert sorted(p.name for p in out.parent.iterdir()) == ["run"]
+
+    def test_run_directory_has_umask_mode(self, tmp_path):
+        """The run is not left with the owner-only mode of its temporary parent."""
+        reference = tmp_path / "reference"
+        reference.mkdir()
+        out = tmp_path / "run"
+        run_experiment(tiny_config(replications=1), out)
+        assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+
+    @pytest.mark.parametrize("writer", ["write_history_csv", "write_params",
+                                        "write_heatmap_csv", "_write_report_csv",
+                                        "_write_summary"])
+    def test_failed_write_leaves_nothing(self, tmp_path, monkeypatch, writer):
+        def fail(*args):
+            raise OSError(f"{writer} failed")
+
+        monkeypatch.setattr(experiment, writer, fail)
+        with pytest.raises(OSError, match=f"{writer} failed"):
+            run_experiment(tiny_config(), tmp_path / "run")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_interrupted_write_leaves_nothing(self, tmp_path, monkeypatch):
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(experiment, "write_heatmap_pgm", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(tiny_config(), tmp_path / "run")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("method", ["see_ood", "wood"])
+    def test_summary_lists_every_written_file(self, tmp_path, method):
+        out = tmp_path / "run"
+        report = run_experiment(tiny_config(method=method), out)
+        written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+        assert list(report.files) == written
+        summary = (out / "summary.txt").read_text()
+        assert summary.endswith("files:\n" + "".join(f"  {name}\n" for name in written))
+
 
 class TestCompare:
     def test_self_comparison_is_zero(self, tmp_path):
@@ -152,31 +222,6 @@ class TestCli:
         text = (out / "dataset.csv").read_text().splitlines()
         assert text[0] == "x1,x2,label,split"
         assert len(text) == 1 + 8000
-
-    def test_train_writes_history_and_weights(self, tmp_path):
-        cfg = tmp_path / "c.ini"
-        write_tiny_config(cfg)
-        out = tmp_path / "run"
-        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
-        assert (out / "history.csv").exists()
-        assert (out / "weights_discriminator.txt").exists()
-        assert (out / "weights_generator.txt").exists()
-
-    def test_evaluate_writes_report(self, tmp_path):
-        cfg = tmp_path / "c.ini"
-        write_tiny_config(cfg)
-        out = tmp_path / "run"
-        assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 0
-        assert (out / "report.csv").exists()
-        assert (out / "summary.txt").exists()
-
-    def test_heatmap_writes_both_formats(self, tmp_path):
-        cfg = tmp_path / "c.ini"
-        write_tiny_config(cfg)
-        out = tmp_path / "run"
-        assert main(["heatmap", "--config", str(cfg), "--out", str(out)]) == 0
-        assert (out / "heatmap.csv").exists()
-        assert (out / "heatmap.pgm").exists()
 
     def test_replicate_and_compare(self, tmp_path):
         cfg_a = tmp_path / "a.ini"
@@ -256,9 +301,10 @@ class TestCli:
         write_tiny_config(cfg)
         a = tmp_path / "a"
         b = tmp_path / "b"
-        assert main(["train", "--config", str(cfg), "--out", str(a), "--seed", "1"]) == 0
-        assert main(["train", "--config", str(cfg), "--out", str(b), "--seed", "2"]) == 0
-        assert (a / "history.csv").read_text() != (b / "history.csv").read_text()
+        assert main(["replicate", "--config", str(cfg), "--out", str(a), "--seed", "1"]) == 0
+        assert main(["replicate", "--config", str(cfg), "--out", str(b), "--seed", "2"]) == 0
+        history = Path("rep000") / "history.csv"
+        assert (a / history).read_text() != (b / history).read_text()
 
     def test_preset_flag_runs(self, tmp_path):
         out = tmp_path / "run"
@@ -266,7 +312,7 @@ class TestCli:
         cfg = tmp_path / "small.ini"
         cfg.write_text("[train]\niterations = 10\n[eval]\nreplications = 1\n"
                        "grid_resolution = 8\n")
-        assert main(["evaluate", "--preset", "setting1", "--config", str(cfg),
+        assert main(["replicate", "--preset", "setting1", "--config", str(cfg),
                      "--out", str(out)]) == 0
         assert parse_config((out / "config.ini").read_text()).train.n_d == 2
 
@@ -277,16 +323,15 @@ class TestCli:
     def test_preset_flag_keeps_config_line_numbers(self, tmp_path, capsys, text, line):
         cfg = tmp_path / "c.ini"
         cfg.write_text(text)
-        assert main(["train", "--preset", "setting1", "--config", str(cfg),
+        assert main(["replicate", "--preset", "setting1", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
         assert f"line {line}: unknown key 'bogus'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["train", "evaluate", "replicate"])
-    def test_oversized_ood_subsample_is_config_error(self, tmp_path, capsys, command):
+    def test_oversized_ood_subsample_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.ini"
         write_tiny_config(cfg)
         cfg.write_text(cfg.read_text().replace("ood_subsample = 2", "ood_subsample = 5000"))
-        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert main(["replicate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "ood_subsample" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
@@ -309,22 +354,19 @@ class TestCli:
         ("0,1,1\n1,0,-1\n1,1,0\n", "negative"),
         ("0,1,1\n1,0\n1,1,0\n", "column"),
     ], ids=["nan", "inf", "negative", "ragged"])
-    @pytest.mark.parametrize("command", ["train", "replicate"])
     def test_bad_cost_matrix_fails_before_training(self, tmp_path, capsys, monkeypatch,
-                                                   command, cost, message):
+                                                   cost, message):
         trained = []
         monkeypatch.setattr(experiment, "train_see_ood", lambda *a: trained.append(a))
         (tmp_path / "m.csv").write_text(cost)
         cfg = tmp_path / "c.ini"
         write_tiny_config(cfg, extra=f"[data]\ncost_matrix = {tmp_path / 'm.csv'}\n")
-        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert main(["replicate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         assert message in capsys.readouterr().err
         assert trained == []
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["train", "replicate"])
-    def test_nonfinite_dataset_fails_before_training(self, tmp_path, capsys, monkeypatch,
-                                                     command):
+    def test_nonfinite_dataset_fails_before_training(self, tmp_path, capsys, monkeypatch):
         trained = []
         monkeypatch.setattr(experiment, "train_see_ood", lambda *a: trained.append(a))
         assert main(["gen-data", "--out", str(tmp_path / "d")]) == 0
@@ -337,7 +379,7 @@ class TestCli:
         write_tiny_config(cfg)
         cfg.write_text(cfg.read_text().replace(
             "[data]\n", f"[data]\npath = {path}\n"))
-        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert main(["replicate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         assert f"{path}:2: coordinates must be finite" in capsys.readouterr().err
         assert trained == []
         assert not (tmp_path / "o").exists()
@@ -359,13 +401,12 @@ class TestCli:
         assert trained == []
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["train", "replicate"])
-    def test_architecture_mismatch_is_config_error(self, tmp_path, capsys, command):
+    def test_architecture_mismatch_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.ini"
         write_tiny_config(cfg)
         cfg.write_text(cfg.read_text().replace(
             "[train]\n", "[train]\ndiscriminator_arch = 2 128 4\n"))
-        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert main(["replicate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "does not match class count 3" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
@@ -384,7 +425,7 @@ class TestCli:
     def test_bad_value_is_config_error(self, tmp_path, capsys, key, value, section):
         cfg = tmp_path / "c.ini"
         cfg.write_text(f"[{section}]\n{key} = {value}\n")
-        assert main(["train", "--preset", "wood2d", "--config", str(cfg),
+        assert main(["replicate", "--preset", "wood2d", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert key in err
@@ -406,42 +447,72 @@ class TestCli:
         assert trained == []
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    @pytest.mark.parametrize("command", ["gen-data", "replicate"])
     def test_negative_seed_flag_is_config_error(self, tmp_path, capsys, command):
         assert main([command, "--preset", "wood2d", "--seed", "-1",
                      "--out", str(tmp_path / "o")]) == 2
         assert "--seed: seed must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("method", ["see_ood", "wood"])
-    def test_single_run_commands_match_evaluate(self, tmp_path, method):
-        cfg = tmp_path / "c.ini"
-        write_tiny_config(cfg, method=method)
-        for command in ("train", "heatmap", "evaluate"):
-            assert main([command, "--config", str(cfg), "--seed", "5",
-                         "--out", str(tmp_path / command)]) == 0
-        rep_dir = tmp_path / "evaluate" / "rep000"
-        single = {p.name: p.read_bytes()
-                  for command in ("train", "heatmap") for p in (tmp_path / command).iterdir()}
-        assert single == {p.name: p.read_bytes() for p in rep_dir.iterdir()}
-        assert ("weights_generator.txt" in single) == (method == "see_ood")
-
     def test_config_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[method]\nmethod = nonsense\n")
-        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert main(["replicate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
     def test_empty_cost_matrix_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.ini"
         cfg.write_text("[method]\nmethod = wood\n[data]\ncost_matrix =\n")
-        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert main(["replicate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "[data]: cost_matrix must not be empty" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_runtime_error_exit_code(self, tmp_path):
         cfg = tmp_path / "c.ini"
         cfg.write_text("[method]\nmethod = wood\n[data]\npath = missing.csv\n")
-        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert main(["replicate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "heatmap"])
+    def test_removed_command_is_usage_error(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--preset", "wood2d", "--out", str(tmp_path / "o")])
+        assert exit_info.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_used_out_is_refused_before_training(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "c.ini"
+        write_tiny_config(cfg)
+        run = tmp_path / "run"
+        assert main(["replicate", "--config", str(cfg), "--out", str(run)]) == 0
+        before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        trained = []
+        monkeypatch.setattr(experiment, "train_see_ood", lambda *a: trained.append(a))
+        capsys.readouterr()
+        assert main(["replicate", "--config", str(cfg), "--out", str(run)]) == 3
+        assert f"output directory {run} is not empty" in capsys.readouterr().err
+        assert trained == []
+        assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+
+    def test_failed_write_leaves_no_directory(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        write_heatmap_pgm = experiment.write_heatmap_pgm
+
+        def fail_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            write_heatmap_pgm(*args)
+
+        monkeypatch.setattr(experiment, "write_heatmap_pgm", fail_second)
+        cfg = tmp_path / "c.ini"
+        write_tiny_config(cfg)
+        cfg.write_text(cfg.read_text().replace("replications = 1", "replications = 2"))
+        run = tmp_path / "runs" / "run"
+        assert main(["replicate", "--config", str(cfg), "--out", str(run)]) == 3
+        assert "disk full" in capsys.readouterr().err
+        assert len(calls) == 2
+        assert not run.exists()
+        assert list(run.parent.glob(".run.*")) == []
 
     def test_compare_takes_no_seed(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -481,16 +552,6 @@ class TestThreeDimensionalData:
         assert sorted(p.name for p in (run / "rep000").iterdir()) == [
             "history.csv", "weights_discriminator.txt"]
         assert f"data: csv ({tmp_path / 'd3.csv'})\n" in (run / "summary.txt").read_text()
-
-    def test_heatmap_is_runtime_error(self, tmp_path, capsys, monkeypatch, config_path):
-        trained = []
-        monkeypatch.setattr(experiment, "train_wood", lambda *a: trained.append(a))
-        out = tmp_path / "hm"
-        assert main(["heatmap", "--config", str(config_path), "--out", str(out)]) == 3
-        assert "heatmaps require 2-D data; discriminator_arch takes 3-D inputs" in (
-            capsys.readouterr().err)
-        assert trained == []
-        assert not out.exists()
 
     def test_compare_names_missing_heatmap(self, tmp_path, capsys, config_path):
         run = tmp_path / "run"
