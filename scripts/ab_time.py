@@ -4,7 +4,8 @@
     python3 scripts/ab_time.py PARENT CHANGE --preset setting1 --iterations 1000 --rounds 12
 
 PARENT and CHANGE are source checkouts, each with src/oodlab; they may be
-the same. Each checkout's package is loaded under its own module name, so
+the same, and each trainer must take the run's cost matrix as its last
+argument. Each checkout's package is loaded under its own module name, so
 both run in this process and see the same machine load. Every round trains
 one replication of the preset, cut to the given iterations, on each side,
 alternating which side goes first, and scores its heatmap. The script
@@ -77,10 +78,10 @@ class Side:
         cfg = self.config
         rng = self.Rng(cfg.train.seed + index)
         data = self.experiment._build_dataset(cfg, rng)
-        M = self.experiment._evaluation_cost_matrix(cfg, data.K)
+        M = self.experiment._cost_matrix(cfg, data.K)
         train = self.training.train_see_ood if cfg.method == "see_ood" else self.training.train_wood
         start = time.perf_counter()
-        history = train(cfg.train, data, rng)
+        history = train(cfg.train, data, rng, M)
         trained = time.perf_counter()
         heatmap = self.detection.score_heatmap(history.discriminator, cfg.grid, M)
         scored = time.perf_counter()

@@ -11,7 +11,8 @@
 # iterations and a 32x32 grid, which writes no generator weights and whose PGM
 # rows fill every 16-sample line; `gen-data --seed 7`; `replicate
 # --config full.ini`, a short see_ood run on that CSV with a written 3x3 cost
-# matrix and every [data] key set; `replicate --config deep.ini`, a short
+# matrix and every [data] key set, the one run that trains on a non-binary
+# cost matrix; `replicate --config deep.ini`, a short
 # see_ood run whose discriminator (2 16 8 3) has a hidden layer past layer 0
 # and whose generator is 2 16 2; and two `compare` runs. Then `diff -r`
 # compares every output file and the collected stdout. Exit status 0 means no

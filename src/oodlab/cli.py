@@ -3,8 +3,9 @@
 Subcommands: gen-data, replicate, compare. Runs are configured by a config
 file (--config), a named preset (--preset), or both defaults; --seed
 overrides the base seed. A single run is `replicate` with `[eval]
-replications = 1`. Exit codes: 0 success, 2 configuration error, 3 runtime
-or numeric error, including an --out that already holds files.
+replications = 1`. Every command refuses an --out that already holds files,
+before any work. Exit codes: 0 success, 2 configuration error, 3 runtime or
+numeric error, including a used --out.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from pathlib import Path
 from . import config as config_mod
 from .config import ConfigError, ExperimentConfig, _tnr_label, parse_config, preset_config
 from .data import make_simulation_dataset, write_dataset_csv
-from .experiment import (compare_rejection_regions, load_report, run_experiment,
-                         write_comparison_csv)
+from .experiment import (_unused_out_dir, compare_rejection_regions, load_report,
+                         run_experiment, write_comparison_csv)
 from .rng import Rng
 
 __all__ = ["main"]
@@ -69,8 +70,8 @@ def _resolve_config(args) -> ExperimentConfig:
 
 def _cmd_gen_data(args) -> int:
     cfg = _resolve_config(args)
+    out = _unused_out_dir(args.out)
     data = make_simulation_dataset(Rng(cfg.train.seed))
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "dataset.csv"
     write_dataset_csv(data, path)
@@ -89,8 +90,8 @@ def _cmd_replicate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    out = _unused_out_dir(args.out)
     record = compare_rejection_regions(load_report(args.a), load_report(args.b), args.tnr)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "comparison.csv"
     write_comparison_csv(record, path)

@@ -18,7 +18,7 @@ names its section and key, and its line if the value does not parse.
 
     [data]
     path = <dataset csv; without it, the builtin benchmark>
-    cost_matrix = <cost matrix csv; evaluation defaults to the binary matrix>
+    cost_matrix = <cost matrix csv for training and scoring; binary by default>
     ood_subsample = <keep this many OoD training points>
 
     [eval]

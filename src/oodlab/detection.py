@@ -155,6 +155,8 @@ def write_heatmap_pgm(heatmap: np.ndarray, K: int, path) -> None:
     """ASCII ("P2") grayscale image of a heatmap.
 
     Scores map linearly from [0, 1 - 1/K] to [0, 255] and round half-up.
+    That is the binary cost matrix's range: under another matrix a score
+    can exceed 1 - 1/K, and every such cell clips to 255 (white).
     Matrix rows are written top to bottom in storage order, each as lines of
     16 samples and a shorter last line, one ``%d`` format pass per row.
     ValueError unless the heatmap is a nonempty 2-D array of finite scores.

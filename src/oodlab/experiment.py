@@ -124,13 +124,10 @@ def _build_dataset(config: ExperimentConfig, rng: Rng) -> Dataset:
     return data
 
 
-def _evaluation_cost_matrix(config: ExperimentConfig, K: int) -> np.ndarray:
-    if config.cost_matrix_path is not None:
-        M = load_cost_matrix_csv(config.cost_matrix_path)
-        if M.shape[0] != K:
-            raise ConfigError(f"cost matrix is {M.shape[0]}x{M.shape[0]} but data has {K} classes")
-        return M
-    return binary_cost_matrix(K)
+def _cost_matrix(config: ExperimentConfig, K: int) -> np.ndarray:
+    """The run's one cost matrix, for training and scoring: the file's, or the binary one."""
+    path = config.cost_matrix_path
+    return binary_cost_matrix(K) if path is None else load_cost_matrix_csv(path)
 
 
 def run_replication(config: ExperimentConfig, index: int) -> ReplicationResult:
@@ -139,13 +136,13 @@ def run_replication(config: ExperimentConfig, index: int) -> ReplicationResult:
     rng = Rng(seed)
     data = _build_dataset(config, rng)
     # Config/data mismatches fail here, before any training.
-    M = _evaluation_cost_matrix(config, data.K)
+    M = _cost_matrix(config, data.K)
     see_ood = config.method == "see_ood"
     try:
-        check_architectures(config.train, data, with_generator=see_ood)
+        check_architectures(config.train, data, see_ood, M)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    history = (train_see_ood if see_ood else train_wood)(config.train, data, rng)
+    history = (train_see_ood if see_ood else train_wood)(config.train, data, rng, M)
     D = history.discriminator
     ind_scores, accuracy = scores_and_accuracy(D, data.ind_test_x, data.ind_test_y, M)
     ood_scores = score_batch(D, data.ood_test, M)
@@ -211,6 +208,14 @@ def _write_summary(path: Path, report: ExperimentReport) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _unused_out_dir(out_dir) -> Path:
+    """`out_dir` as a Path; FileExistsError when it exists and is not empty."""
+    out = Path(out_dir)
+    if out.exists() and any(out.iterdir()):
+        raise FileExistsError(f"output directory {out} is not empty")
+    return out
+
+
 def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentReport:
     """Run every replication, then write the output directory and aggregate metrics.
 
@@ -218,9 +223,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentReport:
     The directory is built inside a temporary sibling and renamed onto
     `out_dir` only when complete, so a run that fails at any point leaves nothing behind.
     """
-    out = Path(out_dir)
-    if out.exists() and any(out.iterdir()):
-        raise FileExistsError(f"output directory {out} is not empty")
+    out = _unused_out_dir(out_dir)
     reps = []
     for index in range(config.replications):
         try:

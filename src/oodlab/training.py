@@ -27,9 +27,13 @@ calls on views made at set-up, and the loop allocates no array data. Each
 step checks that its loss or objective and D's logits are finite;
 `TrainHistory` gets fresh copies of the weights, checked finite.
 
+Every score, in the loss and in the generator's objective, is taken under
+the cost matrix M passed in, the run's one matrix, which `experiment` also
+scores the trained D with.
+
 Minibatches are drawn uniformly with replacement from each pool, the OoD
 batch clamped to the pool size. A run is a deterministic function of
-(config, data) and the `Rng` passed in, which it draws from in this order:
+(config, data, M) and the `Rng` passed in, which it draws from in this order:
 D's initialization, then G's; then per D step InD indices, OoD indices and
 noise, and per G step noise. `_draws` takes them a chunk of iterations at a
 time, with every value, and where the stream stops, as with per-step draws,
@@ -66,7 +70,7 @@ from .nets import (
     write_csv,
 )
 from .rng import Rng, _box_muller
-from .wasserstein import _score_rows, _scoring_cost_matrix, binary_cost_matrix
+from .wasserstein import _score_rows, _scoring_cost_matrix, validate_cost_matrix
 
 __all__ = [
     "TrainConfig",
@@ -84,7 +88,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Every knob of a training run; defaults match the 2-D benchmark."""
+    """Every knob of a training run; defaults match the 2-D benchmark.
+
+    No trainer reads `seed`: the trainers draw from the `Rng` they are
+    given. It is the replication base seed, read by `experiment`
+    (replication r runs on ``seed + r``) and by the CLI's `gen-data`.
+    """
 
     beta_ood: float = 1.0
     beta_z: float = 0.001
@@ -364,8 +373,11 @@ def generator_objective_and_grads(
     return objective, g_cache.grad
 
 
-def check_architectures(config: TrainConfig, data: Dataset, with_generator: bool) -> None:
-    """Raise ValueError unless the configured layer sizes fit the data."""
+def check_architectures(config: TrainConfig, data: Dataset, with_generator: bool,
+                        M: np.ndarray) -> None:
+    """Raise ValueError unless the layer sizes and a valid cost matrix `M` fit the data."""
+    if validate_cost_matrix(M).shape[0] != data.K:
+        raise ValueError(f"cost matrix is {M.shape[0]}x{M.shape[0]} but data has {data.K} classes")
     if config.discriminator_arch[0] != data.d:
         raise ValueError(
             f"discriminator input dimension {config.discriminator_arch[0]} "
@@ -449,15 +461,15 @@ def _draws(rng: Rng, iterations: int, n_d: int, n_g: int, batch_ind: int, n_ind:
             yield ind_idx[r], ood_idx[r], None if noise is None else noise[r]
 
 
-def _train(config: TrainConfig, data: Dataset, rng: Rng, with_generator: bool) -> TrainHistory:
+def _train(config: TrainConfig, data: Dataset, rng: Rng, M: np.ndarray,
+           with_generator: bool) -> TrainHistory:
     """The one loop behind `train_see_ood` and `train_wood`; see the module docstring."""
     if data.ind_train_x.shape[0] == 0:
         raise ValueError("training requires at least one labeled InD sample")
     if data.ood_train.shape[0] == 0:
         raise ValueError("training requires at least one observed OoD sample")
-    check_architectures(config, data, with_generator)
+    check_architectures(config, data, with_generator, M)
 
-    M = binary_cost_matrix(data.K)
     hyper = (config.adam_beta1, config.adam_beta2, config.adam_epsilon)
     n_d = config.n_d if with_generator else 1
     n_g = config.n_g if with_generator else 0
@@ -529,14 +541,14 @@ def _train(config: TrainConfig, data: Dataset, rng: Rng, with_generator: bool) -
                         replace(G, flat=G.flat.copy()) if with_generator else None)
 
 
-def train_see_ood(config: TrainConfig, data: Dataset, rng: Rng) -> TrainHistory:
+def train_see_ood(config: TrainConfig, data: Dataset, rng: Rng, M: np.ndarray) -> TrainHistory:
     """Alternating adversarial training; requires at least one observed OoD point."""
-    return _train(config, data, rng, with_generator=True)
+    return _train(config, data, rng, M, with_generator=True)
 
 
-def train_wood(config: TrainConfig, data: Dataset, rng: Rng) -> TrainHistory:
+def train_wood(config: TrainConfig, data: Dataset, rng: Rng, M: np.ndarray) -> TrainHistory:
     """Generator-free baseline: descend ``mean CE - beta_ood * mean score(OoD)``."""
-    return _train(config, data, rng, with_generator=False)
+    return _train(config, data, rng, M, with_generator=False)
 
 
 def sample_generator(G: MlpParams, count: int, rng: Rng) -> np.ndarray:

@@ -7,6 +7,7 @@ lines.
 """
 
 import time
+from itertools import product
 
 import numpy as np
 import pytest
@@ -171,9 +172,11 @@ def biased_net(sizes, hidden, head, rng):
 
 
 def test_criterion_6_gradient_fidelity():
-    M = binary_cost_matrix(3)
+    # The binary matrix, and a graded one: moving mass between classes 1 and 3 costs 2.
+    matrices = (binary_cost_matrix(3), np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0],
+                                                  [2.0, 1.0, 0.0]]))
     worst = 0.0
-    for seed in range(20):
+    for seed, M in product(range(20), matrices):
         rng = Rng(seed + 500)
         hidden = Activation.RELU if seed % 2 == 0 else Activation.TANH
         D = biased_net((2, 6, 3), hidden, Head.SOFTMAX, rng)
@@ -201,7 +204,7 @@ def test_criterion_6_gradient_fidelity():
     check(
         "criterion 6 (gradient fidelity)",
         worst < 1e-4,
-        f"20 nets/batches, worst relative error {worst:.2e} (<1e-4)",
+        f"20 nets/batches x 2 cost matrices, worst relative error {worst:.2e} (<1e-4)",
     )
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oodlab.cli as cli
 import oodlab.experiment as experiment
 from oodlab.cli import main
 from oodlab.config import ExperimentConfig, parse_config, preset_config
@@ -348,6 +349,18 @@ class TestCli:
         assert trained == []
         assert not (tmp_path / "o").exists()
 
+    def test_cost_matrix_reaches_the_trainer(self, tmp_path, monkeypatch):
+        trained = []
+        train_see_ood = experiment.train_see_ood
+        monkeypatch.setattr(experiment, "train_see_ood",
+                            lambda *a: trained.append(a) or train_see_ood(*a))
+        (tmp_path / "m.csv").write_text("0,1,2\n1,0,1\n2,1,0\n")
+        cfg = tmp_path / "c.ini"
+        write_tiny_config(cfg, extra=f"[data]\ncost_matrix = {tmp_path / 'm.csv'}\n")
+        assert main(["replicate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert len(trained) == 1
+        np.testing.assert_array_equal(trained[0][-1], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+
     @pytest.mark.parametrize("cost, message", [
         ("0,nan,1\n1,0,1\n1,1,0\n", "non-finite"),
         ("0,1,1\n1,0,inf\n1,1,0\n", "non-finite"),
@@ -492,6 +505,26 @@ class TestCli:
         assert f"output directory {run} is not empty" in capsys.readouterr().err
         assert trained == []
         assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("command, work", [
+        (["gen-data"], "make_simulation_dataset"),
+        (["compare", "--a", "{run}", "--b", "{run}"], "load_report"),
+    ], ids=["gen-data", "compare"])
+    def test_used_out_is_refused_by_every_command(self, tmp_path, capsys, monkeypatch,
+                                                  command, work):
+        cfg = tmp_path / "c.ini"
+        write_tiny_config(cfg)
+        run = tmp_path / "run"
+        assert main(["replicate", "--config", str(cfg), "--out", str(run)]) == 0
+        before = sorted(p.relative_to(run) for p in run.rglob("*"))
+        worked = []
+        monkeypatch.setattr(cli, work, lambda *a: worked.append(a))
+        capsys.readouterr()
+        argv = [arg.format(run=run) for arg in command]
+        assert main([*argv, "--out", str(run)]) == 3
+        assert f"output directory {run} is not empty" in capsys.readouterr().err
+        assert worked == []
+        assert sorted(p.relative_to(run) for p in run.rglob("*")) == before
 
     def test_failed_write_leaves_no_directory(self, tmp_path, capsys, monkeypatch):
         calls = []

@@ -49,6 +49,10 @@ from oodlab.training import (
 )
 from oodlab.wasserstein import binary_cost_matrix
 
+M3 = binary_cost_matrix(3)
+# A non-binary cost matrix: moving mass between classes 1 and 3 costs twice as much.
+GRADED = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+
 
 def zero_discriminator(K=3, d=2):
     return MlpParams((d, K), np.zeros(K * d + K), Activation.RELU, Head.SOFTMAX)
@@ -93,7 +97,13 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("trainer", [train_see_ood, train_wood])
     def test_trainers_take_the_rng(self, trainer):
-        assert inspect.signature(trainer).parameters["rng"].default is inspect.Parameter.empty
+        for name in ("rng", "M"):
+            assert inspect.signature(trainer).parameters[name].default is inspect.Parameter.empty
+
+    @pytest.mark.parametrize("trainer", [train_see_ood, train_wood])
+    def test_cost_matrix_of_other_class_count_rejected(self, trainer):
+        with pytest.raises(ValueError, match="cost matrix is 4x4 but data has 3 classes"):
+            trainer(quick_config(), small_dataset(), Rng(0), binary_cost_matrix(4))
 
 
 class TestDiscriminatorLoss:
@@ -158,8 +168,8 @@ class TestDiscriminatorLoss:
                                          batches["ood_x"], batches["gen_x"], 1.0, 1.0,
                                          binary_cost_matrix(3))
 
-    def test_gradients_match_finite_differences(self):
-        M = binary_cost_matrix(3)
+    @pytest.mark.parametrize("M", [M3, GRADED], ids=["binary", "graded"])
+    def test_gradients_match_finite_differences(self, M):
         ind_x, ind_y, ood_x, gen_x = tiny_batches(5, n_ind=4)
         D = init_mlp((2, 6, 3), Activation.RELU, Head.SOFTMAX, Rng(17))
         _, _, grads = discriminator_loss_and_grads(
@@ -260,8 +270,8 @@ class TestGeneratorObjective:
         assert obj == 0.0
         assert np.abs(grads).max() == 0.0
 
-    def test_gradients_match_finite_differences(self):
-        M = binary_cost_matrix(3)
+    @pytest.mark.parametrize("M", [M3, GRADED], ids=["binary", "graded"])
+    def test_gradients_match_finite_differences(self, M):
         D = init_mlp((2, 6, 3), Activation.RELU, Head.SOFTMAX, Rng(13))
         G = init_mlp((2, 5, 2), Activation.TANH, Head.IDENTITY, Rng(14))
         noise = sample_noise(2, 4, Rng(15))
@@ -306,7 +316,7 @@ class TestTrainSeeOod:
     def test_zero_iterations_returns_initializations(self):
         cfg = quick_config(iterations=0)
         data = small_dataset()
-        history = train_see_ood(cfg, data, Rng(cfg.seed))
+        history = train_see_ood(cfg, data, Rng(cfg.seed), M3)
         assert history.records == ()
         check = Rng(cfg.seed)
         expected_d = init_mlp(cfg.discriminator_arch, Activation.RELU, Head.SOFTMAX, check)
@@ -317,20 +327,20 @@ class TestTrainSeeOod:
     def test_requires_observed_ood(self):
         data = small_dataset(n_ood=0)
         with pytest.raises(ValueError):
-            train_see_ood(quick_config(), data, Rng(0))
+            train_see_ood(quick_config(), data, Rng(0), M3)
 
     def test_deterministic_given_seed(self):
         cfg = quick_config()
         data = small_dataset()
-        a = train_see_ood(cfg, data, Rng(cfg.seed))
-        b = train_see_ood(cfg, data, Rng(cfg.seed))
+        a = train_see_ood(cfg, data, Rng(cfg.seed), M3)
+        b = train_see_ood(cfg, data, Rng(cfg.seed), M3)
         assert a.records == b.records
         assert params_to_text(a.discriminator) == params_to_text(b.discriminator)
         assert params_to_text(a.generator) == params_to_text(b.generator)
 
     def test_record_fields_finite_and_counted(self):
         cfg = quick_config(iterations=15)
-        history = train_see_ood(cfg, small_dataset(), Rng(cfg.seed))
+        history = train_see_ood(cfg, small_dataset(), Rng(cfg.seed), M3)
         assert len(history.records) == 15
         for i, rec in enumerate(history.records, start=1):
             assert rec.iteration == i
@@ -348,7 +358,7 @@ class TestTrainSeeOod:
 
         monkeypatch.setattr(training, "_discriminator_step", spy)
         cfg = quick_config(iterations=5, batch_ood=32)
-        train_see_ood(cfg, small_dataset(n_ood=2), Rng(0))
+        train_see_ood(cfg, small_dataset(n_ood=2), Rng(0), M3)
         assert seen and all(size == 2 for size in seen)
 
 
@@ -356,34 +366,34 @@ class TestTrainWood:
     def test_deterministic(self):
         cfg = quick_config(lr_d=1e-3)
         data = small_dataset()
-        a = train_wood(cfg, data, Rng(cfg.seed))
-        b = train_wood(cfg, data, Rng(cfg.seed))
+        a = train_wood(cfg, data, Rng(cfg.seed), M3)
+        b = train_wood(cfg, data, Rng(cfg.seed), M3)
         assert a.records == b.records
         assert params_to_text(a.discriminator) == params_to_text(b.discriminator)
 
     def test_no_generator(self):
         cfg = quick_config(lr_d=1e-3, iterations=5)
-        history = train_wood(cfg, small_dataset(), Rng(cfg.seed))
+        history = train_wood(cfg, small_dataset(), Rng(cfg.seed), M3)
         assert history.generator is None
         assert all(r.gen_score_mean is None and r.gen_objective is None
                    for r in history.records)
 
     def test_requires_observed_ood(self):
         with pytest.raises(ValueError):
-            train_wood(quick_config(), small_dataset(n_ood=0), Rng(0))
+            train_wood(quick_config(), small_dataset(n_ood=0), Rng(0), M3)
 
     @pytest.mark.parametrize("trainer", [train_see_ood, train_wood])
     def test_requires_labeled_ind(self, trainer):
         data = small_dataset()
         data = replace(data, ind_train_x=data.ind_train_x[:0], ind_train_y=data.ind_train_y[:0])
         with pytest.raises(ValueError, match="at least one labeled InD sample"):
-            trainer(quick_config(), data, Rng(0))
+            trainer(quick_config(), data, Rng(0), M3)
 
     def test_ignores_n_d(self):
         # The baseline takes one discriminator step per iteration whatever n_d says.
         data = small_dataset()
-        one = train_wood(quick_config(lr_d=1e-3, n_d=1), data, Rng(0))
-        three = train_wood(quick_config(lr_d=1e-3, n_d=3), data, Rng(0))
+        one = train_wood(quick_config(lr_d=1e-3, n_d=1), data, Rng(0), M3)
+        three = train_wood(quick_config(lr_d=1e-3, n_d=3), data, Rng(0), M3)
         assert one.records == three.records
         assert params_to_text(one.discriminator) == params_to_text(three.discriminator)
 
@@ -426,9 +436,8 @@ def reference_generator_step(D, G, noise, beta_z, M):
     return objective, grads
 
 
-def reference_train(config, data, rng, with_generator):
+def reference_train(config, data, rng, M, with_generator):
     """The allocating training loop the workspace replaced, on the reference kernels."""
-    M = binary_cost_matrix(data.K)
     D = init_mlp(config.discriminator_arch, Activation.RELU, Head.SOFTMAX, rng)
     adam_d = init_adam(D, config.adam_beta1, config.adam_beta2, config.adam_epsilon)
     G = adam_g = None
@@ -485,7 +494,8 @@ class TestWorkspaceMatchesReference:
                   chunk=1000)),
     ], ids=["d-heavy-mix", "g-heavy-mix", "ood-clamped", "batch-gen-differs",
             "multi-chunk-odd-noise"])
-    def test_trainer(self, monkeypatch, method, with_generator, pool, settings):
+    @pytest.mark.parametrize("M", [M3, GRADED], ids=["binary", "graded"])
+    def test_trainer(self, monkeypatch, method, with_generator, pool, settings, M):
         settings = dict(settings)
         if "chunk" in settings:
             monkeypatch.setattr(training, "DRAW_CHUNK_UNIFORMS", settings.pop("chunk"))
@@ -493,8 +503,8 @@ class TestWorkspaceMatchesReference:
                              **settings})
         data = small_dataset(seed=4, n_ood=pool)
         got_rng, want_rng = Rng(cfg.seed), Rng(cfg.seed)
-        got = method(cfg, data, got_rng)
-        want = reference_train(cfg, data, want_rng, with_generator)
+        got = method(cfg, data, got_rng, M)
+        want = reference_train(cfg, data, want_rng, M, with_generator)
         # A caller reusing its Rng after training sees the same next draw.
         assert got_rng.uniform(4).tobytes() == want_rng.uniform(4).tobytes()
         assert got.records == want.records
@@ -623,7 +633,7 @@ class TestSampleGenerator:
 class TestHistoryCsv:
     def test_columns_and_empty_generator_cells(self, tmp_path):
         cfg = quick_config(lr_d=1e-3, iterations=3)
-        history = train_wood(cfg, small_dataset(), Rng(cfg.seed))
+        history = train_wood(cfg, small_dataset(), Rng(cfg.seed), M3)
         path = tmp_path / "history.csv"
         write_history_csv(history, path)
         lines = path.read_text().splitlines()
@@ -633,7 +643,7 @@ class TestHistoryCsv:
 
     def test_round_numbers_survive(self, tmp_path):
         cfg = quick_config(iterations=3)
-        history = train_see_ood(cfg, small_dataset(), Rng(cfg.seed))
+        history = train_see_ood(cfg, small_dataset(), Rng(cfg.seed), M3)
         path = tmp_path / "history.csv"
         write_history_csv(history, path)
         rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
