@@ -5,8 +5,12 @@
 
 PARENT and CHANGE are source checkouts, each with src/oodlab; they may be
 the same, and each trainer must take the run's cost matrix as its last
-argument. Each checkout's package is loaded under its own module name, so
-both run in this process and see the same machine load. Every round trains
+argument. The script uses only public names of each checkout. Every preset
+trains on the builtin data with its OoD pool subsampled and the binary cost
+matrix, so each replication is built from `make_simulation_dataset`,
+`subsample_ood` and `binary_cost_matrix`, with the draws a run makes. Each
+checkout's package is loaded under its own module name, so both run in this
+process and see the same machine load. Every round trains
 one replication of the preset, cut to the given iterations, on each side,
 alternating which side goes first, and scores its heatmap. The script
 prints each round's training µs per iteration, optimizer steps per second
@@ -60,7 +64,8 @@ class Side:
     def __init__(self, checkout: str, name: str, preset: str, iterations: int):
         load(checkout, name)
         config = importlib.import_module(f"{name}.config")
-        self.experiment = importlib.import_module(f"{name}.experiment")
+        self.data = importlib.import_module(f"{name}.data")
+        self.wasserstein = importlib.import_module(f"{name}.wasserstein")
         self.training = importlib.import_module(f"{name}.training")
         self.detection = importlib.import_module(f"{name}.detection")
         self.Rng = importlib.import_module(f"{name}.rng").Rng
@@ -77,8 +82,9 @@ class Side:
         """
         cfg = self.config
         rng = self.Rng(cfg.train.seed + index)
-        data = self.experiment._build_dataset(cfg, rng)
-        M = self.experiment._cost_matrix(cfg, data.K)
+        data = self.data.subsample_ood(self.data.make_simulation_dataset(rng), cfg.ood_subsample,
+                                       rng)
+        M = self.wasserstein.binary_cost_matrix(data.K)
         train = self.training.train_see_ood if cfg.method == "see_ood" else self.training.train_wood
         start = time.perf_counter()
         history = train(cfg.train, data, rng, M)

@@ -19,7 +19,6 @@ from .detection import (
 )
 from .experiment import compare_rejection_regions, load_report, run_experiment, run_replication
 from .nets import (
-    Activation,
     AdamState,
     Head,
     MlpParams,

@@ -12,7 +12,7 @@ names its section and key, and its line if the value does not parse.
 
     [train]
     beta_ood beta_z n_d n_g lr_d lr_g batch_ind batch_ood batch_gen
-    iterations seed adam_beta1 adam_beta2 adam_epsilon
+    iterations seed
     discriminator_arch = 2 128 3
     generator_arch = 2 128 2    # the first size is the noise width
 

@@ -158,21 +158,22 @@ def write_heatmap_pgm(heatmap: np.ndarray, K: int, path) -> None:
     That is the binary cost matrix's range: under another matrix a score
     can exceed 1 - 1/K, and every such cell clips to 255 (white).
     Matrix rows are written top to bottom in storage order, each as lines of
-    16 samples and a shorter last line, one ``%d`` format pass per row.
+    16 samples and a shorter last line, one ``%d`` format pass per row. Each
+    row is mapped as it is written, so no whole-heatmap temporary is made.
     ValueError unless the heatmap is a nonempty 2-D array of finite scores.
     """
     if K < 2:
         raise ValueError(f"need K >= 2, got {K}")
     cells = _checked_heatmap(heatmap)
     top = 1.0 - 1.0 / K
-    grays = np.clip(np.floor(cells / top * 255.0 + 0.5), 0, 255).astype(int)
-    height, width = grays.shape
+    height, width = cells.shape
     full, rest = divmod(width, _PGM_SAMPLES_PER_LINE)
     row = _pgm_line(_PGM_SAMPLES_PER_LINE) * full + (_pgm_line(rest) if rest else "")
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"P2\n{width} {height}\n255\n")
-        for samples in grays:
-            f.write(row % tuple(samples.tolist()))
+        for scores in cells:
+            grays = np.clip(np.floor(scores / top * 255.0 + 0.5), 0, 255).astype(int)
+            f.write(row % tuple(grays.tolist()))
 
 
 def _pgm_line(samples: int) -> str:

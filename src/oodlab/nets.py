@@ -5,6 +5,10 @@ finite-difference gradient oracle for tests, a flat text format for weights
 (`write_params` writes it, `params_from_text` reads it back), the one CSV
 writer and the one float-matrix CSV reader. Everything is float64.
 
+Every network is a ReLU MLP with a Softmax head (the discriminator) or an
+Identity head (the generator), and every Adam update uses ``ADAM_BETA1``,
+``ADAM_BETA2`` and ``ADAM_EPSILON``.
+
 Each of softmax, forward, backward and Adam has one in-place kernel:
 `_softmax`, `_forward`, `_backward` and `_adam`. Each is a binder: it takes
 the caller-owned arrays it works in, a network pass's from a
@@ -66,7 +70,9 @@ import numpy as np
 from .rng import Rng
 
 __all__ = [
-    "Activation",
+    "ADAM_BETA1",
+    "ADAM_BETA2",
+    "ADAM_EPSILON",
     "Head",
     "MlpParams",
     "AdamState",
@@ -91,15 +97,13 @@ class NumericError(ArithmeticError):
     """A computation produced a non-finite value."""
 
 
-class Activation(Enum):
-    RELU = "ReLU"
-    TANH = "Tanh"
-
-
 class Head(Enum):
     SOFTMAX = "Softmax"
-    TANH = "Tanh"
     IDENTITY = "Identity"
+
+
+# Adam's moment decay rates and denominator offset, the same for every network.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.5, 0.999, 1e-8
 
 
 def _n_scalars(sizes: tuple[int, ...]) -> int:
@@ -143,14 +147,12 @@ class MlpParams:
     docstring); gradients and Adam moments share this layout. ``blocks[l]``,
     of shape (layer_sizes[l+1], layer_sizes[l] + 1), is that block;
     ``weights[l]`` and ``biases[l]`` are its first layer_sizes[l] columns and
-    its last column. All three are tuples of views into `flat`. The hidden
-    activation is applied after every layer except the last, which gets
-    `head`.
+    its last column. All three are tuples of views into `flat`. ReLU is
+    applied after every layer except the last, which gets `head`.
     """
 
     layer_sizes: tuple[int, ...]
     flat: np.ndarray
-    hidden: Activation
     head: Head
 
     def __post_init__(self):
@@ -191,27 +193,17 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int
-    beta1: float
-    beta2: float
-    epsilon: float
 
     def __post_init__(self):
         if self.t < 0:
             raise ValueError(f"step counter must be >= 0, got {self.t}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be > 0")
 
 
-def init_adam(params: MlpParams, beta1: float = 0.5, beta2: float = 0.999,
-              epsilon: float = 1e-8) -> AdamState:
-    return AdamState(np.zeros_like(params.flat), np.zeros_like(params.flat), 0,
-                     beta1, beta2, epsilon)
+def init_adam(params: MlpParams) -> AdamState:
+    return AdamState(np.zeros_like(params.flat), np.zeros_like(params.flat), 0)
 
 
-def init_mlp(layer_sizes: list[int] | tuple[int, ...], hidden: Activation, head: Head,
-             rng: Rng) -> MlpParams:
+def init_mlp(layer_sizes: list[int] | tuple[int, ...], head: Head, rng: Rng) -> MlpParams:
     """Fresh network with uniform Glorot weights and zero biases.
 
     Weight entries are drawn layer by layer in row-major order from
@@ -224,7 +216,7 @@ def init_mlp(layer_sizes: list[int] | tuple[int, ...], hidden: Activation, head:
         fan_out, fan_in = w.shape
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         w[...] = ((2.0 * rng.uniform(w.size) - 1.0) * bound).reshape(w.shape)
-    return MlpParams(sizes, flat, hidden, head)
+    return MlpParams(sizes, flat, head)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -311,11 +303,10 @@ class ForwardCache:
     ``activations`` and ``deltas`` are their ``[:, :width]`` views, made once
     per cache and read when a kernel is bound. A Softmax head also keeps
     ``logits``, a C-contiguous (rows, K) array of the softmax's input; for
-    any other head it is None.
+    an Identity head it is None.
 
-    `_backward` overwrites each hidden ``a[l]`` with its nonlinearity's
-    derivative and a Tanh head's output with 1 - a², so a cache takes one
-    backward pass per forward pass.
+    `_backward` overwrites each hidden ``a[l]`` with its ReLU derivative, so
+    a cache takes one backward pass per forward pass.
 
     ``col`` is the Softmax head's (2, rows, 1) row max and exp-sum. The
     backward arrays, `d` and the flat parameter gradient `grad`
@@ -376,37 +367,29 @@ def _forward(params: MlpParams, cache: ForwardCache):
     """Bind the forward kernel to `params` and `cache`: ``run(x)`` runs the network on `x`.
 
     ``run`` writes each layer's product into its ``activations[l]``, or a
-    Softmax head's ``logits``, runs its nonlinearity there in place, and
+    Softmax head's ``logits``, runs ReLU or the softmax there in place, and
     returns the output array. Every view and branch is taken here, once; the
     views track in-place updates of ``params.flat``. Unchecked: `x` must be
     a (rows, input_dim + 1) float array from `_with_ones`, matching `cache`.
     """
     last = len(params.blocks) - 1
-    relu, softmax = params.hidden is Activation.RELU, params.head is Head.SOFTMAX
+    softmax = params.head is Head.SOFTMAX
     zero, out = _scalar(0.0), cache.activations[last]
     z = cache.activations[:last] + (cache.logits if softmax else out,)
     # [x | 1] @ [W0 | b0]^T: the bias rides on the ones column.
     w0, z0 = params.blocks[0].T, z[0]
-    # Per hidden layer l: the array its nonlinearity runs on in place (ReLU
-    # over the whole array, as max(1, 0) keeps the ones column), then layer
-    # l + 1's input, transposed weights, bias and product.
-    hidden = tuple((cache.a[l] if relu else cache.activations[l], cache.activations[l],
-                    params.weights[l + 1].T, params.biases[l + 1], z[l + 1])
+    # Per hidden layer l: the array ReLU runs on in place (the whole array, as
+    # max(1, 0) keeps the ones column), then layer l + 1's input, transposed
+    # weights, bias and product.
+    hidden = tuple((cache.a[l], cache.activations[l], params.weights[l + 1].T,
+                    params.biases[l + 1], z[l + 1])
                    for l in range(last))
-    head = None
-    if softmax:
-        head = _softmax(cache.logits, out, cache.col)
-    elif params.head is Head.TANH:
-        def head():
-            np.tanh(out, out=out)
+    head = _softmax(cache.logits, out, cache.col) if softmax else None
 
     def run(x: np.ndarray) -> np.ndarray:
         np.matmul(x, w0, out=z0)
         for h, below, w, b, z_next in hidden:
-            if relu:
-                np.maximum(h, zero, out=h)
-            else:
-                np.tanh(h, out=h)
+            np.maximum(h, zero, out=h)
             np.matmul(below, w, out=z_next)
             np.add(z_next, b, out=z_next)
         if head is not None:
@@ -423,20 +406,16 @@ def _backward(params: MlpParams, cache: ForwardCache, dx: np.ndarray | None = No
     [below | 1]`` product per layer, skipping layer 0's ``delta @ W0``; or,
     given `dx`, a (rows, input_dim + 1) array, only the input gradient, into
     its first columns, and then it reads nothing of `x`. Once layer l's
-    gradient has read ``a[l - 1]``, the derivative of the nonlinearity below
-    overwrites it, ones column kept; a Tanh head's derivative overwrites its
-    output. So the pass in `cache` is spent. Views are made here, once, as in
-    `_forward`. Unchecked, like `_forward`.
+    gradient has read ``a[l - 1]``, the ReLU derivative overwrites it, ones
+    column kept, so the pass in `cache` is spent. Both heads take the
+    upstream gradient as it is (a Softmax head's Jacobian is folded in
+    upstream). Views are made here, once, as in `_forward`. Unchecked, like
+    `_forward`.
     """
-    last = len(params.blocks) - 1
-    relu, param_grad = params.hidden is Activation.RELU, dx is None
-    zero, one = _scalar(0.0), _scalar(1.0)
-    # Identity and Softmax heads (Jacobian folded in upstream) take it as is.
-    top = cache.deltas[last]
-    tanh_out = cache.activations[last] if params.head is Head.TANH else None
-    # Per layer l from the top down to 1: delta^T and delta; the [a | 1] below,
-    # its narrow view and the gradient block; [W | b]; and the delta below.
-    layers = tuple((cache.deltas[l].T, cache.deltas[l], cache.a[l - 1], cache.activations[l - 1],
+    last, param_grad, zero = len(params.blocks) - 1, dx is None, _scalar(0.0)
+    # Per layer l from the top down to 1: delta^T and delta; the [a | 1] below
+    # and the gradient block; [W | b]; and the delta below.
+    layers = tuple((cache.deltas[l].T, cache.deltas[l], cache.a[l - 1],
                     cache.grad_blocks[l] if param_grad else None, params.blocks[l],
                     cache.d[l - 1])
                    for l in range(last, 0, -1))
@@ -444,22 +423,13 @@ def _backward(params: MlpParams, cache: ForwardCache, dx: np.ndarray | None = No
     delta0_t, grad0 = delta0.T, cache.grad_blocks[0] if param_grad else None
 
     def run(x: np.ndarray) -> None:
-        if tanh_out is not None:
-            np.square(tanh_out, out=tanh_out)
-            np.subtract(one, tanh_out, out=tanh_out)
-            np.multiply(top, tanh_out, out=top)
-        for delta_t, delta, a, t, grad, block, d in layers:
+        for delta_t, delta, a, grad, block, d in layers:
             if param_grad:
                 np.matmul(delta_t, a, out=grad)
             # delta @ [W | b] into a whole array: its first columns are delta @ W.
             np.matmul(delta, block, out=d)
-            if relu:
-                # Subgradient 0 at the kink; 1 > 0 keeps the ones column.
-                np.greater(a, zero, out=a)
-            else:
-                # 1 - tanh(z)^2 from a = tanh(z), over the narrow view.
-                np.square(t, out=t)
-                np.subtract(one, t, out=t)
+            # Subgradient 0 at the kink; 1 > 0 keeps the ones column.
+            np.greater(a, zero, out=a)
             np.multiply(d, a, out=d)
         if param_grad:
             np.matmul(delta0_t, x, out=grad0)
@@ -468,16 +438,16 @@ def _backward(params: MlpParams, cache: ForwardCache, dx: np.ndarray | None = No
     return run
 
 
-def _adam(flat: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, lr: float,
-          beta1: float, beta2: float, epsilon: float):
+def _adam(flat: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, lr: float):
     """Bind the Adam kernel: ``run(t)`` makes the t-th bias-corrected update of `flat`, `m`, `v`.
 
     ``run`` reads `grad` and updates the three in place, through two work
     vectors made here. Unchecked.
     """
+    beta1, beta2 = ADAM_BETA1, ADAM_BETA2
     s, r = np.empty_like(flat), np.empty_like(flat)
     b1, b2, keep1, keep2 = (_scalar(c) for c in (beta1, beta2, 1.0 - beta1, 1.0 - beta2))
-    rate, eps = _scalar(lr), _scalar(epsilon)
+    rate, eps = _scalar(lr), _scalar(ADAM_EPSILON)
 
     def run(t: int) -> None:
         np.multiply(grad, keep1, out=s)
@@ -513,8 +483,8 @@ def mlp_backward(params: MlpParams, x: np.ndarray, upstream: np.ndarray,
 
     `x` is a (batch, input_dim) matrix and `upstream` a (batch, output_dim)
     one: for a Softmax head the gradient with respect to the pre-head
-    logits (the loss layer folds the softmax Jacobian in), for Tanh and
-    Identity heads with respect to the output itself. The per-sample
+    logits (the loss layer folds the softmax Jacobian in), for an Identity
+    head with respect to the output itself. The per-sample
     contributions are summed, so any 1/batch averaging belongs in the loss
     layer. Returns one array: the flat parameter gradient, skipping layer
     0's ``delta @ W0`` that only the input gradient needs; or, with
@@ -548,9 +518,8 @@ def adam_step(params: MlpParams, grad: np.ndarray, state: AdamState,
     t = state.t + 1
     flat = params.flat.astype(float)
     m, v = state.m.astype(float), state.v.astype(float)
-    _adam(flat, grad, m, v, lr, state.beta1, state.beta2, state.epsilon)(t)
-    return (replace(params, flat=flat),
-            AdamState(m, v, t, state.beta1, state.beta2, state.epsilon))
+    _adam(flat, grad, m, v, lr)(t)
+    return replace(params, flat=flat), AdamState(m, v, t)
 
 
 def finite_difference_gradient(loss, params: MlpParams, step: float) -> np.ndarray:
@@ -636,17 +605,16 @@ def read_float_csv(path, kind: str) -> np.ndarray:
 def params_to_text(params: MlpParams) -> str:
     """Flat text form of a network.
 
-    Header line ``layers: s0 s1 ... sL; hidden: <ReLU|Tanh>; head:
-    <Softmax|Tanh|Identity>``, then for each layer one line of row-major
-    weights followed by one line of biases. Floats carry 17 significant
-    digits, so text -> params -> text round-trips bit-exactly.
+    Header line ``layers: s0 s1 ... sL; hidden: ReLU; head:
+    <Softmax|Identity>``, then for each layer one line of row-major weights
+    followed by one line of biases. Every network is ReLU, so `hidden` is
+    always ``ReLU``, and :func:`params_from_text` rejects any other value.
+    Floats carry 17 significant digits, so text -> params -> text round-trips
+    bit-exactly.
     """
     lines = [
-        "layers: {}; hidden: {}; head: {}".format(
-            " ".join(str(s) for s in params.layer_sizes),
-            params.hidden.value,
-            params.head.value,
-        )
+        "layers: {}; hidden: ReLU; head: {}".format(
+            " ".join(str(s) for s in params.layer_sizes), params.head.value)
     ]
     for w, b in zip(params.weights, params.biases):
         lines.append(" ".join(fmt_float(x) for x in w.ravel(order="C")))
@@ -662,7 +630,8 @@ def params_from_text(text: str) -> MlpParams:
     try:
         layers_part, hidden_part, head_part = header.split(";")
         sizes = tuple(int(tok) for tok in layers_part.split(":", 1)[1].split())
-        hidden = Activation(hidden_part.split(":", 1)[1].strip())
+        if hidden_part.split(":", 1)[1].strip() != "ReLU":
+            raise ValueError("the hidden activation must be ReLU")
         head = Head(head_part.split(":", 1)[1].strip())
     except (ValueError, IndexError) as exc:
         raise ValueError(f"malformed parameter header: {header!r}") from exc
@@ -681,7 +650,7 @@ def params_from_text(text: str) -> MlpParams:
             kind = "biases" if i % 2 else "weights"
             raise ValueError(f"layer {i // 2} expects {part.size} {kind}, got {len(row)}")
         part[...] = np.reshape(row, part.shape)
-    return MlpParams(sizes, flat, hidden, head)
+    return MlpParams(sizes, flat, head)
 
 
 def write_params(params: MlpParams, path) -> None:

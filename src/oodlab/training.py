@@ -49,7 +49,6 @@ import numpy as np
 
 from .data import Dataset, sample_noise
 from .nets import (
-    Activation,
     ForwardCache,
     Head,
     MlpParams,
@@ -92,7 +91,9 @@ class TrainConfig:
 
     No trainer reads `seed`: the trainers draw from the `Rng` they are
     given. It is the replication base seed, read by `experiment`
-    (replication r runs on ``seed + r``) and by the CLI's `gen-data`.
+    (replication r runs on ``seed + r``) and by the CLI's `gen-data`. Adam's
+    beta1, beta2 and epsilon are not knobs: every run uses the `nets`
+    constants.
     """
 
     beta_ood: float = 1.0
@@ -108,12 +109,9 @@ class TrainConfig:
     seed: int = 0
     discriminator_arch: tuple[int, ...] = (2, 128, 3)
     generator_arch: tuple[int, ...] = (2, 128, 2)
-    adam_beta1: float = 0.5
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
 
     def __post_init__(self):
-        for name in ("beta_ood", "beta_z", "lr_d", "lr_g", "adam_epsilon"):
+        for name in ("beta_ood", "beta_z", "lr_d", "lr_g"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.beta_ood <= 0.0:
@@ -129,11 +127,6 @@ class TrainConfig:
         for name in ("iterations", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        if not self.adam_epsilon > 0.0:
-            raise ValueError(f"adam_epsilon must be > 0, got {self.adam_epsilon}")
         for name in ("discriminator_arch", "generator_arch"):
             if len(getattr(self, name)) < 2 or min(getattr(self, name)) < 1:
                 raise ValueError(f"{name} needs at least two layer sizes, each >= 1, "
@@ -359,8 +352,8 @@ def generator_objective_and_grads(
     noise = _as_batch(G, noise_batch, "noise_batch")
     if noise.shape[0] == 0:
         raise ValueError("the noise batch must be nonempty")
-    if G.head is Head.SOFTMAX:
-        raise ValueError("the generator head must be Identity or Tanh")
+    if G.head is not Head.IDENTITY:
+        raise ValueError("the generator head must be Identity")
     if G.output_dim != D.input_dim:
         raise ValueError(
             f"generator emits dimension {G.output_dim}, discriminator expects {D.input_dim}"
@@ -470,16 +463,15 @@ def _train(config: TrainConfig, data: Dataset, rng: Rng, M: np.ndarray,
         raise ValueError("training requires at least one observed OoD sample")
     check_architectures(config, data, with_generator, M)
 
-    hyper = (config.adam_beta1, config.adam_beta2, config.adam_epsilon)
     n_d = config.n_d if with_generator else 1
     n_g = config.n_g if with_generator else 0
     beta_z = config.beta_z if with_generator else 0.0
     # D and G stay private to the run: their flat vectors are updated in place.
-    D = init_mlp(config.discriminator_arch, Activation.RELU, Head.SOFTMAX, rng)
-    adam_d = init_adam(D, *hyper)
+    D = init_mlp(config.discriminator_arch, Head.SOFTMAX, rng)
+    adam_d = init_adam(D)
     if with_generator:
-        G = init_mlp(config.generator_arch, Activation.RELU, Head.IDENTITY, rng)
-        adam_g = init_adam(G, *hyper)
+        G = init_mlp(config.generator_arch, Head.IDENTITY, rng)
+        adam_g = init_adam(G)
 
     # The pools with their ones columns, so `take` fills whole batch rows.
     ind_pool = _with_ones(*data.ind_train_x.shape, fill=data.ind_train_x)
@@ -490,7 +482,7 @@ def _train(config: TrainConfig, data: Dataset, rng: Rng, M: np.ndarray,
     b_ood = config.effective_batch_ood(n_ood_pool)
     d_ws = _LossWorkspace(D, config.batch_ind, b_ood, config.batch_gen if with_generator else 0)
     d_step = _discriminator_step(D, d_ws, config.beta_ood, beta_z, M)
-    d_adam = _adam(D.flat, d_ws.cache.grad, adam_d.m, adam_d.v, config.lr_d, *hyper)
+    d_adam = _adam(D.flat, d_ws.cache.grad, adam_d.m, adam_d.v, config.lr_d)
     ind_batch, ood_batch, gen_batch, ind_targets = d_ws.ind, d_ws.ood, d_ws.gen, d_ws.targets
     if with_generator:
         # G's weights change only in G steps, so the n_d D steps' noise
@@ -507,7 +499,7 @@ def _train(config: TrainConfig, data: Dataset, rng: Rng, M: np.ndarray,
         # ascends: Adam descends the gradient of the negated objective.
         g_step = _generator_step(D, G, g_cache, _LossWorkspace(D, 0, 0, bg), config.beta_z, M,
                                  ascend=True)
-        g_adam = _adam(G.flat, g_cache.grad, adam_g.m, adam_g.v, config.lr_g, *hyper)
+        g_adam = _adam(G.flat, g_cache.grad, adam_g.m, adam_g.v, config.lr_g)
     draws = _draws(rng, config.iterations, n_d, n_g, config.batch_ind, n_ind, b_ood, n_ood_pool,
                    (config.batch_gen, config.noise_dim) if with_generator else None)
 

@@ -23,7 +23,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from oodlab.nets import (
-    Activation,
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     AdamState,
     Head,
     MlpParams,
@@ -58,12 +60,6 @@ def contiguous_layers(params: MlpParams) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(np.ascontiguousarray(w), b.copy()) for w, b in zip(params.weights, params.biases)]
 
 
-def _apply_hidden(z: np.ndarray, activation: Activation) -> np.ndarray:
-    if activation is Activation.RELU:
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
-
-
 def reference_forward(params: MlpParams,
                       inputs: np.ndarray) -> tuple[np.ndarray, ReferenceCache]:
     x = np.asarray(inputs, dtype=float)
@@ -80,11 +76,9 @@ def reference_forward(params: MlpParams,
         z = a @ w.T + b
         pres.append(z)
         if l < last:
-            a = _apply_hidden(z, params.hidden)
+            a = np.maximum(z, 0.0)
         elif params.head is Head.SOFTMAX:
             a = reference_softmax(z)
-        elif params.head is Head.TANH:
-            a = np.tanh(z)
         else:
             a = z
         acts.append(a)
@@ -107,11 +101,8 @@ def reference_backward(params: MlpParams, cache: ReferenceCache, output_gradient
 
     last = len(params.weights) - 1
     weights = [w for w, _ in contiguous_layers(params)]
-    if params.head is Head.TANH:
-        delta = g * (1.0 - cache.activations[last] ** 2)
-    else:
-        # Identity head, or Softmax with the Jacobian folded in upstream.
-        delta = g
+    # Identity head, or Softmax with the Jacobian folded in upstream.
+    delta = g
 
     if param_grad:
         grad = np.empty_like(params.flat)
@@ -125,12 +116,8 @@ def reference_backward(params: MlpParams, cache: ReferenceCache, output_gradient
                 return grad
         delta = delta @ weights[l]
         if l > 0:
-            z = cache.pre_activations[l - 1]
-            if params.hidden is Activation.RELU:
-                # Subgradient 0 at the kink.
-                delta = delta * (z > 0.0)
-            else:
-                delta = delta * (1.0 - np.tanh(z) ** 2)
+            # Subgradient 0 at the kink.
+            delta = delta * (cache.pre_activations[l - 1] > 0.0)
     return delta
 
 
@@ -144,11 +131,11 @@ def reference_adam(params: MlpParams, grad: np.ndarray, state: AdamState,
         )
 
     t = state.t + 1
-    b1, b2, eps = state.beta1, state.beta2, state.epsilon
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
     m = b1 * state.m + (1.0 - b1) * grad
     v = b2 * state.v + (1.0 - b2) * grad * grad
     step = lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
-    return replace(params, flat=params.flat - step), AdamState(m, v, t, b1, b2, eps)
+    return replace(params, flat=params.flat - step), AdamState(m, v, t)
 
 
 def reference_classification_accuracy(D: MlpParams, points, labels) -> float:

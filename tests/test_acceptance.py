@@ -17,7 +17,6 @@ from oodlab.data import sample_noise
 from oodlab.detection import rejection_region_area, select_threshold
 from oodlab.experiment import compare_rejection_regions, load_report, run_experiment
 from oodlab.nets import (
-    Activation,
     Head,
     adam_step,
     finite_difference_gradient,
@@ -158,14 +157,14 @@ def worst_relative_error(analytic, numeric):
     return worst
 
 
-def biased_net(sizes, hidden, head, rng):
+def biased_net(sizes, head, rng):
     """Glorot weights plus nonzero biases.
 
     Zero biases leave dead-ReLU inputs with exactly tied logits, where the
     score's argmin genuinely jumps and central differences are meaningless;
     random biases keep the frozen seeds clear of those discontinuities.
     """
-    net = init_mlp(sizes, hidden, head, rng)
+    net = init_mlp(sizes, head, rng)
     for b in net.biases:  # views into the fresh net's flat vector
         b[...] = 0.6 * rng.uniform(b.size) - 0.3
     return net
@@ -178,9 +177,8 @@ def test_criterion_6_gradient_fidelity():
     worst = 0.0
     for seed, M in product(range(20), matrices):
         rng = Rng(seed + 500)
-        hidden = Activation.RELU if seed % 2 == 0 else Activation.TANH
-        D = biased_net((2, 6, 3), hidden, Head.SOFTMAX, rng)
-        G = biased_net((2, 5, 2), hidden, Head.IDENTITY, rng)
+        D = biased_net((2, 6, 3), Head.SOFTMAX, rng)
+        G = biased_net((2, 5, 2), Head.IDENTITY, rng)
         ind_x = rng.standard_normal(8).reshape(4, 2)
         ind_y = rng.indices_below(3, 4) + 1
         ood_x = rng.standard_normal(6).reshape(3, 2)
@@ -278,8 +276,8 @@ def test_property_frozen_discriminator_generator_ascent(preset_runs):
     cfg = preset_runs["setting2"]["report"].config.train
     M = binary_cost_matrix(3)
     rng = Rng(9999)
-    G = init_mlp(cfg.generator_arch, Activation.RELU, Head.IDENTITY, rng)
-    state = init_adam(G, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon)
+    G = init_mlp(cfg.generator_arch, Head.IDENTITY, rng)
+    state = init_adam(G)
     first = None
     last = None
     for _ in range(200):

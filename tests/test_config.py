@@ -93,17 +93,19 @@ class TestParsing:
             parse_config(MINIMAL + "[data]\ncost_matrix =\n")
 
     @pytest.mark.parametrize("section, key", [
-        ("data", "source"), ("train", "noise_dim"), ("eval", "output_dir")])
+        ("data", "source"), ("train", "noise_dim"), ("eval", "output_dir"),
+        ("train", "adam_beta1"), ("train", "adam_beta2"), ("train", "adam_epsilon")])
     def test_removed_key_is_unknown(self, section, key):
-        # `path` selects the data, `generator_arch` the noise width, and --out the directory.
+        # `path` selects the data, `generator_arch` the noise width, --out the directory,
+        # and Adam's beta1, beta2 and epsilon are `nets` constants.
         with pytest.raises(ConfigError, match=rf"line 4: unknown key '{key}'"):
             parse_config(MINIMAL + f"[{section}]\n{key} = 2\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("section, key", [
         ("train", "beta_ood"), ("train", "beta_z"), ("train", "lr_d"), ("train", "lr_g"),
-        ("train", "adam_epsilon"), ("eval", "grid_x_min"), ("eval", "grid_x_max"),
-        ("eval", "grid_y_min"), ("eval", "grid_y_max")])
+        ("eval", "grid_x_min"), ("eval", "grid_x_max"), ("eval", "grid_y_min"),
+        ("eval", "grid_y_max")])
     def test_non_finite_value_rejected(self, section, key, value):
         # A NaN would also break parse(serialize(c)) == c, since NaN != NaN.
         with pytest.raises(ConfigError, match=rf"\[{section}\]: {key} must be finite, got {value}"):
@@ -141,11 +143,6 @@ class TestPresets:
         assert cfg.train.beta_ood == 1.0
         assert cfg.train.lr_d == pytest.approx(1e-3)
 
-    def test_adam_moments_shared(self):
-        for name in PRESETS:
-            t = preset_config(name).train
-            assert (t.adam_beta1, t.adam_beta2) == (0.5, 0.999)
-
     def test_preset_in_file_with_overrides(self):
         text = "[method]\npreset = setting1\n[train]\niterations = 7\n"
         cfg = parse_config(text)
@@ -174,7 +171,6 @@ class TestRoundTrip:
             "batch_ind = 17\nbatch_ood = 9\nbatch_gen = 33\n"
             "iterations = 11\nseed = 42\n"
             "discriminator_arch = 2 16 8 3\ngenerator_arch = 3 24 2\n"
-            "adam_beta1 = 0.8\nadam_beta2 = 0.99\nadam_epsilon = 1e-6\n"
             "[eval]\n"
             "grid_x_min = -2.5\ngrid_x_max = 6.25\ngrid_y_min = 0.1\ngrid_y_max = 9\n"
             "grid_resolution = 37\n"
@@ -198,8 +194,7 @@ class TestRoundTrip:
             "[train]\nbeta_ood = 1\nbeta_z = 0.001\nn_d = 2\nn_g = 1\nlr_d = 0.0001\n"
             "lr_g = 0.0001\nbatch_ind = 64\nbatch_ood = 32\nbatch_gen = 64\n"
             "iterations = 2000\nseed = 0\ndiscriminator_arch = 2 128 3\n"
-            "generator_arch = 2 128 2\nadam_beta1 = 0.5\nadam_beta2 = 0.999\n"
-            "adam_epsilon = 1e-08\n\n"
+            "generator_arch = 2 128 2\n\n"
             "[data]\npath = data/points.csv\ncost_matrix = data/cost.csv\n"
             "ood_subsample = 5\n\n"
             "[eval]\ntnr_targets = 0.90000000000000002 0.94999999999999996 0.5\n"
@@ -213,7 +208,7 @@ class TestRoundTrip:
         cfg = ExperimentConfig(data_path="d.csv", cost_matrix_path="c.csv", ood_subsample=1)
         keys = [line.split(" = ")[0] for line in serialize_config(cfg).splitlines()
                 if " = " in line]
-        assert len(keys) == 27
+        assert len(keys) == 24
         for key in keys + ["preset"]:
             assert key in config_mod.__doc__.split(), key
         # The indented block: `key = ...` lines, and [train]'s list of bare keys.

@@ -24,7 +24,7 @@ from oodlab.detection import (
     write_heatmap_csv,
     write_heatmap_pgm,
 )
-from oodlab.nets import Activation, Head, MlpParams, init_mlp
+from oodlab.nets import Head, MlpParams, init_mlp
 from oodlab.rng import Rng
 from oodlab.wasserstein import SCORE_BLOCK_ROWS, binary_cost_matrix, score_batch
 
@@ -113,30 +113,30 @@ class TestAccuracy:
     def test_confident_correct_point(self):
         w = np.array([[5.0, 0.0], [0.0, 0.0], [-5.0, 0.0]])
         net = MlpParams((2, 3), np.column_stack([w, np.zeros(3)]).ravel(),
-                        Activation.RELU, Head.SOFTMAX)
+                        Head.SOFTMAX)
         assert accuracy(net, [[1.0, 0.0]], [1]) == 1.0
 
     def test_uniform_net_breaks_ties_to_first_class(self):
-        net = MlpParams((2, 3), np.zeros(9), Activation.RELU, Head.SOFTMAX)
+        net = MlpParams((2, 3), np.zeros(9), Head.SOFTMAX)
         labels = np.array([1, 2, 3, 1])
         acc = accuracy(net, np.zeros((4, 2)), labels)
         assert acc == np.mean(labels == 1)
 
     def test_bounds(self):
-        net = init_mlp((2, 6, 3), Activation.RELU, Head.SOFTMAX, Rng(1))
+        net = init_mlp((2, 6, 3), Head.SOFTMAX, Rng(1))
         pts = Rng(2).standard_normal(20).reshape(10, 2)
         labels = Rng(3).indices_below(3, 10) + 1
         acc = accuracy(net, pts, labels)
         assert 0.0 <= acc <= 1.0
 
     def test_empty_rejected(self):
-        net = init_mlp((2, 6, 3), Activation.RELU, Head.SOFTMAX, Rng(1))
+        net = init_mlp((2, 6, 3), Head.SOFTMAX, Rng(1))
         with pytest.raises(ValueError):
             accuracy(net, np.empty((0, 2)), np.empty(0))
 
     @pytest.mark.parametrize("rows", [10, SCORE_BLOCK_ROWS + 7])
     def test_one_pass_matches_scores_and_accuracy(self, rows):
-        net = init_mlp((2, 16, 3), Activation.RELU, Head.SOFTMAX, Rng(4))
+        net = init_mlp((2, 16, 3), Head.SOFTMAX, Rng(4))
         pts = 2.0 * Rng(5).standard_normal(2 * rows).reshape(rows, 2)
         labels = Rng(6).indices_below(3, rows) + 1
         M = binary_cost_matrix(3)
@@ -145,7 +145,7 @@ class TestAccuracy:
         assert acc == reference_classification_accuracy(net, pts, labels)
 
     def test_one_pass_rejects_what_each_part_rejects(self):
-        net = init_mlp((2, 6, 3), Activation.RELU, Head.SOFTMAX, Rng(1))
+        net = init_mlp((2, 6, 3), Head.SOFTMAX, Rng(1))
         M = binary_cost_matrix(3)
         with pytest.raises(ValueError, match="nonempty"):
             scores_and_accuracy(net, np.empty((0, 2)), np.empty(0), M)
@@ -171,7 +171,7 @@ class TestMad:
 
 
 def uniform_score_net(K=3):
-    return MlpParams((2, K), np.zeros(3 * K), Activation.RELU, Head.SOFTMAX)
+    return MlpParams((2, K), np.zeros(3 * K), Head.SOFTMAX)
 
 
 class TestHeatmap:
@@ -182,7 +182,7 @@ class TestHeatmap:
         assert hm.shape == (10, 10)
 
     def test_bounds(self):
-        net = init_mlp((2, 8, 3), Activation.RELU, Head.SOFTMAX, Rng(4))
+        net = init_mlp((2, 8, 3), Head.SOFTMAX, Rng(4))
         hm = score_heatmap(net, GridSpec(-1, 8, -1, 8, 25), binary_cost_matrix(3))
         assert (hm >= 0).all() and (hm <= 2 / 3 + 1e-15).all()
 
@@ -190,7 +190,7 @@ class TestHeatmap:
         # Logit gap grows with x, so the score at the center is predictable.
         w = np.array([[1.0, 0.0], [-1.0, 0.0]])
         net = MlpParams((2, 2), np.column_stack([w, np.zeros(2)]).ravel(),
-                        Activation.RELU, Head.SOFTMAX)
+                        Head.SOFTMAX)
         grid = GridSpec(0.0, 2.0, -3.0, 5.0, 1)
         hm = score_heatmap(net, grid, binary_cost_matrix(2))
         from oodlab.nets import mlp_forward
@@ -204,20 +204,20 @@ class TestHeatmap:
         # Score decreases as x grows (confidence rises with x), flat in y.
         w = np.array([[1.0, 0.0], [-1.0, 0.0]])
         net = MlpParams((2, 2), np.column_stack([w, np.zeros(2)]).ravel(),
-                        Activation.RELU, Head.SOFTMAX)
+                        Head.SOFTMAX)
         hm = score_heatmap(net, GridSpec(0, 4, 0, 4, 8), binary_cost_matrix(2))
         assert (np.diff(hm[0]) < 0).all()
         npt.assert_allclose(hm[:, 3], hm[0, 3], atol=1e-12)
 
     def test_requires_2d_input(self):
-        net = init_mlp((3, 4, 2), Activation.RELU, Head.SOFTMAX, Rng(0))
+        net = init_mlp((3, 4, 2), Head.SOFTMAX, Rng(0))
         with pytest.raises(ValueError):
             score_heatmap(net, GridSpec(0, 1, 0, 1, 4), binary_cost_matrix(2))
 
     @pytest.mark.parametrize("grid", [GridSpec(-1, 8, -1, 8, 200), GridSpec(-2.5, 6.25, 0.1, 9, 37),
                                       GridSpec(0, 1, -3, 5, 1)], ids=["200", "37", "1"])
     def test_grid_matches_meshgrid_points(self, grid):
-        net = perturbed_net((2, 128, 3), Activation.RELU, Head.SOFTMAX, 3)
+        net = perturbed_net((2, 128, 3), Head.SOFTMAX, 3)
         res = grid.resolution
         xs = grid.x_min + (np.arange(res) + 0.5) * ((grid.x_max - grid.x_min) / res)
         ys = grid.y_min + (np.arange(res) + 0.5) * ((grid.y_max - grid.y_min) / res)
@@ -246,13 +246,18 @@ class TestMemoryBound:
     def test_score_heatmap_peak(self):
         # One 200x200 grid is 0.64 MB of points and 0.33 MB of scores; a block's
         # hidden array is SCORE_BLOCK_ROWS x 129 floats.
-        net = perturbed_net((2, 128, 3), Activation.RELU, Head.SOFTMAX, 7)
+        net = perturbed_net((2, 128, 3), Head.SOFTMAX, 7)
         grid, M = GridSpec(-1, 8, -1, 8, 200), binary_cost_matrix(3)
         assert traced_peak(lambda: score_heatmap(net, grid, M)) < 3_000_000
 
     def test_write_heatmap_csv_peak(self, tmp_path):
         hm = Rng(9).uniform(40_000).reshape(200, 200) * (2 / 3)
         assert traced_peak(lambda: write_heatmap_csv(hm, tmp_path / "hm.csv")) < 500_000
+
+    def test_write_heatmap_pgm_peak(self, tmp_path):
+        # Whole-heatmap gray-level temporaries would be 320 KB each.
+        hm = Rng(9).uniform(40_000).reshape(200, 200) * (2 / 3)
+        assert traced_peak(lambda: write_heatmap_pgm(hm, 3, tmp_path / "hm.pgm")) < 500_000
 
 
 class TestRejectionArea:

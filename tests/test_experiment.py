@@ -424,6 +424,7 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key, value, section", [
+        # Removed keys: unknown, so a configuration error too.
         ("adam_beta1", "1.5", "train"),
         ("adam_epsilon", "0", "train"),
         ("discriminator_arch", "2 0 3", "train"),

@@ -14,7 +14,6 @@ from kernel_reference import (
 )
 
 from oodlab.nets import (
-    Activation,
     Head,
     MlpParams,
     NumericError,
@@ -40,10 +39,10 @@ from oodlab.nets import (
 from oodlab.rng import Rng
 
 
-def linear_net(w, b, head=Head.IDENTITY, hidden=Activation.RELU):
+def linear_net(w, b, head=Head.IDENTITY):
     w = np.atleast_2d(np.asarray(w, dtype=float))
     b = np.asarray(b, dtype=float)
-    return MlpParams((w.shape[1], w.shape[0]), np.column_stack([w, b]).ravel(), hidden, head)
+    return MlpParams((w.shape[1], w.shape[0]), np.column_stack([w, b]).ravel(), head)
 
 
 def relative_error(analytic, numeric):
@@ -102,13 +101,13 @@ class TestForward:
 
     def test_random_nets_emit_probability_vectors(self):
         for seed in range(100):
-            net = init_mlp((2, 16, 3), Activation.RELU, Head.SOFTMAX, Rng(seed))
+            net = init_mlp((2, 16, 3), Head.SOFTMAX, Rng(seed))
             out = mlp_forward(net, Rng(seed + 1000).standard_normal(2).reshape(1, 2))
             assert abs(out.sum() - 1.0) < 1e-12
             assert (out > 0).all()
 
     def test_batched_matches_single(self):
-        net = init_mlp((2, 8, 3), Activation.TANH, Head.SOFTMAX, Rng(3))
+        net = init_mlp((2, 8, 3), Head.SOFTMAX, Rng(3))
         x = Rng(4).standard_normal(10).reshape(5, 2)
         batch_out = mlp_forward(net, x)
         for i in range(5):
@@ -117,15 +116,15 @@ class TestForward:
             # to floating-point noise, not necessarily bit-exactly.
             npt.assert_allclose(batch_out[i], single[0], rtol=1e-12, atol=1e-15)
 
-    @pytest.mark.parametrize("head", [Head.SOFTMAX, Head.TANH])
+    @pytest.mark.parametrize("head", [Head.SOFTMAX, Head.IDENTITY])
     def test_forward_is_pure(self, head):
         """The pure wrappers give equal bits twice and never mutate an argument."""
-        net = init_mlp((2, 8, 3), Activation.RELU, Head.SOFTMAX, Rng(5))
+        net = init_mlp((2, 8, 3), Head.SOFTMAX, Rng(5))
         x = np.array([[0.3, -0.7]])
         npt.assert_array_equal(mlp_forward(net, x), mlp_forward(net, x))
 
-        # The backward kernel spends its pass and, for a Tanh head, its upstream gradient.
-        net = init_mlp((2, 8, 3), Activation.TANH, head, Rng(6))
+        # The backward kernel spends its pass.
+        net = init_mlp((2, 8, 3), head, Rng(6))
         x = Rng(7).standard_normal(8).reshape(4, 2)
         up = Rng(8).standard_normal(12).reshape(4, 3)
         _, state = adam_step(net, np.ones_like(net.flat), init_adam(net), 0.1)
@@ -143,12 +142,12 @@ class TestForward:
             npt.assert_array_equal(arg, copy)
 
     def test_dimension_mismatch(self):
-        net = init_mlp((2, 4, 3), Activation.RELU, Head.SOFTMAX, Rng(0))
+        net = init_mlp((2, 4, 3), Head.SOFTMAX, Rng(0))
         with pytest.raises(ValueError):
             mlp_forward(net, [[1.0, 2.0, 3.0]])
 
     def test_vector_input_rejected(self):
-        net = init_mlp((2, 4, 3), Activation.RELU, Head.SOFTMAX, Rng(0))
+        net = init_mlp((2, 4, 3), Head.SOFTMAX, Rng(0))
         with pytest.raises(ValueError):
             mlp_forward(net, [1.0, 2.0])
         with pytest.raises(ValueError):
@@ -159,7 +158,7 @@ class TestForward:
 
 class TestBackward:
     def test_zero_output_gradient(self):
-        net = init_mlp((2, 8, 3), Activation.RELU, Head.IDENTITY, Rng(1))
+        net = init_mlp((2, 8, 3), Head.IDENTITY, Rng(1))
         x = [[0.5, -0.2]]
         grads = mlp_backward(net, x, np.zeros((1, 3)))
         assert np.abs(grads).max() == 0.0
@@ -175,27 +174,24 @@ class TestBackward:
         npt.assert_allclose(grads[:2], x[0])
         npt.assert_allclose(dx[0], w[0])
 
-    @pytest.mark.parametrize("hidden", [Activation.RELU, Activation.TANH])
-    @pytest.mark.parametrize("head", [Head.IDENTITY, Head.TANH])
-    def test_matches_finite_differences(self, hidden, head):
+    def test_matches_finite_differences(self):
         direction = Rng(99).standard_normal(3)
 
         def scalar_loss(params):
             return float(direction @ mlp_forward(params, np.array([[0.37, -0.81]]))[0])
 
-        net = init_mlp((2, 8, 3), hidden, head, Rng(11))
+        net = init_mlp((2, 8, 3), Head.IDENTITY, Rng(11))
         analytic = mlp_backward(net, np.array([[0.37, -0.81]]), direction[None, :])
         numeric = finite_difference_gradient(scalar_loss, net, 1e-5)
         assert relative_error(analytic, numeric) < 1e-4
 
-    @pytest.mark.parametrize("hidden", [Activation.RELU, Activation.TANH])
-    @pytest.mark.parametrize("head", [Head.SOFTMAX, Head.TANH, Head.IDENTITY])
-    @pytest.mark.parametrize("sizes", [(2, 16, 3), (2, 8, 6, 3)])
-    def test_input_gradient_matches_finite_differences(self, hidden, head, sizes):
+    @pytest.mark.parametrize("head", [Head.SOFTMAX, Head.IDENTITY])
+    @pytest.mark.parametrize("sizes", [(2, 3), (2, 16, 3), (4, 16, 2), (2, 8, 6, 3)])
+    def test_input_gradient_matches_finite_differences(self, head, sizes):
         rng = Rng(23)
-        net = init_mlp(sizes, hidden, head, rng)
-        x = rng.standard_normal(8).reshape(4, 2)
-        direction = rng.standard_normal(12).reshape(4, 3)
+        net = init_mlp(sizes, head, rng)
+        x = rng.standard_normal(4 * sizes[0]).reshape(4, sizes[0])
+        direction = rng.standard_normal(4 * sizes[-1]).reshape(4, sizes[-1])
 
         def input_loss(points):
             cache = _cache(net, points.shape[0])
@@ -215,7 +211,7 @@ class TestBackward:
         assert relative_error(analytic.ravel(), numeric.ravel()) < 1e-4
 
     def test_wrong_input_width_rejected(self):
-        net = init_mlp((2, 8, 3), Activation.RELU, Head.IDENTITY, Rng(1))
+        net = init_mlp((2, 8, 3), Head.IDENTITY, Rng(1))
         with pytest.raises(ValueError, match="inputs"):
             mlp_backward(net, [[0.1, 0.2, 0.3]], np.zeros((1, 3)))
         with pytest.raises(ValueError, match="upstream"):
@@ -225,7 +221,7 @@ class TestBackward:
         """20 seeded nets and batches: analytic vs central differences."""
         for seed in range(20):
             rng = Rng(seed)
-            net = init_mlp((2, 6, 3), Activation.TANH, Head.IDENTITY, rng)
+            net = init_mlp((2, 6, 3), Head.IDENTITY, rng)
             batch = rng.standard_normal(8).reshape(4, 2)
             direction = rng.standard_normal(12).reshape(4, 3)
 
@@ -239,7 +235,7 @@ class TestBackward:
 
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
-        net = init_mlp((2, 4, 2), Activation.RELU, Head.IDENTITY, Rng(0))
+        net = init_mlp((2, 4, 2), Head.IDENTITY, Rng(0))
         state = init_adam(net)
         grads = mlp_backward(net, [[0.0, 0.0]], np.zeros((1, 2)))
         updated, new_state = adam_step(net, grads, state, 0.1)
@@ -251,7 +247,7 @@ class TestAdam:
         # Fresh state, g = 1, lr = 0.1: corrected moments are exactly 1,
         # so the update is -0.1 / (1 + 1e-8).
         net = linear_net([[1.0]], [0.0])
-        state = init_adam(net, beta1=0.5, beta2=0.999, epsilon=1e-8)
+        state = init_adam(net)
         grads = np.array([1.0, 0.0])
         updated, new_state = adam_step(net, grads, state, 0.1)
         expected = 1.0 - 0.1 / (1.0 + 1e-8)
@@ -268,7 +264,7 @@ class TestAdam:
         assert np.sign(delta) == -np.sign(g)
 
     def test_bitwise_deterministic(self):
-        net = init_mlp((2, 5, 2), Activation.RELU, Head.IDENTITY, Rng(8))
+        net = init_mlp((2, 5, 2), Head.IDENTITY, Rng(8))
         state = init_adam(net)
         grads = mlp_backward(net, [[0.4, 0.6]], np.array([[1.0, -2.0]]))
         a_params, a_state = adam_step(net, grads, state, 0.01)
@@ -285,9 +281,9 @@ class TestAdam:
             adam_step(net, bad, state, 0.1)
 
 
-def perturbed_net(sizes, hidden, head, seed):
+def perturbed_net(sizes, head, seed):
     """A Glorot net plus noise, so biases are nonzero and ReLUs are mixed."""
-    net = init_mlp(sizes, hidden, head, Rng(seed))
+    net = init_mlp(sizes, head, Rng(seed))
     return replace(net, flat=net.flat + 0.1 * Rng(seed + 1).standard_normal(net.flat.size))
 
 
@@ -296,19 +292,21 @@ class TestKernelsBitwise:
 
     @pytest.mark.parametrize("param_grad", [True, False])
     @pytest.mark.parametrize("rows", [1, 2, 7, 64, 66, 130, 192])
-    @pytest.mark.parametrize("head", [Head.SOFTMAX, Head.TANH, Head.IDENTITY])
-    @pytest.mark.parametrize("hidden", [Activation.RELU, Activation.TANH])
-    @pytest.mark.parametrize("sizes", [(2, 128, 3), (2, 8, 6, 3)])
-    def test_forward_and_backward(self, sizes, hidden, head, rows, param_grad):
-        net = perturbed_net(sizes, hidden, head, rows)
+    @pytest.mark.parametrize("head", [Head.SOFTMAX, Head.IDENTITY])
+    # No hidden layer, D's and G's default shapes, and two or three hidden layers.
+    @pytest.mark.parametrize("sizes", [(2, 3), (2, 128, 3), (2, 128, 2), (2, 8, 6, 3),
+                                       (2, 16, 8, 3), (2, 5, 4, 2, 3)])
+    def test_forward_and_backward(self, sizes, head, rows, param_grad):
+        net = perturbed_net(sizes, head, rows)
         rng = Rng(100 + rows)
-        x = 3.0 * rng.standard_normal(2 * rows).reshape(rows, 2)
-        up = rng.standard_normal(3 * rows).reshape(rows, 3)
+        n_in, k = sizes[0], sizes[-1]
+        x = 3.0 * rng.standard_normal(n_in * rows).reshape(rows, n_in)
+        up = rng.standard_normal(k * rows).reshape(rows, k)
         ref_out, ref_cache = reference_forward(net, x)
         ref = reference_backward(net, ref_cache, up, param_grad)
 
         cache = _with_backward(net, _cache(net, rows))
-        batch = _with_ones(rows, 2, fill=x)
+        batch = _with_ones(rows, n_in, fill=x)
         assert np.array_equal(_forward(net, cache)(batch), ref_out)
         for got, want in zip(cache.activations, ref_cache.activations):
             assert np.array_equal(got, want)
@@ -327,13 +325,32 @@ class TestKernelsBitwise:
         assert np.array_equal(mlp_forward(net, x), ref_out)
         assert np.array_equal(mlp_backward(net, x, up, param_grad), ref)
 
+    @pytest.mark.parametrize("rows", [1, 2, 7, 64, 66, 130, 192])
+    @pytest.mark.parametrize("sizes", [(4, 16, 2), (3, 5, 4, 2, 2)])
+    def test_generator_pass_at_wider_noise(self, sizes, rows):
+        """G's noise width is free; G's pass only ever takes the parameter gradient."""
+        net = perturbed_net(sizes, Head.IDENTITY, rows)
+        rng = Rng(200 + rows)
+        x = rng.standard_normal(sizes[0] * rows).reshape(rows, sizes[0])
+        up = rng.standard_normal(2 * rows).reshape(rows, 2)
+        ref_out, ref_cache = reference_forward(net, x)
+        ref = reference_backward(net, ref_cache, up)
+
+        cache = _with_backward(net, _cache(net, rows))
+        batch = _with_ones(rows, sizes[0], fill=x)
+        assert np.array_equal(_forward(net, cache)(batch), ref_out)
+        cache.deltas[-1][...] = up
+        _backward(net, cache)(batch)
+        assert np.array_equal(cache.grad, ref)
+        assert np.array_equal(mlp_backward(net, x, up), ref)
+
     def test_adam_over_several_steps(self):
-        net = perturbed_net((2, 128, 3), Activation.RELU, Head.SOFTMAX, 4)
-        ref_params, ref_state = net, init_adam(net, 0.5, 0.999, 1e-8)
+        net = perturbed_net((2, 128, 3), Head.SOFTMAX, 4)
+        ref_params, ref_state = net, init_adam(net)
         params, state = ref_params, ref_state
         flat, m, v = net.flat.copy(), np.zeros_like(net.flat), np.zeros_like(net.flat)
         grad = np.empty_like(flat)
-        adam = _adam(flat, grad, m, v, 0.01, 0.5, 0.999, 1e-8)
+        adam = _adam(flat, grad, m, v, 0.01)
         for t in range(1, 7):
             # Gradients of changing sign and scale, like the G step's, whose sign ascent flips.
             grad[...] = (-2.0) ** (t - 3) * Rng(t).standard_normal(flat.size)
@@ -345,18 +362,17 @@ class TestKernelsBitwise:
                     assert np.array_equal(a, b)
         assert state.t == ref_state.t == 6
 
-    @pytest.mark.parametrize("head", [Head.SOFTMAX, Head.TANH, Head.IDENTITY])
-    @pytest.mark.parametrize("hidden", [Activation.RELU, Activation.TANH])
-    def test_bound_pass_tracks_in_place_updates(self, hidden, head):
+    @pytest.mark.parametrize("sizes", [(2, 3), (2, 8, 6, 3)])
+    @pytest.mark.parametrize("head", [Head.SOFTMAX, Head.IDENTITY])
+    def test_bound_pass_tracks_in_place_updates(self, head, sizes):
         """A pass bound once sees each in-place Adam update of `flat`, as a fresh binding does."""
-        net, rows = perturbed_net((2, 8, 6, 3), hidden, head, 12), 7
+        net, rows = perturbed_net(sizes, head, 12), 7
         rng = Rng(31)
         x = 3.0 * rng.standard_normal(2 * rows).reshape(rows, 2)
         batch = _with_ones(rows, 2, fill=x)
         up = rng.standard_normal(3 * rows).reshape(rows, 3)
         grad = np.empty_like(net.flat)
-        adam = _adam(net.flat, grad, np.zeros_like(grad), np.zeros_like(grad), 0.05,
-                     0.5, 0.999, 1e-8)
+        adam = _adam(net.flat, grad, np.zeros_like(grad), np.zeros_like(grad), 0.05)
 
         def bind():
             cache, dx = _with_backward(net, _cache(net, rows)), np.empty_like(batch)
@@ -387,7 +403,7 @@ class TestKernelsBitwise:
     def test_stacked_pass_matches_per_batch_passes(self, batches):
         """Stacked 64-row batches give each block the bits of its own pass, backward included."""
         for seed in range(10):
-            net = perturbed_net((2, 128, 2), Activation.RELU, Head.IDENTITY, seed)
+            net = perturbed_net((2, 128, 2), Head.IDENTITY, seed)
             rows = 64 * batches
             x = _with_ones(rows, 2, fill=Rng(50 + seed).standard_normal(2 * rows).reshape(rows, 2))
             stacked = _cache(net, rows)
@@ -407,7 +423,7 @@ class TestKernelsBitwise:
 
     def test_folded_gradient_at_1000_rows(self):
         """Past the batches training uses, BLAS blocks the bias column's row sum: not bitwise."""
-        net = perturbed_net((2, 128, 128, 3), Activation.RELU, Head.SOFTMAX, 9)
+        net = perturbed_net((2, 128, 128, 3), Head.SOFTMAX, 9)
         rng = Rng(10)
         x = 3.0 * rng.standard_normal(2000).reshape(1000, 2)
         up = rng.standard_normal(3000).reshape(1000, 3)
@@ -419,10 +435,10 @@ class TestKernelsBitwise:
 class TestCacheLayout:
     """`ForwardCache`'s one layout rule, and reuse of one cache for pass after pass."""
 
-    @pytest.mark.parametrize("head", [Head.SOFTMAX, Head.TANH, Head.IDENTITY])
-    @pytest.mark.parametrize("hidden", [Activation.RELU, Activation.TANH])
-    def test_layout_rule(self, hidden, head):
-        net, rows = perturbed_net((2, 8, 6, 3), hidden, head, 3), 5
+    @pytest.mark.parametrize("sizes", [(2, 3), (2, 8, 6, 3)])
+    @pytest.mark.parametrize("head", [Head.SOFTMAX, Head.IDENTITY])
+    def test_layout_rule(self, head, sizes):
+        net, rows = perturbed_net(sizes, head, 3), 5
         x = _with_ones(rows, 2, fill=Rng(4).standard_normal(2 * rows).reshape(rows, 2))
         cache = _with_backward(net, _cache(net, rows))
         _forward(net, cache)(x)
@@ -448,11 +464,11 @@ class TestCacheLayout:
         assert all(np.shares_memory(c, x_l) and c.shape[0] == 3 for c, x_l in zip(cut.a, cache.a))
         assert (cut.logits is not None) == softmax
 
-    @pytest.mark.parametrize("head", [Head.SOFTMAX, Head.TANH, Head.IDENTITY])
-    @pytest.mark.parametrize("hidden", [Activation.RELU, Activation.TANH])
-    def test_reused_cache_matches_fresh_caches(self, hidden, head):
+    @pytest.mark.parametrize("sizes", [(2, 3), (2, 8, 6, 3)])
+    @pytest.mark.parametrize("head", [Head.SOFTMAX, Head.IDENTITY])
+    def test_reused_cache_matches_fresh_caches(self, head, sizes):
         """Forward and backward rounds on one kernel cache give the bits of fresh caches."""
-        net, rows = perturbed_net((2, 8, 6, 3), hidden, head, 6), 5
+        net, rows = perturbed_net(sizes, head, 6), 5
         cache = _with_backward(net, _cache(net, rows))
         for r, param_grad in enumerate((True, True, False)):
             rng = Rng(20 + r)
@@ -472,7 +488,7 @@ class TestCacheLayout:
 
 class TestFiniteDifferences:
     def test_constant_loss(self):
-        net = init_mlp((2, 3, 2), Activation.RELU, Head.IDENTITY, Rng(0))
+        net = init_mlp((2, 3, 2), Head.IDENTITY, Rng(0))
         grads = finite_difference_gradient(lambda p: 4.2, net, 1e-5)
         assert np.abs(grads).max() == 0.0
 
@@ -490,17 +506,17 @@ class TestFiniteDifferences:
 class TestTextFormat:
     def test_round_trip_bit_exact(self):
         for seed in range(5):
-            net = init_mlp((3, 7, 2), Activation.TANH, Head.SOFTMAX, Rng(seed))
+            net = init_mlp((3, 7, 2), Head.SOFTMAX, Rng(seed))
             restored = params_from_text(params_to_text(net))
             assert restored.layer_sizes == net.layer_sizes
-            assert restored.hidden is net.hidden and restored.head is net.head
+            assert restored.head is net.head
             for a, b in zip(net.weights + net.biases, restored.weights + restored.biases):
                 npt.assert_array_equal(a, b)
             assert params_to_text(restored) == params_to_text(net)
 
     def test_flat_layout_is_blocks(self):
         """`flat` holds one row-major [W | b] block per layer; the text keeps its own order."""
-        net = init_mlp((3, 7, 2), Activation.TANH, Head.SOFTMAX, Rng(6))
+        net = init_mlp((3, 7, 2), Head.SOFTMAX, Rng(6))
         net = replace(net, flat=net.flat + Rng(7).standard_normal(net.flat.size))
         (w0, w1), (b0, b1) = net.weights, net.biases
         npt.assert_array_equal(net.flat, np.concatenate([np.column_stack([w0, b0]).ravel(),
@@ -514,20 +530,20 @@ class TestTextFormat:
             npt.assert_array_equal([float(tok) for tok in line.split()], part.ravel())
 
     def test_views_share_memory_with_flat(self):
-        net = init_mlp((3, 7, 2), Activation.RELU, Head.SOFTMAX, Rng(7))
+        net = init_mlp((3, 7, 2), Head.SOFTMAX, Rng(7))
         assert isinstance(net.weights, tuple) and isinstance(net.biases, tuple)
         for part in net.weights + net.biases:
             assert np.shares_memory(part, net.flat)
 
     def test_round_trip_preserves_flat_bitwise(self):
-        net = init_mlp((2, 9, 4), Activation.RELU, Head.SOFTMAX, Rng(8))
+        net = init_mlp((2, 9, 4), Head.SOFTMAX, Rng(8))
         restored = params_from_text(params_to_text(net))
         assert restored.flat.dtype == np.float64
         assert restored.flat.tobytes() == net.flat.tobytes()
 
     def test_wrong_vector_length_rejected(self):
         with pytest.raises(ValueError, match="parameter vector"):
-            MlpParams((2, 3), np.zeros(8), Activation.RELU, Head.SOFTMAX)
+            MlpParams((2, 3), np.zeros(8), Head.SOFTMAX)
 
     def test_nonfinite_weight_rejected(self):
         text = "layers: 2 1; hidden: ReLU; head: Identity\n1 nan\n0.5\n"
@@ -535,13 +551,15 @@ class TestTextFormat:
             params_from_text(text)
 
     def test_header_contents(self):
-        net = init_mlp((2, 4, 3), Activation.RELU, Head.SOFTMAX, Rng(1))
+        net = init_mlp((2, 4, 3), Head.SOFTMAX, Rng(1))
         header = params_to_text(net).splitlines()[0]
         assert header == "layers: 2 4 3; hidden: ReLU; head: Softmax"
 
-    def test_malformed_header_rejected(self):
-        with pytest.raises(ValueError):
-            params_from_text("layers: 2 3; hidden: Sigmoid; head: Softmax\n0 0 0 0 0 0\n0 0 0\n")
+    @pytest.mark.parametrize("hidden", ["Sigmoid", "Tanh"])
+    def test_malformed_header_rejected(self, hidden):
+        with pytest.raises(ValueError, match="malformed parameter header"):
+            params_from_text(f"layers: 2 3; hidden: {hidden}; head: Softmax\n"
+                             "0 0 0 0 0 0\n0 0 0\n")
 
     def test_wrong_line_count_rejected(self):
         net = linear_net([[1.0, 2.0]], [0.5])

@@ -15,11 +15,11 @@ from kernel_reference import (
     reference_log_softmax,
     reference_score_values_and_logit_grads,
 )
+from test_nets import perturbed_net
 
 import oodlab.training as training
 from oodlab.data import make_simulation_dataset, sample_noise, subsample_ood
 from oodlab.nets import (
-    Activation,
     Head,
     MlpParams,
     NumericError,
@@ -55,7 +55,7 @@ GRADED = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
 
 
 def zero_discriminator(K=3, d=2):
-    return MlpParams((d, K), np.zeros(K * d + K), Activation.RELU, Head.SOFTMAX)
+    return MlpParams((d, K), np.zeros(K * d + K), Head.SOFTMAX)
 
 
 def tiny_batches(seed=0, n_ind=4, n_ood=3, n_gen=3, d=2, K=3):
@@ -120,7 +120,7 @@ class TestDiscriminatorLoss:
         assert loss == pytest.approx(math.log(3.0) - 4 / 3, abs=1e-12)
 
     def test_zero_weights_reduce_to_cross_entropy(self):
-        D = init_mlp((2, 6, 3), Activation.RELU, Head.SOFTMAX, Rng(4))
+        D = init_mlp((2, 6, 3), Head.SOFTMAX, Rng(4))
         ind_x, ind_y, ood_x, gen_x = tiny_batches(1)
         loss, (ce, _, _), grads = discriminator_loss_and_grads(
             D, ind_x, ind_y, ood_x, gen_x, 1e-30, 0.0, binary_cost_matrix(3))
@@ -130,7 +130,7 @@ class TestDiscriminatorLoss:
         _assert_gradients_close(grads, ce_only, rtol=2e-4)
 
     def test_loss_decomposition_exact(self):
-        D = init_mlp((2, 6, 3), Activation.TANH, Head.SOFTMAX, Rng(6))
+        D = init_mlp((2, 6, 3), Head.SOFTMAX, Rng(6))
         ind_x, ind_y, ood_x, gen_x = tiny_batches(2)
         for beta_ood, beta_z in ((1.0, 0.001), (0.3, 2.0), (5.0, 0.0)):
             loss, (c1, c2, c3), _ = discriminator_loss_and_grads(
@@ -138,7 +138,7 @@ class TestDiscriminatorLoss:
             assert abs(loss - (c1 - beta_ood * c2 - beta_z * c3)) < 1e-12
 
     def test_empty_gen_batch_skips_third_term(self):
-        D = init_mlp((2, 6, 3), Activation.RELU, Head.SOFTMAX, Rng(7))
+        D = init_mlp((2, 6, 3), Head.SOFTMAX, Rng(7))
         ind_x, ind_y, ood_x, _ = tiny_batches(3)
         loss, (c1, c2, c3), _ = discriminator_loss_and_grads(
             D, ind_x, ind_y, ood_x, np.empty((0, 2)), 1.5, 7.0, binary_cost_matrix(3))
@@ -171,7 +171,7 @@ class TestDiscriminatorLoss:
     @pytest.mark.parametrize("M", [M3, GRADED], ids=["binary", "graded"])
     def test_gradients_match_finite_differences(self, M):
         ind_x, ind_y, ood_x, gen_x = tiny_batches(5, n_ind=4)
-        D = init_mlp((2, 6, 3), Activation.RELU, Head.SOFTMAX, Rng(17))
+        D = init_mlp((2, 6, 3), Head.SOFTMAX, Rng(17))
         _, _, grads = discriminator_loss_and_grads(
             D, ind_x, ind_y, ood_x, gen_x, 1.3, 0.7, M)
 
@@ -226,7 +226,7 @@ class TestStackedDiscriminatorStep:
         ind_x, ind_y, ood_x, gen_x = tiny_batches(
             100 * n_ood + n_gen, n_ind=64, n_ood=n_ood, n_gen=n_gen)
         # Off-center inputs and nonzero biases, so ReLUs are mixed and no row is uniform.
-        D = init_mlp((2, 128, 3), Activation.RELU, Head.SOFTMAX, Rng(n_ood + n_gen))
+        D = init_mlp((2, 128, 3), Head.SOFTMAX, Rng(n_ood + n_gen))
         D = replace(D, flat=D.flat + 0.1 * Rng(7).standard_normal(D.flat.size))
         for beta_ood, beta_z in ((1.0, 0.001), (0.3, 2.0)):
             args = (D, 3.0 * ind_x, ind_y, 3.0 * ood_x, 3.0 * gen_x, beta_ood, beta_z, M)
@@ -256,15 +256,15 @@ def _assert_gradients_close(analytic, numeric, rtol):
 class TestGeneratorObjective:
     def test_constant_discriminator_gives_flat_objective(self):
         D = zero_discriminator()
-        G = init_mlp((2, 6, 2), Activation.RELU, Head.IDENTITY, Rng(8))
+        G = init_mlp((2, 6, 2), Head.IDENTITY, Rng(8))
         noise = sample_noise(2, 5, Rng(9))
         obj, grads = generator_objective_and_grads(D, G, noise, 2.0, binary_cost_matrix(3))
         assert obj == pytest.approx(2.0 * (1 - 1 / 3), abs=1e-12)
         assert np.abs(grads).max() == 0.0
 
     def test_zero_weight_scales_to_zero(self):
-        D = init_mlp((2, 6, 3), Activation.RELU, Head.SOFTMAX, Rng(10))
-        G = init_mlp((2, 6, 2), Activation.RELU, Head.IDENTITY, Rng(11))
+        D = init_mlp((2, 6, 3), Head.SOFTMAX, Rng(10))
+        G = init_mlp((2, 6, 2), Head.IDENTITY, Rng(11))
         noise = sample_noise(2, 4, Rng(12))
         obj, grads = generator_objective_and_grads(D, G, noise, 0.0, binary_cost_matrix(3))
         assert obj == 0.0
@@ -272,8 +272,11 @@ class TestGeneratorObjective:
 
     @pytest.mark.parametrize("M", [M3, GRADED], ids=["binary", "graded"])
     def test_gradients_match_finite_differences(self, M):
-        D = init_mlp((2, 6, 3), Activation.RELU, Head.SOFTMAX, Rng(13))
-        G = init_mlp((2, 5, 2), Activation.TANH, Head.IDENTITY, Rng(14))
+        D = init_mlp((2, 6, 3), Head.SOFTMAX, Rng(13))
+        # Nonzero biases: a ReLU G with zero biases maps a noise row whose hidden
+        # units are all dead to exactly 0, where D's logits tie and the score's
+        # argmin jumps, so central differences there are meaningless.
+        G = perturbed_net((2, 5, 2), Head.IDENTITY, 14)
         noise = sample_noise(2, 4, Rng(15))
         obj, grads = generator_objective_and_grads(D, G, noise, 0.4, M)
 
@@ -284,23 +287,30 @@ class TestGeneratorObjective:
         numeric = finite_difference_gradient(objective_of, G, 1e-5)
         _assert_gradients_close(grads, numeric, rtol=1e-4)
 
+    def test_softmax_head_rejected(self):
+        D = init_mlp((2, 6, 3), Head.SOFTMAX, Rng(16))
+        G = init_mlp((2, 6, 2), Head.SOFTMAX, Rng(17))
+        with pytest.raises(ValueError, match="the generator head must be Identity"):
+            generator_objective_and_grads(D, G, sample_noise(2, 2, Rng(0)), 1.0,
+                                          binary_cost_matrix(3))
+
     def test_dimension_mismatch_rejected(self):
-        D = init_mlp((2, 6, 3), Activation.RELU, Head.SOFTMAX, Rng(16))
-        G = init_mlp((2, 6, 3), Activation.RELU, Head.IDENTITY, Rng(17))
+        D = init_mlp((2, 6, 3), Head.SOFTMAX, Rng(16))
+        G = init_mlp((2, 6, 3), Head.IDENTITY, Rng(17))
         with pytest.raises(ValueError):
             generator_objective_and_grads(D, G, sample_noise(2, 2, Rng(0)), 1.0,
                                           binary_cost_matrix(3))
 
     def test_cost_matrix_of_other_class_count_rejected(self):
-        D = init_mlp((2, 6, 3), Activation.RELU, Head.SOFTMAX, Rng(16))
-        G = init_mlp((2, 6, 2), Activation.RELU, Head.IDENTITY, Rng(17))
+        D = init_mlp((2, 6, 3), Head.SOFTMAX, Rng(16))
+        G = init_mlp((2, 6, 2), Head.IDENTITY, Rng(17))
         with pytest.raises(ValueError, match="net outputs 3 classes but M is 4x4"):
             generator_objective_and_grads(D, G, sample_noise(2, 2, Rng(0)), 1.0,
                                           binary_cost_matrix(4))
 
     def test_noise_of_other_width_rejected(self):
-        D = init_mlp((2, 6, 3), Activation.RELU, Head.SOFTMAX, Rng(16))
-        G = init_mlp((2, 6, 2), Activation.RELU, Head.IDENTITY, Rng(17))
+        D = init_mlp((2, 6, 3), Head.SOFTMAX, Rng(16))
+        G = init_mlp((2, 6, 2), Head.IDENTITY, Rng(17))
         with pytest.raises(ValueError,
                            match=r"noise_batch has shape \(4, 3\), expected \(batch, 2\)"):
             generator_objective_and_grads(D, G, np.zeros((4, 3)), 1.0, binary_cost_matrix(3))
@@ -319,8 +329,8 @@ class TestTrainSeeOod:
         history = train_see_ood(cfg, data, Rng(cfg.seed), M3)
         assert history.records == ()
         check = Rng(cfg.seed)
-        expected_d = init_mlp(cfg.discriminator_arch, Activation.RELU, Head.SOFTMAX, check)
-        expected_g = init_mlp(cfg.generator_arch, Activation.RELU, Head.IDENTITY, check)
+        expected_d = init_mlp(cfg.discriminator_arch, Head.SOFTMAX, check)
+        expected_g = init_mlp(cfg.generator_arch, Head.IDENTITY, check)
         assert params_to_text(history.discriminator) == params_to_text(expected_d)
         assert params_to_text(history.generator) == params_to_text(expected_g)
 
@@ -438,12 +448,12 @@ def reference_generator_step(D, G, noise, beta_z, M):
 
 def reference_train(config, data, rng, M, with_generator):
     """The allocating training loop the workspace replaced, on the reference kernels."""
-    D = init_mlp(config.discriminator_arch, Activation.RELU, Head.SOFTMAX, rng)
-    adam_d = init_adam(D, config.adam_beta1, config.adam_beta2, config.adam_epsilon)
+    D = init_mlp(config.discriminator_arch, Head.SOFTMAX, rng)
+    adam_d = init_adam(D)
     G = adam_g = None
     if with_generator:
-        G = init_mlp(config.generator_arch, Activation.RELU, Head.IDENTITY, rng)
-        adam_g = init_adam(G, config.adam_beta1, config.adam_beta2, config.adam_epsilon)
+        G = init_mlp(config.generator_arch, Head.IDENTITY, rng)
+        adam_g = init_adam(G)
 
     targets = training._one_hot(data.ind_train_y, data.K)
     n_ind = data.ind_train_x.shape[0]
@@ -518,7 +528,7 @@ class TestWorkspaceMatchesReference:
     def test_discriminator_step(self, n_gen):
         M = binary_cost_matrix(3)
         ind_x, ind_y, ood_x, gen_x = tiny_batches(11, n_ind=16, n_ood=4, n_gen=n_gen)
-        D = init_mlp((2, 32, 3), Activation.RELU, Head.SOFTMAX, Rng(12))
+        D = init_mlp((2, 32, 3), Head.SOFTMAX, Rng(12))
         args = (3.0 * ind_x, ind_y, 3.0 * ood_x, 3.0 * gen_x, 1.3, 0.7, M)
         loss, parts, grads = discriminator_loss_and_grads(D, *args)
         targets = np.eye(3)[ind_y - 1]
@@ -529,8 +539,8 @@ class TestWorkspaceMatchesReference:
 
     def test_generator_step(self):
         M = binary_cost_matrix(3)
-        D = init_mlp((2, 32, 3), Activation.RELU, Head.SOFTMAX, Rng(13))
-        G = init_mlp((2, 16, 2), Activation.RELU, Head.IDENTITY, Rng(14))
+        D = init_mlp((2, 32, 3), Head.SOFTMAX, Rng(13))
+        G = init_mlp((2, 16, 2), Head.IDENTITY, Rng(14))
         noise = sample_noise(2, 9, Rng(15))
         objective, grads = generator_objective_and_grads(D, G, noise, 0.4, M)
         ref_objective, ref_grads = reference_generator_step(D, G, noise, 0.4, M)
@@ -541,19 +551,19 @@ class TestWorkspaceMatchesReference:
 def test_bound_steps_allocate_no_array_data():
     """After a warm-up step, bound D and G steps with Adam allocate no array data."""
     rng, M = Rng(16), binary_cost_matrix(3)
-    D = init_mlp((2, 128, 3), Activation.RELU, Head.SOFTMAX, rng)
-    G = init_mlp((2, 128, 2), Activation.RELU, Head.IDENTITY, rng)
+    D = init_mlp((2, 128, 3), Head.SOFTMAX, rng)
+    G = init_mlp((2, 128, 2), Head.IDENTITY, rng)
     d_ws = training._LossWorkspace(D, 64, 32, 64)
     d_ws.x[:, :-1] = 3.0 * rng.standard_normal(2 * 160).reshape(160, 2)
     d_ws.targets[...] = np.eye(3)[rng.indices_below(3, 64)]
     d_step = training._discriminator_step(D, d_ws, 1.0, 0.5, M)
     d_state, g_state = init_adam(D), init_adam(G)
-    d_adam = _adam(D.flat, d_ws.cache.grad, d_state.m, d_state.v, 1e-4, 0.5, 0.999, 1e-8)
+    d_adam = _adam(D.flat, d_ws.cache.grad, d_state.m, d_state.v, 1e-4)
     g_cache = _with_backward(G, _cache(G, 64))
     g_forward = _forward(G, g_cache)
     g_step = training._generator_step(D, G, g_cache, training._LossWorkspace(D, 0, 0, 64),
                                       0.5, M, ascend=True)
-    g_adam = _adam(G.flat, g_cache.grad, g_state.m, g_state.v, 1e-4, 0.5, 0.999, 1e-8)
+    g_adam = _adam(G.flat, g_cache.grad, g_state.m, g_state.v, 1e-4)
     noise = _with_ones(64, 2, fill=sample_noise(2, 64, rng))
 
     def steps(t):
@@ -615,18 +625,18 @@ class TestBlockDraws:
 
 class TestSampleGenerator:
     def test_empty(self):
-        G = init_mlp((2, 4, 2), Activation.RELU, Head.IDENTITY, Rng(0))
+        G = init_mlp((2, 4, 2), Head.IDENTITY, Rng(0))
         assert sample_generator(G, 0, Rng(1)).shape == (0, 2)
 
     def test_identity_generator_returns_noise(self):
         G = MlpParams((2, 2), np.column_stack([np.eye(2), np.zeros(2)]).ravel(),
-                      Activation.RELU, Head.IDENTITY)
+                      Head.IDENTITY)
         out = sample_generator(G, 6, Rng(21))
         expected = sample_noise(2, 6, Rng(21))
         npt.assert_allclose(out, expected, rtol=1e-15)
 
     def test_deterministic(self):
-        G = init_mlp((3, 5, 2), Activation.TANH, Head.IDENTITY, Rng(2))
+        G = init_mlp((3, 5, 2), Head.IDENTITY, Rng(2))
         npt.assert_array_equal(sample_generator(G, 4, Rng(5)), sample_generator(G, 4, Rng(5)))
 
 

@@ -7,7 +7,7 @@ from kernel_reference import reference_score_rows
 from test_nets import perturbed_net
 
 import oodlab.wasserstein as wasserstein
-from oodlab.nets import Activation, Head, MlpParams, init_mlp, mlp_forward
+from oodlab.nets import Head, MlpParams, init_mlp, mlp_forward
 from oodlab.rng import Rng
 from oodlab.wasserstein import (
     SCORE_BLOCK_ROWS,
@@ -146,14 +146,14 @@ class TestScore:
 
 class TestScoreBatch:
     def make_net(self, seed=0):
-        return init_mlp((2, 8, 3), Activation.RELU, Head.SOFTMAX, Rng(seed))
+        return init_mlp((2, 8, 3), Head.SOFTMAX, Rng(seed))
 
     def test_empty_input(self):
         out = score_batch(self.make_net(), np.empty((0, 2)), binary_cost_matrix(3))
         assert out.shape == (0,)
 
     def test_zero_weight_net_scores_uniform(self):
-        net = MlpParams((2, 3), np.zeros(9), Activation.RELU, Head.SOFTMAX)
+        net = MlpParams((2, 3), np.zeros(9), Head.SOFTMAX)
         scores = score_batch(net, [[0.0, 0.0], [5.0, -2.0]], binary_cost_matrix(3))
         npt.assert_allclose(scores, 2 / 3, atol=1e-15)
 
@@ -173,7 +173,7 @@ class TestScoreBatch:
             assert abs(batch[i] - single) < 1e-12
 
     def test_identity_head_rejected(self):
-        net = init_mlp((2, 4, 3), Activation.RELU, Head.IDENTITY, Rng(0))
+        net = init_mlp((2, 4, 3), Head.IDENTITY, Rng(0))
         with pytest.raises(ValueError):
             score_batch(net, [[0.0, 0.0]], binary_cost_matrix(3))
 
@@ -183,7 +183,7 @@ class TestScoreBatch:
         # 40 000 rows is a 200x200 heatmap grid; every size ends in a short block.
         M = binary_cost_matrix(3)
         for seed in range(4):
-            net = perturbed_net((2, 128, 3), Activation.RELU, Head.SOFTMAX, 10 * seed)
+            net = perturbed_net((2, 128, 3), Head.SOFTMAX, 10 * seed)
             points = 4.0 * Rng(10 * seed + 2).standard_normal(2 * rows).reshape(rows, 2)
             probs = mlp_forward(net, points)
             assert np.array_equal(score_batch(net, points, M),
@@ -199,7 +199,7 @@ class TestScoreBatch:
         xx, yy = np.meshgrid(centers, centers)
         points = np.column_stack([xx.ravel(), yy.ravel()])
         for seed in range(3):
-            net = perturbed_net((2, 128, 3), Activation.RELU, Head.SOFTMAX, 10 * seed + 5)
+            net = perturbed_net((2, 128, 3), Head.SOFTMAX, 10 * seed + 5)
             probs = mlp_forward(net, points)
             assert np.array_equal(score_batch(net, points, M),
                                   reference_score_rows(probs, M)[0])
