@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nets import MlpParams, _as_batch, read_float_csv, write_csv
+from .nets import MlpParams, _as_batch
 from .wasserstein import _score_blocks, _scoring_cost_matrix, score_batch
 
 __all__ = [
@@ -28,8 +28,8 @@ __all__ = [
     "mad",
     "score_heatmap",
     "rejection_region_area",
-    "write_heatmap_csv",
-    "read_heatmap_csv",
+    "write_heatmap",
+    "read_heatmap",
     "write_heatmap_pgm",
 ]
 
@@ -132,18 +132,38 @@ def rejection_region_area(heatmap: np.ndarray, eta: float) -> float:
     return float(np.mean(cells > eta))
 
 
-def write_heatmap_csv(heatmap: np.ndarray, path) -> None:
-    """One CSV row per heatmap row, without a header, each cell in the ``%.17g`` format.
+def write_heatmap(heatmap: np.ndarray, path) -> None:
+    """Save a heatmap as a ``.npy`` file of float64 cells, exactly as ``numpy.save`` does.
 
-    :func:`nets.write_csv` formats one row per ``%`` pass. ValueError unless
-    the heatmap is a nonempty 2-D array of finite scores.
+    `path` is used as given, with no suffix added. ValueError, before the
+    file is opened, unless the heatmap is a nonempty 2-D array of finite scores.
     """
-    write_csv(path, None, _checked_heatmap(heatmap))
+    cells = _checked_heatmap(heatmap)
+    with open(path, "wb") as f:
+        np.save(f, cells, allow_pickle=False)
 
 
-def read_heatmap_csv(path) -> np.ndarray:
-    """The rows :func:`write_heatmap_csv` wrote, as a checked 2-D array; see `read_float_csv`."""
-    return read_float_csv(path, "heatmap")
+def read_heatmap(path, shape: tuple[int, int]) -> np.ndarray:
+    """The heatmap :func:`write_heatmap` saved at `path`, read without unpickling.
+
+    ValueError, naming the file, unless the file holds one ``.npy`` array and
+    nothing after it, of native float64 (``<f8``) finite cells and shape
+    `shape`: an empty, truncated, ``.npz``, pickle or text file fails, and so
+    does an object, integer or big-endian array.
+    """
+    with open(path, "rb") as f:
+        try:
+            cells = np.lib.format.read_array(f, allow_pickle=False)
+        except ValueError as exc:
+            raise ValueError(f"heatmap file {path}: {exc}") from exc
+        if f.read(1):
+            raise ValueError(f"heatmap file {path} has bytes after its array")
+    if cells.dtype != np.float64 or cells.shape != shape:
+        raise ValueError(f"heatmap file {path} holds a {cells.dtype.str} array of shape "
+                         f"{cells.shape}, expected <f8 of shape {shape}")
+    if not np.isfinite(cells).all():
+        raise ValueError(f"heatmap file {path} holds a non-finite cell")
+    return cells
 
 
 # Samples per PGM line: 16 three-digit samples and their spaces fit in the

@@ -7,7 +7,7 @@ A run writes a self-contained output directory:
     summary.txt           human-readable digest
     rep000/ rep001/ ...   history.csv, weights_discriminator.txt, and for
                           see_ood weights_generator.txt; for 2-D data
-                          heatmap.csv, heatmap.pgm
+                          heatmap.npy, heatmap.pgm
 
 The directory is built inside a temporary sibling and renamed onto the
 output path once complete, so a failed run leaves no directory behind; an output
@@ -36,12 +36,12 @@ from .config import ConfigError, ExperimentConfig, _tnr_label, parse_config, ser
 from .data import Dataset, make_simulation_dataset, read_dataset_csv, subsample_ood
 from .detection import (
     mad,
-    read_heatmap_csv,
+    read_heatmap,
     rejection_region_area,
     score_heatmap,
     scores_and_accuracy,
     tpr_at_tnr,
-    write_heatmap_csv,
+    write_heatmap,
     write_heatmap_pgm,
 )
 from .nets import NumericError, write_csv, write_params
@@ -247,7 +247,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentReport:
                 if params is not None:
                     write_params(params, rep_dir / f"weights_{role}.txt")
             if rep.heatmap is not None:
-                write_heatmap_csv(rep.heatmap, rep_dir / "heatmap.csv")
+                write_heatmap(rep.heatmap, rep_dir / "heatmap.npy")
                 write_heatmap_pgm(rep.heatmap, rep.history.discriminator.output_dim,
                                   rep_dir / "heatmap.pgm")
         files = [p.relative_to(build).as_posix() for p in build.rglob("*") if p.is_file()]
@@ -297,8 +297,8 @@ def load_report(out_dir) -> LoadedRun:
     shorter than its header, one without the ``eta_at_<t>`` column of one of
     the run's TNR targets or with a cell in it that is not a finite number,
     or one with a replication label that is not an integer, and for a
-    heatmap with a non-finite cell or a shape other than the run's own
-    ``(grid_resolution, grid_resolution)``.
+    heatmap file that :func:`read_heatmap` rejects at the run's own
+    ``(grid_resolution, grid_resolution)`` shape.
     """
     out = Path(out_dir)
     config = parse_config((out / "config.ini").read_text(encoding="utf-8"))
@@ -333,14 +333,10 @@ def load_report(out_dir) -> LoadedRun:
     for row in rep_rows:
         if not row[0].isdecimal():
             raise ValueError(f"report file {report} has row label {row[0]!r}, not an integer")
-        path = out / f"rep{int(row[0]):03d}" / "heatmap.csv"
+        path = out / f"rep{int(row[0]):03d}" / "heatmap.npy"
         if not path.exists():
             raise ValueError(f"run {out} has no heatmap for replication {row[0]}")
-        cells = read_heatmap_csv(path)
-        if cells.shape != shape:
-            raise ValueError(f"heatmap file {path} has shape {cells.shape}, but the run's "
-                             f"grid_resolution = {shape[0]} gives {shape}")
-        heatmaps.append(cells)
+        heatmaps.append(read_heatmap(path, shape))
     return LoadedRun(config, etas_by_target, tuple(heatmaps))
 
 

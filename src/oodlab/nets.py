@@ -41,12 +41,15 @@ is ones, from `_with_ones`, and so is each layer's array in a pass but a
 Softmax head's (see :class:`ForwardCache`); the nonlinearities and their
 derivatives run in place and keep that column. So layer 0's forward pass is
 one product ``[x | 1] @ [W0 | b0]^T``, each layer's parameter gradient one
-product ``delta^T @ [below | 1]``, and each input gradient one product
-``delta @ [W | b]`` whose first columns are ``delta @ W``. Up to the
-256-row batches training uses, and at an input width of 2 for layer 0's
-product, they keep the bits of the separate product and bias add, column
-sum, or product over a contiguous ``W``; deeper layers keep the separate
-bias add. Past that the bias gradient may differ in the last bit.
+product ``delta^T @ [below | 1]``, and each hidden layer's input gradient
+one product ``delta @ [W | b]`` whose first columns are ``delta @ W``.
+Layer 0's input gradient is ``delta @ W0`` over a contiguous copy of
+``W0``, as over the block BLAS rounds differently at input widths other
+than 2. Up to the 256-row batches training uses, they keep the bits of the
+separate product and bias add, column sum, or product over a contiguous
+``W``; deeper layers keep the separate bias add. Past that the bias
+gradient may differ in the last bit. On a single row at an input width
+other than 2, layer 0's forward product may too.
 
 Narrow rows: the softmax's row max and exp-sum and the score layer's row
 reductions over K < 8 classes run as K - 1 column ops (`_fold_columns`,
@@ -405,7 +408,8 @@ def _backward(params: MlpParams, cache: ForwardCache, dx: np.ndarray | None = No
     writes the parameter gradient into ``cache.grad``, one ``delta^T @
     [below | 1]`` product per layer, skipping layer 0's ``delta @ W0``; or,
     given `dx`, a (rows, input_dim + 1) array, only the input gradient, into
-    its first columns, and then it reads nothing of `x`. Once layer l's
+    its first columns, over a copy of ``W0`` taken on each run, and then it
+    reads nothing of `x`. Once layer l's
     gradient has read ``a[l - 1]``, the ReLU derivative overwrites it, ones
     column kept, so the pass in `cache` is spent. Both heads take the
     upstream gradient as it is (a Softmax head's Jacobian is folded in
@@ -419,8 +423,13 @@ def _backward(params: MlpParams, cache: ForwardCache, dx: np.ndarray | None = No
                     cache.grad_blocks[l] if param_grad else None, params.blocks[l],
                     cache.d[l - 1])
                    for l in range(last, 0, -1))
-    delta0, block0 = cache.deltas[0], params.blocks[0]
-    delta0_t, grad0 = delta0.T, cache.grad_blocks[0] if param_grad else None
+    delta0, delta0_t = cache.deltas[0], cache.deltas[0].T
+    if param_grad:
+        grad0 = cache.grad_blocks[0]
+    else:
+        # Over [W0 | b0] or a strided view of W0, BLAS rounds differently at
+        # some input widths and row counts; a contiguous copy keeps the bits.
+        w0, w0_copy, dx0 = params.weights[0], np.empty(params.weights[0].shape), dx[:, :-1]
 
     def run(x: np.ndarray) -> None:
         for delta_t, delta, a, grad, block, d in layers:
@@ -434,7 +443,8 @@ def _backward(params: MlpParams, cache: ForwardCache, dx: np.ndarray | None = No
         if param_grad:
             np.matmul(delta0_t, x, out=grad0)
         else:
-            np.matmul(delta0, block0, out=dx)
+            np.copyto(w0_copy, w0)
+            np.matmul(delta0, w0_copy, out=dx0)
     return run
 
 
@@ -563,23 +573,14 @@ def write_csv(path, header, rows) -> None:
     """Write `rows` as CSV, after `header` unless it is None, with ``\\r\\n`` line ends.
 
     A float cell, numpy floats included, goes through :func:`fmt_float`; None
-    becomes an empty cell; ints and strings are written as they are. A 2-D
-    float64 array is formatted one row per ``%`` pass with the same
-    ``%.17g`` format, which writes the same bytes as the cell-by-cell path.
+    becomes an empty cell; ints and strings are written as they are.
     """
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         if header is not None:
             writer.writerow(header)
-        if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
-            # A formatted float holds no delimiter or quote, so csv would not quote it.
-            dialect = writer.dialect
-            line = dialect.delimiter.join([_FLOAT_FORMAT] * rows.shape[1]) + dialect.lineterminator
-            for values in rows:
-                f.write(line % tuple(values.tolist()))
-        else:
-            writer.writerows([fmt_float(v) if isinstance(v, float) else "" if v is None else v
-                              for v in row] for row in rows)
+        writer.writerows([fmt_float(v) if isinstance(v, float) else "" if v is None else v
+                          for v in row] for row in rows)
 
 
 def read_float_csv(path, kind: str) -> np.ndarray:
@@ -628,12 +629,15 @@ def params_from_text(text: str) -> MlpParams:
         raise ValueError("empty parameter text")
     header = lines[0]
     try:
-        layers_part, hidden_part, head_part = header.split(";")
-        sizes = tuple(int(tok) for tok in layers_part.split(":", 1)[1].split())
-        if hidden_part.split(":", 1)[1].strip() != "ReLU":
+        fields = [part.split(":", 1) for part in header.split(";")]
+        if [name.strip() for name, _ in fields] != ["layers", "hidden", "head"]:
+            raise ValueError("the header's fields must be layers, hidden and head")
+        (_, layers), (_, hidden), (_, head_name) = fields
+        sizes = tuple(int(tok) for tok in layers.split())
+        if hidden.strip() != "ReLU":
             raise ValueError("the hidden activation must be ReLU")
-        head = Head(head_part.split(":", 1)[1].strip())
-    except (ValueError, IndexError) as exc:
+        head = Head(head_name.strip())
+    except ValueError as exc:
         raise ValueError(f"malformed parameter header: {header!r}") from exc
 
     n_layers = len(sizes) - 1

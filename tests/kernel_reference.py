@@ -5,11 +5,11 @@ pure bodies of `softmax`, `mlp_forward`, `mlp_backward` and `adam_step`; of
 the loss layer's `log_softmax`, of `wasserstein._score_rows` and
 `training._scores_and_logit_grads`; and of `Rng.standard_normal`'s
 Box-Muller transform, kept unchanged, so the tests can require the kernels
-to match them bit for bit. The cell-by-cell bodies of `nets.write_csv`,
-`detection.write_heatmap_csv` and `detection.write_heatmap_pgm` are kept the
-same way, so the row-by-row writers must match them byte for byte, and so is
-the separate-pass body of the removed `detection.classification_accuracy`,
-which `detection.scores_and_accuracy` must match.
+to match them bit for bit. The cell-by-cell bodies of `nets.write_csv` and
+`detection.write_heatmap_pgm` are kept the same way, so the writers must
+match them byte for byte, and so is the separate-pass body of the removed
+`detection.classification_accuracy`, which `detection.scores_and_accuracy`
+must match.
 
 The network bodies run on contiguous copies of each layer's weights and
 biases (`contiguous_layers`), the memory they ran on before the parameters
@@ -190,10 +190,6 @@ def reference_write_csv(path, header, rows) -> None:
             writer.writerow(header)
         writer.writerows([format(float(v), ".17g") if isinstance(v, float)
                           else "" if v is None else v for v in row] for row in rows)
-
-
-def reference_write_heatmap_csv(heatmap: np.ndarray, path) -> None:
-    reference_write_csv(path, None, np.asarray(heatmap, dtype=float).tolist())
 
 
 def reference_write_heatmap_pgm(heatmap: np.ndarray, K: int, path) -> None:

@@ -7,7 +7,6 @@ import numpy.testing as npt
 import pytest
 from kernel_reference import (
     reference_classification_accuracy,
-    reference_write_heatmap_csv,
     reference_write_heatmap_pgm,
 )
 from test_nets import perturbed_net
@@ -15,16 +14,16 @@ from test_nets import perturbed_net
 from oodlab.detection import (
     GridSpec,
     mad,
-    read_heatmap_csv,
+    read_heatmap,
     rejection_region_area,
     score_heatmap,
     scores_and_accuracy,
     select_threshold,
     tpr_at_tnr,
-    write_heatmap_csv,
+    write_heatmap,
     write_heatmap_pgm,
 )
-from oodlab.nets import Head, MlpParams, init_mlp
+from oodlab.nets import Head, MlpParams, init_mlp, read_float_csv
 from oodlab.rng import Rng
 from oodlab.wasserstein import SCORE_BLOCK_ROWS, binary_cost_matrix, score_batch
 
@@ -250,9 +249,9 @@ class TestMemoryBound:
         grid, M = GridSpec(-1, 8, -1, 8, 200), binary_cost_matrix(3)
         assert traced_peak(lambda: score_heatmap(net, grid, M)) < 3_000_000
 
-    def test_write_heatmap_csv_peak(self, tmp_path):
+    def test_write_heatmap_peak(self, tmp_path):
         hm = Rng(9).uniform(40_000).reshape(200, 200) * (2 / 3)
-        assert traced_peak(lambda: write_heatmap_csv(hm, tmp_path / "hm.csv")) < 500_000
+        assert traced_peak(lambda: write_heatmap(hm, tmp_path / "hm.npy")) < 500_000
 
     def test_write_heatmap_pgm_peak(self, tmp_path):
         # Whole-heatmap gray-level temporaries would be 320 KB each.
@@ -277,35 +276,37 @@ class TestRejectionArea:
 
 
 class TestExports:
-    def test_csv_round_trip(self, tmp_path):
+    def test_round_trip(self, tmp_path):
         hm = Rng(6).uniform(12).reshape(3, 4) * (2 / 3)
-        path = tmp_path / "hm.csv"
-        write_heatmap_csv(hm, path)
-        npt.assert_array_equal(read_heatmap_csv(path), hm)
+        path = tmp_path / "hm.npy"
+        write_heatmap(hm, path)
+        npt.assert_array_equal(read_heatmap(path, (3, 4)), hm)
 
-    def test_csv_round_trip_is_bitwise(self, tmp_path):
+    def test_round_trip_is_bitwise(self, tmp_path):
         hm = 4.0 * Rng(16).standard_normal(600).reshape(20, 30) ** 3
-        path = tmp_path / "hm.csv"
-        write_heatmap_csv(hm, path)
-        assert read_heatmap_csv(path).tobytes() == hm.tobytes()
+        path = tmp_path / "hm.npy"
+        write_heatmap(hm, path)
+        assert read_heatmap(path, (20, 30)).tobytes() == hm.tobytes()
+        assert np.load(path, allow_pickle=False).tobytes() == hm.tobytes()
 
     def test_single_cell_stays_2d(self, tmp_path):
-        path = tmp_path / "hm.csv"
-        write_heatmap_csv(np.array([[0.25]]), path)
-        assert read_heatmap_csv(path).shape == (1, 1)
+        path = tmp_path / "hm.npy"
+        write_heatmap(np.array([[0.25]]), path)
+        assert read_heatmap(path, (1, 1)).shape == (1, 1)
 
+    # `read_float_csv` reads the one CSV input of floats left, a cost matrix.
     @pytest.mark.parametrize("text", ["", "\r\n"], ids=["empty", "blank-line"])
     def test_csv_empty_rejected(self, tmp_path, text):
-        path = tmp_path / "hm.csv"
+        path = tmp_path / "m.csv"
         path.write_bytes(text.encode())
-        with pytest.raises(ValueError, match="is empty"):
-            read_heatmap_csv(path)
+        with pytest.raises(ValueError, match="cost matrix file .*m.csv is empty"):
+            read_float_csv(path, "cost matrix")
 
     def test_csv_ragged_rejected(self, tmp_path):
-        path = tmp_path / "hm.csv"
+        path = tmp_path / "m.csv"
         path.write_bytes(b"0.1,0.2,0.3\r\n0.4,0.5\r\n")
-        with pytest.raises(ValueError):
-            read_heatmap_csv(path)
+        with pytest.raises(ValueError, match="cost matrix file .*m.csv: .*column"):
+            read_float_csv(path, "cost matrix")
 
     def test_pgm_layout_and_mapping(self, tmp_path):
         top = 1.0 - 1.0 / 3.0
@@ -339,10 +340,10 @@ class TestExports:
         assert max(len(line) for line in path.read_text().splitlines()) <= 70
 
     def test_csv_nonfinite_cell_rejected_on_read(self, tmp_path):
-        path = tmp_path / "hm.csv"
+        path = tmp_path / "m.csv"
         path.write_bytes(b"0.1,nan\r\n0.3,inf\r\n")
-        with pytest.raises(ValueError, match="hm.csv holds a non-finite cell"):
-            read_heatmap_csv(path)
+        with pytest.raises(ValueError, match="m.csv holds a non-finite cell"):
+            read_float_csv(path, "cost matrix")
 
 
 def write_pgm3(hm, path):
@@ -350,17 +351,18 @@ def write_pgm3(hm, path):
 
 
 class TestExportWriters:
-    """The row-by-row writers against the cell-by-cell reference bodies, and their input checks."""
+    """The writers against ``numpy.save`` and the cell-by-cell PGM body, and their input checks."""
 
     # Widths 16 and 32 fill every PGM line; the others end each row on a short line.
     SHAPES = [(1, 1), (3, 15), (5, 16), (7, 17), (20, 20), (32, 32), (200, 200)]
 
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
-    def test_csv_bytes_match_reference(self, tmp_path, shape):
+    def test_npy_bytes_match_numpy_save(self, tmp_path, shape):
+        """The file is ``numpy.save``'s, at the path as given: no suffix is added."""
         hm = Rng(shape[0] * 1000 + shape[1]).uniform(shape[0] * shape[1]).reshape(shape) * (2 / 3)
-        write_heatmap_csv(hm, tmp_path / "new.csv")
-        reference_write_heatmap_csv(hm, tmp_path / "ref.csv")
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        write_heatmap(hm, tmp_path / "new")
+        np.save(tmp_path / "ref.npy", hm, allow_pickle=False)
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "ref.npy").read_bytes()
 
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
     def test_pgm_bytes_match_reference(self, tmp_path, shape):
@@ -371,7 +373,7 @@ class TestExportWriters:
         reference_write_heatmap_pgm(hm, 3, tmp_path / "ref.pgm")
         assert (tmp_path / "new.pgm").read_bytes() == (tmp_path / "ref.pgm").read_bytes()
 
-    @pytest.mark.parametrize("write", [write_heatmap_csv, write_pgm3], ids=["csv", "pgm"])
+    @pytest.mark.parametrize("write", [write_heatmap, write_pgm3], ids=["npy", "pgm"])
     @pytest.mark.parametrize("hm", [np.full(4, 0.1), np.full((2, 2, 2), 0.1), np.empty((0, 3))],
                              ids=["1-D", "3-D", "empty"])
     def test_non_2d_heatmap_rejected(self, tmp_path, write, hm):
@@ -380,7 +382,7 @@ class TestExportWriters:
             write(hm, path)
         assert not path.exists()
 
-    @pytest.mark.parametrize("write", [write_heatmap_csv, write_pgm3], ids=["csv", "pgm"])
+    @pytest.mark.parametrize("write", [write_heatmap, write_pgm3], ids=["npy", "pgm"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_nonfinite_heatmap_rejected(self, tmp_path, write, bad):
         hm = np.full((3, 3), 0.1)

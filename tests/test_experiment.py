@@ -3,6 +3,8 @@
 import csv
 import importlib.util
 import inspect
+import io
+import pickle
 import stat
 from pathlib import Path
 
@@ -53,9 +55,9 @@ class TestRunExperiment:
         for rep in (0, 1):
             rep_dir = tmp_path / f"rep{rep:03d}"
             for name in ("history.csv", "weights_discriminator.txt",
-                         "weights_generator.txt", "heatmap.csv", "heatmap.pgm"):
+                         "weights_generator.txt", "heatmap.npy", "heatmap.pgm"):
                 assert (rep_dir / name).exists()
-        assert set(report.files) >= {"config.ini", "report.csv", "rep000/heatmap.csv"}
+        assert set(report.files) >= {"config.ini", "report.csv", "rep000/heatmap.npy"}
         assert "data: builtin, ood_subsample=2\n" in (tmp_path / "summary.txt").read_text()
 
     def test_output_directory_is_required(self):
@@ -145,7 +147,7 @@ class TestRunExperiment:
         assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
 
     @pytest.mark.parametrize("writer", ["write_history_csv", "write_params",
-                                        "write_heatmap_csv", "_write_report_csv",
+                                        "write_heatmap", "_write_report_csv",
                                         "_write_summary"])
     def test_failed_write_leaves_nothing(self, tmp_path, monkeypatch, writer):
         def fail(*args):
@@ -207,6 +209,13 @@ def replace_cell(line, column, value):
     return ",".join(cells)
 
 
+def npy_bytes(array, save=np.save) -> bytes:
+    """What `save` (``numpy.save`` by default) writes for `array`, object arrays included."""
+    f = io.BytesIO()
+    save(f, array, allow_pickle=True)
+    return f.getvalue()
+
+
 def write_tiny_config(path, method="see_ood", extra=""):
     path.write_text(
         f"[method]\nmethod = {method}\n"
@@ -240,26 +249,40 @@ class TestCli:
         assert rows[0] == "replication,area_a,area_b,difference"
 
     @pytest.mark.parametrize("doctor, message", [
-        (lambda rows: ["nan," + rows[0].split(",", 1)[1], *rows[1:]], "non-finite"),
-        (lambda rows: [*rows[:-1], rows[-1].rsplit(",", 1)[0] + ",-inf"], "non-finite"),
-        (lambda rows: rows[:-1], "shape (7, 8)"),
-        (lambda rows: [row.rsplit(",", 1)[0] for row in rows], "shape (8, 7)"),
-        (lambda rows: [rows[0] + ",0.5", *rows[1:]], "column"),
-        (lambda rows: ["x" + rows[0], *rows[1:]], "convert"),
-    ], ids=["nan", "-inf", "short", "narrow", "ragged", "text"])
+        (lambda hm: b"", "EOF"),
+        (lambda hm: npy_bytes(hm)[:-8], "Failed to read all data"),
+        (lambda hm: npy_bytes(hm) + b"\0", "has bytes after its array"),
+        (lambda hm: npy_bytes(hm, np.savez), "magic string is not correct"),
+        (lambda hm: pickle.dumps(hm), "magic string is not correct"),
+        (lambda hm: "\r\n".join(",".join(map(repr, row)) for row in hm.tolist()).encode(),
+         "magic string is not correct"),
+        (lambda hm: npy_bytes(hm.astype(object)), "allow_pickle=False"),
+        (lambda hm: npy_bytes(np.array([*hm[:-1].tolist(), hm[-1, :-1].tolist()], dtype=object)),
+         "allow_pickle=False"),
+        (lambda hm: npy_bytes((1000 * hm).astype(np.int64)), "holds a <i8 array of shape (8, 8)"),
+        (lambda hm: npy_bytes(hm.astype(">f8")), "holds a >f8 array of shape (8, 8)"),
+        (lambda hm: npy_bytes(hm.ravel()), "shape (64,), expected <f8 of shape (8, 8)"),
+        (lambda hm: npy_bytes(hm[None]), "shape (1, 8, 8), expected <f8 of shape (8, 8)"),
+        (lambda hm: npy_bytes(hm[:-1]), "shape (7, 8), expected <f8 of shape (8, 8)"),
+        (lambda hm: npy_bytes(hm[:, :-1]), "shape (8, 7), expected <f8 of shape (8, 8)"),
+        (lambda hm: npy_bytes(np.where(np.arange(64).reshape(8, 8) == 9, np.nan, hm)),
+         "non-finite"),
+        (lambda hm: npy_bytes(np.where(np.arange(64).reshape(8, 8) == 63, -np.inf, hm)),
+         "non-finite"),
+    ], ids=["empty", "truncated", "trailing", "npz", "pickled", "text", "object", "ragged", "int",
+            "big-endian", "1-D", "3-D", "short", "narrow", "nan", "-inf"])
     def test_compare_rejects_doctored_heatmap(self, tmp_path, capsys, doctor, message):
         cfg = tmp_path / "c.ini"
         write_tiny_config(cfg, method="wood")
         run = tmp_path / "run"
         assert main(["replicate", "--config", str(cfg), "--out", str(run)]) == 0
-        heatmap = run / "rep000" / "heatmap.csv"
-        rows = heatmap.read_text().splitlines()
-        heatmap.write_text("\n".join(doctor(rows)) + "\n")
+        heatmap = run / "rep000" / "heatmap.npy"
+        heatmap.write_bytes(doctor(np.load(heatmap)))
         out = tmp_path / "cmp"
         assert main(["compare", "--a", str(run), "--b", str(run), "--tnr", "0.95",
                      "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert str(heatmap) in err
+        assert f"heatmap file {heatmap}" in err
         assert message in err
         assert not out.exists()
 

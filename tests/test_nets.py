@@ -344,6 +344,31 @@ class TestKernelsBitwise:
         assert np.array_equal(cache.grad, ref)
         assert np.array_equal(mlp_backward(net, x, up), ref)
 
+    @pytest.mark.parametrize("rows", [1, 5, 64, 130, 256])
+    @pytest.mark.parametrize("sizes", [(2, 128, 3), (3, 128, 3), (4, 128, 3), (4, 16, 2),
+                                       (3, 16, 8, 3)])
+    def test_input_gradient_at_every_width(self, sizes, rows):
+        """Layer 0's input gradient keeps the reference's bits at input widths 2 to 4.
+
+        Only the backward pass is compared: on a single row, layer 0's forward
+        product can differ in the last bit at input width 3.
+        """
+        net = perturbed_net(sizes, Head.SOFTMAX, rows)
+        rng = Rng(300 + rows)
+        x = 3.0 * rng.standard_normal(sizes[0] * rows).reshape(rows, sizes[0])
+        up = rng.standard_normal(sizes[-1] * rows).reshape(rows, sizes[-1])
+        _, ref_cache = reference_forward(net, x)
+        ref = reference_backward(net, ref_cache, up, param_grad=False)
+
+        cache = _with_backward(net, _cache(net, rows))
+        batch = _with_ones(rows, sizes[0], fill=x)
+        _forward(net, cache)(batch)
+        cache.deltas[-1][...] = up
+        wide = np.empty_like(batch)
+        _backward(net, cache, dx=wide)(batch)
+        assert np.array_equal(wide[:, :-1], ref)
+        assert np.array_equal(mlp_backward(net, x, up, param_grad=False), ref)
+
     def test_adam_over_several_steps(self):
         net = perturbed_net((2, 128, 3), Head.SOFTMAX, 4)
         ref_params, ref_state = net, init_adam(net)
@@ -560,6 +585,17 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="malformed parameter header"):
             params_from_text(f"layers: 2 3; hidden: {hidden}; head: Softmax\n"
                              "0 0 0 0 0 0\n0 0 0\n")
+
+    @pytest.mark.parametrize("header", [
+        "foo: 2 1; bar: ReLU; baz: Identity",
+        "head: Identity; hidden: ReLU; layers: 2 1",
+        "layers: 2 1; hidden: ReLU",
+        "layers: 2 1; hidden: ReLU; head: Identity; extra: 1",
+        "layers 2 1; hidden: ReLU; head: Identity",
+    ], ids=["unknown-names", "reordered", "missing-field", "extra-field", "no-colon"])
+    def test_header_field_names_checked(self, header):
+        with pytest.raises(ValueError, match="malformed parameter header"):
+            params_from_text(header + "\n1 2\n0.5\n")
 
     def test_wrong_line_count_rejected(self):
         net = linear_net([[1.0, 2.0]], [0.5])
