@@ -108,6 +108,14 @@ class Side:
         return trained - start, scored - trained, weights, heatmap.tobytes(), peak_kb
 
 
+def spread(low: float, high: float) -> str:
+    """"low to high" with the fewest decimals, at least one, that tell two unequal values apart."""
+    digits = 1
+    while f"{low:.{digits}f}" == f"{high:.{digits}f}":
+        digits += 1
+    return f"{low:.{digits}f} to {high:.{digits}f}"
+
+
 def quartiles(values) -> tuple[float, float, float]:
     q1, q2, q3 = np.percentile(values, [25, 50, 75])
     return float(q1), float(q2), float(q3)
@@ -158,7 +166,7 @@ def main(argv=None) -> int:
     print(f"heatmaps byte-equal in {equal_heatmaps} of {args.rounds} rounds")
     for side in SIDES:
         low, high = min(peak_kb[side]), max(peak_kb[side])
-        repeats = "repeats exactly" if low == high else f"varies from {low:.1f} to {high:.1f} KB"
+        repeats = "repeats exactly" if low == high else f"varies from {spread(low, high)} KB"
         print(f"{side} traced peak {repeats} over {args.rounds} rounds")
     print("metric            parent median (IQR)   change median (IQR)   change/parent  change won")
     for metric, values, lower_wins in (("us_per_iteration", per_iteration, True),

@@ -1,10 +1,8 @@
 """Wasserstein-score out-of-distribution detection lab.
 
-A small, reproducible stack: a from-scratch dense network engine,
-transport-cost scoring of predicted class distributions, seeded Gaussian
-benchmarks, adversarial (`see_ood`) and baseline (`wood`) training,
-TNR-calibrated detection metrics, and a replicated experiment runner with
-a CLI.
+Dense networks in numpy, transport-cost scoring, seeded Gaussian benchmarks,
+adversarial (`see_ood`) and baseline (`wood`) training, TNR-calibrated
+metrics, and a replicated experiment runner with a CLI.
 """
 
 from .config import ConfigError, ExperimentConfig, parse_config, preset_config, serialize_config
@@ -24,7 +22,6 @@ from .nets import (
     MlpParams,
     NumericError,
     adam_step,
-    finite_difference_gradient,
     init_adam,
     init_mlp,
     mlp_backward,

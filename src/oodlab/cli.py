@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Subcommands: gen-data, replicate, compare. Runs are configured by a config
-file (--config), a named preset (--preset), or both defaults; --seed
+Subcommands: gen-data, replicate, compare. `replicate` is configured by a
+config file (--config), a named preset (--preset), or both; --seed
 overrides the base seed. A single run is `replicate` with `[eval]
-replications = 1`. Every command refuses an --out that already holds files,
-before any work. Exit codes: 0 success, 2 configuration error, 3 runtime or
-numeric error, including a used --out.
+replications = 1`. `gen-data` writes the builtin dataset drawn from --seed
+(default 0). Every command refuses an --out that already holds files, before
+any work, and publishes --out whole or not at all. Exit codes: 0 success, 2
+configuration or usage error, 3 runtime or numeric error, including a used
+--out.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from pathlib import Path
 from . import config as config_mod
 from .config import ConfigError, ExperimentConfig, _tnr_label, parse_config, preset_config
 from .data import make_simulation_dataset, write_dataset_csv
-from .experiment import (_unused_out_dir, compare_rejection_regions, load_report,
-                         run_experiment, write_comparison_csv)
+from .experiment import (compare_rejection_regions, load_report, publish_dir, run_experiment,
+                         write_comparison_csv)
 from .rng import Rng
 
 __all__ = ["main"]
@@ -34,15 +36,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser):
-        p.add_argument("--config", help="experiment config file")
-        p.add_argument("--preset", choices=sorted(config_mod.PRESETS),
-                       help="named configuration; file keys override it")
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, help="override the base seed")
+    gen_parser = sub.add_parser("gen-data", help="write the builtin dataset as CSV")
+    gen_parser.add_argument("--out", required=True, help="output directory")
+    gen_parser.add_argument("--seed", type=int, default=0, help="dataset seed (default 0)")
 
-    add_common(sub.add_parser("gen-data", help="write the builtin dataset as CSV"))
-    add_common(sub.add_parser("replicate", help="train, evaluate and write each replication"))
+    rep_parser = sub.add_parser("replicate", help="train, evaluate and write each replication")
+    rep_parser.add_argument("--config", help="experiment config file")
+    rep_parser.add_argument("--preset", choices=sorted(config_mod.PRESETS),
+                            help="named configuration; file keys override it")
+    rep_parser.add_argument("--out", required=True, help="output directory")
+    rep_parser.add_argument("--seed", type=int, help="override the base seed")
 
     cmp_parser = sub.add_parser("compare",
                                 help="compare rejection regions of two finished runs")
@@ -69,13 +72,13 @@ def _resolve_config(args) -> ExperimentConfig:
 
 
 def _cmd_gen_data(args) -> int:
-    cfg = _resolve_config(args)
-    out = _unused_out_dir(args.out)
-    data = make_simulation_dataset(Rng(cfg.train.seed))
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "dataset.csv"
-    write_dataset_csv(data, path)
-    print(f"wrote {path}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed: seed must be >= 0, got {args.seed}")
+    publishing = publish_dir(args.out)
+    data = make_simulation_dataset(Rng(args.seed))
+    with publishing as build:
+        write_dataset_csv(data, build / "dataset.csv")
+    print(f"wrote {Path(args.out) / 'dataset.csv'}")
     return 0
 
 
@@ -90,16 +93,15 @@ def _cmd_replicate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    out = _unused_out_dir(args.out)
+    publishing = publish_dir(args.out)
     record = compare_rejection_regions(load_report(args.a), load_report(args.b), args.tnr)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "comparison.csv"
-    write_comparison_csv(record, path)
+    with publishing as build:
+        write_comparison_csv(record, build / "comparison.csv")
     for i, (a, b, diff) in enumerate(zip(record.areas_a, record.areas_b,
                                          record.differences)):
         print(f"rep {i}: area_a={a:.6f} area_b={b:.6f} difference={diff:+.6f}")
     print(f"mean difference: {record.mean_difference:+.6f}")
-    print(f"wrote {path}")
+    print(f"wrote {Path(args.out) / 'comparison.csv'}")
     return 0
 
 

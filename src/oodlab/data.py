@@ -1,11 +1,9 @@
-"""Seeded Gaussian-cluster benchmarks and dataset plumbing.
+"""The builtin Gaussian-cluster benchmark, OoD subsampling, and the dataset CSV format.
 
-The builtin benchmark is a 2-D, 3-class problem: isotropic Gaussian blobs at
-(4, 3), (3, 5) and (3, 1) with sigma 0.3 for the in-distribution classes, and
-an out-of-distribution blob at (1.5, 6) with the same sigma. Each blob gets
-1000 training and 1000 testing points, drawn independently per split. The
-out-of-distribution training pool is meant to be subsampled down (often to a
-handful of points) before training; the test split never is.
+The benchmark is a 2-D, 3-class problem: isotropic Gaussian blobs with sigma
+0.3 at (4, 3), (3, 5) and (3, 1) for the in-distribution classes and at
+(1.5, 6) for out-of-distribution points, 1000 training and 1000 test points
+per blob. Runs subsample the OoD training pool, never the test split.
 """
 
 from __future__ import annotations
@@ -42,10 +40,9 @@ OOD_LABEL = -1
 
 @dataclass(frozen=True)
 class Dataset:
-    """Labeled in-distribution splits plus unlabeled out-of-distribution ones.
+    """Labeled InD splits and unlabeled OoD splits, checked when built.
 
-    Points are rows of float arrays; labels are 1-based ints aligned with
-    the rows of the corresponding `x` array.
+    Points are rows of (n, d) float arrays; labels are 1-based ints, one per row.
     """
 
     ind_train_x: np.ndarray
@@ -97,11 +94,7 @@ def make_simulation_dataset(rng: Rng) -> Dataset:
 
 
 def subsample_ood(dataset: Dataset, n_keep: int, rng: Rng) -> Dataset:
-    """Keep a uniform without-replacement subsample of the OoD training pool.
-
-    All other splits are untouched; in particular the OoD test split always
-    stays complete.
-    """
+    """`dataset` with `n_keep` OoD training points drawn without replacement; others kept."""
     pool = dataset.ood_train.shape[0]
     if not 0 <= n_keep <= pool:
         raise ValueError(f"n_keep must lie in 0..{pool}, got {n_keep}")
@@ -117,10 +110,6 @@ def sample_noise(n: int, count: int, rng: Rng) -> np.ndarray:
         raise ValueError(f"count must be >= 0, got {count}")
     return rng.standard_normal(count * n).reshape(count, n)
 
-
-# ---------------------------------------------------------------------------
-# CSV round trip
-# ---------------------------------------------------------------------------
 
 def write_dataset_csv(dataset: Dataset, path) -> None:
     """Rows of x1..xd, label, split; OoD rows carry label -1."""
@@ -139,6 +128,7 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
 
 
 def read_dataset_csv(path) -> Dataset:
+    """The dataset in a :func:`write_dataset_csv` file; ValueError naming the file and line."""
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)

@@ -1,13 +1,9 @@
 """Threshold calibration, detection and classification metrics, and heatmaps.
 
-The detector flags a point as out-of-distribution when its score strictly
-exceeds a threshold eta; a score equal to eta counts as in-distribution.
-:func:`tpr_at_tnr` and :func:`rejection_region_area` apply that ``> eta``
-rule to whole score arrays. Eta is calibrated on in-distribution scores as
-the smallest observed score whose empirical true-negative rate reaches the
-requested target, so the calibration is parameter-free and exactly
-reproducible from the score list. Classification accuracy comes from
-:func:`scores_and_accuracy`, in the same forward pass as the scores.
+A point is out-of-distribution when its score strictly exceeds a threshold
+eta; a score equal to eta counts as in-distribution. Eta is the smallest
+in-distribution score whose empirical true-negative rate reaches the
+target, so calibration has no parameter and is exact given the scores.
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Axis-aligned evaluation grid; scores are taken at cell centers."""
+    """Axis-aligned evaluation grid, checked when built; scores are taken at cell centers."""
 
     x_min: float
     x_max: float
@@ -82,7 +78,7 @@ def tpr_at_tnr(ind_scores, ood_scores, target_tnr: float) -> tuple[float, float]
 
 
 def scores_and_accuracy(D: MlpParams, points, labels, M) -> tuple[np.ndarray, float]:
-    """``score_batch(D, points, M)`` and the classification accuracy, from one forward pass.
+    """``score_batch(D, points, M)`` and the accuracy, from one forward pass.
 
     The accuracy is the fraction of points whose argmax class (smallest
     index on ties) matches their 1-based label.
@@ -108,11 +104,9 @@ def mad(values) -> float:
 
 
 def score_heatmap(D: MlpParams, grid: GridSpec, M) -> np.ndarray:
-    """Scores over the grid's cell centers.
+    """(resolution, resolution) scores at the grid's cell centers.
 
-    Row i, column j holds the score at x = x_min + (j + 0.5) * dx,
-    y = y_min + (i + 0.5) * dy, so y grows with the row index and x with the
-    column index.
+    Cell (i, j) is scored at x = x_min + (j + 0.5) * dx, y = y_min + (i + 0.5) * dy.
     """
     if D.input_dim != 2:
         raise ValueError(f"heatmaps need a 2-D input space, discriminator takes {D.input_dim}")
@@ -133,10 +127,10 @@ def rejection_region_area(heatmap: np.ndarray, eta: float) -> float:
 
 
 def write_heatmap(heatmap: np.ndarray, path) -> None:
-    """Save a heatmap as a ``.npy`` file of float64 cells, exactly as ``numpy.save`` does.
+    """Save a heatmap at `path`, no suffix added, as ``numpy.save`` writes its float64 cells.
 
-    `path` is used as given, with no suffix added. ValueError, before the
-    file is opened, unless the heatmap is a nonempty 2-D array of finite scores.
+    ValueError, before the file is opened, unless the heatmap is a nonempty
+    2-D array of finite scores.
     """
     cells = _checked_heatmap(heatmap)
     with open(path, "wb") as f:
@@ -172,20 +166,18 @@ _PGM_SAMPLES_PER_LINE = 16
 
 
 def write_heatmap_pgm(heatmap: np.ndarray, K: int, path) -> None:
-    """ASCII ("P2") grayscale image of a heatmap.
+    """ASCII ("P2") grayscale image of a heatmap, rows in storage order, 16 samples a line.
 
-    Scores map linearly from [0, 1 - 1/K] to [0, 255] and round half-up.
-    That is the binary cost matrix's range: under another matrix a score
-    can exceed 1 - 1/K, and every such cell clips to 255 (white).
-    Matrix rows are written top to bottom in storage order, each as lines of
-    16 samples and a shorter last line, one ``%d`` format pass per row. Each
-    row is mapped as it is written, so no whole-heatmap temporary is made.
+    Scores map linearly from [0, top] to [0, 255], rounding half-up and
+    clipping below 0. top is ``max(1 - 1/K, largest cell)``: the binary
+    cost matrix's range, or the largest score if another matrix scored past
+    it. Rows are mapped one at a time, with no whole-heatmap temporary.
     ValueError unless the heatmap is a nonempty 2-D array of finite scores.
     """
     if K < 2:
         raise ValueError(f"need K >= 2, got {K}")
     cells = _checked_heatmap(heatmap)
-    top = 1.0 - 1.0 / K
+    top = max(1.0 - 1.0 / K, float(cells.max()))
     height, width = cells.shape
     full, rest = divmod(width, _PGM_SAMPLES_PER_LINE)
     row = _pgm_line(_PGM_SAMPLES_PER_LINE) * full + (_pgm_line(rest) if rest else "")

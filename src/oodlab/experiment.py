@@ -9,15 +9,11 @@ A run writes a self-contained output directory:
                           see_ood weights_generator.txt; for 2-D data
                           heatmap.npy, heatmap.pgm
 
-The directory is built inside a temporary sibling and renamed onto the
-output path once complete, so a failed run leaves no directory behind; an output
-path that already holds files is refused before any work.
-
-Replication r runs on seed `base_seed + r` with a single random stream used
-for dataset generation, subsampling, initialization and training, so (config,
-seed) fully determines every output byte. Thresholds are calibrated afresh in
-each replication; aggregates are the mean and the mean absolute deviation
-over replications.
+Every output directory, a run's or a CLI command's, is published whole by
+:func:`publish_dir`. Replication r runs on seed ``base_seed + r`` with one
+random stream for data, subsampling, initialization and training, so
+(config, seed) fixes every output byte. Each replication calibrates its
+own thresholds; aggregates are the mean and the mean absolute deviation.
 """
 
 from __future__ import annotations
@@ -26,6 +22,7 @@ import csv
 import math
 import shutil
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -56,6 +53,7 @@ __all__ = [
     "ComparisonRecord",
     "run_replication",
     "run_experiment",
+    "publish_dir",
     "load_report",
     "compare_rejection_regions",
     "write_comparison_csv",
@@ -208,22 +206,41 @@ def _write_summary(path: Path, report: ExperimentReport) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _unused_out_dir(out_dir) -> Path:
-    """`out_dir` as a Path; FileExistsError when it exists and is not empty."""
+@contextmanager
+def _building(out: Path):
+    out.parent.mkdir(parents=True, exist_ok=True)
+    scratch = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name}."))
+    try:
+        # mkdtemp's own directory is owner-only; `build` gets the usual umask mode.
+        build = scratch / "run"
+        build.mkdir()
+        yield build
+        build.rename(out)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+
+def publish_dir(out_dir):
+    """A context manager whose block fills a new directory that then replaces `out_dir`.
+
+    FileExistsError, at the call, when `out_dir` exists and is not empty, so
+    a caller calls this before its work and enters the block after it. The
+    block gets an empty temporary sibling of `out_dir`, with missing parents
+    made; a clean exit renames it onto `out_dir`, and any exception removes
+    it, so `out_dir` is never left half-written.
+    """
     out = Path(out_dir)
     if out.exists() and any(out.iterdir()):
         raise FileExistsError(f"output directory {out} is not empty")
-    return out
+    return _building(out)
 
 
 def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentReport:
-    """Run every replication, then write the output directory and aggregate metrics.
+    """Run every replication, then publish the run directory at `out_dir` and return its report.
 
     FileExistsError, before any work, when `out_dir` exists and is not empty.
-    The directory is built inside a temporary sibling and renamed onto
-    `out_dir` only when complete, so a run that fails at any point leaves nothing behind.
     """
-    out = _unused_out_dir(out_dir)
+    publishing = publish_dir(out_dir)
     reps = []
     for index in range(config.replications):
         try:
@@ -231,12 +248,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentReport:
         except NumericError as exc:
             raise NumericError(f"replication {index}: {exc}") from exc
 
-    out.parent.mkdir(parents=True, exist_ok=True)
-    scratch = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name}."))
-    try:
-        # mkdtemp's own directory is owner-only; `build` gets the usual umask mode.
-        build = scratch / "run"
-        build.mkdir()
+    with publishing as build:
         (build / "config.ini").write_text(serialize_config(config), encoding="utf-8")
         for rep in reps:
             rep_dir = build / f"rep{rep.index:03d}"
@@ -263,15 +275,8 @@ def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentReport:
         )
         _write_report_csv(build / "report.csv", report)
         _write_summary(build / "summary.txt", report)
-        build.rename(out)
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
     return report
 
-
-# ---------------------------------------------------------------------------
-# Rejection-region comparison between two finished runs
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class LoadedRun:
@@ -291,14 +296,12 @@ class ComparisonRecord:
 
 
 def load_report(out_dir) -> LoadedRun:
-    """Re-read the pieces of a run directory produced by :func:`run_experiment`.
+    """The config, thresholds and heatmaps of a run directory :func:`run_experiment` wrote.
 
-    ValueError, naming the file, for an empty ``report.csv``, one with a row
-    shorter than its header, one without the ``eta_at_<t>`` column of one of
-    the run's TNR targets or with a cell in it that is not a finite number,
-    or one with a replication label that is not an integer, and for a
-    heatmap file that :func:`read_heatmap` rejects at the run's own
-    ``(grid_resolution, grid_resolution)`` shape.
+    ValueError, naming the file, for a ``report.csv`` that is empty, has a
+    row shorter than its header, lacks a TNR target's ``eta_at_<t>`` column,
+    holds a non-finite threshold or a non-integer replication label, and for
+    a missing heatmap or one :func:`read_heatmap` rejects at the run's shape.
     """
     out = Path(out_dir)
     config = parse_config((out / "config.ini").read_text(encoding="utf-8"))

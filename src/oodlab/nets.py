@@ -1,68 +1,37 @@
-"""Minimal dense feed-forward network engine.
+"""Dense ReLU networks in float64: forward, backprop, Adam, text and CSV output.
 
-Forward pass, analytic backpropagation, bias-corrected Adam, a central
-finite-difference gradient oracle for tests, a flat text format for weights
-(`write_params` writes it, `params_from_text` reads it back), the one CSV
-writer and the one float-matrix CSV reader. Everything is float64.
-
-Every network is a ReLU MLP with a Softmax head (the discriminator) or an
-Identity head (the generator), and every Adam update uses ``ADAM_BETA1``,
+A network is a ReLU MLP with a Softmax head (the discriminator) or an
+Identity head (the generator). Every Adam update uses ``ADAM_BETA1``,
 ``ADAM_BETA2`` and ``ADAM_EPSILON``.
 
-Each of softmax, forward, backward and Adam has one in-place kernel:
-`_softmax`, `_forward`, `_backward` and `_adam`. Each is a binder: it takes
-the caller-owned arrays it works in, a network pass's from a
-:class:`ForwardCache` built by `_cache` and `_with_backward`, makes every
-view, turns every scalar operand into a 0-d array (`_scalar`) and picks
-every branch once, and returns a closure that runs the kernel as a flat run
-of numpy calls. A forward or backward closure takes the
-batch, so one binding serves each new batch in a fixed buffer; Adam's takes
-the step count. A training loop or a blocked scorer binds once per run and
-then runs without allocating. The views are views of the parameter vector,
-so a bound pass sees every in-place update of it. The kernels check no
-shapes; `_softmax` rejects non-finite logits on every run, so every Softmax
-forward pass checks its logits. The public :func:`softmax`,
-:func:`mlp_forward`, :func:`mlp_backward` and :func:`adam_step` are the
-checked, pure wrappers: they bind the same kernels to fresh arrays, run them
-once and never mutate their arguments, so equal inputs give equal bits
-either way.
+Parameter layout: one 1-D vector per network, holding one row-major
+``(fan_out, fan_in + 1)`` block ``[W | b]`` per layer; gradients and Adam
+moments share it. The text format has its own order, independent of it.
 
-Parameter layout: a network's parameters live in one 1-D float64 vector,
-one row-major ``(fan_out, fan_in + 1)`` block ``[W | b]`` per layer, so row i
-of layer l's block is ``W_l[i, :]`` followed by ``b_l[i]``. ``weights[l]`` and
-``biases[l]`` are views onto the block's columns; the text format writes
-them in its own order (row-major weights, then biases), so it does not
-depend on this layout. Gradients from :func:`finite_difference_gradient` and
-:func:`mlp_backward` and the Adam moments are plain vectors in the same
-layout, so Adam and the finite-difference oracle each run over one array.
+Kernels: `_softmax`, `_forward`, `_backward` and `_adam` are binders. Each
+takes caller-owned arrays (a network pass's are a :class:`ForwardCache`),
+makes every view and picks every branch once, and returns a closure that
+runs the kernel in place as a flat run of numpy calls that allocates no
+array data. The views see every in-place update of the parameter vector.
+The kernels check no shapes; `_softmax` rejects non-finite logits on every
+run. :func:`softmax`, :func:`mlp_forward`, :func:`mlp_backward` and
+:func:`adam_step` are the checked, pure wrappers: they bind the same
+kernels to fresh arrays, so equal inputs give equal bits either way.
 
-Ones columns: a batch is a ``(rows, fan_in + 1)`` array whose last column
-is ones, from `_with_ones`, and so is each layer's array in a pass but a
-Softmax head's (see :class:`ForwardCache`); the nonlinearities and their
-derivatives run in place and keep that column. So layer 0's forward pass is
-one product ``[x | 1] @ [W0 | b0]^T``, each layer's parameter gradient one
-product ``delta^T @ [below | 1]``, and each hidden layer's input gradient
-one product ``delta @ [W | b]`` whose first columns are ``delta @ W``.
-Layer 0's input gradient is ``delta @ W0`` over a contiguous copy of
-``W0``, as over the block BLAS rounds differently at input widths other
-than 2. Up to the 256-row batches training uses, they keep the bits of the
-separate product and bias add, column sum, or product over a contiguous
-``W``; deeper layers keep the separate bias add. Past that the bias
-gradient may differ in the last bit. On a single row at an input width
-other than 2, layer 0's forward product may too.
-
-Narrow rows: the softmax's row max and exp-sum and the score layer's row
-reductions over K < 8 classes run as K - 1 column ops (`_fold_columns`,
-bound to its column views like the kernels): max and min are exact, and
-numpy sums fewer than 8 entries left to right, the order the column ops
-keep.
+Bits: each layer's input carries a ones column (`_with_ones`), so layer 0's
+forward pass is one product ``[x | 1] @ [W0 | b0]^T`` and each parameter
+gradient one product ``delta^T @ [below | 1]``. Up to 256 rows, the batch
+sizes training uses, these keep the bits of a separate product and bias add
+or column sum, but on a single row at an input width other than 2, layer
+0's forward product may differ in the last bit. Past 256 rows a bias
+gradient may too. Row reductions over fewer than 8 columns run as column
+ops (`_fold_columns`) in numpy's own left-to-right order.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -86,12 +55,10 @@ __all__ = [
     "mlp_forward",
     "mlp_backward",
     "adam_step",
-    "finite_difference_gradient",
     "fmt_float",
     "write_csv",
     "params_to_text",
     "params_from_text",
-    "read_float_csv",
     "write_params",
 ]
 
@@ -114,7 +81,7 @@ def _n_scalars(sizes: tuple[int, ...]) -> int:
 
 
 def _blocks(sizes: tuple[int, ...], flat: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per-layer ``(fan_out, fan_in + 1)`` views ``[W | b]`` into a parameter-layout vector."""
+    """Per-layer ``[W | b]`` views into a parameter-layout vector."""
     blocks, start = [], 0
     for fan_in, fan_out in zip(sizes, sizes[1:]):
         end = start + fan_out * (fan_in + 1)
@@ -123,18 +90,8 @@ def _blocks(sizes: tuple[int, ...], flat: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(blocks)
 
 
-def _layer_views(sizes: tuple[int, ...],
-                 flat: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Per-layer (weights, biases) views into a parameter-layout vector."""
-    blocks = _blocks(sizes, flat)
-    return tuple(b[:, :-1] for b in blocks), tuple(b[:, -1] for b in blocks)
-
-
 def _with_ones(rows: int, width: int, fill: np.ndarray | None = None) -> np.ndarray:
-    """A (rows, width + 1) array whose last column is ones, the kernels' batch layout.
-
-    The first `width` columns hold `fill` if given; else the caller fills them.
-    """
+    """A new (rows, width + 1) array: ones in the last column, `fill` (if given) before it."""
     out = np.empty((rows, width + 1))
     out[:, width] = 1.0
     if fill is not None:
@@ -144,14 +101,12 @@ def _with_ones(rows: int, width: int, fill: np.ndarray | None = None) -> np.ndar
 
 @dataclass(frozen=True)
 class MlpParams:
-    """Parameters of a dense network, stored as one flat float64 vector.
+    """A network over one flat float64 vector, checked when built: finite, of the layout's length.
 
-    `flat` holds one row-major ``[W | b]`` block per layer (see the module
-    docstring); gradients and Adam moments share this layout. ``blocks[l]``,
-    of shape (layer_sizes[l+1], layer_sizes[l] + 1), is that block;
-    ``weights[l]`` and ``biases[l]`` are its first layer_sizes[l] columns and
-    its last column. All three are tuples of views into `flat`. ReLU is
-    applied after every layer except the last, which gets `head`.
+    ``blocks[l]`` is layer l's ``(layer_sizes[l+1], layer_sizes[l] + 1)``
+    block ``[W | b]``; ``weights[l]`` and ``biases[l]`` are its first columns
+    and its last one. All are views into `flat`, so writing them writes it.
+    ReLU follows every layer but the last, which gets `head`.
     """
 
     layer_sizes: tuple[int, ...]
@@ -209,24 +164,21 @@ def init_adam(params: MlpParams) -> AdamState:
 def init_mlp(layer_sizes: list[int] | tuple[int, ...], head: Head, rng: Rng) -> MlpParams:
     """Fresh network with uniform Glorot weights and zero biases.
 
-    Weight entries are drawn layer by layer in row-major order from
-    ``U(-a, a)`` with ``a = sqrt(6 / (fan_in + fan_out))``; biases consume no
-    draws. The draw order is part of the reproducibility contract.
+    Weights are drawn layer by layer in row-major order from ``U(-a, a)``,
+    ``a = sqrt(6 / (fan_in + fan_out))``; biases draw nothing. The draw order
+    is part of the reproducibility contract.
     """
     sizes = tuple(int(s) for s in layer_sizes)
-    flat = np.zeros(_n_scalars(sizes))
-    for w in _layer_views(sizes, flat)[0]:
+    params = MlpParams(sizes, np.zeros(_n_scalars(sizes)), head)
+    for w in params.weights:
         fan_out, fan_in = w.shape
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         w[...] = ((2.0 * rng.uniform(w.size) - 1.0) * bound).reshape(w.shape)
-    return MlpParams(sizes, flat, head)
+    return params
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax computed after subtracting the max logit.
-
-    Accepts a vector or a (batch, K) matrix; normalizes along the last axis.
-    """
+    """Softmax along the last axis of a vector or (batch, K) matrix, max logit subtracted; pure."""
     z = np.asarray(logits, dtype=float)
     out = np.empty_like(z)
     _softmax(z, out, np.empty((2,) + z.shape[:-1] + (1,)))()
@@ -240,10 +192,9 @@ _PAIRWISE_FROM = 8
 def _fold_columns(op, a: np.ndarray, out: np.ndarray):
     """Bind ``op.reduce(a, axis=-1, keepdims=True, out=out)``; the closure runs it bit for bit.
 
-    `op` is ``np.add``, ``np.maximum`` or ``np.minimum``. Rows of fewer than
-    `_PAIRWISE_FROM` entries fold as K - 1 column ops over views made here,
-    left to right, which skip the reduction's per-row inner loop; wider rows
-    take the reduction.
+    `op` is ``np.add``, ``np.maximum`` or ``np.minimum``. Rows of 2 to 7
+    entries fold as left-to-right column ops, which skip the reduction's
+    per-row inner loop.
     """
     K = a.shape[-1]
     if not 2 <= K < _PAIRWISE_FROM:
@@ -266,10 +217,9 @@ def _scalar(value: float) -> np.ndarray:
 def _softmax(z: np.ndarray, out: np.ndarray, col: np.ndarray):
     """Bind the softmax kernel: the closure writes :func:`softmax` of `z` into `out`.
 
-    ``col[0]`` and ``col[1]``, each shaped like a keepdims reduction of `z`,
-    keep each row's max and the sum of its shifted exponentials, so a caller
-    can form ``log_softmax(z) = (z - col[0]) - log(col[1])`` without a second
-    pass. Each run rejects non-finite logits.
+    It leaves each row's max in ``col[0]`` and its sum of shifted
+    exponentials in ``col[1]``, each shaped like a keepdims reduction of `z`,
+    from which a caller forms log-softmax. Each run rejects non-finite logits.
     """
     if z.size == 0:
         raise ValueError("softmax of an empty vector is undefined")
@@ -296,25 +246,16 @@ def _width_views(kind: str) -> cached_property:
 
 @dataclass(frozen=True)
 class ForwardCache:
-    """A network's pass over a batch of rows: the arrays the kernels write.
+    """The arrays a network's pass over a batch of rows writes.
 
-    ``a[l]`` holds layer l's output and ``d[l]`` the gradient with respect
-    to its pre-activation, one array per layer. Each is a `_with_ones`
-    (rows, width + 1) array but a Softmax head's, a C-contiguous (rows, K)
-    one. So ``a[l]`` is the ``[a | 1]`` batch the next layer's gradient, or
-    another network, takes; the last column of ``d`` is work space.
-    ``activations`` and ``deltas`` are their ``[:, :width]`` views, made once
-    per cache and read when a kernel is bound. A Softmax head also keeps
-    ``logits``, a C-contiguous (rows, K) array of the softmax's input; for
-    an Identity head it is None.
-
-    `_backward` overwrites each hidden ``a[l]`` with its ReLU derivative, so
-    a cache takes one backward pass per forward pass.
-
-    ``col`` is the Softmax head's (2, rows, 1) row max and exp-sum. The
-    backward arrays, `d` and the flat parameter gradient `grad`
-    with its per-layer ``[W | b]`` views `grad_blocks`, are empty unless
-    asked for; the caller writes the upstream gradient into ``deltas[-1]``.
+    ``a[l]``, layer l's output, and ``d[l]``, the gradient at its
+    pre-activation, are `_with_ones` (rows, width + 1) arrays, but a Softmax
+    head's are C-contiguous (rows, K); ``activations`` and ``deltas`` are
+    their ``[:, :width]`` views. A Softmax head keeps its input in
+    ``logits`` and its row max and exp-sum in ``col``. The backward arrays
+    `d`, `grad` and its ``[W | b]`` views `grad_blocks` are empty unless
+    asked for. `_backward` overwrites each hidden ``a[l]``, so a cache takes
+    one backward pass per forward pass.
     """
 
     layer_sizes: tuple[int, ...]
@@ -329,7 +270,7 @@ class ForwardCache:
 
 
 def _layer_arrays(params: MlpParams, rows: int) -> tuple[np.ndarray, ...]:
-    """One fresh array per layer of `params` over `rows` rows, under `ForwardCache`'s rule."""
+    """New arrays, one per layer of `params` over `rows` rows, shaped as `ForwardCache` says."""
     *hidden, K = params.layer_sizes[1:]
     head = np.empty((rows, K)) if params.head is Head.SOFTMAX else _with_ones(rows, K)
     return tuple(_with_ones(rows, w) for w in hidden) + (head,)
@@ -346,7 +287,7 @@ def _as_batch(params: MlpParams, inputs, name: str = "input") -> np.ndarray:
 
 
 def _cache(params: MlpParams, rows: int) -> ForwardCache:
-    """Empty forward arrays for a pass of `params` over `rows` inputs."""
+    """New forward arrays for a pass of `params` over `rows` inputs."""
     logits = np.empty((rows, params.output_dim)) if params.head is Head.SOFTMAX else None
     return ForwardCache(params.layer_sizes, _layer_arrays(params, rows), logits,
                         np.empty((2, rows, 1)))
@@ -367,13 +308,10 @@ def _rows(cache: ForwardCache, start: int, stop: int) -> ForwardCache:
 
 
 def _forward(params: MlpParams, cache: ForwardCache):
-    """Bind the forward kernel to `params` and `cache`: ``run(x)`` runs the network on `x`.
+    """Bind the forward kernel: ``run(x)`` runs the network on `x` in `cache`'s arrays.
 
-    ``run`` writes each layer's product into its ``activations[l]``, or a
-    Softmax head's ``logits``, runs ReLU or the softmax there in place, and
-    returns the output array. Every view and branch is taken here, once; the
-    views track in-place updates of ``params.flat``. Unchecked: `x` must be
-    a (rows, input_dim + 1) float array from `_with_ones`, matching `cache`.
+    ``run`` returns the output array, ``cache.a[-1]``. Unchecked: `x` must be
+    a `_with_ones` (rows, input_dim + 1) array with `cache`'s row count.
     """
     last = len(params.blocks) - 1
     softmax = params.head is Head.SOFTMAX
@@ -404,17 +342,12 @@ def _forward(params: MlpParams, cache: ForwardCache):
 def _backward(params: MlpParams, cache: ForwardCache, dx: np.ndarray | None = None):
     """Bind the backward kernel: ``run(x)`` backpropagates ``cache.deltas[-1]`` through `x`'s pass.
 
-    ``run`` takes the batch that `_forward`'s pass in `cache` ran on. It
-    writes the parameter gradient into ``cache.grad``, one ``delta^T @
-    [below | 1]`` product per layer, skipping layer 0's ``delta @ W0``; or,
-    given `dx`, a (rows, input_dim + 1) array, only the input gradient, into
-    its first columns, over a copy of ``W0`` taken on each run, and then it
-    reads nothing of `x`. Once layer l's
-    gradient has read ``a[l - 1]``, the ReLU derivative overwrites it, ones
-    column kept, so the pass in `cache` is spent. Both heads take the
-    upstream gradient as it is (a Softmax head's Jacobian is folded in
-    upstream). Views are made here, once, as in `_forward`. Unchecked, like
-    `_forward`.
+    `x` is the batch `_forward` last ran on in `cache`. ``run`` writes the
+    parameter gradient into ``cache.grad``; given `dx`, a (rows,
+    input_dim + 1) array, it writes only the input gradient, into its first
+    columns, and reads nothing of `x`. The upstream gradient is taken as it
+    is: a Softmax head's Jacobian is the caller's to fold in. The pass in
+    `cache` is spent. Unchecked, like `_forward`.
     """
     last, param_grad, zero = len(params.blocks) - 1, dx is None, _scalar(0.0)
     # Per layer l from the top down to 1: delta^T and delta; the [a | 1] below
@@ -451,8 +384,7 @@ def _backward(params: MlpParams, cache: ForwardCache, dx: np.ndarray | None = No
 def _adam(flat: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, lr: float):
     """Bind the Adam kernel: ``run(t)`` makes the t-th bias-corrected update of `flat`, `m`, `v`.
 
-    ``run`` reads `grad` and updates the three in place, through two work
-    vectors made here. Unchecked.
+    ``run`` reads `grad` and updates the three in place. Unchecked.
     """
     beta1, beta2 = ADAM_BETA1, ADAM_BETA2
     s, r = np.empty_like(flat), np.empty_like(flat)
@@ -478,10 +410,7 @@ def _adam(flat: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, lr: 
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """The (batch, output_dim) output of the network on a (batch, input_dim) matrix.
-
-    A single point is a (1, input_dim) batch.
-    """
+    """The (batch, output_dim) output of the network on a (batch, input_dim) matrix; pure."""
     x = _as_batch(params, x)
     x = _with_ones(*x.shape, fill=x)
     return _forward(params, _cache(params, x.shape[0]))(x)
@@ -489,17 +418,13 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
 
 def mlp_backward(params: MlpParams, x: np.ndarray, upstream: np.ndarray,
                  param_grad: bool = True) -> np.ndarray:
-    """Backpropagate an upstream gradient through the network's pass over the batch `x`.
+    """Backpropagate `upstream` through the network's pass over the batch `x`; pure.
 
-    `x` is a (batch, input_dim) matrix and `upstream` a (batch, output_dim)
-    one: for a Softmax head the gradient with respect to the pre-head
-    logits (the loss layer folds the softmax Jacobian in), for an Identity
-    head with respect to the output itself. The per-sample
-    contributions are summed, so any 1/batch averaging belongs in the loss
-    layer. Returns one array: the flat parameter gradient, skipping layer
-    0's ``delta @ W0`` that only the input gradient needs; or, with
-    ``param_grad=False``, the (batch, input_dim) input gradient, skipping
-    every parameter product, for callers that chain through a frozen network.
+    `x` is (batch, input_dim) and `upstream` (batch, output_dim): for a
+    Softmax head the gradient at the logits, for an Identity head at the
+    output. Rows are summed, not averaged. Returns the flat parameter
+    gradient or, with ``param_grad=False``, the (batch, input_dim) input
+    gradient; each skips the products only the other needs.
     """
     x = _as_batch(params, x, "inputs")
     g = np.asarray(upstream, dtype=float)
@@ -517,7 +442,7 @@ def mlp_backward(params: MlpParams, x: np.ndarray, upstream: np.ndarray,
 
 def adam_step(params: MlpParams, grad: np.ndarray, state: AdamState,
               lr: float) -> tuple[MlpParams, AdamState]:
-    """One bias-corrected Adam update over the flat vector; returns new params and state."""
+    """One bias-corrected Adam update; returns new params and state, arguments untouched."""
     if lr <= 0.0:
         raise ValueError(f"learning rate must be > 0, got {lr}")
     if grad.shape != params.flat.shape:
@@ -532,86 +457,30 @@ def adam_step(params: MlpParams, grad: np.ndarray, state: AdamState,
     return replace(params, flat=flat), AdamState(m, v, t)
 
 
-def finite_difference_gradient(loss, params: MlpParams, step: float) -> np.ndarray:
-    """Central-difference gradient of ``loss(params)`` over every scalar of `flat`.
-
-    Test oracle only: O(n_scalars) loss evaluations. `loss` must be a
-    deterministic function of the parameters.
-    """
-    if step <= 0.0:
-        raise ValueError(f"step must be > 0, got {step}")
-
-    def loss_at(i: int, value: float) -> float:
-        flat = params.flat.copy()
-        flat[i] = value
-        return loss(replace(params, flat=flat))
-
-    grad = np.zeros_like(params.flat)
-    for i, base in enumerate(params.flat):
-        up, down = loss_at(i, base + step), loss_at(i, base - step)
-        if not (np.isfinite(up) and np.isfinite(down)):
-            raise NumericError("loss returned a non-finite value during probing")
-        grad[i] = (up - down) / (2.0 * step)
-    return grad
-
-
-# ---------------------------------------------------------------------------
-# Text serialization
-# ---------------------------------------------------------------------------
-
-# The one float format: 17 significant digits, so text -> float round-trips
-# exactly.
-_FLOAT_FORMAT = "%.17g"
-
-
 def fmt_float(x: float) -> str:
-    """Text form of a float in the ``%.17g`` format, so it round-trips exactly."""
-    return _FLOAT_FORMAT % float(x)
+    """The one float format, ``%.17g``: 17 significant digits, so text -> float is exact."""
+    return "%.17g" % float(x)
 
 
 def write_csv(path, header, rows) -> None:
-    """Write `rows` as CSV, after `header` unless it is None, with ``\\r\\n`` line ends.
+    """Write `header`, then `rows`, as CSV with ``\\r\\n`` line ends.
 
-    A float cell, numpy floats included, goes through :func:`fmt_float`; None
-    becomes an empty cell; ints and strings are written as they are.
+    Float cells, numpy's included, take :func:`fmt_float`'s form and None an
+    empty cell; other cells are written as they are.
     """
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
-        if header is not None:
-            writer.writerow(header)
+        writer.writerow(header)
         writer.writerows([fmt_float(v) if isinstance(v, float) else "" if v is None else v
                           for v in row] for row in rows)
 
 
-def read_float_csv(path, kind: str) -> np.ndarray:
-    """A CSV file of floats, one row per line, as a 2-D array.
-
-    ValueError, naming the `kind` file, if it is empty or ragged or holds a
-    cell that is not a finite number.
-    """
-    with warnings.catch_warnings():
-        # An empty file warns before it returns an empty array, checked below.
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            cells = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, encoding="utf-8")
-        except ValueError as exc:
-            raise ValueError(f"{kind} file {path}: {exc}") from exc
-    if cells.size == 0:
-        raise ValueError(f"{kind} file {path} is empty")
-    if not np.isfinite(cells).all():
-        raise ValueError(f"{kind} file {path} holds a non-finite cell")
-    return cells
-
-
 def params_to_text(params: MlpParams) -> str:
-    """Flat text form of a network.
+    """Flat text form of a network, which :func:`params_from_text` reads back bit for bit.
 
     Header line ``layers: s0 s1 ... sL; hidden: ReLU; head:
-    <Softmax|Identity>``, then for each layer one line of row-major weights
-    followed by one line of biases. Every network is ReLU, so `hidden` is
-    always ``ReLU``, and :func:`params_from_text` rejects any other value.
-    Floats carry 17 significant digits, so text -> params -> text round-trips
-    bit-exactly.
+    <Softmax|Identity>``, then per layer one line of row-major weights and
+    one of biases, each float in :func:`fmt_float`'s form.
     """
     lines = [
         "layers: {}; hidden: ReLU; head: {}".format(
@@ -624,6 +493,7 @@ def params_to_text(params: MlpParams) -> str:
 
 
 def params_from_text(text: str) -> MlpParams:
+    """The network :func:`params_to_text` wrote; ValueError for any other header or shape."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty parameter text")
@@ -645,16 +515,16 @@ def params_from_text(text: str) -> MlpParams:
         raise ValueError(
             f"expected {1 + 2 * n_layers} lines for {n_layers} layers, got {len(lines)}"
         )
-    flat = np.empty(_n_scalars(sizes))
-    weights, biases = _layer_views(sizes, flat)
+    views = MlpParams(sizes, np.zeros(_n_scalars(sizes)), head)
     for i, line in enumerate(lines[1:]):
-        part = biases[i // 2] if i % 2 else weights[i // 2]
+        part = (views.biases if i % 2 else views.weights)[i // 2]
         row = [float(tok) for tok in line.split()]
         if len(row) != part.size:
             kind = "biases" if i % 2 else "weights"
             raise ValueError(f"layer {i // 2} expects {part.size} {kind}, got {len(row)}")
         part[...] = np.reshape(row, part.shape)
-    return MlpParams(sizes, flat, head)
+    # Built again over the filled vector, so the values are checked finite.
+    return MlpParams(sizes, views.flat, head)
 
 
 def write_params(params: MlpParams, path) -> None:

@@ -1,22 +1,18 @@
 """Seeded random stream with a fixed, documented draw pipeline.
 
-Every stochastic operation in this package goes through :class:`Rng` so that
-a 64-bit seed fully determines the stream:
+Every stochastic operation in this package draws from an :class:`Rng`, so
+a 64-bit seed fixes every draw on every machine:
 
-* uniforms come from the PCG64 bit generator (53-bit doubles in [0, 1)),
-* standard normals are produced by the trigonometric Box-Muller transform
-  (`_box_muller`) applied to two consecutive blocks of uniforms,
-* integer draws and shuffles are derived from uniforms (floor scaling and
-  Fisher-Yates), never from a separate integer path: `indices_below` is the
-  one integer draw, and a single integer is ``indices_below(n, 1)[0]``.
+* uniforms come from the PCG64 bit generator (53-bit doubles in [0, 1));
+* standard normals come from the trigonometric Box-Muller transform
+  (`_box_muller`) of two consecutive blocks of uniforms;
+* integers come from uniforms by floor scaling (`indices_below`), and
+  shuffles by Fisher-Yates over them.
 
-The pipeline is pinned here, not left to library defaults, because replicated
-experiments are compared across machines and must consume bitwise-identical
-streams. Uniforms are drawn one at a time off the bit stream, so one draw of
-n + m equals a draw of n followed by one of m. A caller that knows its draws
-ahead can therefore take them in one block (``uniform(count, out=...)``) and
-split it, and run `_box_muller` over many noise batches at once; the training
-loop does this (see :mod:`oodlab.training`).
+The pipeline is pinned here, not left to library defaults, because runs are
+compared bit for bit. One draw of n + m uniforms equals a draw of n then
+one of m, so a caller that knows its draws ahead may take them in one block
+and split it, as the training loop does.
 """
 
 from __future__ import annotations
@@ -27,22 +23,14 @@ __all__ = ["Rng"]
 
 
 class Rng:
-    """Deterministic random source for data generation and training.
-
-    Single-owner semantics: one `Rng` drives one run; concurrent runs get
-    independent instances with their own seeds.
-    """
+    """Deterministic random source; one `Rng` drives one run."""
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._bits = np.random.Generator(np.random.PCG64(self.seed))
 
     def uniform(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
-        """`count` doubles in [0, 1) straight off the bit stream.
-
-        Given `out`, a C-contiguous float64 array of `count` entries, fills it
-        in C order and returns it.
-        """
+        """`count` doubles in [0, 1) off the bit stream, or into `out`, C-contiguous float64."""
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
         if out is None:
@@ -52,12 +40,7 @@ class Rng:
         return self._bits.random(out.shape, out=out)
 
     def standard_normal(self, count: int) -> np.ndarray:
-        """`count` N(0, 1) draws via Box-Muller.
-
-        Draws ceil(count / 2) uniforms u1, then as many u2; the odd spare from
-        the last pair is discarded rather than cached, so consumption depends
-        only on `count`.
-        """
+        """`count` N(0, 1) draws from ceil(count / 2) uniforms u1, then as many u2; no spare."""
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
         if count == 0:
@@ -76,10 +59,7 @@ class Rng:
         return (self.uniform(count) * n).astype(np.int64)
 
     def choose_without_replacement(self, n: int, count: int) -> np.ndarray:
-        """First `count` positions of a Fisher-Yates shuffle of range(n).
-
-        Step i swaps position i with i + floor(u * (n - i)), one uniform per step.
-        """
+        """First `count` positions of a Fisher-Yates shuffle of range(n), one uniform per step."""
         if not 0 <= count <= n:
             raise ValueError(f"need 0 <= count <= {n}, got {count}")
         perm = np.arange(n)
@@ -93,10 +73,9 @@ def _box_muller(u1: np.ndarray, u2: np.ndarray, out: np.ndarray, work: np.ndarra
     """Box-Muller kernel: normals from uniform blocks of shape (..., pairs) into (..., 2 * pairs).
 
     ``out[..., 0::2]`` takes ``sqrt(-2 log(1 - u1)) * cos(2 pi u2)`` and
-    ``out[..., 1::2]`` the matching sines. `u1`, `u2` and `work`, which is
-    shaped like them, are overwritten; the transcendental functions run on
-    them, not on `out`'s strided halves, so each value is computed as for one
-    contiguous block. Unchecked.
+    ``out[..., 1::2]`` the sines. It overwrites `u1`, `u2` and `work`, shaped
+    like them, and runs the transcendental functions on them, not on `out`'s
+    strided halves, so each value has the bits of a contiguous block. Unchecked.
     """
     # 1 - u1 lies in (0, 1], keeping the log finite.
     np.negative(u1, out=u1)

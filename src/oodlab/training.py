@@ -1,43 +1,33 @@
 """Adversarial and baseline training of the scoring classifier.
 
-Two trainers share one loss family. The discriminator D descends, on each
-minibatch,
+The discriminator D descends, on each minibatch,
 
     mean cross-entropy(InD)
       - beta_ood * mean score(observed OoD)
       - beta_z   * mean score(generated points)
 
-so it classifies labeled points while giving observed and generated
-outliers high scores. The generator G ascends ``beta_z * mean
-score(D(G(z)))``: its step folds the ascent sign into the upstream scale,
-so Adam descends the gradient of the negated objective. Each outer iteration
-takes n_d D steps, then n_g G steps.
-`train_wood` is the paper's baseline, SEE-OoD without a generator: no
-generated batch, beta_z = 0, and one D step per iteration whatever n_d says.
+and the generator G ascends ``beta_z * mean score(D(G(z)))``. Each outer
+iteration takes n_d D steps, then n_g G steps. `train_wood`, the paper's
+baseline, is the same loop without G: beta_z = 0 and one D step per
+iteration, whatever n_d says. Every score is taken under the cost matrix M
+passed in, the run's one matrix.
 
 A D step is one forward and one backward pass over the stacked ``[InD;
-observed OoD; generated]`` batch; a G step backpropagates through the frozen
-D for its input gradient only. Each iteration runs G once over the stacked
+observed OoD; generated]`` batch; a G step backpropagates through the
+frozen D for its input gradient only. G runs once per iteration over the
 noise of its D steps and first G step, and each block's values are those of
-a pass over that batch alone, bit for bit. `nets.ForwardCache` and
-`_LossWorkspace` hold every pass, and `nets._adam` updates the parameter
-vectors in place. Set-up binds each step once (`_discriminator_step`,
-`_generator_step`, the `nets` kernels): a step is then a flat run of numpy
-calls on views made at set-up, and the loop allocates no array data. Each
-step checks that its loss or objective and D's logits are finite;
-`TrainHistory` gets fresh copies of the weights, checked finite.
-
-Every score, in the loss and in the generator's objective, is taken under
-the cost matrix M passed in, the run's one matrix, which `experiment` also
-scores the trained D with.
+a pass over that block alone, bit for bit. Set-up binds each step once
+(`_discriminator_step`, `_generator_step`), so the loop allocates no array
+data and updates the parameter vectors in place. Each step checks that its
+loss or objective and D's logits are finite.
 
 Minibatches are drawn uniformly with replacement from each pool, the OoD
 batch clamped to the pool size. A run is a deterministic function of
-(config, data, M) and the `Rng` passed in, which it draws from in this order:
-D's initialization, then G's; then per D step InD indices, OoD indices and
-noise, and per G step noise. `_draws` takes them a chunk of iterations at a
-time, with every value, and where the stream stops, as with per-step draws,
-so a caller's `Rng` reused after training sees the same next draw.
+(config, data, M) and the `Rng` passed in, which it draws from in this
+order: D's initialization, then G's; then per D step InD indices, OoD
+indices and noise, and per G step noise. `_draws` takes them a chunk of
+iterations at a time with the same values, and leaves the `Rng` where
+per-step draws would.
 """
 
 from __future__ import annotations
@@ -87,13 +77,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Every knob of a training run; defaults match the 2-D benchmark.
+    """Every knob of a training run, checked when built; defaults match the 2-D benchmark.
 
-    No trainer reads `seed`: the trainers draw from the `Rng` they are
-    given. It is the replication base seed, read by `experiment`
-    (replication r runs on ``seed + r``) and by the CLI's `gen-data`. Adam's
-    beta1, beta2 and epsilon are not knobs: every run uses the `nets`
-    constants.
+    No trainer reads `seed`: it is `experiment`'s replication base seed
+    (replication r runs on ``seed + r``).
     """
 
     beta_ood: float = 1.0
@@ -144,10 +131,7 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Loss breakdown of an iteration's last D step and objective of its last G step.
-
-    Generator fields are None for runs without a generator.
-    """
+    """An iteration's last D step's loss terms and last G step's objective; None without G."""
 
     iteration: int
     loss: float
@@ -159,6 +143,8 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class TrainHistory:
+    """A run's per-iteration records and copies of its trained networks; `generator` may be None."""
+
     records: tuple[IterationRecord, ...]
     discriminator: MlpParams
     generator: MlpParams | None
@@ -173,14 +159,9 @@ def _one_hot(labels: np.ndarray, K: int) -> np.ndarray:
 class _LossWorkspace:
     """Arrays of D's pass and loss layer over stacked ``[InD; observed OoD; generated]`` rows.
 
-    `x` holds the batch, with `ind`, `ood` and `gen` views onto its blocks,
-    and `targets` the InD rows' one-hot labels; `cache` holds D's pass over
-    `x`, its backward arrays included. The cross-entropy works in the InD
-    rows of ``cache.logits``. The score layer's arrays cover the OoD and
-    generated rows: `costs`, `k_star` and `scores` are `_score_rows`'
-    outputs; `cols` takes each row's argmin cost column and `inner` its dot
-    product with the row. The generator step uses a workspace with only a
-    generated block, for D's pass over G(z).
+    `x` is the `_with_ones` batch, with `ind`, `ood` and `gen` views onto its
+    blocks; `targets` holds the InD rows' one-hot labels and `cache` D's pass
+    over `x`. The other arrays are the score layer's, over the score rows.
     """
 
     def __init__(self, D: MlpParams, n_ind: int, n_ood: int, n_gen: int):
@@ -201,9 +182,8 @@ def _scores_and_logit_grads(probs: np.ndarray, M: np.ndarray, ws: _LossWorkspace
     """Bind the loss layer's score kernel to softmax rows `probs`, ``ws`` and `out`.
 
     The closure writes the rows' scores into ``ws.scores`` and d(score)/d(logits)
-    into `out`. With cost column g of the (smallest-index) argmin target, the
-    chain rule through the softmax gives d(score)/dz_i = p_i * (g_i - p.g).
-    `out` holds the products p_i * g_i on the way.
+    into `out`: with g the cost column of the argmin target,
+    ``d(score)/dz_i = p_i * (g_i - p.g)``.
     """
     score = _score_rows(probs, M, ws.costs, ws.k_star, ws.scores)
     # Row k of M.T is the cost column of target k; the indices are in range.
@@ -224,10 +204,8 @@ def _discriminator_step(D: MlpParams, ws: _LossWorkspace, beta_ood: float,
                         beta_z: float, M: np.ndarray):
     """Bind the kernel of `discriminator_loss_and_grads` to D and the batch arrays of `ws`.
 
-    Each call of the closure is one D step over the batch filled into `ws`:
-    one forward and one backward pass over the stacked rows, with each
-    block's loss weight folded into its rows of the upstream logit gradient.
-    It returns (loss, (ce, mean_ood, mean_gen)) and leaves the gradient in
+    Each call is one D step over the batch filled into `ws`: it returns
+    (loss, (ce, mean_ood, mean_gen)) and leaves the gradient in
     ``ws.cache.grad``. Unchecked.
     """
     n_ind, n_ood, n_gen = ws.ind.shape[0], ws.ood.shape[0], ws.gen.shape[0]
@@ -275,15 +253,13 @@ def discriminator_loss_and_grads(D: MlpParams, ind_x: np.ndarray, ind_y: np.ndar
                                  ood_x: np.ndarray, gen_x: np.ndarray, beta_ood: float,
                                  beta_z: float, M: np.ndarray
                                  ) -> tuple[float, tuple[float, float, float], np.ndarray]:
-    """Full three-term loss and its gradient over the discriminator.
+    """The three-term loss and its exact gradient over D's parameters; pure.
 
     ``loss = ce - beta_ood * mean_ood_score - beta_z * mean_gen_score``;
-    returns (loss, (ce, mean_ood_score, mean_gen_score), grads) with grads
-    the exact gradient of that loss. Each batch is an (n, D.input_dim)
-    array, and ValueError names any that is not; `ind_x` and `ood_x` must be
-    nonempty, while `gen_x` may be empty for generator-free training, in
-    which case the third component is 0. The generated batch is treated as a
-    fixed sample of augmentation points; nothing backpropagates into
+    returns (loss, (ce, mean_ood_score, mean_gen_score), grads). Each batch
+    is an (n, D.input_dim) array, and ValueError names any that is not.
+    `ind_x` and `ood_x` must be nonempty; an empty `gen_x` makes the third
+    term 0. The generated batch is a fixed sample: no gradient reaches
     whatever produced it.
     """
     mat = _scoring_cost_matrix(D, M)
@@ -305,15 +281,12 @@ def _generator_step(D: MlpParams, G: MlpParams, g_cache: ForwardCache, ws: _Loss
                     beta_z: float, M: np.ndarray, ascend: bool = False):
     """Bind the kernel of `generator_objective_and_grads` to D, G and their arrays.
 
-    ``step(noise)`` runs after G's pass over `noise` into `g_cache`, whose
-    ones-column output D runs on in place of ``ws.x``; `ws` has only a
-    generated block, for D's pass. D's input gradient is written straight
-    into G's upstream gradient. ``step`` returns the objective and leaves
-    G's gradient in ``g_cache.grad``: that of the objective or, with
-    `ascend`, of its negative, the direction Adam descends for ascent. The
-    sign rides on the upstream scale, and rounding is sign-symmetric, so the
-    two gradients are negatives of each other bit for bit, up to the sign of
-    an exact zero. Unchecked.
+    ``step(noise)`` runs after G's pass over `noise` into `g_cache`; D runs
+    on that output through `ws`, a workspace with only a generated block.
+    It returns the objective and leaves in ``g_cache.grad`` the objective's
+    gradient or, with `ascend`, its negative, which Adam descends to ascend.
+    Rounding is sign-symmetric, so the two are negatives bit for bit, up to
+    the sign of an exact zero. Unchecked.
     """
     fake, up, scores = g_cache.a[-1], ws.cache.deltas[-1], ws.scores
     rows = fake.shape[0]
@@ -342,11 +315,10 @@ def generator_objective_and_grads(
     beta_z: float,
     M: np.ndarray,
 ) -> tuple[float, np.ndarray]:
-    """``beta_z * mean score(D(G(z)))`` and its gradient over the generator.
+    """``beta_z * mean score(D(G(z)))`` and its gradient over G's parameters, D frozen; pure.
 
     `noise_batch` is a nonempty (n, G.input_dim) array; ValueError names it
-    otherwise. The discriminator is treated as frozen; its input gradient
-    chains the score back into G.
+    otherwise.
     """
     mat = _scoring_cost_matrix(D, M)
     noise = _as_batch(G, noise_batch, "noise_batch")
@@ -390,8 +362,7 @@ def check_architectures(config: TrainConfig, data: Dataset, with_generator: bool
 
 # Uniforms per chunk in `_draws`. At 8 bytes each this keeps the chunk's
 # uniforms, and every array derived from them, below glibc's 128 KB mmap
-# threshold whenever one iteration's draws fit. The chunk's iteration count
-# follows from it and the batch sizes; the draws do not depend on it.
+# threshold whenever one iteration's draws fit. The draws do not depend on it.
 DRAW_CHUNK_UNIFORMS = 12288
 
 
@@ -404,13 +375,11 @@ def _draws(rng: Rng, iterations: int, n_d: int, n_g: int, batch_ind: int, n_ind:
     ``noise_shape = (batch_gen, noise_dim)``, the noise uniforms u1 then u2
     (``ceil(batch_gen * noise_dim / 2)`` each); then u1 and u2 for each of its
     n_g generator steps. That is the order of per-step ``indices_below`` and
-    `sample_noise` calls, so a chunk is one `Rng.uniform` block, and the last,
-    short chunk leaves `rng` where per-step draws would.
+    `sample_noise` calls, so each chunk is one `Rng.uniform` block.
 
     Yields (InD indices (n_d, batch_ind), OoD indices (n_d, b_ood), noise
-    (n_d + n_g, batch_gen, noise_dim + 1) or None): views into per-run
-    buffers that the next chunk overwrites. Each noise batch carries a
-    ones column (`nets._with_ones`), so it is a batch the kernels take.
+    (n_d + n_g, batch_gen, noise_dim + 1) with a ones column, or None):
+    views into buffers that the next chunk overwrites.
     """
     pairs = 0 if noise_shape is None else (noise_shape[0] * noise_shape[1] + 1) // 2
     d_len = batch_ind + b_ood + 2 * pairs
@@ -534,7 +503,7 @@ def _train(config: TrainConfig, data: Dataset, rng: Rng, M: np.ndarray,
 
 
 def train_see_ood(config: TrainConfig, data: Dataset, rng: Rng, M: np.ndarray) -> TrainHistory:
-    """Alternating adversarial training; requires at least one observed OoD point."""
+    """Alternating adversarial training; ValueError for empty pools or a misfit architecture."""
     return _train(config, data, rng, M, with_generator=True)
 
 

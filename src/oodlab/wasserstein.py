@@ -1,41 +1,26 @@
 """Transport-cost scoring of predicted class distributions.
 
-A score for a probability vector p is the cheapest cost of transporting p
-onto any one-hot target under a user-supplied cost matrix M. Because the
-target is one-hot, the optimal transport plan is closed-form (all mass of
-class j moves to the target class k at cost M[j, k]), so the score is
+A probability vector p scores the cheapest cost of transporting it onto
+any one-hot target under a cost matrix M. All mass then moves to the target
+class k, at cost M[j, k] from class j, so
 
-    score(p; M) = min_k sum_j p[j] * M[j, k]
+    score(p; M) = min_k sum_j p[j] * M[j, k] = min_k (p @ M)[k]
 
-Under the binary cost matrix (ones off the diagonal) this collapses to
-``1 - max(p)``: zero for a one-hot prediction, ``1 - 1/K`` for the uniform
-one. Class indices in this module are 1-based, matching dataset labels and
-the CSV formats.
-
-The cost to the one-hot target of class k is entry k of ``p @ M``;
-:func:`wasserstein_score` returns the smallest with its class. The score's
-gradient with respect to p is M's column at that class, which the trainers
-chain through the softmax (`training._scores_and_logit_grads`). One kernel,
-`_score_rows`, scores rows of probabilities into caller-owned arrays: those
-of a `training._LossWorkspace` in training, and block arrays next to one
-`nets.ForwardCache` in :func:`score_batch`. Like the `nets` kernels it is a
-binder: it takes the arrays once and returns a closure that runs the step.
+Under the binary cost matrix (ones off the diagonal) this is ``1 - max(p)``:
+zero for a one-hot prediction, ``1 - 1/K`` for the uniform one. The score's
+gradient in p is M's column at the argmin class. Public class indices are
+1-based, as dataset labels are. One kernel, `_score_rows`, scores rows of
+probabilities for training and for :func:`score_batch`; like the `nets`
+kernels it is a binder.
 """
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
-from .nets import (
-    Head,
-    MlpParams,
-    _as_batch,
-    _cache,
-    _fold_columns,
-    _forward,
-    _with_ones,
-    read_float_csv,
-)
+from .nets import Head, MlpParams, _as_batch, _cache, _fold_columns, _forward, _with_ones
 
 __all__ = [
     "validate_prob_vector",
@@ -47,12 +32,11 @@ __all__ = [
 ]
 
 PROB_SUM_TOL = 1e-9
-# Rows per forward pass in `score_batch`, so a large grid reuses one set of
-# buffers and a block's (rows, 129) hidden array of a 128-wide layer, about
-# 1 MB, stays in a 2 MB L2 cache with the block's other arrays. Every block,
-# the last included, runs at this size. With numpy's OpenBLAS, blocks of 512
-# to 4096 rows score with the same bits as one pass over all rows; 128- and
-# 256-row blocks do not, so change this only with the blocked-scoring tests.
+# Rows per forward pass in `score_batch`: a block's (rows, 129) hidden array
+# of a 128-wide layer, about 1 MB, then stays in a 2 MB L2 cache with the
+# block's other arrays. With numpy's OpenBLAS, blocks of 512 to 4096 rows
+# score with the same bits as one pass over all rows; 128- and 256-row blocks
+# do not, so change this only with the blocked-scoring tests.
 SCORE_BLOCK_ROWS = 1024
 
 
@@ -93,17 +77,31 @@ def binary_cost_matrix(K: int) -> np.ndarray:
 
 
 def load_cost_matrix_csv(path) -> np.ndarray:
-    """Read K rows of K comma-separated floats and validate the invariants."""
-    return validate_cost_matrix(read_float_csv(path, "cost matrix"))
+    """K rows of K comma-separated floats, validated as :func:`validate_cost_matrix` does.
+
+    ValueError, naming the file, if it is empty or ragged or holds a cell
+    that is not a finite number.
+    """
+    with warnings.catch_warnings():
+        # An empty file warns before it returns an empty array, checked below.
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            cells = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, encoding="utf-8")
+        except ValueError as exc:
+            raise ValueError(f"cost matrix file {path}: {exc}") from exc
+    if cells.size == 0:
+        raise ValueError(f"cost matrix file {path} is empty")
+    if not np.isfinite(cells).all():
+        raise ValueError(f"cost matrix file {path} holds a non-finite cell")
+    return validate_cost_matrix(cells)
 
 
 def _score_rows(probs: np.ndarray, M: np.ndarray, costs: np.ndarray, k_star: np.ndarray,
                 scores: np.ndarray):
-    """Bind the score kernel: the closure writes transport costs ``probs @ M`` into `costs`.
+    """Bind the score kernel to caller-owned arrays; unchecked.
 
-    It writes each row's argmin column into `k_star` and its minimum cost,
-    which is the cost at that column, into `scores`. All are caller-owned
-    arrays, bound here with the views the kernel needs; unchecked.
+    The closure writes ``probs @ M`` into `costs`, each row's 0-based argmin
+    column into `k_star` and its minimum cost, the score, into `scores`.
     """
     fold_min = _fold_columns(np.minimum, costs, scores[:, None])
 
@@ -115,10 +113,7 @@ def _score_rows(probs: np.ndarray, M: np.ndarray, costs: np.ndarray, k_star: np.
 
 
 def wasserstein_score(p, M) -> tuple[float, int]:
-    """Minimum transport cost to any one-hot target.
-
-    Returns (score, argmin_class) with the smallest-index class winning ties.
-    """
+    """(score, argmin class) of one probability vector; the smallest class wins ties."""
     vec = validate_prob_vector(p)
     mat = validate_cost_matrix(M)
     if vec.size != mat.shape[0]:
@@ -129,14 +124,12 @@ def wasserstein_score(p, M) -> tuple[float, int]:
 
 
 def score_batch(net: MlpParams, inputs, M) -> np.ndarray:
-    """Scores of ``net``'s predictions for the rows of an (n, d) array, order preserved.
+    """Scores of ``net``'s predictions for the rows of an (n, d) array, in order; pure.
 
-    The forward pass runs over blocks of `SCORE_BLOCK_ROWS` rows through one
-    set of buffers, so the working arrays stay the size of one block however
-    many rows there are: each block is copied into one `nets._with_ones`
-    batch, and a short last block is padded to full size. A row's bits
-    depend on the batch it is scored in: scored alone, or among other rows,
-    a point may score differently in the last bit.
+    Rows run in blocks of `SCORE_BLOCK_ROWS` through one set of buffers, a
+    short last block padded to full size, so memory does not grow with n. A
+    point's bits depend on the rows it is scored with: alone, or in another
+    batch, it may score differently in the last bit.
     """
     mat = _scoring_cost_matrix(net, M)
     x = np.asarray(inputs, dtype=float)
@@ -160,9 +153,6 @@ def _scoring_cost_matrix(net: MlpParams, M) -> np.ndarray:
 def _score_blocks(net: MlpParams, x: np.ndarray, M: np.ndarray,
                   predicted: np.ndarray | None = None) -> np.ndarray:
     """Scores of the nonempty rows `x`, blocked as in :func:`score_batch`; unchecked.
-
-    The forward pass is bound once per call, to one block's buffers; the
-    score kernel once per block, to that block's rows of the output.
 
     Given `predicted`, an int array of one entry per row, it takes each
     row's 0-based argmax class (smallest index on ties) from the same pass.

@@ -9,7 +9,8 @@ to match them bit for bit. The cell-by-cell bodies of `nets.write_csv` and
 `detection.write_heatmap_pgm` are kept the same way, so the writers must
 match them byte for byte, and so is the separate-pass body of the removed
 `detection.classification_accuracy`, which `detection.scores_and_accuracy`
-must match.
+must match. `finite_difference_gradient` is the central-difference oracle
+the analytic gradients are checked against.
 
 The network bodies run on contiguous copies of each layer's weights and
 biases (`contiguous_layers`), the memory they ran on before the parameters
@@ -29,7 +30,7 @@ from oodlab.nets import (
     AdamState,
     Head,
     MlpParams,
-    _layer_views,
+    NumericError,
     mlp_forward,
 )
 
@@ -105,15 +106,15 @@ def reference_backward(params: MlpParams, cache: ReferenceCache, output_gradient
     delta = g
 
     if param_grad:
-        grad = np.empty_like(params.flat)
-        grad_w, grad_b = _layer_views(params.layer_sizes, grad)
+        grad = replace(params, flat=np.zeros_like(params.flat))
+        grad_w, grad_b = grad.weights, grad.biases
     for l in range(last, -1, -1):
         if param_grad:
             below = cache.inputs if l == 0 else cache.activations[l - 1]
             grad_w[l][...] = delta.T @ below
             grad_b[l][...] = delta.sum(axis=0)
             if l == 0:
-                return grad
+                return grad.flat
         delta = delta @ weights[l]
         if l > 0:
             # Subgradient 0 at the kink.
@@ -136,6 +137,29 @@ def reference_adam(params: MlpParams, grad: np.ndarray, state: AdamState,
     v = b2 * state.v + (1.0 - b2) * grad * grad
     step = lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
     return replace(params, flat=params.flat - step), AdamState(m, v, t)
+
+
+def finite_difference_gradient(loss, params: MlpParams, step: float) -> np.ndarray:
+    """Central-difference gradient of ``loss(params)`` over every scalar of `flat`.
+
+    O(n_scalars) loss evaluations. `loss` must be a deterministic function of
+    the parameters.
+    """
+    if step <= 0.0:
+        raise ValueError(f"step must be > 0, got {step}")
+
+    def loss_at(i: int, value: float) -> float:
+        flat = params.flat.copy()
+        flat[i] = value
+        return loss(replace(params, flat=flat))
+
+    grad = np.zeros_like(params.flat)
+    for i, base in enumerate(params.flat):
+        up, down = loss_at(i, base + step), loss_at(i, base - step)
+        if not (np.isfinite(up) and np.isfinite(down)):
+            raise NumericError("loss returned a non-finite value during probing")
+        grad[i] = (up - down) / (2.0 * step)
+    return grad
 
 
 def reference_classification_accuracy(D: MlpParams, points, labels) -> float:
@@ -186,15 +210,14 @@ def reference_standard_normal(rng, count: int) -> np.ndarray:
 def reference_write_csv(path, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
-        if header is not None:
-            writer.writerow(header)
+        writer.writerow(header)
         writer.writerows([format(float(v), ".17g") if isinstance(v, float)
                           else "" if v is None else v for v in row] for row in rows)
 
 
 def reference_write_heatmap_pgm(heatmap: np.ndarray, K: int, path) -> None:
     cells = np.asarray(heatmap, dtype=float)
-    top = 1.0 - 1.0 / K
+    top = max(1.0 - 1.0 / K, cells.max())
     grays = np.clip(np.floor(cells / top * 255.0 + 0.5), 0, 255).astype(int)
     lines = ["P2", f"{cells.shape[1]} {cells.shape[0]}", "255"]
     for row in grays:

@@ -11,18 +11,13 @@ from itertools import product
 
 import numpy as np
 import pytest
+from kernel_reference import finite_difference_gradient
 
 from oodlab.config import preset_config
 from oodlab.data import sample_noise
 from oodlab.detection import rejection_region_area, select_threshold
 from oodlab.experiment import compare_rejection_regions, load_report, run_experiment
-from oodlab.nets import (
-    Head,
-    adam_step,
-    finite_difference_gradient,
-    init_adam,
-    init_mlp,
-)
+from oodlab.nets import Head, adam_step, init_adam, init_mlp
 from oodlab.rng import Rng
 from oodlab.training import (
     discriminator_loss_and_grads,

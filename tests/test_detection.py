@@ -23,9 +23,14 @@ from oodlab.detection import (
     write_heatmap,
     write_heatmap_pgm,
 )
-from oodlab.nets import Head, MlpParams, init_mlp, read_float_csv
+from oodlab.nets import Head, MlpParams, init_mlp
 from oodlab.rng import Rng
-from oodlab.wasserstein import SCORE_BLOCK_ROWS, binary_cost_matrix, score_batch
+from oodlab.wasserstein import (
+    SCORE_BLOCK_ROWS,
+    binary_cost_matrix,
+    load_cost_matrix_csv,
+    score_batch,
+)
 
 
 def sort_and_count_eta(scores, target):
@@ -294,19 +299,19 @@ class TestExports:
         write_heatmap(np.array([[0.25]]), path)
         assert read_heatmap(path, (1, 1)).shape == (1, 1)
 
-    # `read_float_csv` reads the one CSV input of floats left, a cost matrix.
+    # The cost matrix is the one CSV input of floats.
     @pytest.mark.parametrize("text", ["", "\r\n"], ids=["empty", "blank-line"])
     def test_csv_empty_rejected(self, tmp_path, text):
         path = tmp_path / "m.csv"
         path.write_bytes(text.encode())
         with pytest.raises(ValueError, match="cost matrix file .*m.csv is empty"):
-            read_float_csv(path, "cost matrix")
+            load_cost_matrix_csv(path)
 
     def test_csv_ragged_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_bytes(b"0.1,0.2,0.3\r\n0.4,0.5\r\n")
         with pytest.raises(ValueError, match="cost matrix file .*m.csv: .*column"):
-            read_float_csv(path, "cost matrix")
+            load_cost_matrix_csv(path)
 
     def test_pgm_layout_and_mapping(self, tmp_path):
         top = 1.0 - 1.0 / 3.0
@@ -324,6 +329,14 @@ class TestExports:
         path = tmp_path / "hm.pgm"
         write_heatmap_pgm(np.array([[top / 2.0]]), 3, path)
         assert path.read_text().splitlines()[3] == "128"
+
+    def test_pgm_scales_to_largest_cell_past_binary_range(self, tmp_path):
+        """Scores past 1 - 1/K, which a graded cost matrix gives, do not clip to white."""
+        hm = np.array([[0.0, 0.5], [0.9, 0.99]])
+        path = tmp_path / "hm.pgm"
+        write_heatmap_pgm(hm, 3, path)
+        grays = [int(v) for v in " ".join(path.read_text().splitlines()[3:]).split()]
+        assert grays == [0, 129, 232, 255]
 
     def test_pgm_bit_exact_reproducible(self, tmp_path):
         hm = Rng(7).uniform(400).reshape(20, 20) * (2 / 3)
@@ -343,7 +356,7 @@ class TestExports:
         path = tmp_path / "m.csv"
         path.write_bytes(b"0.1,nan\r\n0.3,inf\r\n")
         with pytest.raises(ValueError, match="m.csv holds a non-finite cell"):
-            read_float_csv(path, "cost matrix")
+            load_cost_matrix_csv(path)
 
 
 def write_pgm3(hm, path):
@@ -366,7 +379,7 @@ class TestExportWriters:
 
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
     def test_pgm_bytes_match_reference(self, tmp_path, shape):
-        # Scores a little outside [0, 1 - 1/K] reach both clipping ends.
+        # Scores a little outside [0, 1 - 1/K]: the low end clips, the high end rescales.
         hm = Rng(shape[0] * 1000 + shape[1]).uniform(shape[0] * shape[1]).reshape(shape)
         hm = 0.8 * hm - 0.05
         write_heatmap_pgm(hm, 3, tmp_path / "new.pgm")

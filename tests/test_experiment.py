@@ -484,11 +484,20 @@ class TestCli:
         assert trained == []
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["gen-data", "replicate"])
+    @pytest.mark.parametrize("command", [["gen-data"], ["replicate", "--preset", "wood2d"]],
+                             ids=["gen-data", "replicate"])
     def test_negative_seed_flag_is_config_error(self, tmp_path, capsys, command):
-        assert main([command, "--preset", "wood2d", "--seed", "-1",
-                     "--out", str(tmp_path / "o")]) == 2
+        assert main([*command, "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
         assert "--seed: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("option", [["--preset", "wood2d"], ["--config", "c.ini"]],
+                             ids=["preset", "config"])
+    def test_gen_data_takes_only_seed_and_out(self, tmp_path, capsys, option):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["gen-data", *option, "--out", str(tmp_path / "o")])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_config_error_exit_code(self, tmp_path):
@@ -571,6 +580,30 @@ class TestCli:
         assert not run.exists()
         assert list(run.parent.glob(".run.*")) == []
 
+    @pytest.mark.parametrize("command, writer", [
+        (["gen-data"], "write_dataset_csv"),
+        (["compare", "--a", "{run}", "--b", "{run}"], "write_comparison_csv"),
+    ], ids=["gen-data", "compare"])
+    def test_failed_write_publishes_nothing(self, tmp_path, capsys, monkeypatch, command,
+                                            writer):
+        """As `test_failed_write_leaves_no_directory` checks for `replicate`."""
+        cfg = tmp_path / "c.ini"
+        write_tiny_config(cfg)
+        run = tmp_path / "run"
+        assert main(["replicate", "--config", str(cfg), "--out", str(run)]) == 0
+
+        def fail(*args):
+            raise OSError(f"{writer} failed")
+
+        monkeypatch.setattr(cli, writer, fail)
+        capsys.readouterr()
+        out = tmp_path / "outs" / "out"
+        argv = [arg.format(run=run) for arg in command]
+        assert main([*argv, "--out", str(out)]) == 3
+        assert f"{writer} failed" in capsys.readouterr().err
+        assert not out.exists()
+        assert list(out.parent.glob(".out.*")) == []
+
     def test_compare_takes_no_seed(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["compare", "--a", "a", "--b", "b", "--seed", "1", "--out", str(tmp_path)])
@@ -649,24 +682,35 @@ def test_ab_time_checkout_against_itself(capsys):
     assert [line.split()[0] for line in lines[-4:]] == ["us_per_iteration", "steps_per_s",
                                                         "heatmap_ms", "peak_kb"]
     assert any(line.startswith("change traced peak ") for line in lines)
+    # Peaks that differ print with enough decimals to show it.
+    assert ab_time.spread(2128.91, 2128.94) == "2128.91 to 2128.94"
 
 
 def test_loc_rows_sum_to_line_counts(tmp_path, capsys):
-    """`scripts/loc.py` counts each line once: its kinds sum to the file's line count."""
+    """`scripts/loc.py` counts each line once, by kind, per module and in the sum row."""
     root = Path(__file__).resolve().parents[1]
     spec = importlib.util.spec_from_file_location("loc", root / "scripts" / "loc.py")
     loc = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(loc)
-    sample = tmp_path / "sample.py"
-    sample.write_text('"""Doc.\n\nMore."""\n# comment\n\ndef f():\n    """One."""\n'
-                      '    return 1  # trailing\n')
-    assert loc.count_lines(sample) == {"total": 8, "code": 2, "docstring": 4,
-                                       "comment": 1, "blank": 1}
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text('"""Module doc.\n\nMore."""\n# comment\n\n'
+                                  'class C:\n    """Class doc."""\n\n'
+                                  '    def f(self):\n        """Function\n        doc."""\n'
+                                  '        return 1  # trailing\n')
+    (package / "b.py").write_text("x = 1\n\n\n    # indented comment\ny = '''not\na doc'''\n")
+    assert loc.main([str(package)]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["module", "total", "code", "docstring", "comment", "blank"]
+    assert [row.split() for row in rows] == [
+        ["a.py", "12", "3", "6", "1", "2"],
+        ["b.py", "6", "3", "0", "1", "2"],
+        ["sum", "18", "6", "6", "2", "4"],
+    ]
 
     package = Path(experiment.__file__).parent
     assert loc.main([str(package)]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["module", "total", "code", "docstring", "comment", "blank"]
     paths = sorted(package.glob("*.py"))
     assert [row.split()[0] for row in rows] == [p.name for p in paths] + ["sum"]
     lengths = [len(p.read_text(encoding="utf-8").splitlines()) for p in paths]

@@ -9,6 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from kernel_reference import (
+    finite_difference_gradient,
     reference_adam,
     reference_backward,
     reference_forward,
@@ -28,7 +29,6 @@ from oodlab.nets import (
     _forward,
     _with_backward,
     _with_ones,
-    finite_difference_gradient,
     init_adam,
     init_mlp,
     mlp_backward,
