@@ -19,8 +19,8 @@ change/parent ratio of the medians and how many rounds the change won.
 Each round also runs one untimed `score_heatmap` and heatmap write per side
 under `tracemalloc`, writing to a temporary directory, and prints that
 side's traced peak in KB and whether it repeats exactly in every round. The
-write is the checkout's `write_heatmap` (`.npy`) or, in a checkout from
-before it, `write_heatmap_csv`.
+write is the checkout's `write_heatmap` (`.npy`) and `write_heatmap_pgm`,
+the two heatmap files a run writes.
 Steps follow the benchmark's `steps_per_s` rule: n_d + n_g per iteration
 for see_ood and one for wood, over the training time. It also says whether
 the two sides' trained weights and heatmaps are byte-equal; the exit status
@@ -70,8 +70,6 @@ class Side:
         self.wasserstein = importlib.import_module(f"{name}.wasserstein")
         self.training = importlib.import_module(f"{name}.training")
         self.detection = importlib.import_module(f"{name}.detection")
-        self.write_heatmap = getattr(self.detection, "write_heatmap", None) \
-            or self.detection.write_heatmap_csv
         self.Rng = importlib.import_module(f"{name}.rng").Rng
         cfg = config.preset_config(preset)
         self.config = replace(cfg, train=replace(cfg.train, iterations=iterations))
@@ -101,7 +99,8 @@ class Side:
         tracemalloc.start()
         try:
             again = self.detection.score_heatmap(history.discriminator, cfg.grid, M)
-            self.write_heatmap(again, Path(directory) / "heatmap")
+            self.detection.write_heatmap(again, Path(directory) / "heatmap.npy")
+            self.detection.write_heatmap_pgm(again, data.K, Path(directory) / "heatmap.pgm")
             peak_kb = tracemalloc.get_traced_memory()[1] / 1024
         finally:
             tracemalloc.stop()

@@ -8,8 +8,8 @@
 # bytecode into either checkout. The list uses only `replicate`, `gen-data`
 # and `compare`: `replicate` on the three full presets; single-replication
 # `replicate` runs of setting2 with 200 iterations and of wood2d with 200
-# iterations and a 32x32 grid, which writes no generator weights and whose PGM
-# rows fill every 16-sample line; `gen-data --seed 7`; `replicate
+# iterations and a 32x32 grid, which writes no generator weights and whose
+# heatmaps are not the presets' 200x200; `gen-data --seed 7`; `replicate
 # --config full.ini`, a short see_ood run on that CSV with a written 3x3 cost
 # matrix and every [data] key set, the one run that trains on a non-binary
 # cost matrix; `replicate --config deep.ini`, a short

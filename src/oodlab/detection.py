@@ -160,37 +160,28 @@ def read_heatmap(path, shape: tuple[int, int]) -> np.ndarray:
     return cells
 
 
-# Samples per PGM line: 16 three-digit samples and their spaces fit in the
-# format's 70-character line limit.
-_PGM_SAMPLES_PER_LINE = 16
-
-
 def write_heatmap_pgm(heatmap: np.ndarray, K: int, path) -> None:
-    """ASCII ("P2") grayscale image of a heatmap, rows in storage order, 16 samples a line.
+    """Raw ("P5") 8-bit grayscale image of a heatmap, rows in storage order.
 
     Scores map linearly from [0, top] to [0, 255], rounding half-up and
-    clipping below 0. top is ``max(1 - 1/K, largest cell)``: the binary
+    clipping to [0, 255]. top is ``max(1 - 1/K, largest cell)``: the binary
     cost matrix's range, or the largest score if another matrix scored past
-    it. Rows are mapped one at a time, with no whole-heatmap temporary.
-    ValueError unless the heatmap is a nonempty 2-D array of finite scores.
+    it. ValueError unless the heatmap is a nonempty 2-D array of finite scores.
     """
     if K < 2:
         raise ValueError(f"need K >= 2, got {K}")
     cells = _checked_heatmap(heatmap)
     top = max(1.0 - 1.0 / K, float(cells.max()))
+    # One float temporary, mapped in place; `cells` may be the caller's array.
+    grays = cells / top
+    grays *= 255.0
+    grays += 0.5
+    np.floor(grays, out=grays)
+    np.clip(grays, 0, 255, out=grays)
     height, width = cells.shape
-    full, rest = divmod(width, _PGM_SAMPLES_PER_LINE)
-    row = _pgm_line(_PGM_SAMPLES_PER_LINE) * full + (_pgm_line(rest) if rest else "")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"P2\n{width} {height}\n255\n")
-        for scores in cells:
-            grays = np.clip(np.floor(scores / top * 255.0 + 0.5), 0, 255).astype(int)
-            f.write(row % tuple(grays.tolist()))
-
-
-def _pgm_line(samples: int) -> str:
-    """Format string for one PGM line of `samples` gray levels."""
-    return " ".join(["%d"] * samples) + "\n"
+    with open(path, "wb") as f:
+        f.write(f"P5\n{width} {height}\n255\n".encode())
+        f.write(grays.astype(np.uint8).tobytes())
 
 
 def _checked_heatmap(heatmap) -> np.ndarray:

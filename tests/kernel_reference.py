@@ -6,8 +6,9 @@ the loss layer's `log_softmax`, of `wasserstein._score_rows` and
 `training._scores_and_logit_grads`; and of `Rng.standard_normal`'s
 Box-Muller transform, kept unchanged, so the tests can require the kernels
 to match them bit for bit. The cell-by-cell bodies of `nets.write_csv` and
-`detection.write_heatmap_pgm` are kept the same way, so the writers must
-match them byte for byte, and so is the separate-pass body of the removed
+of `detection.write_heatmap_pgm` (its raw P5 raster, one gray byte per cell
+mapped by Python floats) are kept the same way, so the writers must match
+them byte for byte, and so is the separate-pass body of the removed
 `detection.classification_accuracy`, which `detection.scores_and_accuracy`
 must match. `finite_difference_gradient` is the central-difference oracle
 the analytic gradients are checked against.
@@ -19,6 +20,7 @@ takes another numpy path and can differ in the last bit.
 """
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -218,11 +220,9 @@ def reference_write_csv(path, header, rows) -> None:
 def reference_write_heatmap_pgm(heatmap: np.ndarray, K: int, path) -> None:
     cells = np.asarray(heatmap, dtype=float)
     top = max(1.0 - 1.0 / K, cells.max())
-    grays = np.clip(np.floor(cells / top * 255.0 + 0.5), 0, 255).astype(int)
-    lines = ["P2", f"{cells.shape[1]} {cells.shape[0]}", "255"]
-    for row in grays:
-        tokens = [str(v) for v in row]
-        for start in range(0, len(tokens), 16):
-            lines.append(" ".join(tokens[start:start + 16]))
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    body = bytearray()
+    for row in cells:
+        for score in row:
+            body.append(int(min(max(math.floor(score / top * 255.0 + 0.5), 0), 255)))
+    with open(path, "wb") as f:
+        f.write(f"P5\n{cells.shape[1]} {cells.shape[0]}\n255\n".encode() + bytes(body))

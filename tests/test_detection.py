@@ -259,7 +259,7 @@ class TestMemoryBound:
         assert traced_peak(lambda: write_heatmap(hm, tmp_path / "hm.npy")) < 500_000
 
     def test_write_heatmap_pgm_peak(self, tmp_path):
-        # Whole-heatmap gray-level temporaries would be 320 KB each.
+        # One 320 KB float temporary for the gray levels, then 40 KB each of uint8 and bytes.
         hm = Rng(9).uniform(40_000).reshape(200, 200) * (2 / 3)
         assert traced_peak(lambda: write_heatmap_pgm(hm, 3, tmp_path / "hm.pgm")) < 500_000
 
@@ -319,24 +319,21 @@ class TestExports:
         hm = np.array([[0.0, 0.1], [0.37, top]])
         path = tmp_path / "hm.pgm"
         write_heatmap_pgm(hm, 3, path)
-        lines = path.read_text().splitlines()
-        assert lines[:3] == ["P2", "2 2", "255"]
-        assert " ".join(lines[3:]).split() == ["0", "38", "142", "255"]
+        assert path.read_bytes() == b"P5\n2 2\n255\n" + bytes([0, 38, 142, 255])
 
     def test_pgm_rounds_half_up(self, tmp_path):
         # top/2 maps to exactly 127.5, which half-up rounding takes to 128.
         top = 1.0 - 1.0 / 3.0
         path = tmp_path / "hm.pgm"
         write_heatmap_pgm(np.array([[top / 2.0]]), 3, path)
-        assert path.read_text().splitlines()[3] == "128"
+        assert path.read_bytes() == b"P5\n1 1\n255\n" + bytes([128])
 
     def test_pgm_scales_to_largest_cell_past_binary_range(self, tmp_path):
         """Scores past 1 - 1/K, which a graded cost matrix gives, do not clip to white."""
         hm = np.array([[0.0, 0.5], [0.9, 0.99]])
         path = tmp_path / "hm.pgm"
         write_heatmap_pgm(hm, 3, path)
-        grays = [int(v) for v in " ".join(path.read_text().splitlines()[3:]).split()]
-        assert grays == [0, 129, 232, 255]
+        assert path.read_bytes() == b"P5\n2 2\n255\n" + bytes([0, 129, 232, 255])
 
     def test_pgm_bit_exact_reproducible(self, tmp_path):
         hm = Rng(7).uniform(400).reshape(20, 20) * (2 / 3)
@@ -345,12 +342,6 @@ class TestExports:
         write_heatmap_pgm(hm, 3, a)
         write_heatmap_pgm(hm, 3, b)
         assert a.read_bytes() == b.read_bytes()
-
-    def test_pgm_lines_within_limit(self, tmp_path):
-        hm = Rng(8).uniform(40000).reshape(200, 200) * (2 / 3)
-        path = tmp_path / "big.pgm"
-        write_heatmap_pgm(hm, 3, path)
-        assert max(len(line) for line in path.read_text().splitlines()) <= 70
 
     def test_csv_nonfinite_cell_rejected_on_read(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -366,7 +357,7 @@ def write_pgm3(hm, path):
 class TestExportWriters:
     """The writers against ``numpy.save`` and the cell-by-cell PGM body, and their input checks."""
 
-    # Widths 16 and 32 fill every PGM line; the others end each row on a short line.
+    # Square and non-square shapes, a single cell and the 200x200 preset grid.
     SHAPES = [(1, 1), (3, 15), (5, 16), (7, 17), (20, 20), (32, 32), (200, 200)]
 
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")

@@ -60,6 +60,12 @@ class TestRunExperiment:
         assert set(report.files) >= {"config.ini", "report.csv", "rep000/heatmap.npy"}
         assert "data: builtin, ood_subsample=2\n" in (tmp_path / "summary.txt").read_text()
 
+    def test_pgm_is_raw_header_and_one_byte_per_cell(self, tmp_path):
+        run_experiment(tiny_config(replications=1), tmp_path)
+        image = (tmp_path / "rep000" / "heatmap.pgm").read_bytes()
+        header = b"P5\n12 12\n255\n"
+        assert image.startswith(header) and len(image) == len(header) + 12 * 12
+
     def test_output_directory_is_required(self):
         assert inspect.signature(run_experiment).parameters["out_dir"].default is (
             inspect.Parameter.empty)
@@ -684,6 +690,27 @@ def test_ab_time_checkout_against_itself(capsys):
     assert any(line.startswith("change traced peak ") for line in lines)
     # Peaks that differ print with enough decimals to show it.
     assert ab_time.spread(2128.91, 2128.94) == "2128.91 to 2128.94"
+
+
+def test_op_count_wood2d_matmuls(capsys):
+    """`scripts/op_count.py` repeats exactly and books wood2d's 6 matmuls per iteration."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("op_count", root / "scripts" / "op_count.py")
+    op_count = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(op_count)
+    outputs = []
+    for _ in range(2):
+        assert op_count.main(["--preset", "wood2d"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    rows = {line.split()[0]: line.split()[1:] for line in outputs[0].splitlines()[1:]}
+    assert rows["matmul"] == ["6.00"]
+    # 2 in the forward pass, 1 in the score, 3 in the backward pass.
+    assert "matmul 2.00" in " ".join(rows["nets._forward.run"])
+    assert "matmul 1.00" in " ".join(rows["wasserstein._score_rows.run"])
+    assert "matmul 3.00" in " ".join(rows["nets._backward.run"])
+    # The counting wrappers are gone afterwards.
+    assert isinstance(np.matmul, np.ufunc)
 
 
 def test_loc_rows_sum_to_line_counts(tmp_path, capsys):
